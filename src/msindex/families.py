@@ -5,7 +5,9 @@ A..I are singular integrals over branch-point data; they feed a 6x6
 matrix of periods whose top half determines the lattice and the
 period ratio tau.  All integrands are written so that each endpoint
 singularity sits at offset zero of the quadrature engine's distance
-coordinate, with cancellation-prone factors expanded by hand.
+coordinate, with cancellation-prone factors expanded by hand.  Each
+family defines its integrands once, in a table keyed by name that
+both integral_set and verify_identities read.
 """
 
 from __future__ import annotations
@@ -103,25 +105,23 @@ class IntegralSet:
         return {k: getattr(self, k) for k in "ABCDEFHI"}
 
 
-class _Acc:
-    """Accumulates (value, err) pairs from the quadrature engine."""
+def _integrate_all(table: dict[str, Integrand],
+                   config: QuadConfig) -> tuple[dict[str, float], float]:
+    """Integrate every entry of an integrand table.
 
-    def __init__(self, config: QuadConfig):
-        self.config = config
-        self.err_max = 0.0
-
-    def run(self, f: Integrand) -> float:
-        value, err = integrate(f, self.config)
-        self.err_max = max(self.err_max, err)
-        return value
-
-    def run_tail(self, f: Integrand) -> float:
-        value, err = integrate_tail(f, self.config)
-        self.err_max = max(self.err_max, err)
-        return value
+    Returns the values by name and the largest error estimate.
+    Entries on (1, inf) go through the tail fold.
+    """
+    values: dict[str, float] = {}
+    err_max = 0.0
+    for name, f in table.items():
+        rule = integrate_tail if math.isinf(f.hi) else integrate
+        values[name], err = rule(f, config)
+        err_max = max(err_max, err)
+    return values, err_max
 
 
-def _integrals_H(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
+def _integrands_H(a: float) -> dict[str, Integrand]:
     a3 = a ** 3
     ia3 = 1.0 / a3
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
@@ -129,6 +129,9 @@ def _integrals_H(a: float, config: QuadConfig) -> tuple[dict[str, float], float]
 
     def rad(t):
         return (t ** 3 + a3) * (t ** 3 + ia3)
+
+    def plain_pol(x):
+        return a3 + ia3 + 6.0 * x - 8.0 * x ** 3
 
     def pol(s):
         # a^3 + 1/a^3 + 6x - 8x^3 at x = 1 - s
@@ -138,131 +141,155 @@ def _integrals_H(a: float, config: QuadConfig) -> tuple[dict[str, float], float]
         # 1 - x^2 at x = 1 - s
         return s * (2.0 - s)
 
-    acc = _Acc(config)
-    vA = acc.run(Integrand(lambda t: (1.0 + t * t) / np.sqrt(t * rad(t)), 0.0, 1.0, singular_lo=True))
-    vB1 = acc.run(Integrand(lambda t: (1.0 - t * t) / np.sqrt(t * rad(t)), 0.0, 1.0, singular_lo=True))
-    vD = acc.run(Integrand(lambda t: t / np.sqrt(t * rad(t)), 0.0, 1.0, singular_lo=True))
-    vE = acc.run(Integrand(lambda t: t ** 2.5 * (1.0 + t * t) / rad(t) ** 1.5, 0.0, 1.0, singular_lo=True))
-    vF1 = acc.run(Integrand(lambda t: t ** 2.5 * (1.0 - t * t) / rad(t) ** 1.5, 0.0, 1.0, singular_lo=True))
-    vI = acc.run(Integrand(lambda t: t ** 3.5 / rad(t) ** 1.5, 0.0, 1.0, singular_lo=True))
+    def near0(f):
+        return Integrand(f, 0.0, 1.0, singular_lo=True)
 
-    def plain_pol(x):
-        return a3 + ia3 + 6.0 * x - 8.0 * x ** 3
+    def cap(f, f_hi):
+        return Integrand(f, 0.5, 1.0, singular_hi=True, from_hi=f_hi)
 
-    vB2 = acc.run(Integrand(
-        lambda x: x / np.sqrt(plain_pol(x) * (1.0 - x * x)), 0.5, 1.0, singular_hi=True,
-        from_hi=lambda s: (1.0 - s) / np.sqrt(pol(s) * span(s))))
-    vC = acc.run(Integrand(
-        lambda x: 1.0 / np.sqrt(plain_pol(x) * (1.0 - x * x)), 0.5, 1.0, singular_hi=True,
-        from_hi=lambda s: 1.0 / np.sqrt(pol(s) * span(s))))
-    vF2 = acc.run(Integrand(
-        lambda x: x / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)), 0.5, 1.0, singular_hi=True,
-        from_hi=lambda s: (1.0 - s) / (pol(s) ** 1.5 * np.sqrt(span(s)))))
-    vH = acc.run(Integrand(
-        lambda x: 1.0 / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)), 0.5, 1.0, singular_hi=True,
-        from_hi=lambda s: 1.0 / (pol(s) ** 1.5 * np.sqrt(span(s)))))
-
-    vals = {
-        "A": vA,
-        "B": _SQ3 * vB1 + 4.0 * vB2,
-        "C": 4.0 * vC,
-        "D": 8.0 * vD,
-        "E": vE,
-        "F": _SQ3 * vF1 + 4.0 * vF2,
-        "H": 2.0 * vH,
-        "I": 4.0 * vI,
+    return {
+        "A": near0(lambda t: (1.0 + t * t) / np.sqrt(t * rad(t))),
+        "B1": near0(lambda t: (1.0 - t * t) / np.sqrt(t * rad(t))),
+        "D": near0(lambda t: t / np.sqrt(t * rad(t))),
+        "E": near0(lambda t: t ** 2.5 * (1.0 + t * t) / rad(t) ** 1.5),
+        "F1": near0(lambda t: t ** 2.5 * (1.0 - t * t) / rad(t) ** 1.5),
+        "I": near0(lambda t: t ** 3.5 / rad(t) ** 1.5),
+        "B2": cap(lambda x: x / np.sqrt(plain_pol(x) * (1.0 - x * x)),
+                  lambda s: (1.0 - s) / np.sqrt(pol(s) * span(s))),
+        "C": cap(lambda x: 1.0 / np.sqrt(plain_pol(x) * (1.0 - x * x)),
+                 lambda s: 1.0 / np.sqrt(pol(s) * span(s))),
+        "F2": cap(lambda x: x / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)),
+                  lambda s: (1.0 - s) / (pol(s) ** 1.5 * np.sqrt(span(s)))),
+        "H": cap(lambda x: 1.0 / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)),
+                 lambda s: 1.0 / (pol(s) ** 1.5 * np.sqrt(span(s)))),
     }
-    return vals, acc.err_max
 
 
-def _rpd_parts(a: float):
-    """Shared radicand pieces for the rPD integrals and identities."""
-    a3 = a ** 3
-    ia3 = 1.0 / a3
-    a6 = a ** 6
-    # 1 - a^6, factored so it survives a -> 1
-    q = (1.0 - a) * (1.0 + a) * (1.0 + a * a + a ** 4)
+def _integrals_H(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
+    v, err = _integrate_all(_integrands_H(a), config)
+    return {
+        "A": v["A"],
+        "B": _SQ3 * v["B1"] + 4.0 * v["B2"],
+        "C": 4.0 * v["C"],
+        "D": 8.0 * v["D"],
+        "E": v["E"],
+        "F": _SQ3 * v["F1"] + 4.0 * v["F2"],
+        "H": 2.0 * v["H"],
+        "I": 4.0 * v["I"],
+    }, err
 
-    def main(t):
-        return t * (1.0 - t ** 3) * (a3 * t ** 3 + ia3)
 
-    def alt(t):
-        return t * (1.0 - t ** 3) * (a3 + ia3 * t ** 3)
+class _RPDCurve:
+    """The rPD radicands at one parameter, and integrands built on them.
 
-    def main_hi(s):
-        # main radicand at t = 1 - s; 1 - t^3 = s (3 - 3s + s^2)
-        t = 1.0 - s
-        return t * s * (3.0 - s * (3.0 - s)) * (a3 * t ** 3 + ia3)
+    unit(num) is num(t) / sqrt(R(t)) on (0, 1), singular at both ends,
+    for R = t (1 - t^3) (a^3 t^3 + a^-3) or, with alt, a^3 and a^-3
+    swapped.  Its offset form near t = 1 is num(1 - s) / sqrt(R(1 - s))
+    with 1 - t^3 expanded in s; num_hi replaces num(1 - s) where that
+    would cancel.  tail(num) is the same on (1, inf) over
+    t (t^3 - 1) (a^3 t^3 + a^-3), offset s = t - 1, with num_lo in
+    place of num(1 + s).
+    """
 
-    def alt_hi(s):
-        t = 1.0 - s
-        return t * s * (3.0 - s * (3.0 - s)) * (a3 + ia3 * t ** 3)
+    def __init__(self, a: float):
+        self.a3 = a ** 3
+        self.ia3 = 1.0 / self.a3
+        self.a6 = a ** 6
+        # 1 - a^6, factored so it survives a -> 1
+        self.q = (1.0 - a) * (1.0 + a) * (1.0 + a * a + a ** 4)
 
-    def tail_rad(t):
-        return t * (t ** 3 - 1.0) * (a3 * t ** 3 + ia3)
+    def cubic(self, t):
+        return 2.0 * self.a6 * t ** 3 + self.q
 
-    def tail_lo(s):
-        # tail radicand at t = 1 + s; t^3 - 1 = s (s^2 + 3s + 3)
-        t = 1.0 + s
-        return t * s * (s * (s + 3.0) + 3.0) * (a3 * t ** 3 + ia3)
+    def alt_cubic(self, t):
+        return self.q - 2.0 * t ** 3
 
-    return a3, ia3, a6, q, main, alt, main_hi, alt_hi, tail_rad, tail_lo
+    def unit(self, num, alt: bool = False, num_hi=None) -> Integrand:
+        lead, const = (self.ia3, self.a3) if alt else (self.a3, self.ia3)
+        if num_hi is None:
+            def num_hi(s):
+                return num(1.0 - s)
+
+        def f(t):
+            return num(t) / np.sqrt(t * (1.0 - t ** 3) * (lead * t ** 3 + const))
+
+        def f_hi(s):
+            # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
+            t = 1.0 - s
+            return num_hi(s) / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (lead * t ** 3 + const))
+
+        return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi)
+
+    def tail(self, num, num_lo=None) -> Integrand:
+        a3, ia3 = self.a3, self.ia3
+        if num_lo is None:
+            def num_lo(s):
+                return num(1.0 + s)
+
+        def f(t):
+            return num(t) / np.sqrt(t * (t ** 3 - 1.0) * (a3 * t ** 3 + ia3))
+
+        def f_lo(s):
+            # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
+            t = 1.0 + s
+            return num_lo(s) / np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (a3 * t ** 3 + ia3))
+
+        return Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo)
+
+
+def _integrands_rPD(a: float) -> dict[str, Integrand]:
+    curve = _RPDCurve(a)
+    cubic = curve.cubic
+
+    def plus(t):
+        return 1.0 + (a * t) ** 2
+
+    return {
+        "A": curve.unit(plus),
+        "D": curve.unit(lambda t: t),
+        "Ep": curve.unit(lambda t: cubic(t) * (5.0 * (a * t) ** 2 + 1.0)),
+        "Em": curve.unit(lambda t: cubic(t) * (5.0 * (a * t) ** 2 - 1.0)),
+        "H": curve.unit(lambda t: t * curve.alt_cubic(t), alt=True),
+        "I": curve.unit(lambda t: t * cubic(t)),
+        "TA": curve.tail(plus),
+        "TC": curve.tail(lambda t: t),
+    }
 
 
 def _integrals_rPD(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
-    a3, ia3, a6, q, main, alt, main_hi, alt_hi, tail_rad, tail_lo = _rpd_parts(a)
-    acc = _Acc(config)
-
-    vA = acc.run(Integrand(
-        lambda t: (1.0 + (a * t) ** 2) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 + (a * (1.0 - s)) ** 2) / np.sqrt(main_hi(s))))
-    vD = acc.run(Integrand(
-        lambda t: t / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 - s) / np.sqrt(main_hi(s))))
-    vEp = acc.run(Integrand(
-        lambda t: (2.0 * a6 * t ** 3 + q) * (5.0 * (a * t) ** 2 + 1.0) / np.sqrt(main(t)),
-        0.0, 1.0, True, True,
-        from_hi=lambda s: (2.0 * a6 * (1.0 - s) ** 3 + q)
-        * (5.0 * (a * (1.0 - s)) ** 2 + 1.0) / np.sqrt(main_hi(s))))
-    vEm = acc.run(Integrand(
-        lambda t: (2.0 * a6 * t ** 3 + q) * (5.0 * (a * t) ** 2 - 1.0) / np.sqrt(main(t)),
-        0.0, 1.0, True, True,
-        from_hi=lambda s: (2.0 * a6 * (1.0 - s) ** 3 + q)
-        * (5.0 * (a * (1.0 - s)) ** 2 - 1.0) / np.sqrt(main_hi(s))))
-    vH = acc.run(Integrand(
-        lambda t: t * (q - 2.0 * t ** 3) / np.sqrt(alt(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 - s) * (q - 2.0 * (1.0 - s) ** 3) / np.sqrt(alt_hi(s))))
-    vI = acc.run(Integrand(
-        lambda t: t * (2.0 * a6 * t ** 3 + q) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 - s) * (2.0 * a6 * (1.0 - s) ** 3 + q) / np.sqrt(main_hi(s))))
-
-    vTA = acc.run_tail(Integrand(
-        lambda t: (1.0 + (a * t) ** 2) / np.sqrt(tail_rad(t)), 1.0, math.inf, singular_lo=True,
-        from_lo=lambda s: (1.0 + (a * (1.0 + s)) ** 2) / np.sqrt(tail_lo(s))))
-    vTC = acc.run_tail(Integrand(
-        lambda t: t / np.sqrt(tail_rad(t)), 1.0, math.inf, singular_lo=True,
-        from_lo=lambda s: (1.0 + s) / np.sqrt(tail_lo(s))))
-
+    v, err = _integrate_all(_integrands_rPD(a), config)
+    a6 = a ** 6
     frac = a * a / (3.0 * (a6 + 1.0) ** 2)
-    edge = 2.0 * a3 / (a6 + 1.0) ** 2
-    vals = {
-        "A": vA / (_SQ3 * a),
-        "B": vTA / (_SQ3 * a),
-        "C": 4.0 * vTC,
-        "D": 4.0 * vD,
-        "E": frac / _SQ3 * vEp,
-        "F": frac * vEm,
-        "H": edge * vH,
-        "I": edge * vI,
-    }
-    return vals, acc.err_max
+    edge = 2.0 * a ** 3 / (a6 + 1.0) ** 2
+    return {
+        "A": v["A"] / (_SQ3 * a),
+        "B": v["TA"] / (_SQ3 * a),
+        "C": 4.0 * v["TC"],
+        "D": 4.0 * v["D"],
+        "E": frac / _SQ3 * v["Ep"],
+        "F": frac * v["Em"],
+        "H": edge * v["H"],
+        "I": edge * v["I"],
+    }, err
 
 
-def _integrals_tP(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
+def _quartic_integrands(a: float) -> dict[str, Integrand]:
+    """Integrands over sqrt(t^8 + a t^4 + 1) on (0, 1), shared by tP and tCLP."""
     def quartic(t):
         t4 = t ** 4
         return t4 * t4 + a * t4 + 1.0
 
+    return {
+        "A1": Integrand(lambda t: (1.0 - t * t) / np.sqrt(quartic(t)), 0.0, 1.0),
+        "B": Integrand(lambda t: (1.0 + t * t) / np.sqrt(quartic(t)), 0.0, 1.0),
+        "C": Integrand(lambda t: t / np.sqrt(quartic(t)), 0.0, 1.0),
+        "E1": Integrand(lambda t: t ** 4 * (1.0 - t * t) / quartic(t) ** 1.5, 0.0, 1.0),
+        "F": Integrand(lambda t: t ** 4 * (1.0 + t * t) / quartic(t) ** 1.5, 0.0, 1.0),
+        "H": Integrand(lambda t: t ** 5 / quartic(t) ** 1.5, 0.0, 1.0),
+    }
+
+
+def _integrands_tP(a: float) -> dict[str, Integrand]:
     def ridge(t):
         # 16 t^4 - 16 t^2 + 2 + a, grouped around its minimum
         return 16.0 * (t * t - 0.5) ** 2 + (a - 2.0)
@@ -271,65 +298,65 @@ def _integrals_tP(a: float, config: QuadConfig) -> tuple[dict[str, float], float
         t2 = t * t
         return (2.0 + a) * t2 * t2 + (2.0 * a - 12.0) * t2 + (2.0 + a)
 
-    acc = _Acc(config)
-    unit = dict(lo=0.0, hi=1.0)
-    vA1 = acc.run(Integrand(lambda t: (1.0 - t * t) / np.sqrt(quartic(t)), **unit))
-    vA2 = acc.run(Integrand(lambda t: 1.0 / np.sqrt(ridge(t)), **unit))
-    vB = acc.run(Integrand(lambda t: (1.0 + t * t) / np.sqrt(quartic(t)), **unit))
-    vC = acc.run(Integrand(lambda t: t / np.sqrt(quartic(t)), **unit))
-    vD = acc.run(Integrand(lambda t: 1.0 / np.sqrt(flat(t)), **unit))
-    vE1 = acc.run(Integrand(lambda t: t ** 4 * (1.0 - t * t) / quartic(t) ** 1.5, **unit))
-    vE2 = acc.run(Integrand(lambda t: 1.0 / ridge(t) ** 1.5, **unit))
-    vF = acc.run(Integrand(lambda t: t ** 4 * (1.0 + t * t) / quartic(t) ** 1.5, **unit))
-    vH = acc.run(Integrand(lambda t: t ** 5 / quartic(t) ** 1.5, **unit))
-    vI = acc.run(Integrand(lambda t: (1.0 + t * t) ** 2 / flat(t) ** 1.5, **unit))
-
-    vals = {
-        "A": 2.0 * vA1 + 4.0 * vA2,
-        "B": 2.0 * vB,
-        "C": 8.0 * vC,
-        "D": 8.0 * vD,
-        "E": 2.0 * vE1 + 4.0 * vE2,
-        "F": 2.0 * vF,
-        "H": 4.0 * vH,
-        "I": 4.0 * vI,
+    return {
+        **_quartic_integrands(a),
+        "A2": Integrand(lambda t: 1.0 / np.sqrt(ridge(t)), 0.0, 1.0),
+        "D": Integrand(lambda t: 1.0 / np.sqrt(flat(t)), 0.0, 1.0),
+        "E2": Integrand(lambda t: 1.0 / ridge(t) ** 1.5, 0.0, 1.0),
+        "I": Integrand(lambda t: (1.0 + t * t) ** 2 / flat(t) ** 1.5, 0.0, 1.0),
     }
-    return vals, acc.err_max
+
+
+def _integrals_tP(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
+    v, err = _integrate_all(_integrands_tP(a), config)
+    return {
+        "A": 2.0 * v["A1"] + 4.0 * v["A2"],
+        "B": 2.0 * v["B"],
+        "C": 8.0 * v["C"],
+        "D": 8.0 * v["D"],
+        "E": 2.0 * v["E1"] + 4.0 * v["E2"],
+        "F": 2.0 * v["F"],
+        "H": 4.0 * v["H"],
+        "I": 4.0 * v["I"],
+    }, err
+
+
+def _integrands_tCLP(a: float) -> dict[str, Integrand]:
+    # the quartic at -|a| is t^8 - |a| t^4 + 1 bit for bit
+    plus = _quartic_integrands(abs(a))
+    minus = _quartic_integrands(-abs(a))
+    return {
+        "A": minus["B"],
+        "B": plus["B"],
+        "C": plus["C"],
+        "D": minus["C"],
+        "E": minus["F"],
+        "F": plus["F"],
+        "H": plus["H"],
+        "I": minus["H"],
+    }
 
 
 def _integrals_tCLP(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
-    a = abs(a)
+    v, err = _integrate_all(_integrands_tCLP(a), config)
+    return {
+        "A": 2.0 * _SQ2 * v["A"],
+        "B": 2.0 * v["B"],
+        "C": 8.0 * v["C"],
+        "D": 8.0 * v["D"],
+        "E": 2.0 * _SQ2 * v["E"],
+        "F": 2.0 * v["F"],
+        "H": 4.0 * v["H"],
+        "I": 4.0 * v["I"],
+    }, err
 
-    def plus(t):
-        t4 = t ** 4
-        return t4 * t4 + a * t4 + 1.0
 
-    def minus(t):
-        t4 = t ** 4
-        return t4 * t4 - a * t4 + 1.0
-
-    acc = _Acc(config)
-    unit = dict(lo=0.0, hi=1.0)
-    vA = acc.run(Integrand(lambda t: (1.0 + t * t) / np.sqrt(minus(t)), **unit))
-    vB = acc.run(Integrand(lambda t: (1.0 + t * t) / np.sqrt(plus(t)), **unit))
-    vC = acc.run(Integrand(lambda t: t / np.sqrt(plus(t)), **unit))
-    vD = acc.run(Integrand(lambda t: t / np.sqrt(minus(t)), **unit))
-    vE = acc.run(Integrand(lambda t: t ** 4 * (1.0 + t * t) / minus(t) ** 1.5, **unit))
-    vF = acc.run(Integrand(lambda t: t ** 4 * (1.0 + t * t) / plus(t) ** 1.5, **unit))
-    vH = acc.run(Integrand(lambda t: t ** 5 / plus(t) ** 1.5, **unit))
-    vI = acc.run(Integrand(lambda t: t ** 5 / minus(t) ** 1.5, **unit))
-
-    vals = {
-        "A": 2.0 * _SQ2 * vA,
-        "B": 2.0 * vB,
-        "C": 8.0 * vC,
-        "D": 8.0 * vD,
-        "E": 2.0 * _SQ2 * vE,
-        "F": 2.0 * vF,
-        "H": 4.0 * vH,
-        "I": 4.0 * vI,
-    }
-    return vals, acc.err_max
+_INTEGRALS = {
+    "H": _integrals_H,
+    "rPD": _integrals_rPD,
+    "tP": _integrals_tP,
+    "tCLP": _integrals_tCLP,
+}
 
 
 def integral_set(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> IntegralSet:
@@ -344,21 +371,15 @@ def integral_set(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> Integral
     a = p.a
     if fam == "tD":
         raise DomainError("tD shares its integrals with tP; apply canonical_param first")
+    compute = _INTEGRALS.get(fam)
+    if compute is None:
+        raise DomainError(f"unknown family {fam!r}")
     if fam == "H":
         if not (math.isfinite(a) and a >= MARGIN and abs(a - 1.0) >= MARGIN):
             raise DomainError(f"H integrals need a > 0 with a != 1, margin {MARGIN:g}; got {a!r}")
-        vals, err = _integrals_H(a, config)
-    elif fam == "rPD":
-        validate_param(p)
-        vals, err = _integrals_rPD(a, config)
-    elif fam == "tP":
-        validate_param(p)
-        vals, err = _integrals_tP(a, config)
-    elif fam == "tCLP":
-        validate_param(p)
-        vals, err = _integrals_tCLP(a, config)
     else:
-        raise DomainError(f"unknown family {fam!r}")
+        validate_param(p)
+    vals, err = compute(a, config)
     return IntegralSet(family=fam, a=a, err_max=err, **vals)
 
 
@@ -461,7 +482,7 @@ def period_frame(
     if sym_defect > _TAU_SYM_TOL * max(linalg.frobenius(tau), 1e-300):
         raise RiemannMatrixViolation(f"tau asymmetry {sym_defect:.3e}")
     im = 0.5 * (tau.imag + tau.imag.T)
-    im_eigs = linalg.eig_selfadjoint(im, 0.0)
+    im_eigs = linalg.eig_selfadjoint(im)
     if min(im_eigs.eigenvalues) <= 0.0:
         raise RiemannMatrixViolation(
             f"Im tau not positive definite, eigenvalues {im_eigs.eigenvalues}"
@@ -608,23 +629,6 @@ def _identities_H(a: float, config: QuadConfig):
     d0 = (1.0 - a) * (1.0 + a) * (1.0 + a * a + a ** 4) / a3
     d2 = (1.0 - a) * (1.0 + a + a * a) / a3
 
-    acc = _Acc(config)
-
-    def rad(t):
-        return (t ** 3 + a3) * (t ** 3 + ia3)
-
-    lhs1 = acc.run(Integrand(
-        lambda t: (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (ia3 - a3 * t ** 3)),
-        0.0, 1.0, True, True,
-        from_hi=lambda s: (d1 + a * s) * (1.0 + a - a * s)
-        / np.sqrt((1.0 - s) * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * s * (3.0 - s * (3.0 - s)))),
-    )) / a
-    rhs1 = 0.5 * _SQ3 * acc.run(Integrand(
-        lambda t: (1.0 + t * t) / np.sqrt(t * rad(t)), 0.0, 1.0, singular_lo=True))
-
-    lhs2 = acc.run(Integrand(
-        lambda t: (1.0 - t * t) / np.sqrt(t * rad(t)), 0.0, 1.0, singular_lo=True))
-
     def mid_plain(t):
         rest = d2 + (1.0 - t) * (1.0 + t * (1.0 + t))
         return (1.0 - t) * (1.0 + t) / np.sqrt(t * (t ** 3 - a3) * rest)
@@ -634,64 +638,57 @@ def _identities_H(a: float, config: QuadConfig):
         rest = d2 + (d1 - s) * (1.0 + t * (1.0 + t))
         return (d1 - s) * (1.0 + a + s) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
 
-    v_mid = acc.run(Integrand(mid_plain, a, 1.0, singular_lo=True, from_lo=mid_lo))
-    v_cap = acc.run(Integrand(
-        lambda t: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2), 0.5, 1.0))
-    rhs2 = 2.0 * v_mid + 4.0 * v_cap
+    table = _integrands_H(a)
+    v, _ = _integrate_all({
+        "A": table["A"],
+        "B1": table["B1"],
+        "bare": Integrand(
+            lambda t: (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (ia3 - a3 * t ** 3)),
+            0.0, 1.0, True, True,
+            from_hi=lambda s: (d1 + a * s) * (1.0 + a - a * s)
+            / np.sqrt((1.0 - s) * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * s * (3.0 - s * (3.0 - s)))),
+        ),
+        "mid": Integrand(mid_plain, a, 1.0, singular_lo=True, from_lo=mid_lo),
+        "cap": Integrand(
+            lambda t: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2), 0.5, 1.0),
+    }, config)
 
-    return [
-        ("H-identity-1", lhs1, rhs1, abs(lhs1 - rhs1)),
-        ("H-identity-2", lhs2, rhs2, abs(lhs2 - rhs2)),
+    rows = [
+        ("H-identity-1", v["bare"] / a, 0.5 * _SQ3 * v["A"]),
+        ("H-identity-2", v["B1"], 2.0 * v["mid"] + 4.0 * v["cap"]),
     ]
+    return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
 def _identities_rPD(a: float, config: QuadConfig):
-    a3, ia3, a6, q, main, alt, main_hi, alt_hi, tail_rad, tail_lo = _rpd_parts(a)
+    curve = _RPDCurve(a)
     d1 = 1.0 - a
-    acc = _Acc(config)
 
-    bare_plus = acc.run(Integrand(
-        lambda t: (1.0 + (a * t) ** 2) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 + (a * (1.0 - s)) ** 2) / np.sqrt(main_hi(s))))
-    bare_minus = acc.run(Integrand(
-        lambda t: (1.0 - a * t) * (1.0 + a * t) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (d1 + a * s) * (1.0 + a * (1.0 - s)) / np.sqrt(main_hi(s))))
-    tail_plus = acc.run_tail(Integrand(
-        lambda t: (1.0 + (a * t) ** 2) / np.sqrt(tail_rad(t)), 1.0, math.inf, singular_lo=True,
-        from_lo=lambda s: (1.0 + (a * (1.0 + s)) ** 2) / np.sqrt(tail_lo(s))))
-    tail_minus = acc.run_tail(Integrand(
-        lambda t: (1.0 - a * t) * (1.0 + a * t) / np.sqrt(tail_rad(t)),
-        1.0, math.inf, singular_lo=True,
-        from_lo=lambda s: (d1 - a * s) * (1.0 + a * (1.0 + s)) / np.sqrt(tail_lo(s))))
+    def minus(t):
+        return (1.0 - a * t) * (1.0 + a * t)
 
-    j5 = acc.run(Integrand(
-        lambda t: t * t * (2.0 * a6 * t ** 3 + q) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 - s) ** 2 * (2.0 * a6 * (1.0 - s) ** 3 + q) / np.sqrt(main_hi(s))))
-    j3 = acc.run(Integrand(
-        lambda t: (2.0 * a6 * t ** 3 + q) / np.sqrt(main(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (2.0 * a6 * (1.0 - s) ** 3 + q) / np.sqrt(main_hi(s))))
-    k3 = acc.run(Integrand(
-        lambda t: (q - 2.0 * t ** 3) / np.sqrt(alt(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (q - 2.0 * (1.0 - s) ** 3) / np.sqrt(alt_hi(s))))
-    k5 = acc.run(Integrand(
-        lambda t: t * t * (q - 2.0 * t ** 3) / np.sqrt(alt(t)), 0.0, 1.0, True, True,
-        from_hi=lambda s: (1.0 - s) ** 2 * (q - 2.0 * (1.0 - s) ** 3) / np.sqrt(alt_hi(s))))
+    table = _integrands_rPD(a)
+    v, _ = _integrate_all({
+        "A": table["A"],
+        "TA": table["TA"],
+        "bare_minus": curve.unit(
+            minus, num_hi=lambda s: (d1 + a * s) * (1.0 + a * (1.0 - s))),
+        "tail_minus": curve.tail(
+            minus, num_lo=lambda s: (d1 - a * s) * (1.0 + a * (1.0 + s))),
+        "j5": curve.unit(lambda t: t * t * curve.cubic(t)),
+        "j3": curve.unit(curve.cubic),
+        "k3": curve.unit(curve.alt_cubic, alt=True),
+        "k5": curve.unit(lambda t: t * t * curve.alt_cubic(t), alt=True),
+    }, config)
 
     a2 = a * a
-    out = []
-    lhs = _SQ3 * bare_minus
-    rhs = tail_plus
-    out.append(("rPD-identity-1", lhs, rhs, abs(lhs - rhs)))
-    lhs = _SQ3 * tail_minus
-    rhs = -bare_plus
-    out.append(("rPD-identity-2", lhs, rhs, abs(lhs - rhs)))
-    lhs = -2.5 / _SQ3 * a2 * j5 + j3 / _SQ3
-    rhs = 0.5 * a2 * k3
-    out.append(("rPD-identity-3", lhs, rhs, abs(lhs - rhs)))
-    lhs = -10.0 / _SQ3 * a2 * j5 + j3 / _SQ3
-    rhs = 5.0 * k5
-    out.append(("rPD-identity-4", lhs, rhs, abs(lhs - rhs)))
-    return out
+    rows = [
+        ("rPD-identity-1", _SQ3 * v["bare_minus"], v["TA"]),
+        ("rPD-identity-2", _SQ3 * v["tail_minus"], -v["A"]),
+        ("rPD-identity-3", -2.5 / _SQ3 * a2 * v["j5"] + v["j3"] / _SQ3, 0.5 * a2 * v["k3"]),
+        ("rPD-identity-4", -10.0 / _SQ3 * a2 * v["j5"] + v["j3"] / _SQ3, 5.0 * v["k5"]),
+    ]
+    return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
 def verify_identities(p: SurfaceParam, config: QuadConfig = QuadConfig()):

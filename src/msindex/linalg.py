@@ -38,14 +38,6 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two matrices with an explicit shape check."""
-    aa, bb = np.asarray(a), np.asarray(b)
-    if aa.ndim != 2 or bb.ndim != 2 or aa.shape[1] != bb.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {aa.shape} and {bb.shape}")
-    return aa @ bb
-
-
 def solve(a, b) -> np.ndarray:
     """Solve a X = b by Gaussian elimination with partial pivoting.
 
@@ -136,14 +128,6 @@ class EigenResult:
     """Eigenvalues of a self-adjoint matrix, sorted descending."""
 
     eigenvalues: tuple[float, ...]
-    zero_tol_used: float
-    n_positive: int
-    n_negative: int
-    n_zero: int
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (self.n_positive, self.n_negative, self.n_zero)
 
 
 def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
@@ -153,7 +137,7 @@ def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
     return pos, neg, len(vals) - pos - neg
 
 
-def eig_selfadjoint(m, zero_tol: float) -> EigenResult:
+def eig_selfadjoint(m) -> EigenResult:
     """All eigenvalues of a self-adjoint matrix.
 
     A complex Hermitian H is diagonalized through the real symmetric
@@ -183,11 +167,4 @@ def eig_selfadjoint(m, zero_tol: float) -> EigenResult:
     else:
         values = np.sort(_jacobi_eigenvalues(np.real(sym), scale))[::-1]
 
-    pos, neg, zero = count_signs(values, zero_tol)
-    return EigenResult(
-        eigenvalues=tuple(float(v) for v in values),
-        zero_tol_used=float(zero_tol),
-        n_positive=pos,
-        n_negative=neg,
-        n_zero=zero,
-    )
+    return EigenResult(eigenvalues=tuple(float(v) for v in values))

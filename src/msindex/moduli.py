@@ -29,13 +29,9 @@ _EXPECTED_KERNEL = 8
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Nine 3x6 period derivatives, each split into left and right halves."""
+    """Nine 3x6 period derivatives; key_matrices splits each into 3x3 halves."""
 
     mats: tuple[np.ndarray, ...]
-
-    def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        m = self.mats[k]
-        return m[:, :3], m[:, 3:]
 
 
 _ROT_GENERATORS = (
@@ -152,10 +148,10 @@ def spectral_report(km: KeyMatrices, zero_tol_factor: float = ZERO_TOL_FACTOR) -
     ends, where the spectrum spreads over many orders of magnitude and
     stable eigenvalues dip below any fixed fraction of the largest.
     """
-    ew = linalg.eig_selfadjoint(km.w, 0.0)
+    ew = linalg.eig_selfadjoint(km.w)
     zero_w = zero_tol_factor * max(abs(v) for v in ew.eigenvalues)
 
-    ed = linalg.eig_selfadjoint(km.wdiff, 0.0)
+    ed = linalg.eig_selfadjoint(km.wdiff)
     zero_d = zero_tol_factor * max(abs(v) for v in ed.eigenvalues)
     d_pos, d_neg, d_zero = linalg.count_signs(ed.eigenvalues, zero_d)
 
@@ -194,10 +190,9 @@ class SurfaceAnalysis:
 
 
 @lru_cache(maxsize=4096)
-def _analyze_cached(family: str, a: float, rel_tol: float, max_level: int,
+def _analyze_cached(family: str, a: float, config: QuadConfig,
                     zero_tol_factor: float) -> SurfaceAnalysis:
     p = SurfaceParam(family, a)
-    config = QuadConfig(target_rel_tol=rel_tol, max_level=max_level)
     integrals = families.integral_set(p, config)
     frame = families.period_frame(p, integrals, config)
     defo = families.deformation_data(p)
@@ -215,14 +210,16 @@ def analyze(
 ) -> SurfaceAnalysis:
     """Full pipeline for one surface, cached on canonical parameters.
 
-    tD and negative-parameter tCLP requests are folded first, so the
-    delegated parameter returns the identical cached analysis object.
+    The cache is keyed on the canonical family and parameter, the full
+    QuadConfig and the zero tolerance factor.  tD and negative-parameter
+    tCLP requests are folded first; they get a new SurfaceAnalysis that
+    records the requested parameter and shares the cached integrals,
+    frame, key matrices and report of the folded one.
     """
     families.validate_param(p)
     q = families.canonical_param(p)
     cfg = config if config is not None else QuadConfig()
-    result = _analyze_cached(q.family, q.a, cfg.target_rel_tol, cfg.max_level,
-                             zero_tol_factor)
+    result = _analyze_cached(q.family, q.a, cfg, zero_tol_factor)
     if q != p:
         result = SurfaceAnalysis(param=p, canonical=q, integrals=result.integrals,
                                  frame=result.frame, key=result.key,

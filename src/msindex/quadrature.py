@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,14 +91,6 @@ class Integrand:
     singular_hi: bool = False
     from_lo: Optional[Callable] = None
     from_hi: Optional[Callable] = None
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    @property
-    def singularity_flags(self) -> tuple[bool, bool]:
-        return (self.singular_lo, self.singular_hi)
 
 
 @dataclass(frozen=True)

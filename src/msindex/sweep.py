@@ -1,7 +1,7 @@
 """Interval classification of a surface family.
 
 A sweep samples the admissible parameter range on a uniform grid,
-watches the eigenvalue of the key matrix nearest zero, and brackets
+counts the negative eigenvalues of the key matrix, and brackets
 every parameter where the spectrum degenerates.  Brackets are refined
 by bisection, and the refined roots cut the window into intervals of
 constant signature.
@@ -102,35 +102,33 @@ class SweepReport:
     intervals: tuple[Interval, ...]
 
 
-def _probe(family: str, a: float,
-           cfg: SweepConfig) -> tuple[SweepSample, float, int]:
+def _probe(family: str, a: float, cfg: SweepConfig) -> tuple[SweepSample, int]:
     """Evaluate the pipeline at a.
 
-    Returns the sample, the signed eigenvalue of the key matrix
-    nearest zero, and the raw count of strictly negative eigenvalues.
-    The raw count ignores the zero threshold entirely, so it jumps
-    exactly where an eigenvalue crosses zero and nowhere else.
+    Returns the sample and the raw count of strictly negative
+    eigenvalues of the key matrix.  The raw count ignores the zero
+    threshold entirely, so it jumps exactly where an eigenvalue
+    crosses zero and nowhere else.
     """
     report = moduli.analyze(
         SurfaceParam(family, a),
         config=cfg.quad,
         zero_tol_factor=cfg.zero_tol_factor,
     ).report
-    nearest = min(report.eig_w, key=abs)
     det = 1.0
     for v in report.eig_w:
         det *= v
     sample = SweepSample(
         a=a,
         det_w=det,
-        min_abs_eig_w=abs(nearest),
+        min_abs_eig_w=min(abs(v) for v in report.eig_w),
         p=report.p,
         q=report.q,
         nullity_E=report.nullity_E,
         index_E=report.index_E,
     )
     q_raw = sum(1 for v in report.eig_w if v < 0.0)
-    return sample, nearest, q_raw
+    return sample, q_raw
 
 
 def _grid(family: str, cfg: SweepConfig) -> list[float]:
@@ -156,34 +154,19 @@ def _grid(family: str, cfg: SweepConfig) -> list[float]:
     return pts
 
 
-def _sign(x: float) -> float:
-    return math.copysign(1.0, x)
-
-
 def _refine(family: str, cfg: SweepConfig,
-            s_lo: SweepSample, q_lo: int,
-            s_hi: SweepSample, q_hi: int) -> Optional[Transition]:
+            s_lo: SweepSample, q_lo: int, s_hi: SweepSample) -> Transition:
     """Bisect one bracket down to refine_tol.
 
     Bisection follows the raw negative count, which changes exactly at
-    eigenvalue crossings.  Two kinds of spurious bracket come back as
-    None: the nearest-zero slot changing holders between stable
-    eigenvalues of opposite signs (nothing crosses), and a thresholded
-    class changing because an eigenvalue drifted across the zero band
-    without a sign change (extreme parameters, wide spectra).  A real
-    crossing changes both the raw count and the class.
+    eigenvalue crossings.
     """
-    left_class = s_lo.signature_class
-    right_class = s_hi.signature_class
-    if q_lo == q_hi or left_class == right_class:
-        return None
-
     lo, hi = s_lo.a, s_hi.a
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= cfg.refine_tol:
             break
         mid = 0.5 * (lo + hi)
-        _, _, q_mid = _probe(family, mid, cfg)
+        _, q_mid = _probe(family, mid, cfg)
         if q_mid == q_lo:
             lo = mid
         else:
@@ -210,38 +193,35 @@ def _refine(family: str, cfg: SweepConfig,
     return Transition(
         a_star=a_star,
         nullity_at=at.nullity_E,
-        left_class=left_class,
-        right_class=right_class,
+        left_class=s_lo.signature_class,
+        right_class=s_hi.signature_class,
     )
 
 
 def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     """Classify one family over a window.
 
-    Transition brackets open where the signed nearest-zero eigenvalue
-    flips sign between adjacent grid points, or where the signature
-    class changes without a visible flip (an even-multiplicity crossing
-    keeps the determinant's sign).
+    A transition bracket opens between adjacent grid points where both
+    the raw negative count and the signature class change, as they do
+    at a real crossing.  Where only one changes, the bracket is
+    spurious and is not refined: the class alone changes when an
+    eigenvalue drifts across the zero band without a sign change
+    (extreme parameters, wide spectra), and the count alone when the
+    zero threshold absorbs the sign change.
     """
     grid = _grid(family, cfg)
     samples: list[SweepSample] = []
-    signed: list[float] = []
     q_raw: list[int] = []
     for a in grid:
-        sample, eig, q = _probe(family, a, cfg)
+        sample, q = _probe(family, a, cfg)
         samples.append(sample)
-        signed.append(eig)
         q_raw.append(q)
 
     transitions: list[Transition] = []
     for k in range(len(samples) - 1):
         s0, s1 = samples[k], samples[k + 1]
-        flip = _sign(signed[k]) != _sign(signed[k + 1])
-        changed = s0.signature_class != s1.signature_class
-        if flip or changed or q_raw[k] != q_raw[k + 1]:
-            found = _refine(family, cfg, s0, q_raw[k], s1, q_raw[k + 1])
-            if found is not None:
-                transitions.append(found)
+        if q_raw[k] != q_raw[k + 1] and s0.signature_class != s1.signature_class:
+            transitions.append(_refine(family, cfg, s0, q_raw[k], s1))
     transitions.sort(key=lambda t: t.a_star)
     # a root landing on a grid point refines from both flanking cells
     pruned: list[Transition] = []

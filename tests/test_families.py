@@ -109,7 +109,7 @@ def test_period_frame_riemann_conditions(fam, a):
     assert tau.shape == (3, 3)
     scale = linalg.frobenius(tau)
     assert linalg.frobenius(tau - tau.T) <= 1e-9 * scale
-    im_eigs = linalg.eig_selfadjoint(tau.imag, 0.0).eigenvalues
+    im_eigs = linalg.eig_selfadjoint(tau.imag).eigenvalues
     assert min(im_eigs) > 0.0
 
 

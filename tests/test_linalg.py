@@ -17,17 +17,6 @@ def test_frobenius():
     assert linalg.frobenius([[3.0, 0.0], [0.0, 4.0]]) == 5.0
 
 
-def test_mat_mul_known_product():
-    a = [[1.0, 2.0], [3.0, 4.0]]
-    b = [[5.0], [6.0]]
-    assert np.allclose(linalg.mat_mul(a, b), [[17.0], [39.0]])
-
-
-def test_mat_mul_shape_check():
-    with pytest.raises(DimensionMismatch):
-        linalg.mat_mul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_solve_known_system():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     x = linalg.solve(a, np.array([5.0, 10.0]))
@@ -70,20 +59,20 @@ def test_count_signs():
 
 
 def test_eig_diagonal():
-    r = linalg.eig_selfadjoint(np.diag([5.0, -2.0, 0.0]), 1e-12)
+    r = linalg.eig_selfadjoint(np.diag([5.0, -2.0, 0.0]))
     assert r.eigenvalues == (5.0, 0.0, -2.0)
-    assert r.counts == (1, 1, 1)
+    assert linalg.count_signs(r.eigenvalues, 1e-12) == (1, 1, 1)
 
 
 def test_eig_symmetric_known_spectrum():
     m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 7.0]])
-    r = linalg.eig_selfadjoint(m, 1e-12)
+    r = linalg.eig_selfadjoint(m)
     assert np.allclose(r.eigenvalues, (7.0, 3.0, 1.0), atol=1e-13)
 
 
 def test_eig_hermitian_known_spectrum():
     m = np.array([[3.0, 1j, 0.0], [-1j, 3.0, 0.0], [0.0, 0.0, 1.0]])
-    r = linalg.eig_selfadjoint(m, 1e-12)
+    r = linalg.eig_selfadjoint(m)
     assert np.allclose(r.eigenvalues, (4.0, 2.0, 1.0), atol=1e-12)
 
 
@@ -91,12 +80,12 @@ def test_eig_rejects_non_selfadjoint():
     with pytest.raises(NotSelfAdjoint):
         linalg.eig_selfadjoint(np.array([[0.0, 1.0, 0.0],
                                          [0.0, 0.0, 1.0],
-                                         [1.0, 0.0, 0.0]]), 1e-12)
+                                         [1.0, 0.0, 0.0]]))
 
 
 def test_eig_rejects_unsupported_size():
     with pytest.raises(DimensionMismatch):
-        linalg.eig_selfadjoint(np.eye(4), 1e-12)
+        linalg.eig_selfadjoint(np.eye(4))
 
 
 def _random_symmetric(seed, n):
@@ -109,7 +98,7 @@ def _random_symmetric(seed, n):
 @given(seed=st.integers(0, 2 ** 31 - 1))
 def test_eig_matches_numpy_on_random_symmetric(seed):
     m = _random_symmetric(seed, 9)
-    r = linalg.eig_selfadjoint(m, 1e-12)
+    r = linalg.eig_selfadjoint(m)
     ref = np.linalg.eigvalsh(m)[::-1]
     scale = max(1.0, linalg.frobenius(m))
     assert np.max(np.abs(np.array(r.eigenvalues) - ref)) <= 1e-11 * scale
@@ -121,18 +110,18 @@ def test_eig_random_hermitian_18(seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
     m = z + z.conj().T
-    r = linalg.eig_selfadjoint(m, 1e-12)
+    r = linalg.eig_selfadjoint(m)
     ref = np.linalg.eigvalsh(m)[::-1]
     scale = max(1.0, linalg.frobenius(m))
     assert np.max(np.abs(np.array(r.eigenvalues) - ref)) <= 1e-11 * scale
-    assert sum(r.counts) == 18
+    assert sum(linalg.count_signs(r.eigenvalues, 1e-12)) == 18
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1))
 def test_eig_sum_matches_trace(seed):
     m = _random_symmetric(seed, 6)
-    r = linalg.eig_selfadjoint(m, 1e-12)
+    r = linalg.eig_selfadjoint(m)
     assert abs(sum(r.eigenvalues) - np.trace(m)) <= 1e-10 * max(1.0, linalg.frobenius(m))
 
 

@@ -6,6 +6,7 @@ import pytest
 from msindex import linalg
 from msindex.errors import DomainError
 from msindex.families import (
+    QuadConfig,
     SurfaceParam,
     deformation_data,
     integral_set,
@@ -109,6 +110,14 @@ def test_zero_tol_factor_is_recorded():
 
 def test_analyze_is_cached():
     assert analyze(SurfaceParam("H", 0.5)) is analyze(SurfaceParam("H", 0.5))
+
+
+def test_analyze_keys_its_cache_on_the_whole_quad_config():
+    # a config differing only in abs_floor must not reuse the default
+    p = SurfaceParam("tP", 14.0)
+    loose = QuadConfig(abs_floor=1e-3)
+    assert analyze(p).integrals == integral_set(p)
+    assert analyze(p, config=loose).integrals == integral_set(p, loose)
 
 
 def test_delegation_shares_the_analysis():

@@ -64,6 +64,20 @@ def test_offset_form_beats_cancellation():
     assert abs(value - math.pi / 2.0) < 1e-13
 
 
+def test_scalar_only_integrand_falls_back_to_a_loop():
+    # math.* rejects arrays, so every node is evaluated one at a time
+    f = Integrand(lambda x: math.exp(-x) * math.cos(x), 0.0, 2.0)
+    value, _ = integrate(f)
+    exact = 0.5 * (1.0 + math.exp(-2.0) * (math.sin(2.0) - math.cos(2.0)))
+    assert abs(value - exact) < 1e-13
+
+
+def test_constant_scalar_integrand_falls_back_to_a_loop():
+    # a bare float has the wrong shape for the node array
+    value, _ = integrate(Integrand(lambda x: 3.0, -1.0, 2.0))
+    assert abs(value - 9.0) < 1e-13
+
+
 def test_tail_inverse_square():
     f = Integrand(lambda t: 1.0 / t ** 2, 1.0, math.inf)
     value, _ = integrate_tail(f)
