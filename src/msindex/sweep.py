@@ -2,9 +2,10 @@
 
 A sweep samples the admissible parameter range on a uniform grid,
 counts the negative eigenvalues of the key matrix, and brackets
-every parameter where the spectrum degenerates.  Brackets are refined
-by bisection, and the refined roots cut the window into intervals of
-constant signature.
+every parameter where the spectrum degenerates.  Each bracket is
+refined by Brent's method on the eigenvalue of the key matrix that
+crosses zero in it, and the refined roots cut the window into intervals
+of constant signature.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from . import moduli
 from .errors import DomainError, UnresolvedTransition
@@ -20,6 +21,9 @@ from .families import MARGIN, QuadConfig, SurfaceParam, domain_bounds, validate_
 
 _MIN_STEPS = 16
 _MAX_BISECTIONS = 80
+# root refinement bisects once its bracket is this many halvings behind
+# plain bisection
+_BRENT_SLACK = 8
 
 # a refined root must pull an eigenvalue at least this far toward zero
 # relative to the largest one
@@ -53,8 +57,8 @@ class SweepConfig:
                 f"empty sweep window [{self.a_min}, {self.a_max}]")
         if self.steps < _MIN_STEPS:
             raise DomainError(f"steps must be at least {_MIN_STEPS}")
-        if not self.refine_tol > 0.0:
-            raise DomainError("refine_tol must be positive")
+        if not (self.refine_tol > 0.0 and math.isfinite(self.refine_tol)):
+            raise DomainError("refine_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,12 @@ class SweepReport:
     intervals: tuple[Interval, ...]
 
 
-def _probe(family: str, a: float, cfg: SweepConfig) -> tuple[SweepSample, int]:
+def _probe(family: str, a: float,
+           cfg: SweepConfig) -> tuple[SweepSample, tuple[float, ...]]:
     """Evaluate the pipeline at a.
 
-    Returns the sample and the raw count of strictly negative
-    eigenvalues of the key matrix.  The raw count ignores the zero
-    threshold entirely, so it jumps exactly where an eigenvalue
-    crosses zero and nowhere else.
+    Returns the sample and the eigenvalues of the key matrix in
+    descending order.
     """
     report = moduli.analyze(
         SurfaceParam(family, a),
@@ -127,8 +130,16 @@ def _probe(family: str, a: float, cfg: SweepConfig) -> tuple[SweepSample, int]:
         nullity_E=report.nullity_E,
         index_E=report.index_E,
     )
-    q_raw = sum(1 for v in report.eig_w if v < 0.0)
-    return sample, q_raw
+    return sample, report.eig_w
+
+
+def _raw_negatives(eig_w: tuple[float, ...]) -> int:
+    """Count of strictly negative eigenvalues.
+
+    The raw count ignores the zero threshold entirely, so it jumps
+    exactly where an eigenvalue crosses zero and nowhere else.
+    """
+    return sum(1 for v in eig_w if v < 0.0)
 
 
 def _grid(family: str, cfg: SweepConfig) -> list[float]:
@@ -154,27 +165,100 @@ def _grid(family: str, cfg: SweepConfig) -> list[float]:
     return pts
 
 
-def _refine(family: str, cfg: SweepConfig,
-            s_lo: SweepSample, q_lo: int, s_hi: SweepSample) -> Transition:
-    """Bisect one bracket down to refine_tol.
+def _brent(f: Callable[[float], float], lo: float, f_lo: float,
+           hi: float, f_hi: float, tol: float,
+           max_iter: int) -> tuple[float, float, float, float]:
+    """Shrink a sign-change bracket [lo, hi] of f to width tol.
 
-    Bisection follows the raw negative count, which changes exactly at
-    eigenvalue crossings.
+    Brent's zeroin (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): secant or inverse quadratic steps from the
+    end with the smaller value, a bisection step whenever those would
+    not shrink the bracket fast enough, and no step shorter than tol/2.
+    One safeguard is added: once the bracket is more than _BRENT_SLACK
+    halvings behind plain bisection, the step bisects, so a flat
+    (multiple) root costs at most that many evaluations more than
+    bisection.  The sign test is v < 0, so a zero value sits on the
+    non-negative side.  Evaluates f at most max_iter times and returns
+    the last bracket as (lo, f_lo, hi, f_hi) with lo < hi and f_lo,
+    f_hi on different sides; it is wider than tol only when max_iter
+    ran out.
     """
-    lo, hi = s_lo.a, s_hi.a
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= cfg.refine_tol:
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"f does not change sign over [{lo}, {hi}]")
+    half_tol = 0.5 * tol
+    # b is the best end, c the other end of the bracket, a the previous b
+    a, fa = lo, f_lo
+    b, fb = hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    width0 = b - a
+    for evals in range(max_iter + 1):
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        xm = 0.5 * (c - b)
+        if abs(c - b) <= tol or evals == max_iter:
             break
-        mid = 0.5 * (lo + hi)
-        _, q_mid = _probe(family, mid, cfg)
-        if q_mid == q_lo:
-            lo = mid
+        if fb == 0.0:
+            # b is an exact zero, on the non-negative side: the shortest
+            # step toward c closes the bracket unless f is zero there
+            # too, and then e = 0 makes the next step bisect
+            d = e = 0.0
+        elif (abs(c - b) <= width0 * 0.5 ** (evals - _BRENT_SLACK)
+              and abs(e) >= half_tol and abs(fa) > abs(fb)):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(half_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            hi = mid
-    else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > half_tol else math.copysign(half_tol, xm)
+        fb = f(b)
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return (b, fb, c, fc) if b < c else (c, fc, b, fb)
+
+
+def _refine(family: str, cfg: SweepConfig,
+            s_lo: SweepSample, eig_lo: tuple[float, ...],
+            s_hi: SweepSample, eig_hi: tuple[float, ...]) -> Transition:
+    """Shrink one bracket to refine_tol with Brent's method.
+
+    With m the larger raw negative count of the two ends, the raw count
+    is at least m exactly where the descending eigenvalue number 9 - m
+    is negative.  That eigenvalue is continuous in a and changes sign
+    across the bracket, so Brent's method runs on it, and the ends of
+    the final bracket have different raw counts.
+    """
+    k = len(eig_lo) - max(_raw_negatives(eig_lo), _raw_negatives(eig_hi))
+    seen = {s_lo.a: eig_lo, s_hi.a: eig_hi}
+
+    def crossing(a: float) -> float:
+        seen[a] = _probe(family, a, cfg)[1]
+        return seen[a][k]
+
+    lo, _, hi, _ = _brent(crossing, s_lo.a, eig_lo[k], s_hi.a, eig_hi[k],
+                          cfg.refine_tol, _MAX_BISECTIONS)
+    if hi - lo > cfg.refine_tol:
         raise UnresolvedTransition(
             f"{family}: bracket [{s_lo.a}, {s_hi.a}] did not narrow to "
-            f"{cfg.refine_tol} in {_MAX_BISECTIONS} bisections")
+            f"{cfg.refine_tol} in {_MAX_BISECTIONS} evaluations")
+    assert _raw_negatives(seen[lo]) != _raw_negatives(seen[hi])
 
     a_star = 0.5 * (lo + hi)
     at = moduli.analyze(
@@ -210,18 +294,15 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     zero threshold absorbs the sign change.
     """
     grid = _grid(family, cfg)
-    samples: list[SweepSample] = []
-    q_raw: list[int] = []
-    for a in grid:
-        sample, q = _probe(family, a, cfg)
-        samples.append(sample)
-        q_raw.append(q)
+    probes = [_probe(family, a, cfg) for a in grid]
+    samples = [sample for sample, _ in probes]
+    q_raw = [_raw_negatives(eig) for _, eig in probes]
 
     transitions: list[Transition] = []
     for k in range(len(samples) - 1):
         s0, s1 = samples[k], samples[k + 1]
         if q_raw[k] != q_raw[k + 1] and s0.signature_class != s1.signature_class:
-            transitions.append(_refine(family, cfg, s0, q_raw[k], s1))
+            transitions.append(_refine(family, cfg, *probes[k], *probes[k + 1]))
     transitions.sort(key=lambda t: t.a_star)
     # a root landing on a grid point refines from both flanking cells
     pruned: list[Transition] = []

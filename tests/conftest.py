@@ -26,8 +26,9 @@ def reference():
 def family_sweeps():
     """Default-window sweeps for all five families, run once per session.
 
-    64 steps is enough to bracket every published transition; the
-    refined roots land within 1e-9 of their converged positions.
+    64 steps is enough to bracket every published transition; Brent's
+    method on the crossing eigenvalue shrinks each bracket to 1e-9, so
+    the refined roots land within 1e-9 of their converged positions.
     """
     from msindex.sweep import DEFAULT_WINDOWS, SweepConfig, sweep
 

@@ -123,6 +123,14 @@ def test_sweep_unwritable_target(capsys):
     assert "i/o error" in err or "No such file" in err
 
 
+def test_sweep_rejects_infinite_refine_tol(capsys):
+    code, _, err = run(capsys, "sweep", "--family", "rPD",
+                       "--min", "0.45", "--max", "0.55", "--steps", "16",
+                       "--refine-tol", "inf")
+    assert code == 2
+    assert "refine_tol" in err
+
+
 def test_quad_tol_env(monkeypatch, capsys):
     monkeypatch.setenv("MSINDEX_QUAD_TOL", "1e-10")
     _, out, _ = run(capsys, "analyze", "--family", "H", "--a", "0.5", "--json")

@@ -1,12 +1,23 @@
-"""Tests for grid scans, bisection refinement, and interval classing."""
+"""Tests for grid scans, root refinement, and interval classing."""
 
+import bisect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from msindex import moduli
 from msindex.errors import DomainError
 from msindex.families import MARGIN, SurfaceParam
-from msindex.sweep import DEFAULT_WINDOWS, SweepConfig, classify_at, sweep
+from msindex.sweep import (
+    _MAX_BISECTIONS,
+    DEFAULT_WINDOWS,
+    SweepConfig,
+    _brent,
+    classify_at,
+    sweep,
+)
 
 RPD_ROOT = 0.494722327827355
 
@@ -121,3 +132,111 @@ def test_default_window_sweeps_structure(family_sweeps):
             assert rep.samples[0].a < t.a_star < rep.samples[-1].a
         stars = [t.a_star for t in rep.transitions]
         assert stars == sorted(stars)
+
+
+def test_config_rejects_non_finite_refine_tol():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SweepConfig(a_min=0.45, a_max=0.55, refine_tol=tol)
+
+
+# synthetic functions for the root finder, each with its sign change at r
+SYNTHETIC = {
+    "linear": lambda x, r: x - r,
+    "cubic_flat": lambda x, r: (x - r) ** 3,
+    # max(x, 2x) - c with c chosen so that the root is r; kinked at 0
+    "kinked": lambda x, r: max(x, 2.0 * x) - max(r, 2.0 * r),
+    "step": lambda x, r: 1.0 if x >= r else -1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(-10.0, 10.0),
+    left=st.floats(1e-3, 10.0),
+    right=st.floats(1e-3, 10.0),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    orient=st.sampled_from([1.0, -1.0]),
+)
+def test_brent_shrinks_bracket_to_tol(name, r, left, right, tol, orient):
+    g = SYNTHETIC[name]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return orient * g(x, r)
+
+    a0, b0 = r - left, r + right
+    lo, f_lo, hi, f_hi = _brent(f, a0, f(a0), b0, f(b0), tol, _MAX_BISECTIONS)
+    evals = len(calls) - 2
+    assert lo < hi
+    assert hi - lo <= tol
+    assert (f_lo < 0.0) != (f_hi < 0.0)
+    assert f_lo == f(lo) and f_hi == f(hi)
+    # the midpoint, which a sweep reports as the root, is within tol of r
+    assert abs(0.5 * (lo + hi) - r) <= tol
+    assert evals < _MAX_BISECTIONS
+
+
+def test_brent_stops_at_the_cap_with_a_valid_bracket():
+    def f(x):
+        return 1.0 if x >= 0.3 else -1.0
+
+    lo, f_lo, hi, f_hi = _brent(f, 0.0, f(0.0), 1.0, f(1.0), 1e-9, 3)
+    assert hi - lo > 1e-9
+    assert lo < 0.3 <= hi
+    assert (f_lo, f_hi) == (-1.0, 1.0)
+
+
+def test_brent_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError):
+        _brent(lambda x: x, 1.0, 1.0, 2.0, 2.0, 1e-9, _MAX_BISECTIONS)
+
+
+def test_refinement_needs_few_cold_evaluations():
+    moduli._analyze_cached.cache_clear()
+    rep = sweep("rPD", SweepConfig(a_min=0.45, a_max=0.55, steps=16))
+    # every grid point is a miss on a cleared cache; the rest refine
+    refine = moduli._analyze_cached.cache_info().misses - len(rep.samples)
+    assert len(rep.transitions) == 1
+    assert refine <= 10 * len(rep.transitions)
+
+
+def _bisect_raw_count(family, lo, hi, tol):
+    """Reference root: bisection on the raw negative count of W."""
+    def raw(a):
+        eig = moduli.analyze(SurfaceParam(family, a)).report.eig_w
+        return sum(1 for v in eig if v < 0.0)
+
+    q_lo = raw(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if raw(mid) == q_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family, lo, hi, qs", [
+    ("H", 0.70, 0.73, {5, 3}),
+    ("rPD", 0.45, 0.55, {4, 5}),
+])
+def test_refined_root_matches_bisection_reference(family, lo, hi, qs):
+    rep = sweep(family, SweepConfig(a_min=lo, a_max=hi, steps=16))
+    (t,) = rep.transitions
+    assert {t.left_class[1], t.right_class[1]} == qs
+    grid = [s.a for s in rep.samples]
+    k = bisect.bisect(grid, t.a_star)
+    ref = _bisect_raw_count(family, grid[k - 1], grid[k], 1e-12)
+    assert abs(t.a_star - ref) <= 2e-9
+
+
+def test_td_roots_mirror_tp_roots(family_sweeps):
+    tp = [t.a_star for t in family_sweeps["tP"].transitions]
+    td = [t.a_star for t in family_sweeps["tD"].transitions]
+    tol = family_sweeps["tP"].config.refine_tol
+    assert len(tp) == len(td) == 2
+    for a_p, a_d in zip(tp, reversed(td)):
+        assert abs(a_p + a_d) <= tol

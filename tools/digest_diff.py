@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Compare two files written by tools/output_digest.py.
+
+Each line that differs is printed under the ``## msindex ...`` header
+of its block, the line from A prefixed with ``-`` and the line from B
+with ``+``, followed by the largest absolute deviation between its
+floating-point numbers.  The last line gives the number of differing
+lines and the largest deviation over all of them.
+
+A floating-point number is a literal with a decimal point or an
+exponent, or inf/nan.  Everything else, including integers such as
+counts, signature classes and exit codes, must match exactly.
+
+Exit status: 0 when every difference is numeric (or there is none),
+1 when any other token differs or the files have different line counts.
+
+Usage: python3 tools/digest_diff.py A B
+"""
+
+import math
+import re
+import sys
+
+# a float literal, split out of the surrounding text
+_FLOAT = re.compile(
+    r"([-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+    r"|\binf\b|\bnan\b))")
+
+
+def _deviation(a: str, b: str):
+    """Largest absolute float deviation, or None if other text differs."""
+    ta, tb = _FLOAT.split(a), _FLOAT.split(b)
+    if len(ta) != len(tb) or ta[0::2] != tb[0::2]:
+        return None
+    worst = 0.0
+    for x, y in zip(ta[1::2], tb[1::2]):
+        if x == y:
+            continue
+        dev = abs(float(x) - float(y))
+        if not math.isfinite(dev):
+            return None
+        worst = max(worst, dev)
+    return worst
+
+
+def diff(lines_a: list, lines_b: list, out) -> int:
+    """Print the differing lines; return the exit status."""
+    status = 0
+    if len(lines_a) != len(lines_b):
+        out.write("line counts differ: %d vs %d\n" % (len(lines_a), len(lines_b)))
+        status = 1
+    header = None
+    shown = None
+    count = 0
+    worst = 0.0
+    for a, b in zip(lines_a, lines_b):
+        if a.startswith("## ") and a == b:
+            header = a
+        if a == b:
+            continue
+        count += 1
+        if header is not None and header != shown:
+            out.write("%s\n" % header)
+            shown = header
+        out.write("- %s\n+ %s\n" % (a, b))
+        dev = _deviation(a, b)
+        if dev is None:
+            out.write("  non-numeric difference\n")
+            status = 1
+        else:
+            out.write("  max deviation %.3e\n" % dev)
+            worst = max(worst, dev)
+    out.write("%d differing lines, largest numeric deviation %.3e\n"
+              % (count, worst))
+    return status
+
+
+def main(argv: list) -> int:
+    if len(argv) != 3:
+        sys.stderr.write(__doc__.rstrip().rsplit("\n", 1)[-1] + "\n")
+        return 2
+    with open(argv[1], encoding="utf-8") as fa, open(argv[2], encoding="utf-8") as fb:
+        lines_a = fa.read().splitlines()
+        lines_b = fb.read().splitlines()
+    return diff(lines_a, lines_b, sys.stdout)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
