@@ -3,8 +3,11 @@
 Everything here is sized for the 3x3 / 6x6 / 9x9 / 18x18 matrices the
 pipeline produces, favours reproducibility over speed, and raises
 typed errors instead of returning garbage.  Eigenvalues of Hermitian
-matrices come from a cyclic Jacobi iteration on a real symmetric
-embedding, so results are deterministic across platforms.
+matrices come from a cyclic threshold Jacobi iteration on the matrix
+itself: each complex pivot is made real by a unitary diagonal (phase)
+similarity and then zeroed by a real rotation, and pivots already below
+the stopping tolerance over n are skipped.  The results are
+deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ _JACOBI_OFF_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 60
 _PIVOT_TOL = 1e-14
 _RESIDUAL_TOL = 1e-10
-_PAIR_GAP_TOL = 1e-9
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
@@ -80,13 +82,24 @@ def solve(a, b) -> np.ndarray:
     return x[:, 0] if rhs_was_vector else x
 
 
-def _jacobi_eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
-    a = sym.astype(float).copy()
+def _jacobi_eigenvalues(herm: np.ndarray, scale: float) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by cyclic threshold Jacobi rotations.
+
+    A complex pivot a_pq = r u (r = |a_pq|) is first made real by the
+    unitary diagonal similarity that scales column q by conj(u) and row
+    q by u; the real rotation that zeroes it is applied in the same
+    pass.  Real input rotates its signed pivot directly.  Pivots with
+    |a_pq| <= stop / n are skipped: all of them together have an
+    off-norm below sqrt(n (n - 1)) / n * stop < stop, so they never
+    hold up the stopping test.
+    """
+    is_complex = np.iscomplexobj(herm)
+    a = herm.astype(complex if is_complex else float)
     n = a.shape[0]
     if scale == 0.0:
         return np.zeros(n)
     stop = _JACOBI_OFF_TOL * scale
+    threshold = stop / n
     for _ in range(_JACOBI_MAX_SWEEPS):
         # measure the off-diagonal mass directly; the subtraction
         # norm(a)^2 - norm(diag)^2 cannot see below sqrt(ulp)
@@ -94,28 +107,33 @@ def _jacobi_eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
         np.fill_diagonal(hollow, 0.0)
         off = float(np.linalg.norm(hollow))
         if off <= stop:
-            return np.diag(a).copy()
+            return np.diag(a).real.copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= threshold:
                     continue
-                gap = float(a[q, q]) - float(a[p, p])
-                if abs(apq) < 1e-300 * max(1.0, abs(gap)):
+                gap = float(a[q, q].real) - float(a[p, p].real)
+                if r < 1e-300 * max(1.0, abs(gap)):
                     # a denormal pivot cannot be rotated away stably
                     a[p, q] = 0.0
                     a[q, p] = 0.0
                     continue
-                theta = gap / (2.0 * apq)
+                if is_complex:
+                    u = complex(apq) / r
+                else:
+                    r, u = float(apq), 1.0
+                theta = gap / (2.0 * r)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
+                col_q = u.conjugate() * a[:, q]
                 a[:, p] = c * col_p - s * col_q
                 a[:, q] = s * col_p + c * col_q
                 row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
+                row_q = u * a[q, :]
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
                 a[p, q] = 0.0
@@ -140,12 +158,13 @@ def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
 def eig_selfadjoint(m) -> EigenResult:
     """All eigenvalues of a self-adjoint matrix.
 
-    A complex Hermitian H is diagonalized through the real symmetric
-    embedding [[Re H, -Im H], [Im H, Re H]], whose spectrum is that of
-    H with every eigenvalue doubled; the doubled pairs are collapsed by
-    pairing adjacent sorted values.  Raises NotSelfAdjoint when the
-    input is too far from its own conjugate transpose, NonConvergence
-    if rotation sweeps run out.
+    The matrix itself is diagonalized by cyclic threshold Jacobi
+    rotations: a complex Hermitian pivot is phase-normalized to a real
+    one by a unitary diagonal similarity before its real rotation, and
+    pivots below stop / n are skipped (see _jacobi_eigenvalues).  Input
+    whose imaginary part is exactly zero takes the real path.  Raises
+    NotSelfAdjoint when the input is too far from its own conjugate
+    transpose, NonConvergence if rotation sweeps run out.
     """
     a = _as_square(m)
     if a.shape[0] not in _ALLOWED_SIZES:
@@ -155,16 +174,7 @@ def eig_selfadjoint(m) -> EigenResult:
     if defect > _HERMITIAN_DEFECT_TOL * max(scale, 1e-300):
         raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}")
     sym = 0.5 * (a + a.conj().T)
-
-    if np.iscomplexobj(sym) and np.any(sym.imag != 0.0):
-        re, im = sym.real, sym.imag
-        embedded = np.block([[re, -im], [im, re]])
-        doubled = np.sort(_jacobi_eigenvalues(embedded, frobenius(embedded)))[::-1]
-        gaps = np.abs(doubled[0::2] - doubled[1::2])
-        if gaps.size and float(gaps.max()) > _PAIR_GAP_TOL * max(scale, 1e-300):
-            raise NonConvergence(f"embedding pair gap {float(gaps.max()):.3e} too large")
-        values = 0.5 * (doubled[0::2] + doubled[1::2])
-    else:
-        values = np.sort(_jacobi_eigenvalues(np.real(sym), scale))[::-1]
-
+    if not np.any(np.imag(sym) != 0.0):
+        sym = np.real(sym)
+    values = np.sort(_jacobi_eigenvalues(sym, scale))[::-1]
     return EigenResult(eigenvalues=tuple(float(v) for v in values))

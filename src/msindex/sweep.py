@@ -20,7 +20,7 @@ from .errors import DomainError, UnresolvedTransition
 from .families import MARGIN, QuadConfig, SurfaceParam, domain_bounds, validate_param
 
 _MIN_STEPS = 16
-_MAX_BISECTIONS = 80
+_MAX_REFINE_EVALS = 80
 # root refinement bisects once its bracket is this many halvings behind
 # plain bisection
 _BRENT_SLACK = 8
@@ -253,11 +253,11 @@ def _refine(family: str, cfg: SweepConfig,
         return seen[a][k]
 
     lo, _, hi, _ = _brent(crossing, s_lo.a, eig_lo[k], s_hi.a, eig_hi[k],
-                          cfg.refine_tol, _MAX_BISECTIONS)
+                          cfg.refine_tol, _MAX_REFINE_EVALS)
     if hi - lo > cfg.refine_tol:
         raise UnresolvedTransition(
             f"{family}: bracket [{s_lo.a}, {s_hi.a}] did not narrow to "
-            f"{cfg.refine_tol} in {_MAX_BISECTIONS} evaluations")
+            f"{cfg.refine_tol} in {_MAX_REFINE_EVALS} evaluations")
     assert _raw_negatives(seen[lo]) != _raw_negatives(seen[hi])
 
     a_star = 0.5 * (lo + hi)

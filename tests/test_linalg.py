@@ -6,7 +6,7 @@ reference; the library itself never calls it.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msindex import linalg
@@ -133,3 +133,94 @@ def test_solve_matches_numpy_on_random_systems(seed):
     b = rng.standard_normal(6)
     x = linalg.solve(a, b)
     assert np.allclose(a @ x, b, atol=1e-10 * max(1.0, float(np.linalg.norm(b))))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_eig_random_hermitian_9_matches_numpy_tightly(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m = z + z.conj().T
+    r = linalg.eig_selfadjoint(m)
+    ref = np.linalg.eigvalsh(m)[::-1]
+    assert np.max(np.abs(np.array(r.eigenvalues) - ref)) <= 1e-13 * linalg.frobenius(m)
+
+
+def test_eig_graded_spectrum_with_eight_dimensional_kernel():
+    # the shape of Wdiff: ten nonzero eigenvalues over eight decades
+    # and an exact eight-dimensional kernel
+    rng = np.random.default_rng(18)
+    q, _ = np.linalg.qr(rng.standard_normal((18, 18)))
+    nonzero = np.geomspace(1e-6, 1e2, 10) * np.array([1.0, -1.0] * 5)
+    m = q @ np.diag(np.concatenate([nonzero, np.zeros(8)])) @ q.T
+    m = 0.5 * (m + m.T)
+    scale = linalg.frobenius(m)
+    got = np.array(linalg.eig_selfadjoint(m).eigenvalues)
+    small = np.argsort(np.abs(got))
+    assert np.max(np.abs(got[small[:8]])) <= 1e-14 * scale
+    ref = np.linalg.eigvalsh(m)
+    ref_nonzero = np.sort(ref[np.argsort(np.abs(ref))[8:]])[::-1]
+    got_nonzero = np.sort(got[small[8:]])[::-1]
+    assert np.max(np.abs(got_nonzero - ref_nonzero)) <= 1e-13 * scale
+    assert np.allclose(got_nonzero, np.sort(nonzero)[::-1], rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.3j)], ids=["real", "imag", "complex"])
+def test_eig_sub_threshold_off_diagonal_returns_sorted_diagonal(phase):
+    n = 9
+    diag = np.array([3.0, -1.0, 0.5, 7.0, 0.0, -2.5, 1e-3, 4.0, -6.0])
+    # every off-diagonal entry sits just under stop / n, stop being the
+    # Jacobi tolerance times the Frobenius norm
+    off = 0.99 * linalg._JACOBI_OFF_TOL * np.linalg.norm(diag) / n
+    m = np.diag(diag).astype(complex)
+    upper = np.triu(np.ones((n, n)), 1) * off * phase
+    m = m + upper + upper.conj().T
+    if phase == 1.0:
+        m = m.real
+    assert np.max(np.abs(m - np.diag(diag))) <= linalg._JACOBI_OFF_TOL * linalg.frobenius(m) / n
+    r = linalg.eig_selfadjoint(m)
+    assert r.eigenvalues == tuple(float(v) for v in np.sort(diag)[::-1])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([3, 9, 18]))
+def test_eig_complex_with_zero_imaginary_part_is_bitwise_real(seed, n):
+    m = _random_symmetric(seed, n)
+    assert (linalg.eig_selfadjoint(m.astype(complex)).eigenvalues
+            == linalg.eig_selfadjoint(m).eigenvalues)
+
+
+def _partial_pivot_min_ratio(a):
+    """Smallest pivot of Gaussian elimination with partial pivoting,
+    relative to the Frobenius norm: the quantity solve's singularity
+    test bounds, computed independently of it."""
+    u = np.array(a, dtype=float)
+    n = u.shape[0]
+    smallest = np.inf
+    for col in range(n):
+        row = col + int(np.argmax(np.abs(u[col:, col])))
+        u[[col, row]] = u[[row, col]]
+        pivot = u[col, col]
+        smallest = min(smallest, abs(pivot))
+        if pivot != 0.0:
+            u[col + 1:, col:] -= np.outer(u[col + 1:, col] / pivot, u[col, col:])
+    return smallest / np.linalg.norm(a)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([3, 6]),
+       k=st.integers(0, 5), shrink=st.floats(1e-3, 0.99))
+def test_solve_rejects_every_small_elimination_pivot(seed, n, k, shrink):
+    # A = L U with |l_ij| < 1 and a tiny k-th pivot of U; whenever
+    # elimination with partial pivoting meets a pivot below 1e-14 * norm
+    # (up to rounding, that one), solve must refuse
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.uniform(-0.9, 0.9, (n, n)), -1) + np.eye(n)
+    upper = np.triu(rng.standard_normal((n, n)))
+    k %= n
+    upper[k, k] = 0.0
+    upper[k, k] = shrink * 1e-14 * np.linalg.norm(lower @ upper)
+    a = lower @ upper
+    assume(_partial_pivot_min_ratio(a) < 1e-14)
+    with pytest.raises(SingularMatrix):
+        linalg.solve(a, np.ones(n))

@@ -1,5 +1,8 @@
 """Tests for the tangent directions, pairing matrices, and reports."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -145,3 +148,24 @@ def test_pipeline_pieces_agree_with_analyze(h_mid):
     p = SurfaceParam("H", 0.5)
     frame = period_frame(p, integral_set(p))
     assert np.array_equal(frame.tau, h_mid.frame.tau)
+
+
+def _pipeline_points():
+    path = resources.files("msindex.data").joinpath("reference_tables.json")
+    with path.open(encoding="utf-8") as fh:
+        families = json.load(fh)["families"]
+    samples = [(fam, s["a"]) for fam, entry in families.items()
+               for s in entry.get("samples", [])]
+    ends = [("H", 0.01), ("H", 0.99), ("rPD", 0.01), ("rPD", 0.99), ("tP", 40.0)]
+    return samples + ends
+
+
+@pytest.mark.parametrize("family,a", _pipeline_points())
+def test_key_matrix_spectra_match_numpy(family, a):
+    # the library's Jacobi solver against LAPACK on the matrices the
+    # pipeline actually builds, range ends included
+    res = analyze(SurfaceParam(family, a))
+    for mat, got in ((res.key.w, res.report.eig_w),
+                     (res.key.wdiff, res.report.eig_wdiff)):
+        ref = np.linalg.eigvalsh(mat)[::-1]
+        assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -11,7 +11,7 @@ from msindex import moduli
 from msindex.errors import DomainError
 from msindex.families import MARGIN, SurfaceParam
 from msindex.sweep import (
-    _MAX_BISECTIONS,
+    _MAX_REFINE_EVALS,
     DEFAULT_WINDOWS,
     SweepConfig,
     _brent,
@@ -168,7 +168,7 @@ def test_brent_shrinks_bracket_to_tol(name, r, left, right, tol, orient):
         return orient * g(x, r)
 
     a0, b0 = r - left, r + right
-    lo, f_lo, hi, f_hi = _brent(f, a0, f(a0), b0, f(b0), tol, _MAX_BISECTIONS)
+    lo, f_lo, hi, f_hi = _brent(f, a0, f(a0), b0, f(b0), tol, _MAX_REFINE_EVALS)
     evals = len(calls) - 2
     assert lo < hi
     assert hi - lo <= tol
@@ -176,7 +176,7 @@ def test_brent_shrinks_bracket_to_tol(name, r, left, right, tol, orient):
     assert f_lo == f(lo) and f_hi == f(hi)
     # the midpoint, which a sweep reports as the root, is within tol of r
     assert abs(0.5 * (lo + hi) - r) <= tol
-    assert evals < _MAX_BISECTIONS
+    assert evals < _MAX_REFINE_EVALS
 
 
 def test_brent_stops_at_the_cap_with_a_valid_bracket():
@@ -191,7 +191,7 @@ def test_brent_stops_at_the_cap_with_a_valid_bracket():
 
 def test_brent_rejects_a_bracket_without_sign_change():
     with pytest.raises(ValueError):
-        _brent(lambda x: x, 1.0, 1.0, 2.0, 2.0, 1e-9, _MAX_BISECTIONS)
+        _brent(lambda x: x, 1.0, 1.0, 2.0, 2.0, 1e-9, _MAX_REFINE_EVALS)
 
 
 def test_refinement_needs_few_cold_evaluations():
