@@ -85,16 +85,17 @@ def solve(a, b) -> np.ndarray:
 def _jacobi_eigenvalues(herm: np.ndarray, scale: float) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic threshold Jacobi rotations.
 
-    A complex pivot a_pq = r u (r = |a_pq|) is first made real by the
-    unitary diagonal similarity that scales column q by conj(u) and row
-    q by u; the real rotation that zeroes it is applied in the same
-    pass.  Real input rotates its signed pivot directly.  Pivots with
-    |a_pq| <= stop / n are skipped: all of them together have an
-    off-norm below sqrt(n (n - 1)) / n * stop < stop, so they never
-    hold up the stopping test.
+    A pivot a_pq = r u (r = |a_pq|) is first made real by the unitary
+    diagonal similarity that scales column q by conj(u) and row q by u;
+    the real rotation that zeroes it is applied in the same pass.  For
+    real input u = +-1: the phase step is an exact sign flip, so real
+    matrices stay real and their diagonal is the same, bit for bit, as
+    with a rotation of the signed pivot.  Pivots with |a_pq| <= stop / n
+    are skipped: all of them together have an off-norm below
+    sqrt(n (n - 1)) / n * stop < stop, so they never hold up the
+    stopping test.
     """
-    is_complex = np.iscomplexobj(herm)
-    a = herm.astype(complex if is_complex else float)
+    a = herm.astype(np.result_type(herm, float))
     n = a.shape[0]
     if scale == 0.0:
         return np.zeros(n)
@@ -120,10 +121,8 @@ def _jacobi_eigenvalues(herm: np.ndarray, scale: float) -> np.ndarray:
                     a[p, q] = 0.0
                     a[q, p] = 0.0
                     continue
-                if is_complex:
-                    u = complex(apq) / r
-                else:
-                    r, u = float(apq), 1.0
+                # a Python scalar divides each part correctly rounded
+                u = apq.item() / r
                 theta = gap / (2.0 * r)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
@@ -162,7 +161,7 @@ def eig_selfadjoint(m) -> EigenResult:
     rotations: a complex Hermitian pivot is phase-normalized to a real
     one by a unitary diagonal similarity before its real rotation, and
     pivots below stop / n are skipped (see _jacobi_eigenvalues).  Input
-    whose imaginary part is exactly zero takes the real path.  Raises
+    whose imaginary part is exactly zero is rotated as a real matrix.  Raises
     NotSelfAdjoint when the input is too far from its own conjugate
     transpose, NonConvergence if rotation sweeps run out.
     """

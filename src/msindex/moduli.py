@@ -113,11 +113,9 @@ def key_matrices(tf: TangentFrame, tau: np.ndarray) -> KeyMatrices:
     return KeyMatrices(w=w, w1=w1, w2=w2, wdiff=w2 - w1, hermitian_defect=defect)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SpectralReport:
     """Signature data of one surface.
-
-    Slotted: callers that collect many reports keep no per-instance dict.
 
     index_E / nullity_E count constrained directions; the unconstrained
     (actual) problem adds three translations to the nullity and keeps

@@ -4,6 +4,8 @@ Random-matrix checks use numpy's eigensolver as an independent
 reference; the library itself never calls it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -165,21 +167,37 @@ def test_eig_graded_spectrum_with_eight_dimensional_kernel():
     assert np.allclose(got_nonzero, np.sort(nonzero)[::-1], rtol=0.0, atol=1e-13 * scale)
 
 
-@pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.3j)], ids=["real", "imag", "complex"])
-def test_eig_sub_threshold_off_diagonal_returns_sorted_diagonal(phase):
+@pytest.mark.parametrize("big", [0.0, 0.7], ids=["none_above", "one_above"])
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j, np.exp(0.3j)],
+                         ids=["real", "negative", "imag", "complex"])
+def test_eig_skips_sub_threshold_pivots(phase, big):
+    # every pair among 2..8 is coupled just under stop / n, stop being
+    # the Jacobi tolerance times the Frobenius norm, and (0, 1) by big.
+    # Rotating the small couplings would split the degenerate pair
+    # d2 = d3 by about the coupling, far above an ulp, so an untouched
+    # diagonal shows that they were skipped.  With big = 0 no pivot is
+    # above the threshold and the sorted diagonal comes back exactly.
     n = 9
-    diag = np.array([3.0, -1.0, 0.5, 7.0, 0.0, -2.5, 1e-3, 4.0, -6.0])
-    # every off-diagonal entry sits just under stop / n, stop being the
-    # Jacobi tolerance times the Frobenius norm
-    off = 0.99 * linalg._JACOBI_OFF_TOL * np.linalg.norm(diag) / n
+    diag = np.array([3.0, 1.0, 2.0, 2.0, -1.0, 0.5, -4.0, 5.0, 0.25])
     m = np.diag(diag).astype(complex)
-    upper = np.triu(np.ones((n, n)), 1) * off * phase
-    m = m + upper + upper.conj().T
-    if phase == 1.0:
+    m[0, 1], m[1, 0] = big * phase, big * np.conj(phase)
+    off = 0.99 * linalg._JACOBI_OFF_TOL * linalg.frobenius(m) / n
+    block = np.zeros((n, n))
+    block[2:, 2:] = np.triu(np.ones((n - 2, n - 2)), 1)
+    m = m + off * phase * block + (off * phase * block).conj().T
+    if np.imag(phase) == 0.0:
         m = m.real
-    assert np.max(np.abs(m - np.diag(diag))) <= linalg._JACOBI_OFF_TOL * linalg.frobenius(m) / n
-    r = linalg.eig_selfadjoint(m)
-    assert r.eigenvalues == tuple(float(v) for v in np.sort(diag)[::-1])
+    scale = linalg.frobenius(m)
+    assert off <= linalg._JACOBI_OFF_TOL * scale / n
+    mean, half_gap = 0.5 * (diag[0] + diag[1]), 0.5 * (diag[0] - diag[1])
+    pair = mean + np.array([1.0, -1.0]) * math.hypot(half_gap, big)
+    expected = np.concatenate([pair, diag[2:]])
+    order = np.argsort(expected)[::-1]
+    got = np.array(linalg.eig_selfadjoint(m).eigenvalues)
+    rotated = np.isin(order, [0, 1])
+    tol = 1e-15 * scale if big else 0.0
+    assert np.max(np.abs(got[rotated] - expected[order][rotated])) <= tol
+    assert np.array_equal(got[~rotated], expected[order][~rotated])
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
