@@ -12,6 +12,7 @@ from .errors import (
     DomainError,
     MsindexError,
     NonConvergence,
+    NonFiniteInput,
     NotSelfAdjoint,
     RiemannMatrixViolation,
     SingularMatrix,
@@ -66,6 +67,7 @@ __all__ = [
     "KeyMatrices",
     "MsindexError",
     "NonConvergence",
+    "NonFiniteInput",
     "NotSelfAdjoint",
     "PeriodFrame",
     "QuadConfig",

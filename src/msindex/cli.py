@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NonConvergence,
+    NonFiniteInput,
     NotSelfAdjoint,
     RiemannMatrixViolation,
     SingularMatrix,
@@ -45,6 +46,7 @@ EXIT_IO = 4
 
 _NUMERIC_ERRORS = (
     NonConvergence,
+    NonFiniteInput,
     SingularMatrix,
     NotSelfAdjoint,
     RiemannMatrixViolation,
@@ -115,8 +117,8 @@ def _analysis_record(res: moduli.SurfaceAnalysis, quad: QuadConfig) -> dict:
             "w_hermitian_defect": res.key.hermitian_defect,
             "tau_asymmetry": tau_asym,
         },
-        "eig_w": list(r.eig_w),
-        "eig_wdiff": list(r.eig_wdiff),
+        "eig_w": r.eig_w.tolist(),
+        "eig_wdiff": r.eig_wdiff.tolist(),
         "p": r.p,
         "q": r.q,
         "nullity_E": r.nullity_E,
@@ -299,7 +301,7 @@ def _reproduce_family(family: str, data: dict, steps: Optional[int],
             a = sample["a"]
             mirrored = moduli.analyze(SurfaceParam(family, -a), config=quad)
             direct = moduli.analyze(SurfaceParam(target, a), config=quad)
-            same = mirrored.report == direct.report
+            same = mirrored.report is direct.report
             ok &= same
             out.write("  a=%s equals %s a=%s: %s\n"
                       % (_fmt(-a), target, _fmt(a),
@@ -309,10 +311,10 @@ def _reproduce_family(family: str, data: dict, steps: Optional[int],
         a = sample["a"]
         res = moduli.analyze(SurfaceParam(family, a), config=quad)
         ok &= _compare_table("a=%s key matrix" % _fmt(a), sample["eig_w"],
-                             list(res.report.eig_w), tol, out)
+                             res.report.eig_w.tolist(), tol, out)
         ref_wdiff = list(sample["eig_wdiff_nonzero"]) + [0.0] * data["wdiff_zero_count"]
         ok &= _compare_table("a=%s comparison" % _fmt(a), ref_wdiff,
-                             list(res.report.eig_wdiff), tol, out)
+                             res.report.eig_wdiff.tolist(), tol, out)
         kernel_ok = res.report.kernel_dim_wdiff == data["wdiff_zero_count"]
         ok &= kernel_ok
         if not kernel_ok:
@@ -360,7 +362,7 @@ def _reproduce_family(family: str, data: dict, steps: Optional[int],
                              "ok" if point_ok else "MISMATCH"))
                 ok &= _compare_table(
                     "root %s key matrix" % ref_root["name"],
-                    ref_root["eig_w"], list(report.eig_w), tol, out)
+                    ref_root["eig_w"], report.eig_w.tolist(), tol, out)
 
         got_cls = [(iv.p, iv.q, iv.index_E) for iv in rep.intervals]
         ref_cls = [(iv["p"], iv["q"], iv["index_E"]) for iv in intervals]

@@ -25,6 +25,10 @@ class SingularMatrix(MsindexError):
     """A linear solve met a pivot or residual outside safe bounds."""
 
 
+class NonFiniteInput(MsindexError):
+    """A matrix or right-hand side handed to the linear algebra holds inf or nan."""
+
+
 class NotSelfAdjoint(MsindexError):
     """A matrix handed to the symmetric eigensolver is not self-adjoint."""
 

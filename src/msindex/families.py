@@ -485,7 +485,7 @@ def period_frame(
     im_eigs = linalg.eig_selfadjoint(im)
     if min(im_eigs.eigenvalues) <= 0.0:
         raise RiemannMatrixViolation(
-            f"Im tau not positive definite, eigenvalues {im_eigs.eigenvalues}"
+            f"Im tau not positive definite, eigenvalues {im_eigs.eigenvalues.tolist()}"
         )
     return PeriodFrame(omega=omega, c1=c1, c2=c2, tau=tau)
 

@@ -113,19 +113,21 @@ def key_matrices(tf: TangentFrame, tau: np.ndarray) -> KeyMatrices:
     return KeyMatrices(w=w, w1=w1, w2=w2, wdiff=w2 - w1, hermitian_defect=defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpectralReport:
     """Signature data of one surface.
 
-    index_E / nullity_E count constrained directions; the unconstrained
-    (actual) problem adds three translations to the nullity and keeps
-    the index.  degenerate means the 18x18 comparison kernel did not
-    have the expected dimension, so the index formula is heuristic at
-    this parameter.
+    eig_w and eig_wdiff are the descending spectra of the key matrix
+    and the comparison matrix as read-only float64 arrays; reports
+    compare by identity.  index_E / nullity_E count constrained
+    directions; the unconstrained (actual) problem adds three
+    translations to the nullity and keeps the index.  degenerate means
+    the 18x18 comparison kernel did not have the expected dimension, so
+    the index formula is heuristic at this parameter.
     """
 
-    eig_w: tuple[float, ...]
-    eig_wdiff: tuple[float, ...]
+    eig_w: np.ndarray
+    eig_wdiff: np.ndarray
     p: int
     q: int
     nullity_E: int
@@ -149,10 +151,10 @@ def spectral_report(km: KeyMatrices, zero_tol_factor: float = ZERO_TOL_FACTOR) -
     stable eigenvalues dip below any fixed fraction of the largest.
     """
     ew = linalg.eig_selfadjoint(km.w)
-    zero_w = zero_tol_factor * max(abs(v) for v in ew.eigenvalues)
+    zero_w = zero_tol_factor * float(np.max(np.abs(ew.eigenvalues)))
 
     ed = linalg.eig_selfadjoint(km.wdiff)
-    zero_d = zero_tol_factor * max(abs(v) for v in ed.eigenvalues)
+    zero_d = zero_tol_factor * float(np.max(np.abs(ed.eigenvalues)))
     d_pos, d_neg, d_zero = linalg.count_signs(ed.eigenvalues, zero_d)
 
     degenerate = d_zero != _EXPECTED_KERNEL

@@ -107,33 +107,34 @@ class SweepReport:
 
 
 def _probe(family: str, a: float,
-           cfg: SweepConfig) -> tuple[SweepSample, tuple[float, ...]]:
+           cfg: SweepConfig) -> tuple[SweepSample, list[float]]:
     """Evaluate the pipeline at a.
 
     Returns the sample and the eigenvalues of the key matrix in
-    descending order.
+    descending order, as Python floats.
     """
     report = moduli.analyze(
         SurfaceParam(family, a),
         config=cfg.quad,
         zero_tol_factor=cfg.zero_tol_factor,
     ).report
+    eig_w = report.eig_w.tolist()
     det = 1.0
-    for v in report.eig_w:
+    for v in eig_w:
         det *= v
     sample = SweepSample(
         a=a,
         det_w=det,
-        min_abs_eig_w=min(abs(v) for v in report.eig_w),
+        min_abs_eig_w=min(abs(v) for v in eig_w),
         p=report.p,
         q=report.q,
         nullity_E=report.nullity_E,
         index_E=report.index_E,
     )
-    return sample, report.eig_w
+    return sample, eig_w
 
 
-def _raw_negatives(eig_w: tuple[float, ...]) -> int:
+def _raw_negatives(eig_w: list[float]) -> int:
     """Count of strictly negative eigenvalues.
 
     The raw count ignores the zero threshold entirely, so it jumps
@@ -235,8 +236,8 @@ def _brent(f: Callable[[float], float], lo: float, f_lo: float,
 
 
 def _refine(family: str, cfg: SweepConfig,
-            s_lo: SweepSample, eig_lo: tuple[float, ...],
-            s_hi: SweepSample, eig_hi: tuple[float, ...]) -> Transition:
+            s_lo: SweepSample, eig_lo: list[float],
+            s_hi: SweepSample, eig_hi: list[float]) -> Transition:
     """Shrink one bracket to refine_tol with Brent's method.
 
     With m the larger raw negative count of the two ends, the raw count

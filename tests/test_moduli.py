@@ -1,6 +1,7 @@
 """Tests for the tangent directions, pairing matrices, and reports."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -19,6 +20,7 @@ from msindex.moduli import (
     ZERO_TOL_FACTOR,
     analyze,
     eta,
+    spectral_report,
     tangent_frame,
 )
 
@@ -136,6 +138,32 @@ def test_delegation_shares_the_analysis():
     assert neg.report is pos.report
 
 
+def test_report_spectra_are_read_only(h_mid):
+    r = h_mid.report
+    for vals, n in ((r.eig_w, 9), (r.eig_wdiff, 18)):
+        assert vals.dtype == np.float64 and vals.shape == (n,)
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+    assert not hasattr(r, "__dict__")
+
+
+def test_retained_reports_are_compact(h_mid):
+    # what a caller keeps per report: the slotted record, two float64
+    # arrays of 9 and 18 values, and two floats; as tuples of boxed
+    # floats a report took about 1.3 KB
+    count = 50
+    spectral_report(h_mid.key)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [spectral_report(h_mid.key) for _ in range(count)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == count
+    assert (after - before) / count <= 800
+
+
 def test_analyze_rejects_bad_parameters():
     with pytest.raises(DomainError):
         analyze(SurfaceParam("H", 2.0))
@@ -161,9 +189,25 @@ def _pipeline_points():
 
 
 @pytest.mark.parametrize("family,a", _pipeline_points())
+def test_key_matrix_spectra_match_mpmath(family, a):
+    # an oracle independent of LAPACK: mpmath's Hermitian and symmetric
+    # eigensolvers at 32 digits on the same float64 matrices
+    mpmath = pytest.importorskip("mpmath")
+    res = analyze(SurfaceParam(family, a))
+    for mat, got in ((res.key.w, res.report.eig_w),
+                     (res.key.wdiff, res.report.eig_wdiff)):
+        solver = mpmath.eighe if np.iscomplexobj(mat) else mpmath.eigsy
+        with mpmath.workdps(32):
+            ref = solver(mpmath.matrix(mat.tolist()), eigvals_only=True)
+            ref = np.sort(np.array([float(v) for v in ref]))[::-1]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family,a", _pipeline_points())
 def test_key_matrix_spectra_match_numpy(family, a):
-    # the library's Jacobi solver against LAPACK on the matrices the
-    # pipeline actually builds, range ends included
+    # the report's spectra are those of its own key matrices, in
+    # descending order; numpy is also the library's solver, so this
+    # checks the wiring, and the mpmath test above the accuracy
     res = analyze(SurfaceParam(family, a))
     for mat, got in ((res.key.w, res.report.eig_w),
                      (res.key.wdiff, res.report.eig_wdiff)):

@@ -4,8 +4,9 @@
 Each line that differs is printed under the ``## msindex ...`` header
 of its block, the line from A prefixed with ``-`` and the line from B
 with ``+``, followed by the largest absolute deviation between its
-floating-point numbers.  The last line gives the number of differing
-lines and the largest deviation over all of them.
+floating-point numbers and the largest relative one, |x - y| divided by
+max(|x|, |y|).  The last line gives the number of differing lines and
+the largest absolute and relative deviations over all of them.
 
 A floating-point number is a literal with a decimal point or an
 exponent, or inf/nan.  Everything else, including integers such as
@@ -28,19 +29,23 @@ _FLOAT = re.compile(
 
 
 def _deviation(a: str, b: str):
-    """Largest absolute float deviation, or None if other text differs."""
+    """Largest absolute and relative float deviations, or None if other
+    text differs."""
     ta, tb = _FLOAT.split(a), _FLOAT.split(b)
     if len(ta) != len(tb) or ta[0::2] != tb[0::2]:
         return None
-    worst = 0.0
+    worst = worst_rel = 0.0
     for x, y in zip(ta[1::2], tb[1::2]):
         if x == y:
             continue
-        dev = abs(float(x) - float(y))
+        fx, fy = float(x), float(y)
+        dev = abs(fx - fy)
         if not math.isfinite(dev):
             return None
         worst = max(worst, dev)
-    return worst
+        if dev > 0.0:
+            worst_rel = max(worst_rel, dev / max(abs(fx), abs(fy)))
+    return worst, worst_rel
 
 
 def diff(lines_a: list, lines_b: list, out) -> int:
@@ -52,7 +57,7 @@ def diff(lines_a: list, lines_b: list, out) -> int:
     header = None
     shown = None
     count = 0
-    worst = 0.0
+    worst = worst_rel = 0.0
     for a, b in zip(lines_a, lines_b):
         if a.startswith("## ") and a == b:
             header = a
@@ -68,10 +73,11 @@ def diff(lines_a: list, lines_b: list, out) -> int:
             out.write("  non-numeric difference\n")
             status = 1
         else:
-            out.write("  max deviation %.3e\n" % dev)
-            worst = max(worst, dev)
-    out.write("%d differing lines, largest numeric deviation %.3e\n"
-              % (count, worst))
+            out.write("  max deviation %.3e, relative %.3e\n" % dev)
+            worst = max(worst, dev[0])
+            worst_rel = max(worst_rel, dev[1])
+    out.write("%d differing lines, largest numeric deviation %.3e, "
+              "relative %.3e\n" % (count, worst, worst_rel))
     return status
 
 
