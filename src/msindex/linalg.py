@@ -11,6 +11,7 @@ Gaussian elimination with partial pivoting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,16 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 
 
 def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm, rescaled by max|m| where the plain sum of squares
+    overflows or underflows (Blue 1978), so that any finite matrix gets a
+    finite norm and a nonzero one a nonzero norm."""
+    a = np.asarray(m)
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0 or math.isinf(norm):
+        big = float(np.max(np.abs(a), initial=0.0))
+        if 0.0 < big < math.inf:
+            norm = big * float(np.linalg.norm(a / big))
+    return norm
 
 
 def solve(a, b) -> np.ndarray:

@@ -7,23 +7,32 @@ spectral rate.  Levels halve the step; abscissas of earlier levels are
 reused.
 
 Accuracy near a singular endpoint is limited by how precisely the
-distance to that endpoint is known.  The node distances
+distance to that endpoint is known.  The node distance
 
-    1 - u = 2 / (1 + exp(2g)),   1 + u = 2 / (1 + exp(-2g)),
-    g = (pi/2) sinh t
+    1 - u = 2 / (1 + exp(2g)),   g = (pi/2) sinh t
 
-are computed directly, never as a subtraction, so an integrand that
-accepts the distance as its argument (the ``from_lo`` / ``from_hi``
-forms below) sees it to full relative precision.  The plain
-``evaluator(x)`` path clips x off a singular endpoint and is accurate
-to roughly sqrt(eps) in absolute terms, which is fine for integrands
-that are singular only at 0 where x itself equals the distance.
+is computed directly, never as a subtraction, and each half of the
+interval is measured from its own endpoint.  An integrand that accepts
+the distance as its argument (the ``from_lo`` / ``from_hi`` forms of
+``Integrand``) therefore sees it to full relative precision.  The plain
+``evaluator(x)`` path sees x = lo + s or x = hi - s, which is exact
+only where the endpoint is 0; so a singular endpoint anywhere else must
+come with its offset form, and ``Integrand`` refuses it otherwise.
+
+Integrands are vectorized: each is called on a 1-D array of nodes and
+must return an array of the same shape, or ``integrate`` raises
+TypeError.  The stopping test first runs at level 3, so levels 0-3 are
+always needed; their nodes form one cached block, each side of the
+interval is evaluated on it in one call, and each level is summed by
+its own dot product over its slice of the block, exactly as if the
+levels had been evaluated one by one.  Levels 4 and up take one call
+per side each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,17 +44,19 @@ from .errors import DomainError, NonConvergence
 # inverse-square-root blowup, and every intermediate stays finite.
 _T_MAX = 4.85
 
-_node_lock = threading.Lock()
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# The first level at which the stopping test runs; every level up to
+# and including it is evaluated in one block.
+_FIRST_TEST_LEVEL = 3
 
 
-def _build_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights and endpoint distances for the positive abscissas new at this level.
 
-    Returns (w, d_near, d_far) where for a node at t > 0 mapped to
-    u = tanh((pi/2) sinh t), d_near = 1 - u and d_far = 1 + u.  The
-    mirror node at -t swaps the two distances.  t = 0 (level 0 only)
-    is handled by the caller.
+    Returns (w, d_near) where for a node at t > 0 mapped to
+    u = tanh((pi/2) sinh t), d_near = 1 - u.  The mirror node at -t
+    lies at the same distance from the other endpoint.  t = 0 (level 0
+    only) is handled by the caller.
     """
     h = 0.5 ** level
     if level == 0:
@@ -55,26 +66,36 @@ def _build_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = js * h
     g = 0.5 * math.pi * np.sinh(t)
     w = 0.5 * math.pi * np.cosh(t) / np.cosh(g) ** 2
-    e2g = np.exp(2.0 * g)
-    d_near = 2.0 / (1.0 + e2g)
-    d_far = 2.0 / (1.0 + 1.0 / e2g)
-    return w, d_near, d_far
+    d_near = 2.0 / (1.0 + np.exp(2.0 * g))
+    # cached and shared by every caller
+    w.flags.writeable = d_near.flags.writeable = False
+    return w, d_near
 
 
-def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with _node_lock:
-        block = _node_cache.get(level)
-        if block is None:
-            block = _build_level(level)
-            _node_cache[level] = block
-    return block
+@functools.cache
+def _fused_nodes() -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice], ...]]:
+    """The distances of levels 0 .. _FIRST_TEST_LEVEL in one array.
+
+    Returns (d_near, levels) where levels[k] = (w, sl) holds the
+    weights of level k and the slice of d_near that carries its nodes.
+    """
+    parts = [_nodes(level) for level in range(_FIRST_TEST_LEVEL + 1)]
+    levels = []
+    start = 0
+    for w, d in parts:
+        levels.append((w, slice(start, start + len(d))))
+        start += len(d)
+    d_near = np.concatenate([d for _, d in parts])
+    d_near.flags.writeable = False
+    return d_near, tuple(levels)
 
 
 @dataclass(frozen=True)
 class Integrand:
     """An integrand on (lo, hi) with optional endpoint-offset forms.
 
-    evaluator   plain f(x); must accept numpy arrays or scalars
+    evaluator   plain f(x); called on a 1-D array of nodes, returns an
+                array of the same shape
     lo, hi      interval endpoints; hi may be math.inf for tails
     singular_lo / singular_hi
                 whether f blows up at the endpoint (at worst like an
@@ -82,6 +103,11 @@ class Integrand:
     from_lo     f expressed in the distance s = x - lo, exact for all
                 s in (0, hi - lo); used for nodes in the lower half
     from_hi     f expressed in s = hi - x; used for the upper half
+
+    The offset forms take and return arrays as the evaluator does.  A
+    singular endpoint other than 0 requires its offset form: the plain
+    path cannot resolve the distance to it, and construction raises
+    ValueError without one.
     """
 
     evaluator: Callable
@@ -91,6 +117,12 @@ class Integrand:
     singular_hi: bool = False
     from_lo: Optional[Callable] = None
     from_hi: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        if self.singular_lo and self.lo != 0.0 and self.from_lo is None:
+            raise ValueError(f"singular endpoint lo = {self.lo!r} needs its from_lo form")
+        if self.singular_hi and self.hi != 0.0 and self.from_hi is None:
+            raise ValueError(f"singular endpoint hi = {self.hi!r} needs its from_hi form")
 
 
 @dataclass(frozen=True)
@@ -111,80 +143,32 @@ class QuadConfig:
 
 
 def _apply(fn: Callable, arg: np.ndarray) -> np.ndarray:
-    """Call fn on an array of points, falling back to a scalar loop.
-
-    Overflow in intermediates is tolerated (a blown-up radicand under a
-    square root yields a clean zero); non-finite results are still
-    rejected by the caller's finiteness check.
-    """
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        try:
-            out = np.asarray(fn(arg), dtype=float)
-            if out.shape != arg.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            out = np.array([float(fn(float(v))) for v in arg])
+    out = np.asarray(fn(arg), dtype=float)
+    if out.shape != arg.shape:
+        raise TypeError(
+            f"integrand must map an array of shape {arg.shape} to one of the same shape, "
+            f"got shape {out.shape}"
+        )
     return out
 
 
-def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        x = float(np.asarray(where)[bad][0])
-        raise DomainError(f"integrand returned a non-finite value near x = {x!r}")
+def _reject_nonfinite(vals: np.ndarray, x: np.ndarray) -> None:
+    bad = float(x[~np.isfinite(vals)][0])
+    raise DomainError(f"integrand returned a non-finite value near x = {bad!r}")
 
 
-def _side_values(f: Integrand, half: float, d_near: np.ndarray, upper: bool) -> tuple[np.ndarray, float]:
-    """Evaluate f at the nodes on one side of the interval midpoint.
-
-    Returns the values plus an estimate of the mass hidden inside the
-    last representable gap at a singular endpoint when nodes had to be
-    clipped onto it.  That mass bounds the accuracy of the plain
-    evaluator path; the offset forms never clip and report zero.
-    """
+def _side_values(f: Integrand, half: float, d_near: np.ndarray, upper: bool) -> np.ndarray:
+    """Evaluate f at the nodes at distances half * d_near from one endpoint."""
     s = half * d_near
-    if upper:
-        if f.from_hi is not None:
-            vals = _apply(f.from_hi, s)
-            _check_finite(vals, f.hi - s)
-            return vals, 0.0
-        edge = np.nextafter(f.hi, f.lo)
-        x = f.hi - s
-        clipped = f.singular_hi and bool((x > edge).any())
-        if f.singular_hi:
-            x = np.minimum(x, edge)
-        gap = abs(f.hi - edge)
-    else:
-        if f.from_lo is not None:
-            vals = _apply(f.from_lo, s)
-            _check_finite(vals, f.lo + s)
-            return vals, 0.0
-        edge = np.nextafter(f.lo, f.hi)
-        x = f.lo + s
-        clipped = f.singular_lo and bool((x < edge).any())
-        if f.singular_lo:
-            x = np.maximum(x, edge)
-        gap = abs(edge - f.lo)
-    vals = _apply(f.evaluator, x)
-    _check_finite(vals, x)
-    floor = 0.0
-    if clipped:
-        # a ~ C / sqrt(s) blowup holds mass 2 C sqrt(gap) inside the gap
-        floor = 2.0 * float(np.max(np.abs(vals))) * gap
-    return vals, floor
+    form = f.from_hi if upper else f.from_lo
+    vals = _apply(f.evaluator, f.hi - s if upper else f.lo + s) if form is None else _apply(form, s)
+    if not np.isfinite(vals).all():
+        _reject_nonfinite(vals, f.hi - s if upper else f.lo + s)
+    return vals
 
 
-def _level_sum(f: Integrand, half: float, level: int) -> tuple[float, float]:
-    w, d_near, _ = _nodes(level)
-    hi_vals, hi_floor = _side_values(f, half, d_near, upper=True)
-    lo_vals, lo_floor = _side_values(f, half, d_near, upper=False)
-    total = float(np.dot(w, hi_vals)) + float(np.dot(w, lo_vals))
-    if level == 0:
-        mid = np.array([f.lo + half])
-        v = _apply(f.evaluator, mid)
-        _check_finite(v, mid)
-        total += 0.5 * math.pi * float(v[0])
-    return total, hi_floor + lo_floor
+def _level_sum(w: np.ndarray, hi_vals: np.ndarray, lo_vals: np.ndarray) -> float:
+    return float(np.dot(w, hi_vals)) + float(np.dot(w, lo_vals))
 
 
 def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> tuple[float, float]:
@@ -193,7 +177,8 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> tuple[float, f
     Returns (value, err_estimate) where the estimate is the change at
     the last level refinement.  Raises NonConvergence if the budget is
     exhausted, DomainError on a bad interval or a non-finite integrand
-    value.
+    value, and TypeError if the integrand does not map a node array to
+    an array of the same shape.
     """
     lo, hi = f.lo, f.hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -202,25 +187,35 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> tuple[float, f
         raise DomainError(f"empty interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
 
-    trapezoid, clip_floor = _level_sum(f, half, 0)
-    value = half * trapezoid
-    err = math.inf
-    for level in range(1, config.max_level + 1):
-        h = 0.5 ** level
-        term, floor = _level_sum(f, half, level)
-        clip_floor = max(clip_floor, floor)
-        trapezoid = 0.5 * trapezoid + h * term
-        new_value = half * trapezoid
-        err = abs(new_value - value)
-        value = new_value
-        if level < 3:
-            continue
-        if err <= max(config.target_rel_tol * abs(value), config.abs_floor):
-            return value, max(err, clip_floor)
-        if clip_floor > 0.0 and err <= 0.5 * clip_floor:
-            # refinement noise is below the irreducible endpoint-gap
-            # ambiguity; further levels cannot improve the result
-            return value, max(err, clip_floor)
+    # Overflow in intermediates is tolerated (a blown-up radicand under
+    # a square root yields a clean zero); non-finite results are still
+    # rejected by _side_values.
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        d_fused, fused = _fused_nodes()
+        hi_fused = _side_values(f, half, d_fused, upper=True)
+        lo_fused = _side_values(f, half, d_fused, upper=False)
+        mid = np.array([lo + half])
+        centre = _apply(f.evaluator, mid)
+        if not np.isfinite(centre).all():
+            _reject_nonfinite(centre, mid)
+        sums = [_level_sum(w, hi_fused[sl], lo_fused[sl]) for w, sl in fused]
+
+        trapezoid = sums[0] + 0.5 * math.pi * float(centre[0])
+        value = half * trapezoid
+        err = math.inf
+        for level in range(1, config.max_level + 1):
+            if level <= _FIRST_TEST_LEVEL:
+                term = sums[level]
+            else:
+                w, d_near = _nodes(level)
+                term = _level_sum(w, _side_values(f, half, d_near, upper=True),
+                                  _side_values(f, half, d_near, upper=False))
+            trapezoid = 0.5 * trapezoid + 0.5 ** level * term
+            new_value = half * trapezoid
+            err = abs(new_value - value)
+            value = new_value
+            if level >= _FIRST_TEST_LEVEL and err <= max(config.target_rel_tol * abs(value), config.abs_floor):
+                return value, err
     raise NonConvergence(
         f"tanh-sinh did not reach tolerance by level {config.max_level}: "
         f"value {value!r}, last change {err!r}"

@@ -25,6 +25,35 @@ def test_frobenius():
     assert linalg.frobenius([[3.0, 0.0], [0.0, 4.0]]) == 5.0
 
 
+# frobenius's unscaled first try overflows before it rescales
+_OVERFLOW_WARNS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@_OVERFLOW_WARNS
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_frobenius_outside_the_range_of_squares(scale):
+    m = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
+    assert linalg.frobenius(m) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert linalg.frobenius(np.zeros((2, 2))) == 0.0
+    assert linalg.frobenius([[np.inf, 0.0], [0.0, 1.0]]) == np.inf
+
+
+@_OVERFLOW_WARNS
+def test_eig_rejects_huge_antisymmetric_block():
+    # the defect and the norm overflow alike without rescaling
+    m = np.array([[0.0, 1e200, 0.0], [-1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotSelfAdjoint):
+        linalg.eig_selfadjoint(m)
+
+
+@_OVERFLOW_WARNS
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_solve_scaled_identity(scale):
+    b = np.array([1.0, -2.0, 3.0])
+    x = linalg.solve(scale * np.eye(3), b)
+    np.testing.assert_allclose(x, b / scale, rtol=1e-15)
+
+
 def test_solve_known_system():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     x = linalg.solve(a, np.array([5.0, 10.0]))
