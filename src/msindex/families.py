@@ -6,8 +6,13 @@ matrix of periods whose top half determines the lattice and the
 period ratio tau.  All integrands are written so that each endpoint
 singularity sits at offset zero of the quadrature engine's distance
 coordinate, with cancellation-prone factors expanded by hand.  Each
-family defines its integrands once, in a table keyed by name that
-both integral_set and verify_identities read.
+family defines its integrands once, as quadrature tables: one
+``Integrand`` with named rows per interval and set of endpoint forms
+(H: ``near0`` and ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP:
+``periods``).  Each table computes the radicands its rows share once
+per node array and is integrated in one call; integral_set and
+verify_identities read the same tables, the identities adding their
+own integrands beside them.
 """
 
 from __future__ import annotations
@@ -105,19 +110,22 @@ class IntegralSet:
         return {k: getattr(self, k) for k in "ABCDEFHI"}
 
 
-def _integrate_all(table: dict[str, Integrand],
+def _integrate_all(tables: dict[str, Integrand],
                    config: QuadConfig) -> tuple[dict[str, float], float]:
-    """Integrate every entry of an integrand table.
+    """Integrate every entry of a dict of integrand tables.
 
-    Returns the values by name and the largest error estimate.
-    Entries on (1, inf) go through the tail fold.
+    Returns the values by row name and the largest error estimate.  A
+    table contributes one value per named row, a single integrand one
+    value under its key.  Entries on (1, inf) go through the tail fold.
     """
     values: dict[str, float] = {}
     err_max = 0.0
-    for name, f in table.items():
+    for key, f in tables.items():
         rule = integrate_tail if math.isinf(f.hi) else integrate
-        values[name], err = rule(f, config)
-        err_max = max(err_max, err)
+        result = rule(f, config)
+        for name, (value, err) in (result.items() if f.names else [(key, result)]):
+            values[name] = value
+            err_max = max(err_max, err)
     return values, err_max
 
 
@@ -127,41 +135,34 @@ def _integrands_H(a: float) -> dict[str, Integrand]:
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
     c = ((a - 1.0) * (a * a + a + 1.0)) ** 2 / a3
 
-    def rad(t):
-        return (t ** 3 + a3) * (t ** 3 + ia3)
+    def near0(t):
+        tt = t * t
+        t3 = t ** 3
+        rad = (t3 + a3) * (t3 + ia3)
+        root = np.sqrt(t * rad)
+        rad15 = rad ** 1.5
+        t25 = t ** 2.5
+        return ((1.0 + tt) / root, (1.0 - tt) / root, t / root,
+                t25 * (1.0 + tt) / rad15, t25 * (1.0 - tt) / rad15, t ** 3.5 / rad15)
 
-    def plain_pol(x):
-        return a3 + ia3 + 6.0 * x - 8.0 * x ** 3
+    def cap_rows(x, pol, span):
+        # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span); span = 1 - x^2
+        root = np.sqrt(pol * span)
+        den = pol ** 1.5 * np.sqrt(span)
+        return x / root, 1.0 / root, x / den, 1.0 / den
 
-    def pol(s):
-        # a^3 + 1/a^3 + 6x - 8x^3 at x = 1 - s
-        return c + s * (18.0 - s * (24.0 - 8.0 * s))
+    def cap(x):
+        return cap_rows(x, a3 + ia3 + 6.0 * x - 8.0 * x ** 3, 1.0 - x * x)
 
-    def span(s):
-        # 1 - x^2 at x = 1 - s
-        return s * (2.0 - s)
-
-    def near0(f):
-        return Integrand(f, 0.0, 1.0, singular_lo=True)
-
-    def cap(f, f_hi):
-        return Integrand(f, 0.5, 1.0, singular_hi=True, from_hi=f_hi)
+    def cap_hi(s):
+        # a^3 + 1/a^3 + 6x - 8x^3 and 1 - x^2 at x = 1 - s
+        return cap_rows(1.0 - s, c + s * (18.0 - s * (24.0 - 8.0 * s)), s * (2.0 - s))
 
     return {
-        "A": near0(lambda t: (1.0 + t * t) / np.sqrt(t * rad(t))),
-        "B1": near0(lambda t: (1.0 - t * t) / np.sqrt(t * rad(t))),
-        "D": near0(lambda t: t / np.sqrt(t * rad(t))),
-        "E": near0(lambda t: t ** 2.5 * (1.0 + t * t) / rad(t) ** 1.5),
-        "F1": near0(lambda t: t ** 2.5 * (1.0 - t * t) / rad(t) ** 1.5),
-        "I": near0(lambda t: t ** 3.5 / rad(t) ** 1.5),
-        "B2": cap(lambda x: x / np.sqrt(plain_pol(x) * (1.0 - x * x)),
-                  lambda s: (1.0 - s) / np.sqrt(pol(s) * span(s))),
-        "C": cap(lambda x: 1.0 / np.sqrt(plain_pol(x) * (1.0 - x * x)),
-                 lambda s: 1.0 / np.sqrt(pol(s) * span(s))),
-        "F2": cap(lambda x: x / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)),
-                  lambda s: (1.0 - s) / (pol(s) ** 1.5 * np.sqrt(span(s)))),
-        "H": cap(lambda x: 1.0 / (plain_pol(x) ** 1.5 * np.sqrt(1.0 - x * x)),
-                 lambda s: 1.0 / (pol(s) ** 1.5 * np.sqrt(span(s)))),
+        "near0": Integrand(near0, 0.0, 1.0, singular_lo=True,
+                           names=("A", "B1", "D", "E", "F1", "I")),
+        "cap": Integrand(cap, 0.5, 1.0, singular_hi=True, from_hi=cap_hi,
+                         names=("B2", "C", "F2", "H")),
     }
 
 
@@ -180,15 +181,17 @@ def _integrals_H(a: float, config: QuadConfig) -> tuple[dict[str, float], float]
 
 
 class _RPDCurve:
-    """The rPD radicands at one parameter, and integrands built on them.
+    """The rPD radicands at one parameter, and integrand tables built on them.
 
-    unit(num) is num(t) / sqrt(R(t)) on (0, 1), singular at both ends,
-    for R = t (1 - t^3) (a^3 t^3 + a^-3) or, with alt, a^3 and a^-3
-    swapped.  Its offset form near t = 1 is num(1 - s) / sqrt(R(1 - s))
-    with 1 - t^3 expanded in s; num_hi replaces num(1 - s) where that
-    would cancel.  tail(num) is the same on (1, inf) over
-    t (t^3 - 1) (a^3 t^3 + a^-3), offset s = t - 1, with num_lo in
-    place of num(1 + s).
+    unit(names, alt, nums) is the table of num_i(t) / sqrt(R_i(t)) on
+    (0, 1), singular at both ends, for R = t (1 - t^3) (a^3 t^3 + a^-3)
+    or, where alt_i, with a^3 and a^-3 swapped.  nums(t, t3) returns
+    the numerators at the nodes t, with t3 = t**3.  The offset form
+    near t = 1 expands 1 - t^3 in s = 1 - t; nums_hi(s, t, t3) replaces
+    the numerators there where nums(1 - s, ...) would cancel.
+    tail(names, nums) is the same on (1, inf) over
+    t (t^3 - 1) (a^3 t^3 + a^-3), offset s = t - 1, with nums_lo(s, t, t3)
+    in place of nums at t = 1 + s.
     """
 
     def __init__(self, a: float):
@@ -198,61 +201,69 @@ class _RPDCurve:
         # 1 - a^6, factored so it survives a -> 1
         self.q = (1.0 - a) * (1.0 + a) * (1.0 + a * a + a ** 4)
 
-    def cubic(self, t):
-        return 2.0 * self.a6 * t ** 3 + self.q
+    def cubic(self, t3):
+        return 2.0 * self.a6 * t3 + self.q
 
-    def alt_cubic(self, t):
-        return self.q - 2.0 * t ** 3
+    def alt_cubic(self, t3):
+        return self.q - 2.0 * t3
 
-    def unit(self, num, alt: bool = False, num_hi=None) -> Integrand:
-        lead, const = (self.ia3, self.a3) if alt else (self.a3, self.ia3)
-        if num_hi is None:
-            def num_hi(s):
-                return num(1.0 - s)
+    def unit(self, names, alt, nums, nums_hi=None) -> Integrand:
+        a3, ia3 = self.a3, self.ia3
+        if nums_hi is None:
+            def nums_hi(s, t, t3):
+                return nums(t, t3)
+
+        def rows(numerators, base, t3):
+            root = None if all(alt) else np.sqrt(base * (a3 * t3 + ia3))
+            alt_root = np.sqrt(base * (ia3 * t3 + a3)) if any(alt) else None
+            return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
 
         def f(t):
-            return num(t) / np.sqrt(t * (1.0 - t ** 3) * (lead * t ** 3 + const))
+            t3 = t ** 3
+            return rows(nums(t, t3), t * (1.0 - t3), t3)
 
         def f_hi(s):
             # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
             t = 1.0 - s
-            return num_hi(s) / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (lead * t ** 3 + const))
+            t3 = t ** 3
+            return rows(nums_hi(s, t, t3), t * s * (3.0 - s * (3.0 - s)), t3)
 
-        return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi)
+        return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names)
 
-    def tail(self, num, num_lo=None) -> Integrand:
+    def tail(self, names, nums, nums_lo=None) -> Integrand:
         a3, ia3 = self.a3, self.ia3
-        if num_lo is None:
-            def num_lo(s):
-                return num(1.0 + s)
+        if nums_lo is None:
+            def nums_lo(s, t, t3):
+                return nums(t, t3)
 
         def f(t):
-            return num(t) / np.sqrt(t * (t ** 3 - 1.0) * (a3 * t ** 3 + ia3))
+            t3 = t ** 3
+            root = np.sqrt(t * (t3 - 1.0) * (a3 * t3 + ia3))
+            return tuple(n / root for n in nums(t, t3))
 
         def f_lo(s):
             # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
             t = 1.0 + s
-            return num_lo(s) / np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (a3 * t ** 3 + ia3))
+            t3 = t ** 3
+            root = np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (a3 * t3 + ia3))
+            return tuple(n / root for n in nums_lo(s, t, t3))
 
-        return Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo)
+        return Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names)
 
 
 def _integrands_rPD(a: float) -> dict[str, Integrand]:
     curve = _RPDCurve(a)
-    cubic = curve.cubic
 
-    def plus(t):
-        return 1.0 + (a * t) ** 2
+    def unit(t, t3):
+        at2 = (a * t) ** 2
+        cubic = curve.cubic(t3)
+        return (1.0 + at2, t, cubic * (5.0 * at2 + 1.0), cubic * (5.0 * at2 - 1.0),
+                t * curve.alt_cubic(t3), t * cubic)
 
     return {
-        "A": curve.unit(plus),
-        "D": curve.unit(lambda t: t),
-        "Ep": curve.unit(lambda t: cubic(t) * (5.0 * (a * t) ** 2 + 1.0)),
-        "Em": curve.unit(lambda t: cubic(t) * (5.0 * (a * t) ** 2 - 1.0)),
-        "H": curve.unit(lambda t: t * curve.alt_cubic(t), alt=True),
-        "I": curve.unit(lambda t: t * cubic(t)),
-        "TA": curve.tail(plus),
-        "TC": curve.tail(lambda t: t),
+        "unit": curve.unit(("A", "D", "Ep", "Em", "H", "I"),
+                           (False, False, False, False, True, False), unit),
+        "tail": curve.tail(("TA", "TC"), lambda t, t3: (1.0 + (a * t) ** 2, t)),
     }
 
 
@@ -273,38 +284,27 @@ def _integrals_rPD(a: float, config: QuadConfig) -> tuple[dict[str, float], floa
     }, err
 
 
-def _quartic_integrands(a: float) -> dict[str, Integrand]:
-    """Integrands over sqrt(t^8 + a t^4 + 1) on (0, 1), shared by tP and tCLP."""
-    def quartic(t):
-        t4 = t ** 4
-        return t4 * t4 + a * t4 + 1.0
-
-    return {
-        "A1": Integrand(lambda t: (1.0 - t * t) / np.sqrt(quartic(t)), 0.0, 1.0),
-        "B": Integrand(lambda t: (1.0 + t * t) / np.sqrt(quartic(t)), 0.0, 1.0),
-        "C": Integrand(lambda t: t / np.sqrt(quartic(t)), 0.0, 1.0),
-        "E1": Integrand(lambda t: t ** 4 * (1.0 - t * t) / quartic(t) ** 1.5, 0.0, 1.0),
-        "F": Integrand(lambda t: t ** 4 * (1.0 + t * t) / quartic(t) ** 1.5, 0.0, 1.0),
-        "H": Integrand(lambda t: t ** 5 / quartic(t) ** 1.5, 0.0, 1.0),
-    }
+def _quartic(t4, a):
+    """t^8 + a t^4 + 1 from t4 = t**4, and its square root and 1.5 power."""
+    quartic = t4 * t4 + a * t4 + 1.0
+    return np.sqrt(quartic), quartic ** 1.5
 
 
 def _integrands_tP(a: float) -> dict[str, Integrand]:
-    def ridge(t):
+    def periods(t):
+        tt = t * t
+        t4 = t ** 4
+        root, cube = _quartic(t4, a)
         # 16 t^4 - 16 t^2 + 2 + a, grouped around its minimum
-        return 16.0 * (t * t - 0.5) ** 2 + (a - 2.0)
+        ridge = 16.0 * (tt - 0.5) ** 2 + (a - 2.0)
+        flat = (2.0 + a) * tt * tt + (2.0 * a - 12.0) * tt + (2.0 + a)
+        return ((1.0 - tt) / root, (1.0 + tt) / root, t / root,
+                t4 * (1.0 - tt) / cube, t4 * (1.0 + tt) / cube, t ** 5 / cube,
+                1.0 / np.sqrt(ridge), 1.0 / np.sqrt(flat),
+                1.0 / ridge ** 1.5, (1.0 + tt) ** 2 / flat ** 1.5)
 
-    def flat(t):
-        t2 = t * t
-        return (2.0 + a) * t2 * t2 + (2.0 * a - 12.0) * t2 + (2.0 + a)
-
-    return {
-        **_quartic_integrands(a),
-        "A2": Integrand(lambda t: 1.0 / np.sqrt(ridge(t)), 0.0, 1.0),
-        "D": Integrand(lambda t: 1.0 / np.sqrt(flat(t)), 0.0, 1.0),
-        "E2": Integrand(lambda t: 1.0 / ridge(t) ** 1.5, 0.0, 1.0),
-        "I": Integrand(lambda t: (1.0 + t * t) ** 2 / flat(t) ** 1.5, 0.0, 1.0),
-    }
+    return {"periods": Integrand(periods, 0.0, 1.0,
+                                 names=("A1", "B", "C", "E1", "F", "H", "A2", "D", "E2", "I"))}
 
 
 def _integrals_tP(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
@@ -322,19 +322,22 @@ def _integrals_tP(a: float, config: QuadConfig) -> tuple[dict[str, float], float
 
 
 def _integrands_tCLP(a: float) -> dict[str, Integrand]:
-    # the quartic at -|a| is t^8 - |a| t^4 + 1 bit for bit
-    plus = _quartic_integrands(abs(a))
-    minus = _quartic_integrands(-abs(a))
-    return {
-        "A": minus["B"],
-        "B": plus["B"],
-        "C": plus["C"],
-        "D": minus["C"],
-        "E": minus["F"],
-        "F": plus["F"],
-        "H": plus["H"],
-        "I": minus["H"],
-    }
+    b = abs(a)
+
+    def periods(t):
+        # tP's B, C, F and H rows over the quartic at +|a| and at -|a|;
+        # the latter is t^8 - |a| t^4 + 1 bit for bit
+        tt = t * t
+        t4 = t ** 4
+        t5 = t ** 5
+        root_p, cube_p = _quartic(t4, b)
+        root_m, cube_m = _quartic(t4, -b)
+        even = t4 * (1.0 + tt)
+        return ((1.0 + tt) / root_m, (1.0 + tt) / root_p, t / root_p, t / root_m,
+                even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
+
+    return {"periods": Integrand(periods, 0.0, 1.0,
+                                 names=("A", "B", "C", "D", "E", "F", "H", "I"))}
 
 
 def _integrals_tCLP(a: float, config: QuadConfig) -> tuple[dict[str, float], float]:
@@ -620,7 +623,8 @@ def deformation_data(p: SurfaceParam) -> DeformationData:
 # integral identities
 
 
-def _identities_H(a: float, config: QuadConfig):
+def _identity_integrands_H(a: float) -> dict[str, Integrand]:
+    """The integrands that only the H identities use."""
     a3 = a ** 3
     ia3 = 1.0 / a3
     c = ((a - 1.0) * (a * a + a + 1.0)) ** 2 / a3
@@ -638,10 +642,7 @@ def _identities_H(a: float, config: QuadConfig):
         rest = d2 + (d1 - s) * (1.0 + t * (1.0 + t))
         return (d1 - s) * (1.0 + a + s) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
 
-    table = _integrands_H(a)
-    v, _ = _integrate_all({
-        "A": table["A"],
-        "B1": table["B1"],
+    return {
         "bare": Integrand(
             lambda t: (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (ia3 - a3 * t ** 3)),
             0.0, 1.0, True, True,
@@ -651,8 +652,11 @@ def _identities_H(a: float, config: QuadConfig):
         "mid": Integrand(mid_plain, a, 1.0, singular_lo=True, from_lo=mid_lo),
         "cap": Integrand(
             lambda t: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2), 0.5, 1.0),
-    }, config)
+    }
 
+
+def _identities_H(a: float, config: QuadConfig):
+    v, _ = _integrate_all({"near0": _integrands_H(a)["near0"], **_identity_integrands_H(a)}, config)
     rows = [
         ("H-identity-1", v["bare"] / a, 0.5 * _SQ3 * v["A"]),
         ("H-identity-2", v["B1"], 2.0 * v["mid"] + 4.0 * v["cap"]),
@@ -660,27 +664,32 @@ def _identities_H(a: float, config: QuadConfig):
     return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
-def _identities_rPD(a: float, config: QuadConfig):
+def _identity_integrands_rPD(a: float) -> dict[str, Integrand]:
+    """The integrands that only the rPD identities use."""
     curve = _RPDCurve(a)
     d1 = 1.0 - a
 
-    def minus(t):
-        return (1.0 - a * t) * (1.0 + a * t)
+    def minus(t, t3):
+        return ((1.0 - a * t) * (1.0 + a * t),)
 
-    table = _integrands_rPD(a)
-    v, _ = _integrate_all({
-        "A": table["A"],
-        "TA": table["TA"],
-        "bare_minus": curve.unit(
-            minus, num_hi=lambda s: (d1 + a * s) * (1.0 + a * (1.0 - s))),
+    def powers(t, t3):
+        tt = t * t
+        cubic, alt_cubic = curve.cubic(t3), curve.alt_cubic(t3)
+        return tt * cubic, cubic, alt_cubic, tt * alt_cubic
+
+    return {
+        "unit_minus": curve.unit(
+            ("bare_minus", "j5", "j3", "k3", "k5"), (False, False, False, True, True),
+            lambda t, t3: minus(t, t3) + powers(t, t3),
+            nums_hi=lambda s, t, t3: ((d1 + a * s) * (1.0 + a * (1.0 - s)),) + powers(t, t3)),
         "tail_minus": curve.tail(
-            minus, num_lo=lambda s: (d1 - a * s) * (1.0 + a * (1.0 + s))),
-        "j5": curve.unit(lambda t: t * t * curve.cubic(t)),
-        "j3": curve.unit(curve.cubic),
-        "k3": curve.unit(curve.alt_cubic, alt=True),
-        "k5": curve.unit(lambda t: t * t * curve.alt_cubic(t), alt=True),
-    }, config)
+            ("tail_minus",), minus,
+            nums_lo=lambda s, t, t3: ((d1 - a * s) * (1.0 + a * (1.0 + s)),)),
+    }
 
+
+def _identities_rPD(a: float, config: QuadConfig):
+    v, _ = _integrate_all({**_integrands_rPD(a), **_identity_integrands_rPD(a)}, config)
     a2 = a * a
     rows = [
         ("rPD-identity-1", _SQ3 * v["bare_minus"], v["TA"]),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from msindex import families, quadrature
 from msindex.errors import DomainError, NonConvergence
-from msindex.quadrature import Integrand, QuadConfig, _nodes, integrate, integrate_tail
+from msindex.quadrature import Integrand, QuadConfig, _fused_nodes, _nodes, integrate, integrate_tail
 
 
 def test_cubic_polynomial_exact():
@@ -204,23 +204,27 @@ def test_linearity(c0, c1, c2, alpha, beta):
     assert abs(vc - (alpha * vf + beta * vg)) <= 1e-10 * scale
 
 
-def _per_level_reference(f, config=QuadConfig()):
-    """The tanh-sinh sum level by level: one np.dot per side per level."""
+def _per_level_reference(f, row=0, config=QuadConfig()):
+    """One row of f, level by level: its own calls per side, one np.dot per side per level."""
     half = 0.5 * (f.hi - f.lo)
+
+    def call(fn, arg):
+        out = np.asarray(fn(arg), dtype=float)
+        return out[row] if f.names else out
 
     def side(d_near, upper):
         s = half * d_near
         form = f.from_hi if upper else f.from_lo
         if form is not None:
-            return np.asarray(form(s), dtype=float)
-        return np.asarray(f.evaluator(f.hi - s if upper else f.lo + s), dtype=float)
+            return call(form, s)
+        return call(f.evaluator, f.hi - s if upper else f.lo + s)
 
     def level_sum(level):
         w, d_near = _nodes(level)
         return float(np.dot(w, side(d_near, True))) + float(np.dot(w, side(d_near, False)))
 
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        centre = np.asarray(f.evaluator(np.array([f.lo + half])), dtype=float)
+        centre = call(f.evaluator, np.array([f.lo + half]))
         trapezoid = level_sum(0) + 0.5 * math.pi * float(centre[0])
         value = half * trapezoid
         for level in range(1, config.max_level + 1):
@@ -233,22 +237,147 @@ def _per_level_reference(f, config=QuadConfig()):
     raise AssertionError("reference did not converge")
 
 
+def _one_row(f, row, monkeypatch):
+    """The per-level reference for one row of f, through the tail fold where f needs it."""
+    if not math.isinf(f.hi):
+        return _per_level_reference(f, row)
+    # integrate_tail folds onto (0, 1) and calls the module's integrate
+    monkeypatch.setattr(quadrature, "integrate",
+                        lambda g, config=QuadConfig(): _per_level_reference(g, row, config))
+    try:
+        return integrate_tail(f)
+    finally:
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("table, a", [
     (families._integrands_H, 0.3),
+    (families._integrands_H, 0.01),
+    (families._integrands_H, 0.99),
     (families._integrands_rPD, 0.6),
+    (families._integrands_rPD, 0.01),
+    (families._integrands_rPD, 0.99),
     (families._integrands_tP, 10.0),
+    (families._integrands_tP, 2.1),
+    (families._integrands_tP, 40.0),
     (families._integrands_tCLP, 1.0),
+    (families._integrands_tCLP, 1.99),
+    (families._integrands_tCLP, -1.99),
+    (families._identity_integrands_H, 0.3),
+    (families._identity_integrands_H, 0.01),
+    (families._identity_integrands_H, 0.99),
+    (families._identity_integrands_rPD, 0.6),
+    (families._identity_integrands_rPD, 0.01),
+    (families._identity_integrands_rPD, 0.99),
 ])
 def test_sums_equal_the_per_level_reference_exactly(monkeypatch, table, a):
-    for name, f in table(a).items():
-        if math.isinf(f.hi):
-            got = integrate_tail(f)
-            # integrate_tail folds onto (0, 1) and calls the module's integrate
-            monkeypatch.setattr(quadrature, "integrate", _per_level_reference)
-            want = integrate_tail(f)
-            monkeypatch.undo()
-        else:
-            got = integrate(f)
-            want = _per_level_reference(f)
-        assert got[0] == want[0], name
-        assert got[1] == want[1], name
+    seen = 0
+    for key, f in table(a).items():
+        got = integrate_tail(f) if math.isinf(f.hi) else integrate(f)
+        for row, name in enumerate(f.names or (key,)):
+            want = _one_row(f, row, monkeypatch)
+            have = got[name] if f.names else got
+            assert have[0] == want[0], name
+            assert have[1] == want[1], name
+            seen += 1
+    assert seen >= 3
+
+
+# rows that stop at levels 3, 5 and 6 under the default tolerance
+_STOPS = {
+    "sqrt": (3, np.sqrt),
+    "cos": (5, lambda x: np.cos(20.0 * x)),
+    "bump": (6, lambda x: 1.0 / (1.0 + 20.0 * (x - 0.5) ** 2)),
+}
+
+
+def _counted(fn, calls):
+    def g(x):
+        calls.append(len(x))
+        return fn(x)
+    return g
+
+
+def _table(rows, **kw):
+    names = tuple(rows)
+    return Integrand(lambda x: tuple(rows[n](x) for n in names), 0.0, 1.0, names=names, **kw)
+
+
+def test_table_rows_equal_their_one_row_integrations():
+    rows = {name: fn for name, (_, fn) in _STOPS.items()}
+    for name, (level, fn) in _STOPS.items():
+        calls = []
+        single = integrate(Integrand(_counted(fn, calls), 0.0, 1.0))
+        # one call for levels 0-3 and the midpoint, one per later level
+        assert len(calls) == 1 + level - 3, name
+        assert calls[0] == 2 * len(_fused_nodes()[0]) + 1
+        got = integrate(_table(rows))[name]
+        assert got[0] == single[0] and got[1] == single[1], name
+    calls = []
+    integrate(_table({name: _counted(fn, calls) for name, fn in rows.items()}))
+    # the table is called once per level; the rows in each call
+    assert len(calls) == 3 * (1 + 6 - 3)
+
+
+def test_table_with_offset_forms_calls_each_form_once_per_level():
+    plain, offset = [], []
+    f = Integrand(
+        _counted(lambda x: (1.0 / np.sqrt(1.0 - x), np.cos(20.0 * x)), plain), 0.5, 1.0,
+        singular_hi=True, names=("blowup", "wave"),
+        from_hi=_counted(lambda s: (1.0 / np.sqrt(s), np.cos(20.0 * (1.0 - s))), offset),
+    )
+    got = integrate(f)
+    assert abs(got["blowup"][0] - 2.0 * math.sqrt(0.5)) < 1e-12
+    assert abs(got["wave"][0] - (math.sin(20.0) - math.sin(10.0)) / 20.0) < 1e-13
+    # the midpoint rides with the plain form in the call for levels 0-3
+    n = len(_fused_nodes()[0])
+    assert plain[0] == n + 1 and offset[0] == n
+    assert len(plain) == len(offset) > 1
+
+
+def _bad_after_level_three(fn):
+    # non-finite at the first level-4 node of the lower half, fine elsewhere
+    _, d_near = _nodes(4)
+    bad_x = 0.5 * d_near[0]
+    return lambda x: np.where(x == bad_x, np.inf, fn(x))
+
+
+def test_nonfinite_value_in_a_stopped_row_is_ignored():
+    sqrt_bad = _bad_after_level_three(np.sqrt)
+    # alone, the row stops at level 3 and never sees the bad node
+    alone = integrate(Integrand(sqrt_bad, 0.0, 1.0))
+    got = integrate(_table({"sqrt": sqrt_bad, "cos": _STOPS["cos"][1]}))
+    assert got["sqrt"] == alone == integrate(Integrand(np.sqrt, 0.0, 1.0))
+
+
+def test_nonfinite_value_in_an_active_row_raises():
+    cos_bad = _bad_after_level_three(_STOPS["cos"][1])
+    with pytest.raises(DomainError):
+        integrate(Integrand(cos_bad, 0.0, 1.0))
+    with pytest.raises(DomainError):
+        integrate(_table({"sqrt": np.sqrt, "cos": cos_bad}))
+
+
+def test_one_unconverged_row_raises_non_convergence():
+    rows = {"sqrt": np.sqrt, "rough": _rough, "cos": _STOPS["cos"][1]}
+    with pytest.raises(NonConvergence, match="rough"):
+        integrate(_table(rows), QuadConfig(max_level=6))
+    with pytest.raises(NonConvergence, match="rough"):
+        integrate_tail(Integrand(lambda t: (1.0 / t ** 2, _rough(1.0 / t) / t ** 2), 1.0, math.inf,
+                                 names=("square", "rough")), QuadConfig(max_level=6))
+
+
+def test_wrong_row_count_raises_type_error():
+    with pytest.raises(TypeError):
+        integrate(Integrand(lambda x: (x, x, x), 0.0, 1.0, names=("a", "b")))
+    with pytest.raises(TypeError):
+        integrate(Integrand(lambda x: x, 0.0, 1.0, names=("a", "b")))
+    with pytest.raises(TypeError):
+        integrate(Integrand(lambda x: (x, x), 0.0, 1.0))
+    with pytest.raises(TypeError):
+        integrate(Integrand(lambda x: (x, 1.0), 0.0, 1.0, names=("a", "b")))
+
+
+def test_table_row_names_are_distinct():
+    with pytest.raises(ValueError):
+        Integrand(lambda x: (x, x), 0.0, 1.0, names=("a", "a"))

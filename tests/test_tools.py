@@ -1,13 +1,21 @@
-"""Tests for the digest comparison script in tools/."""
+"""Tests for the digest comparison and benchmark pairing scripts in tools/."""
 
 import importlib.util
 import io
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "digest_diff.py"
-_spec = importlib.util.spec_from_file_location("digest_diff", _PATH)
-digest_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest_diff)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digest_diff = _load("digest_diff")
+bench_pairs = _load("bench_pairs")
 
 
 def _diff(a: str, b: str):
@@ -57,3 +65,51 @@ def test_integer_or_text_changes_fail():
     assert _diff("a 1.0\n", "a 1.0 2.0\n")[0] == 1
     assert _diff("a 1.0\n", "a 1.0\nb\n")[0] == 1
     assert _diff("a nan\n", "a 1.0\n")[0] == 1
+
+
+def _analyze_record(wdiff):
+    return ("## msindex analyze --family H --a 0.3 --json\n{\n"
+            '  "degenerate": false,\n'
+            '  "eig_wdiff": [\n' + ",\n".join("    %r" % x for x in wdiff) + "\n  ],\n"
+            '  "tau_asymmetry": 1.25e-16\n}\n## exit 0\n')
+
+
+def test_eigenvalue_lines_are_scaled_by_their_spectrum():
+    a = _analyze_record([17.5, 1.5e-14, -1.75])
+    # a kernel eigenvalue moves by its own size, a diagnostic by half of its own
+    b = _analyze_record([17.5, 3e-14, -1.75]).replace("1.25e-16", "2.5e-16")
+    code, out = _diff(a, b)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "+     3e-14,"
+    assert lines[3] == "  max deviation 1.500e-14, relative 8.571e-16 of max|eig| 1.750e+01"
+    # other lines keep their own size as the scale
+    assert lines[6] == "  max deviation 1.250e-16, relative 5.000e-01"
+    assert lines[-1] == ("2 differing lines, largest numeric deviation "
+                         "1.500e-14, relative 5.000e-01")
+    # the exact-integer rule is unchanged inside a record
+    assert _diff(a, a.replace("false", "true"))[0] == 1
+
+
+def _run(workload, seed, side, wall, rss=None):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return {"workload": workload, "trace": 0, "seed": seed, "side": side,
+            "pair_runs_first": "parent", "result": {"metrics": metrics}}
+
+
+def test_bench_summary_pairs_runs_by_seed():
+    runs = [_run("w", 1, "parent", 1.0, 40.0), _run("w", 1, "change", 0.5, 41.0),
+            _run("w", 2, "change", 0.9, 42.0), _run("w", 2, "parent", 0.8, 40.0),
+            _run("w", 3, "parent", 0.7, 40.0), _run("w", 3, "change", 0.6),
+            # an unpaired run is left out
+            _run("w", 4, "parent", 9.0, 99.0)]
+    summary = bench_pairs.summarize(runs)
+    assert list(summary) == ["w --trace 0 (3 pairs)"]
+    wall = summary["w --trace 0 (3 pairs)"]["wall_s"]
+    assert wall["parent_median"] == 0.8 and wall["change_median"] == 0.6
+    assert abs(wall["rel_change"] + 0.25) < 1e-15
+    assert wall["pairs_change_lower"] == 2
+    # a missing value drops its pair from that metric only
+    rss = summary["w --trace 0 (3 pairs)"]["peak_rss_mb"]
+    assert rss["parent_median"] == 40.0 and rss["change_median"] == 41.5
+    assert rss["pairs_change_lower"] == 0

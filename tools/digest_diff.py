@@ -5,8 +5,12 @@ Each line that differs is printed under the ``## msindex ...`` header
 of its block, the line from A prefixed with ``-`` and the line from B
 with ``+``, followed by the largest absolute deviation between its
 floating-point numbers and the largest relative one, |x - y| divided by
-max(|x|, |y|).  The last line gives the number of differing lines and
-the largest absolute and relative deviations over all of them.
+max(|x|, |y|).  An eigenvalue line, one number of an ``"eig_..."``
+array of an ``analyze --json`` record, is divided by that spectrum's
+largest |value| in either file instead, so that a structural zero of
+Wdiff that moves by its own size reads as the small change it is
+against its matrix.  The last line gives the number of differing lines
+and the largest absolute and relative deviations over all of them.
 
 A floating-point number is a literal with a decimal point or an
 exponent, or inf/nan.  Everything else, including integers such as
@@ -28,9 +32,31 @@ _FLOAT = re.compile(
     r"|\binf\b|\bnan\b))")
 
 
-def _deviation(a: str, b: str):
+# the opening line of a spectrum in analyze --json output
+_EIG_OPEN = re.compile(r'^\s*"eig_\w+": \[$')
+
+
+def _eigen_scales(lines: list) -> dict:
+    """Line index -> largest |value| of its spectrum, for eigenvalue lines."""
+    scales = {}
+    members = None
+    for i, line in enumerate(lines):
+        if members is None:
+            if _EIG_OPEN.match(line):
+                members = {}
+        elif line.strip().startswith("]"):
+            scale = max(members.values(), default=0.0)
+            scales.update(dict.fromkeys(members, scale))
+            members = None
+        else:
+            members[i] = max((abs(float(x)) for x in _FLOAT.findall(line)), default=0.0)
+    return scales
+
+
+def _deviation(a: str, b: str, scale: float = 0.0):
     """Largest absolute and relative float deviations, or None if other
-    text differs."""
+    text differs.  A positive scale replaces max(|x|, |y|) as the
+    denominator of the relative one."""
     ta, tb = _FLOAT.split(a), _FLOAT.split(b)
     if len(ta) != len(tb) or ta[0::2] != tb[0::2]:
         return None
@@ -44,7 +70,7 @@ def _deviation(a: str, b: str):
             return None
         worst = max(worst, dev)
         if dev > 0.0:
-            worst_rel = max(worst_rel, dev / max(abs(fx), abs(fy)))
+            worst_rel = max(worst_rel, dev / (scale or max(abs(fx), abs(fy))))
     return worst, worst_rel
 
 
@@ -54,11 +80,12 @@ def diff(lines_a: list, lines_b: list, out) -> int:
     if len(lines_a) != len(lines_b):
         out.write("line counts differ: %d vs %d\n" % (len(lines_a), len(lines_b)))
         status = 1
+    scales_a, scales_b = _eigen_scales(lines_a), _eigen_scales(lines_b)
     header = None
     shown = None
     count = 0
     worst = worst_rel = 0.0
-    for a, b in zip(lines_a, lines_b):
+    for i, (a, b) in enumerate(zip(lines_a, lines_b)):
         if a.startswith("## ") and a == b:
             header = a
         if a == b:
@@ -68,12 +95,18 @@ def diff(lines_a: list, lines_b: list, out) -> int:
             out.write("%s\n" % header)
             shown = header
         out.write("- %s\n+ %s\n" % (a, b))
-        dev = _deviation(a, b)
+        scale = 0.0
+        if i in scales_a and i in scales_b:
+            scale = max(scales_a[i], scales_b[i])
+        dev = _deviation(a, b, scale)
         if dev is None:
             out.write("  non-numeric difference\n")
             status = 1
         else:
-            out.write("  max deviation %.3e, relative %.3e\n" % dev)
+            if scale:
+                out.write("  max deviation %.3e, relative %.3e of max|eig| %.3e\n" % (dev + (scale,)))
+            else:
+                out.write("  max deviation %.3e, relative %.3e\n" % dev)
             worst = max(worst, dev[0])
             worst_rel = max(worst_rel, dev[1])
     out.write("%d differing lines, largest numeric deviation %.3e, "
