@@ -162,13 +162,17 @@ class QuadConfig:
             raise ValueError("abs_floor must be positive")
 
 
+def _as_rows(out) -> np.ndarray:
+    """A form's value as a float array; rows of unequal shapes raise TypeError."""
+    try:
+        return np.asarray(out, dtype=float)
+    except ValueError as exc:
+        raise TypeError(f"integrand rows must each map the node array: {exc}") from exc
+
+
 def _apply(f: Integrand, fn: Callable, arg: np.ndarray) -> np.ndarray:
     """fn (a form of f) at the nodes arg, as a (rows, nodes) array."""
-    out = fn(arg)
-    try:
-        out = np.asarray(out, dtype=float)
-    except ValueError as exc:  # rows of unequal shapes
-        raise TypeError(f"integrand rows must each map the node array: {exc}") from exc
+    out = _as_rows(fn(arg))
     want = (len(f.names), len(arg)) if f.names else arg.shape
     if out.shape != want:
         raise TypeError(
@@ -289,7 +293,7 @@ def integrate_tail(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
 
     def folded(u):
         t = 1.0 / u
-        return np.asarray(ev(t)) / (u * u)
+        return _as_rows(ev(t)) / (u * u)
 
     folded_from_hi = None
     if f.from_lo is not None:
@@ -297,7 +301,7 @@ def integrate_tail(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
 
         def folded_from_hi(sigma):
             r = 1.0 - sigma
-            return np.asarray(base(sigma / r)) / (r * r)
+            return _as_rows(base(sigma / r)) / (r * r)
 
     inner = Integrand(
         evaluator=folded,

@@ -376,6 +376,10 @@ def test_wrong_row_count_raises_type_error():
         integrate(Integrand(lambda x: (x, x), 0.0, 1.0))
     with pytest.raises(TypeError):
         integrate(Integrand(lambda x: (x, 1.0), 0.0, 1.0, names=("a", "b")))
+    with pytest.raises(TypeError):
+        integrate_tail(Integrand(lambda t: (t ** -2, 1.0), 1.0, math.inf, names=("a", "b")))
+    with pytest.raises(TypeError):
+        integrate_tail(Integrand(lambda t: (t ** -2,) * 3, 1.0, math.inf, names=("a", "b")))
 
 
 def test_table_row_names_are_distinct():

@@ -2,7 +2,12 @@
 
 import importlib.util
 import io
+import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -113,3 +118,31 @@ def test_bench_summary_pairs_runs_by_seed():
     rss = summary["w --trace 0 (3 pairs)"]["peak_rss_mb"]
     assert rss["parent_median"] == 40.0 and rss["change_median"] == 41.5
     assert rss["pairs_change_lower"] == 0
+    # a second run of one side with a seed already used is refused, not overwritten
+    with pytest.raises(ValueError, match="two change runs of w --trace 0 with seed 2"):
+        bench_pairs.summarize(runs + [_run("w", 2, "change", 0.1)])
+    # the same seed in another workload is a separate pair
+    assert "v --trace 0 (1 pairs)" in bench_pairs.summarize(
+        runs + [_run("v", 2, "change", 0.1), _run("v", 2, "parent", 0.2)])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_refuses_to_extend_a_file_it_would_corrupt(tmp_path):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    rev = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                         text=True).stdout.strip()
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"parent": rev, "runs": [_run("w", 3, "parent", 1.0)]}))
+    args = [str(parent), str(tmp_path / "missing"), "--workload", "w", "--out", str(out)]
+    # each refusal comes before any run, so no perfbench is needed
+    with pytest.raises(SystemExit, match=r"w --trace 0 runs with seeds \[3\]"):
+        bench_pairs.main(args + ["--pairs", "2", "--seed", "2"])
+    out.write_text(json.dumps({"parent": "0" * 40, "runs": []}))
+    with pytest.raises(SystemExit, match="records parent 0000"):
+        bench_pairs.main(args + ["--pairs", "1"])
+    with pytest.raises(SystemExit, match="cannot read the revision"):
+        bench_pairs.main([str(tmp_path)] + args[1:] + ["--pairs", "1"])

@@ -15,10 +15,13 @@ a drift of the host speed falls on both sides alike.  A failed run
 stops the script.
 
 FILE is written in the layout of the repository's ``BENCH_<n>.json``:
-the command, the parent revision, the ``# machine`` line, a summary of
-medians per workload and trace setting, and every run's result line.
-If FILE exists, its runs are kept and the new ones added, so one file
-can collect several workloads and trace settings.
+the command, the parent revision (``git rev-parse HEAD`` in PARENT_DIR),
+the ``# machine`` line, a summary of medians per workload and trace
+setting, and every run's result line.  If FILE exists, its runs are kept
+and the new ones added, so one file can collect several workloads and
+trace settings; the script stops if FILE records another parent or
+already holds a run of this workload and trace setting with one of the
+new seeds.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ def _machine_without_seed(line: str) -> str:
 
 
 def summarize(runs: list) -> dict:
-    """Medians per (workload, trace) group and metric, parent against change."""
+    """Medians per (workload, trace) group and metric, parent against change.
+
+    Runs pair up by seed; a second run of one side with the same seed
+    raises ValueError.
+    """
     groups: dict = {}
     for run in runs:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
@@ -63,7 +70,11 @@ def summarize(runs: list) -> dict:
     for (workload, trace), group in groups.items():
         by_seed: dict = {}
         for run in group:
-            by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
+            pair = by_seed.setdefault(run["seed"], {})
+            if run["side"] in pair:
+                raise ValueError("two %s runs of %s --trace %d with seed %d"
+                                 % (run["side"], workload, trace, run["seed"]))
+            pair[run["side"]] = run["result"]["metrics"]
         pairs = [p for p in by_seed.values() if len(p) == 2]
         names = [n for n in pairs[0]["parent"] if n in pairs[0]["change"]] if pairs else []
         table = {}
@@ -93,24 +104,30 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--parent-rev", default=None,
-                    help="revision of PARENT_DIR (default: git rev-parse HEAD there)")
     ap.add_argument("--host", default="not described",
                     help="a description of the machine, kept in FILE")
     args = ap.parse_args(argv)
 
-    rev = args.parent_rev
-    if rev is None:
-        git = subprocess.run(["git", "-C", str(args.parent_dir), "rev-parse", "HEAD"],
-                             capture_output=True, text=True)
-        rev = git.stdout.strip() if git.returncode == 0 else "unknown"
+    git = subprocess.run(["git", "-C", str(args.parent_dir), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    if git.returncode != 0:
+        raise SystemExit("cannot read the revision of %s:\n%s" % (args.parent_dir, git.stderr))
+    rev = git.stdout.strip()
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
            else {"what": WHAT, "script": SCRIPT, "parent": rev, "machine": None,
                  "host": args.host, "summary": {}, "runs": []})
+    if doc["parent"] != rev:
+        raise SystemExit("%s records parent %s, but %s is at %s"
+                         % (args.out, doc["parent"], args.parent_dir, rev))
+    seeds = range(args.seed, args.seed + args.pairs)
+    taken = sorted({run["seed"] for run in doc["runs"] if run["seed"] in seeds
+                    and (run["workload"], run["trace"]) == (args.workload, args.trace)})
+    if taken:
+        raise SystemExit("%s already has %s --trace %d runs with seeds %s"
+                         % (args.out, args.workload, args.trace, taken))
     seconds = json.loads((args.change_dir / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent_dir, "change": args.change_dir}
-    for i in range(args.pairs):
-        seed = args.seed + i
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             machine, result = run_once(sides[side], args.workload, seed, seconds, args.trace)
