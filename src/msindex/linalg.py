@@ -5,8 +5,9 @@ pipeline produces and raises typed errors instead of returning garbage:
 input holding inf or nan is refused up front, and every tolerance test
 is written so that a nan fails it.  Eigenvalues of Hermitian matrices
 come from LAPACK ``eigvalsh`` (through numpy.linalg), which takes
-complex Hermitian input directly; linear systems are solved by
-Gaussian elimination with partial pivoting.
+complex Hermitian input directly; linear systems are solved by LAPACK
+``gesv`` (LU with partial pivoting, through ``numpy.linalg.solve``),
+guarded by a singularity test and a residual check of its own.
 """
 
 from __future__ import annotations
@@ -58,10 +59,15 @@ def frobenius(m) -> float:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a X = b by Gaussian elimination with partial pivoting.
+    """Solve a X = b by LAPACK ``gesv``, LU with partial pivoting.
 
-    Refuses non-finite input and near-singular systems (tiny pivot) and
-    verifies the residual of the computed solution.
+    Refuses non-finite input and near-singular systems and verifies the
+    residual of the computed solution.  The singularity test is at
+    least as strict as refusing an elimination pivot below
+    _PIVOT_TOL * |a|: with the unit lower factor's |l_ij| <= 1,
+    sigma_min(a) <= sqrt(n (n + 1) / 2) * min |u_kk|, and the same gesv
+    call yields a^-1, whose Frobenius norm bounds sigma_min from below
+    by 1 / |a^-1|.
     """
     aa = _as_square(a, "coefficient matrix")
     bb = np.asarray(b)
@@ -73,26 +79,21 @@ def solve(a, b) -> np.ndarray:
     _require_finite(aa, "coefficient matrix")
     _require_finite(bb, "rhs")
 
-    n = aa.shape[0]
-    dtype = np.result_type(aa.dtype, bb.dtype, float)
-    aug = np.hstack([aa.astype(dtype), bb.astype(dtype)])
+    n, k = bb.shape
     scale = frobenius(aa)
     if scale == 0.0:
         raise SingularMatrix("zero coefficient matrix")
-
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if not (abs(pivot) >= _PIVOT_TOL * scale):
-            raise SingularMatrix(f"pivot {abs(pivot):.3e} below {_PIVOT_TOL:.0e} * norm")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        factors = aug[col + 1:, col] / aug[col, col]
-        aug[col + 1:, col:] -= factors[:, None] * aug[col, col:]
-
-    x = np.zeros((n, bb.shape[1]), dtype=dtype)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, n:] - aug[row, row + 1:n] @ x[row + 1:]) / aug[row, row]
+    try:
+        sol = np.linalg.solve(aa, np.hstack([bb, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"gesv: {exc}") from exc
+    x = sol[:, :k]
+    sigma_min_lower = 1.0 / frobenius(sol[:, k:])
+    bound = math.sqrt(0.5 * n * (n + 1)) * _PIVOT_TOL * scale
+    if not (sigma_min_lower >= bound):
+        raise SingularMatrix(
+            f"smallest singular value may be below {bound / scale:.1e} * norm "
+            f"(1/|a^-1| = {sigma_min_lower:.3e})")
 
     resid = frobenius(aa @ x - bb)
     rhs_norm = frobenius(bb)
@@ -130,12 +131,14 @@ def eig_selfadjoint(m) -> EigenResult:
         raise DimensionMismatch(f"unsupported size {a.shape[0]}, expected one of {_ALLOWED_SIZES}")
     _require_finite(a, "matrix")
     scale = frobenius(a)
-    defect = frobenius(a - a.conj().T)
+    complex_input = np.iscomplexobj(a)
+    adjoint = a.conj().T if complex_input else a.T
+    defect = frobenius(a - adjoint)
     if not (defect <= _HERMITIAN_DEFECT_TOL * max(scale, 1e-300)):
         raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}")
-    sym = 0.5 * (a + a.conj().T)
-    if not np.any(np.imag(sym) != 0.0):
-        sym = np.real(sym)
+    sym = 0.5 * (a + adjoint)
+    if complex_input and not np.any(sym.imag != 0.0):
+        sym = sym.real
     try:
         ascending = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:

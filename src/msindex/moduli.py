@@ -29,29 +29,33 @@ _EXPECTED_KERNEL = 8
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Nine 3x6 period derivatives; key_matrices splits each into 3x3 halves."""
+    """Nine 3x6 period derivatives as one read-only (9, 3, 6) array;
+    key_matrices splits each into 3x3 halves."""
 
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
 
 
-_ROT_GENERATORS = (
-    np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
-)
+# generators of the three rotations of the lattice, stacked (3, 3, 3)
+_ROT_GENERATORS = np.array([
+    [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+])
 
 
 def tangent_frame(frame: PeriodFrame, defo: families.DeformationData) -> TangentFrame:
-    """Assemble the nine tangent directions of the deformation space."""
-    mats = [
-        0.5 * (defo.p1 @ defo.p_ai(pt) @ defo.p2 @ frame.omega)
-        for pt in defo.points
-    ]
-    top = frame.omega[:3, :].copy()
-    mats.append(top)
-    for g in _ROT_GENERATORS:
-        mats.append(g @ top)
-    return TangentFrame(mats=tuple(mats))
+    """Assemble the nine tangent directions of the deformation space:
+    five branch-point motions, then the lattice motion and its three
+    rotations."""
+    p_ai = np.stack([defo.p_ai(pt) for pt in defo.points])
+    top = frame.omega[:3, :]
+    mats = np.concatenate([
+        0.5 * (defo.p1 @ p_ai @ defo.p2 @ frame.omega),
+        top[None],
+        _ROT_GENERATORS @ top,
+    ])
+    mats.flags.writeable = False
+    return TangentFrame(mats=mats)
 
 
 def eta(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> complex:
@@ -90,8 +94,8 @@ def key_matrices(tf: TangentFrame, tau: np.ndarray) -> KeyMatrices:
     with K tau; the second batch applies the same projection to the
     direction rotated by i.
     """
-    cs = np.stack([tf.mats[k][:, :3] for k in range(9)])
-    ds = np.stack([tf.mats[k][:, 3:] for k in range(9)])
+    cs = np.ascontiguousarray(tf.mats[:, :, :3])
+    ds = np.ascontiguousarray(tf.mats[:, :, 3:])
 
     w = _pair_all(cs, ds)
     defect = linalg.frobenius(w - w.conj().T)

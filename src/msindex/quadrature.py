@@ -26,17 +26,19 @@ that share the interval and the forms; its forms return k rows, shape
 (k, n), and compute the subexpressions the rows share once per call.
 A single integrand is the table of one unnamed row.
 
-The stopping test first runs at level 3, so levels 0-3 are always
-needed; their nodes form one cached block.  Each distinct form is
-called once per level on the nodes of every side that uses it: a table
-without offset forms is evaluated on both halves of levels 0-3 and the
-midpoint in a single call, and on both halves of each later level in
-one more.  Each row keeps its own trapezoid sum, one dot product per
-side per level over its slice of the block, and its own stopping
-level, so every row's (value, err) is bit for bit what integrating it
-alone level by level gives.  A row that has stopped is no longer read:
-a non-finite value it produces at a later level is ignored, while one
-in a row still being refined raises DomainError.
+The stopping test first runs at level 3, and most integrals in this
+package stop at level 4 or 5, so the nodes of levels 0-5 form one
+cached block.  Each distinct form is called once on the nodes of every
+side that uses it for that block, and once more for each later level:
+a table without offset forms is evaluated on both halves of levels 0-5
+and the midpoint in a single call.  Each row keeps its own trapezoid
+sum and its own stopping level; the rows still active at a level are
+summed in one stacked dot product per side, which runs each row
+through the same BLAS dot as ``np.dot``, so every row's (value, err)
+is bit for bit what integrating it alone level by level gives.  A row
+that has stopped is no longer read: a non-finite value it produces at
+a later level, inside the block or after it, is ignored, while one in
+a row still being refined raises DomainError.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ from .errors import DomainError, NonConvergence
 # inverse-square-root blowup, and every intermediate stays finite.
 _T_MAX = 4.85
 
-# The first level at which the stopping test runs; every level up to
-# and including it is evaluated in one block.
+# The first level at which the stopping test runs.
 _FIRST_TEST_LEVEL = 3
+
+# Levels 0 .. _FUSED_LEVEL are evaluated in one block, 155 nodes per side.
+_FUSED_LEVEL = 5
 
 # (value, err_estimate) of one integrand, or of each named row of a table
 Result = Union[tuple[float, float], dict[str, tuple[float, float]]]
@@ -87,12 +91,12 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _fused_nodes() -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice], ...]]:
-    """The distances of levels 0 .. _FIRST_TEST_LEVEL in one array.
+    """The distances of levels 0 .. _FUSED_LEVEL in one array.
 
     Returns (d_near, levels) where levels[k] = (w, sl) holds the
     weights of level k and the slice of d_near that carries its nodes.
     """
-    parts = [_nodes(level) for level in range(_FIRST_TEST_LEVEL + 1)]
+    parts = [_nodes(level) for level in range(_FUSED_LEVEL + 1)]
     levels = []
     start = 0
     for w, d in parts:
@@ -182,15 +186,15 @@ def _apply(f: Integrand, fn: Callable, arg: np.ndarray) -> np.ndarray:
     return out.reshape(-1, len(arg))
 
 
-def _sides(f: Integrand, half: float, d_near: np.ndarray, active: Optional[list] = None,
+def _sides(f: Integrand, half: float, d_near: np.ndarray,
            mid: Optional[float] = None) -> list[np.ndarray]:
     """Evaluate f at the distances half * d_near from each endpoint, and at mid.
 
     Returns [hi_vals, lo_vals] (and the midpoint column if mid is given),
     each of shape (rows, nodes).  An offset form is called on its own
     side; the evaluator is called once, on the nodes of every other
-    part.  A non-finite value in an active row (every row when active
-    is None) raises DomainError; the other rows are not read.
+    part.  The values are not checked here: integrate reads each level
+    of a row only while the row is active, and checks what it reads.
     """
     s = half * d_near
     xs = [f.hi - s, f.lo + s] + ([np.array([mid])] if mid is not None else [])
@@ -206,18 +210,33 @@ def _sides(f: Integrand, half: float, d_near: np.ndarray, active: Optional[list]
         for i in parts:
             blocks[i] = vals[:, start:start + len(xs[i])]
             start += len(xs[i])
-        if not np.isfinite(vals).all():
-            for i in parts:
-                rows = blocks[i] if active is None else blocks[i][active]
-                bad = ~np.isfinite(rows).all(axis=0)
-                if bad.any():
-                    raise DomainError(
-                        f"integrand returned a non-finite value near x = {float(xs[i][bad][0])!r}")
     return blocks
 
 
-def _level_sum(w: np.ndarray, hi_vals: np.ndarray, lo_vals: np.ndarray) -> float:
-    return float(np.dot(w, hi_vals)) + float(np.dot(w, lo_vals))
+def _level_sums(w: np.ndarray, hi_vals: np.ndarray, lo_vals: np.ndarray) -> np.ndarray:
+    """Each row's weighted sum over both sides, one stacked dot product per side.
+
+    (k, 1, n) @ (n, 1) runs every row through the same BLAS dot as
+    np.dot(w, row), so each sum is bit for bit the one-row sum.
+    """
+    col = w[:, None]
+    return (hi_vals[:, None, :] @ col)[:, 0, 0] + (lo_vals[:, None, :] @ col)[:, 0, 0]
+
+
+def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray,
+                     parts: tuple[np.ndarray, ...]) -> None:
+    """Raise DomainError at the first node where a row of parts is not finite.
+
+    parts are the hi and lo values (and the midpoint column) of the
+    rows being read.  Returns if every value is finite: a sum that
+    overflowed is not a domain error.
+    """
+    s = half * d_near
+    for vals, x in zip(parts, (f.hi - s, f.lo + s, [f.lo + half])):
+        bad = ~np.isfinite(vals).all(axis=0)
+        if bad.any():
+            raise DomainError(
+                f"integrand returned a non-finite value near x = {float(np.asarray(x)[bad][0])!r}")
 
 
 def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
@@ -236,45 +255,54 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
     if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
-    rows = range(len(f.names) or 1)
+    tol, floor = config.target_rel_tol, config.abs_floor
 
     # Overflow in intermediates is tolerated (a blown-up radicand under
-    # a square root yields a clean zero); non-finite results are still
-    # rejected by _sides.
+    # a square root yields a clean zero); a non-finite value in a row
+    # being read is still rejected.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         d_fused, fused = _fused_nodes()
-        hi_vals, lo_vals, centre = _sides(f, half, d_fused, mid=lo + half)
+        hi_block, lo_block, centre = _sides(f, half, d_fused, mid=lo + half)
         w, sl = fused[0]
-        trapezoid = [_level_sum(w, hi_vals[r, sl], lo_vals[r, sl])
-                     + 0.5 * math.pi * float(centre[r, 0]) for r in rows]
-        value = [half * t for t in trapezoid]
-        err = [math.inf] * len(rows)
-        active = list(rows)
+        hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
+        # a non-finite value makes its row's sum non-finite, so the
+        # values are searched only when a sum is
+        trapezoid = _level_sums(w, hi_vals, lo_vals) + 0.5 * math.pi * centre[:, 0]
+        if not np.isfinite(trapezoid).all():
+            _raise_nonfinite(f, half, d_fused[sl], (hi_vals, lo_vals, centre))
+        value = half * trapezoid
+        n_rows = len(value)
+        err = np.full(n_rows, math.inf)
+        active = np.arange(n_rows)
         for level in range(1, config.max_level + 1):
-            if level <= _FIRST_TEST_LEVEL:
+            if level <= _FUSED_LEVEL:
                 w, sl = fused[level]
+                d_near = d_fused[sl]
+                hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
             else:
                 w, d_near = _nodes(level)
-                hi_vals, lo_vals = _sides(f, half, d_near, active)
-                sl = slice(None)
-            step = 0.5 ** level
-            for r in active:
-                term = _level_sum(w, hi_vals[r, sl], lo_vals[r, sl])
-                trapezoid[r] = 0.5 * trapezoid[r] + step * term
-                new_value = half * trapezoid[r]
-                err[r] = abs(new_value - value[r])
-                value[r] = new_value
+                hi_vals, lo_vals = _sides(f, half, d_near)
+            if len(active) < n_rows:
+                hi_vals, lo_vals = hi_vals[active], lo_vals[active]
+            term = _level_sums(w, hi_vals, lo_vals)
+            if not np.isfinite(term).all():
+                _raise_nonfinite(f, half, d_near, (hi_vals, lo_vals))
+            t = 0.5 * trapezoid[active] + 0.5 ** level * term
+            new_value = half * t
+            err[active] = np.abs(new_value - value[active])
+            trapezoid[active] = t
+            value[active] = new_value
             if level >= _FIRST_TEST_LEVEL:
-                tol, floor = config.target_rel_tol, config.abs_floor
-                active = [r for r in active if not err[r] <= max(tol * abs(value[r]), floor)]
-                if not active:
-                    results = list(zip(value, err))
+                done = err[active] <= np.maximum(tol * np.abs(new_value), floor)
+                active = active[~done]
+                if not len(active):
+                    results = list(zip(value.tolist(), err.tolist()))
                     return dict(zip(f.names, results)) if f.names else results[0]
-    r = active[0]
+    r = int(active[0])
     row = f" in row {f.names[r]!r}" if f.names else ""
     raise NonConvergence(
         f"tanh-sinh did not reach tolerance by level {config.max_level}{row}: "
-        f"value {value[r]!r}, last change {err[r]!r}"
+        f"value {float(value[r])!r}, last change {float(err[r])!r}"
     )
 
 

@@ -61,7 +61,7 @@ class SweepConfig:
             raise DomainError("refine_tol must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSample:
     """Pipeline output at one grid point, reduced to sweep currency."""
 
@@ -78,7 +78,7 @@ class SweepSample:
         return (self.p, self.q, self.index_E)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     a_star: float
     nullity_at: int
@@ -86,7 +86,7 @@ class Transition:
     right_class: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: float
     hi: float

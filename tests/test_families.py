@@ -113,6 +113,18 @@ def test_period_frame_riemann_conditions(fam, a):
     assert min(im_eigs) > 0.0
 
 
+@pytest.mark.parametrize("fam,a", [
+    ("H", 0.01), ("H", 0.99), ("rPD", 0.01), ("rPD", 0.99),
+    ("tP", 2.1), ("tP", 40.0), ("tCLP", -1.99), ("tCLP", 1.99),
+])
+def test_period_frame_at_the_range_ends(fam, a):
+    # the linear solve for tau meets its worst-conditioned c1 here
+    p = SurfaceParam(fam, a)
+    tau = period_frame(p, integral_set(p)).tau
+    assert linalg.frobenius(tau - tau.T) <= 1e-9 * linalg.frobenius(tau)
+    assert min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T)).eigenvalues) > 0.0
+
+
 def test_identities_h_count_and_residuals():
     rows = verify_identities(SurfaceParam("H", 0.5))
     assert len(rows) == 2

@@ -296,3 +296,28 @@ def test_solve_rejects_every_small_elimination_pivot(seed, n, k, shrink):
     assume(_partial_pivot_min_ratio(a) < 1e-14)
     with pytest.raises(SingularMatrix):
         linalg.solve(a, np.ones(n))
+
+
+def test_solve_reports_lapack_singularity_as_singular_matrix(monkeypatch):
+    # an exactly zero pivot: gesv itself refuses the system
+    with pytest.raises(SingularMatrix, match="gesv"):
+        linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+    def failing(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(SingularMatrix, match="Singular matrix"):
+        linalg.solve(np.eye(3), np.ones(3))
+
+
+def test_solve_checks_the_residual_of_what_lapack_returns(monkeypatch):
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: exact(m, rhs) * (1.0 + 1e-6))
+    with pytest.raises(SingularMatrix, match="residual"):
+        linalg.solve(a, b)
+    # a perturbation within the residual tolerance passes
+    monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: exact(m, rhs) * (1.0 + 1e-13))
+    np.testing.assert_allclose(linalg.solve(a, b), exact(a, b), rtol=1e-12)

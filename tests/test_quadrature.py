@@ -1,6 +1,7 @@
 """Unit tests for the double-exponential quadrature core."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,15 +309,16 @@ def test_table_rows_equal_their_one_row_integrations():
     for name, (level, fn) in _STOPS.items():
         calls = []
         single = integrate(Integrand(_counted(fn, calls), 0.0, 1.0))
-        # one call for levels 0-3 and the midpoint, one per later level
-        assert len(calls) == 1 + level - 3, name
+        # one call for levels 0-5 and the midpoint, one per later level
+        assert len(calls) == 1 + max(0, level - 5), name
         assert calls[0] == 2 * len(_fused_nodes()[0]) + 1
+        assert calls[1:] == [2 * len(_nodes(k)[1]) for k in range(6, level + 1)]
         got = integrate(_table(rows))[name]
         assert got[0] == single[0] and got[1] == single[1], name
     calls = []
     integrate(_table({name: _counted(fn, calls) for name, fn in rows.items()}))
-    # the table is called once per level; the rows in each call
-    assert len(calls) == 3 * (1 + 6 - 3)
+    # the table is called for the block and for level 6; the rows in each call
+    assert len(calls) == 3 * 2
 
 
 def test_table_with_offset_forms_calls_each_form_once_per_level():
@@ -329,21 +331,35 @@ def test_table_with_offset_forms_calls_each_form_once_per_level():
     got = integrate(f)
     assert abs(got["blowup"][0] - 2.0 * math.sqrt(0.5)) < 1e-12
     assert abs(got["wave"][0] - (math.sin(20.0) - math.sin(10.0)) / 20.0) < 1e-13
-    # the midpoint rides with the plain form in the call for levels 0-3
+    # the midpoint rides with the plain form in the call for levels 0-5,
+    # and both rows stop inside the block
     n = len(_fused_nodes()[0])
-    assert plain[0] == n + 1 and offset[0] == n
-    assert len(plain) == len(offset) > 1
+    assert plain == [n + 1] and offset == [n]
+
+    # a narrow bump stops at level 7: one more call per form per level
+    plain.clear()
+    offset.clear()
+    bump = lambda x: 1.0 / (1.0 + 400.0 * (x - 0.75) ** 2)  # noqa: E731
+    f = Integrand(
+        _counted(lambda x: (1.0 / np.sqrt(1.0 - x), bump(x)), plain), 0.5, 1.0,
+        singular_hi=True, names=("blowup", "bump"),
+        from_hi=_counted(lambda s: (1.0 / np.sqrt(s), bump(1.0 - s)), offset),
+    )
+    got = integrate(f)
+    assert abs(got["bump"][0] - math.atan(5.0) / 10.0) < 1e-13
+    later = [len(_nodes(k)[1]) for k in (6, 7)]
+    assert plain == [n + 1] + later and offset == [n] + later
 
 
-def _bad_after_level_three(fn):
-    # non-finite at the first level-4 node of the lower half, fine elsewhere
-    _, d_near = _nodes(4)
-    bad_x = 0.5 * d_near[0]
-    return lambda x: np.where(x == bad_x, np.inf, fn(x))
+def _bad_at(level, fn, upper=False):
+    # non-finite at the first node of that level in one half, fine elsewhere
+    _, d_near = _nodes(level)
+    bad_x = float(1.0 - 0.5 * d_near[0] if upper else 0.5 * d_near[0])
+    return bad_x, lambda x: np.where(x == bad_x, np.inf, fn(x))
 
 
 def test_nonfinite_value_in_a_stopped_row_is_ignored():
-    sqrt_bad = _bad_after_level_three(np.sqrt)
+    _, sqrt_bad = _bad_at(4, np.sqrt)
     # alone, the row stops at level 3 and never sees the bad node
     alone = integrate(Integrand(sqrt_bad, 0.0, 1.0))
     got = integrate(_table({"sqrt": sqrt_bad, "cos": _STOPS["cos"][1]}))
@@ -351,11 +367,40 @@ def test_nonfinite_value_in_a_stopped_row_is_ignored():
 
 
 def test_nonfinite_value_in_an_active_row_raises():
-    cos_bad = _bad_after_level_three(_STOPS["cos"][1])
+    _, cos_bad = _bad_at(4, _STOPS["cos"][1])
     with pytest.raises(DomainError):
         integrate(Integrand(cos_bad, 0.0, 1.0))
     with pytest.raises(DomainError):
         integrate(_table({"sqrt": np.sqrt, "cos": cos_bad}))
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_nonfinite_value_in_the_block_after_the_table_stopped_is_ignored(level):
+    # every row stops at level 3; the block still evaluates levels 4 and 5
+    mirror = lambda x: np.sqrt(1.0 - x)  # noqa: E731
+    _, sqrt_bad = _bad_at(level, np.sqrt)
+    _, mirror_bad = _bad_at(level, mirror, upper=True)
+    assert integrate(Integrand(sqrt_bad, 0.0, 1.0)) == integrate(Integrand(np.sqrt, 0.0, 1.0))
+    got = integrate(_table({"sqrt": sqrt_bad, "mirror": mirror_bad}))
+    assert got == integrate(_table({"sqrt": np.sqrt, "mirror": mirror}))
+
+
+def test_nonfinite_value_at_level_five_in_a_stopped_row_is_ignored():
+    # the sqrt row stops at level 3 while the cos row reads level 5
+    _, sqrt_bad = _bad_at(5, np.sqrt)
+    cos = _STOPS["cos"][1]
+    got = integrate(_table({"sqrt": sqrt_bad, "cos": cos}))
+    assert got == integrate(_table({"sqrt": np.sqrt, "cos": cos}))
+
+
+@pytest.mark.parametrize("level, upper", [(4, False), (5, True), (6, False)])
+def test_nonfinite_value_in_an_active_row_names_its_node(level, upper):
+    bad_x, bump_bad = _bad_at(level, _STOPS["bump"][1], upper)
+    where = re.escape(f"near x = {bad_x!r}")
+    with pytest.raises(DomainError, match=where):
+        integrate(Integrand(bump_bad, 0.0, 1.0))
+    with pytest.raises(DomainError, match=where):
+        integrate(_table({"sqrt": np.sqrt, "bump": bump_bad}))
 
 
 def test_one_unconverged_row_raises_non_convergence():

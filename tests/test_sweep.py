@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,10 @@ from msindex.families import MARGIN, SurfaceParam
 from msindex.sweep import (
     _MAX_REFINE_EVALS,
     DEFAULT_WINDOWS,
+    Interval,
     SweepConfig,
+    SweepSample,
+    Transition,
     _brent,
     classify_at,
     sweep,
@@ -240,3 +244,23 @@ def test_td_roots_mirror_tp_roots(family_sweeps):
     assert len(tp) == len(td) == 2
     for a_p, a_d in zip(tp, reversed(td)):
         assert abs(a_p + a_d) <= tol
+
+
+def test_retained_sweep_reports_are_compact():
+    # what a caller keeps per grid point of a sweep whose analyses are
+    # cached: the slotted sample, its floats, and its share of the
+    # report, transitions and intervals; about 245 B with a __dict__
+    for record in (SweepSample, Transition, Interval):
+        assert not hasattr(record(*[0] * len(record.__slots__)), "__dict__")
+    cfg = SweepConfig(a_min=0.2, a_max=0.8, steps=64)
+    sweep("H", cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [sweep("H", cfg) for _ in range(5)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    samples = sum(len(r.samples) for r in reports)
+    assert samples == 5 * 65
+    assert (after - before) / samples <= 200

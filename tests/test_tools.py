@@ -126,6 +126,34 @@ def test_bench_summary_pairs_runs_by_seed():
         runs + [_run("v", 2, "change", 0.1), _run("v", 2, "parent", 0.2)])
 
 
+def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
+    # a stand-in for perfbench/run.py that prints the lines bench_pairs reads
+    fake = tmp_path / "perfbench" / "run.py"
+    fake.parent.mkdir()
+    fake.write_text(
+        "import json\n"
+        "print('# machine {\"nproc\": 2, \"seed\": 5}')\n"
+        "print('# other_workload: 7 repetitions, closed loop')\n"
+        "print('# w: 412 repetitions, closed loop, one caller, one thread')\n"
+        "print(json.dumps({'correct': True, 'metrics': {}}))\n")
+    machine, result, reps = bench_pairs.run_once(tmp_path, "w", 5, 1.0, 0)
+    assert machine.startswith("# machine ") and result["correct"] is True
+    assert reps == 412
+    assert bench_pairs.run_once(tmp_path, "v", 5, 1.0, 0)[2] is None
+
+    runs = [dict(_run("w", seed, side, 1.0, 50.0), repetitions=count)
+            for seed, side, count in [(1, "parent", 400), (1, "change", 480),
+                                      (2, "parent", 410), (2, "change", 470),
+                                      (3, "parent", 390), (3, "change", 500)]]
+    table = bench_pairs.summarize(runs)["w --trace 0 (3 pairs)"]
+    assert table["repetitions"]["parent_median"] == 400
+    assert table["repetitions"]["change_median"] == 480
+    assert table["repetitions"]["pairs_change_lower"] == 0
+    # runs recorded without a count get no repetitions row
+    assert "repetitions" not in bench_pairs.summarize(
+        [_run("w", 1, "parent", 1.0), _run("w", 1, "change", 0.9)])["w --trace 0 (1 pairs)"]
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_bench_pairs_refuses_to_extend_a_file_it_would_corrupt(tmp_path):
     parent = tmp_path / "parent"

@@ -17,7 +17,12 @@ stops the script.
 FILE is written in the layout of the repository's ``BENCH_<n>.json``:
 the command, the parent revision (``git rev-parse HEAD`` in PARENT_DIR),
 the ``# machine`` line, a summary of medians per workload and trace
-setting, and every run's result line.  If FILE exists, its runs are kept
+setting, and every run's result line with its repetition count (from
+perfbench's ``# <workload>: N repetitions`` line).  perfbench keeps
+every repetition's outputs, so ``peak_rss_mb`` grows with the count; the
+summary gives the median count per side beside the metrics, which
+tells a change in what perfbench retains from one in the program's
+own memory.  If FILE exists, its runs are kept
 and the new ones added, so one file can collect several workloads and
 trace settings; the script stops if FILE records another parent or
 already holds a run of this workload and trace setting with one of the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -39,7 +45,8 @@ WHAT = ("perfbench end-to-end (--trace 0) and per-layer (--trace 1) results for 
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One perfbench run in root; returns (machine line, result dict)."""
+    """One perfbench run in root; returns (machine line, result dict,
+    repetition count or None if perfbench did not print it)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -48,7 +55,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
         raise SystemExit("perfbench failed in %s (exit %d):\n%s"
                          % (root, proc.returncode, proc.stderr[-2000:]))
     machine = next((line for line in lines if line.startswith("# machine ")), None)
-    return machine, json.loads(lines[-1])
+    counted = re.compile(r"# %s: (\d+) repetitions" % re.escape(workload))
+    reps = next((int(m.group(1)) for m in map(counted.match, lines) if m), None)
+    return machine, json.loads(lines[-1]), reps
 
 
 def _machine_without_seed(line: str) -> str:
@@ -61,7 +70,8 @@ def summarize(runs: list) -> dict:
     """Medians per (workload, trace) group and metric, parent against change.
 
     Runs pair up by seed; a second run of one side with the same seed
-    raises ValueError.
+    raises ValueError.  A run's repetition count is summarized as the
+    metric ``repetitions``.
     """
     groups: dict = {}
     for run in runs:
@@ -74,7 +84,8 @@ def summarize(runs: list) -> dict:
             if run["side"] in pair:
                 raise ValueError("two %s runs of %s --trace %d with seed %d"
                                  % (run["side"], workload, trace, run["seed"]))
-            pair[run["side"]] = run["result"]["metrics"]
+            pair[run["side"]] = dict(run["result"]["metrics"],
+                                     repetitions={"value": run.get("repetitions")})
         pairs = [p for p in by_seed.values() if len(p) == 2]
         names = [n for n in pairs[0]["parent"] if n in pairs[0]["change"]] if pairs else []
         table = {}
@@ -130,11 +141,13 @@ def main(argv=None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            machine, result = run_once(sides[side], args.workload, seed, seconds, args.trace)
+            machine, result, reps = run_once(sides[side], args.workload, seed, seconds,
+                                             args.trace)
             if machine is not None:
                 doc["machine"] = _machine_without_seed(machine)
             doc["runs"].append({"workload": args.workload, "trace": args.trace, "seed": seed,
-                                "side": side, "pair_runs_first": order[0], "result": result})
+                                "side": side, "pair_runs_first": order[0],
+                                "repetitions": reps, "result": result})
             print("%s %s seed %d: %s" % (args.workload, side, seed,
                                          json.dumps(result["metrics"].get("wall_s"))), flush=True)
         doc["summary"] = summarize(doc["runs"])
