@@ -37,7 +37,6 @@ from .moduli import (
     SpectralReport,
     SurfaceAnalysis,
     analyze,
-    eta,
     key_matrices,
     spectral_report,
     tangent_frame,
@@ -86,7 +85,6 @@ __all__ = [
     "canonical_param",
     "classify_at",
     "domain_bounds",
-    "eta",
     "integral_set",
     "integrate",
     "integrate_tail",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from importlib import resources
 from typing import Optional
@@ -21,38 +20,17 @@ from . import families, moduli
 from .sweep import SweepConfig, SweepReport
 from .sweep import classify_at as _classify_at
 from .sweep import sweep as _run_sweep
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NonConvergence,
-    NonFiniteInput,
-    NotSelfAdjoint,
-    RiemannMatrixViolation,
-    SingularMatrix,
-    UnresolvedTransition,
-    UsageError,
-)
+from .errors import DomainError, MsindexError, UsageError
 from .families import QuadConfig, SurfaceParam
 
 _SCHEMA_VERSION = "1"
 _IDENTITY_TOL = 1e-8
-_ENV_QUAD_TOL = "MSINDEX_QUAD_TOL"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (
-    NonConvergence,
-    NonFiniteInput,
-    SingularMatrix,
-    NotSelfAdjoint,
-    RiemannMatrixViolation,
-    UnresolvedTransition,
-    DimensionMismatch,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,29 +47,12 @@ def _fmt(x: float) -> str:
 
 
 def _quad_config(args) -> QuadConfig:
-    tol = getattr(args, "quad_tol", None)
-    if tol is None:
-        env = os.environ.get(_ENV_QUAD_TOL)
-        if env is not None and env.strip():
-            try:
-                tol = float(env)
-            except ValueError:
-                raise UsageError(
-                    f"{_ENV_QUAD_TOL} must be a real number, got {env!r}")
+    tol = args.quad_tol
     if tol is None:
         return QuadConfig()
     if not (tol > 0.0 and math.isfinite(tol)):
         raise UsageError("quadrature tolerance must be a positive real")
     return QuadConfig(target_rel_tol=tol)
-
-
-def _zero_tol_factor(args) -> float:
-    z = getattr(args, "zero_tol", None)
-    if z is None:
-        return moduli.ZERO_TOL_FACTOR
-    if not (z > 0.0 and math.isfinite(z)):
-        raise UsageError("zero tolerance factor must be a positive real")
-    return z
 
 
 # ---------------------------------------------------------------- analyze
@@ -172,8 +133,7 @@ def _print_analysis_csv(rec: dict, out) -> None:
 
 def cmd_analyze(args) -> int:
     quad = _quad_config(args)
-    res = moduli.analyze(SurfaceParam(args.family, args.a), config=quad,
-                         zero_tol_factor=_zero_tol_factor(args))
+    res = moduli.analyze(SurfaceParam(args.family, args.a), config=quad)
     rec = _analysis_record(res, quad)
     if args.json:
         sys.stdout.write(json.dumps(rec, indent=2, sort_keys=True) + "\n")
@@ -407,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--json", action="store_true")
     mode.add_argument("--csv", action="store_true")
     pa.add_argument("--quad-tol", type=float, default=None)
-    pa.add_argument("--zero-tol", type=float, default=None)
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", help="classify a parameter window")
@@ -448,7 +407,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write("domain error: %s\n" % exc)
         return EXIT_DOMAIN
-    except _NUMERIC_ERRORS as exc:
+    except MsindexError as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)
         return EXIT_NUMERIC
     except OSError as exc:

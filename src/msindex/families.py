@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -392,9 +391,10 @@ def integral_set(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> Integral
 
 @dataclass(frozen=True)
 class PeriodFrame:
+    """The 6x6 period matrix and the period ratio tau = C1^-1 C2 of its
+    top 3x6 block [C1 | C2]."""
+
     omega: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
     tau: np.ndarray
 
 
@@ -460,37 +460,30 @@ _OMEGA_BUILDERS = {
 _TAU_SYM_TOL = 1e-9
 
 
-def period_frame(
-    p: SurfaceParam,
-    integrals: Optional[IntegralSet] = None,
-    config: QuadConfig = QuadConfig(),
-) -> PeriodFrame:
-    """Assemble the 6x6 period matrix and the period ratio tau.
+def period_frame(p: SurfaceParam, integrals: IntegralSet) -> PeriodFrame:
+    """Assemble the 6x6 period matrix and the period ratio tau from the
+    integrals of the canonical parameter.
 
     Raises RiemannMatrixViolation if tau comes out non-symmetric or
     its imaginary part is not positive definite.
     """
     q = canonical_param(p)
-    if integrals is None:
-        integrals = integral_set(q, config)
     builder = _OMEGA_BUILDERS.get(q.family)
     if builder is None:
         raise DomainError(f"no period table for family {q.family!r}")
     omega = builder(integrals)
-    c1 = omega[:3, :3].copy()
-    c2 = omega[:3, 3:].copy()
-    tau = linalg.solve(c1, c2)
+    tau = linalg.solve(omega[:3, :3], omega[:3, 3:])
 
     sym_defect = linalg.frobenius(tau - tau.T)
     if sym_defect > _TAU_SYM_TOL * max(linalg.frobenius(tau), 1e-300):
         raise RiemannMatrixViolation(f"tau asymmetry {sym_defect:.3e}")
     im = 0.5 * (tau.imag + tau.imag.T)
     im_eigs = linalg.eig_selfadjoint(im)
-    if min(im_eigs.eigenvalues) <= 0.0:
+    if min(im_eigs) <= 0.0:
         raise RiemannMatrixViolation(
-            f"Im tau not positive definite, eigenvalues {im_eigs.eigenvalues.tolist()}"
+            f"Im tau not positive definite, eigenvalues {im_eigs.tolist()}"
         )
-    return PeriodFrame(omega=omega, c1=c1, c2=c2, tau=tau)
+    return PeriodFrame(omega=omega, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +503,8 @@ P2 = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, 0.0, -0.5, -0.5j, 0.0],
 ], dtype=complex)
-
-
-@dataclass(frozen=True)
-class DeformationData:
-    points: tuple[complex, ...]
-    p1: np.ndarray
-    p2: np.ndarray
-    p_ai: Callable[[complex], np.ndarray]
+P1.flags.writeable = False
+P2.flags.writeable = False
 
 
 def _p_ai_H(p: complex) -> np.ndarray:
@@ -594,8 +581,14 @@ _ROOT_RESIDUAL_TOL = 1e-10
 _POINT_SEPARATION = 1e-8
 
 
-def deformation_data(p: SurfaceParam) -> DeformationData:
-    """Branch points and constant matrices entering the tangent frame."""
+def deformation_data(p: SurfaceParam) -> np.ndarray:
+    """Derivatives of the period integrands in the five branch points.
+
+    Checks that each branch point lies on the curve and that no two
+    collide, then returns the 3x6 matrix P_ai of every point as one
+    read-only (5, 3, 6) array; the tangent frame maps it through the
+    constant matrices P1 and P2.
+    """
     q = canonical_param(p)
     validate_param(q)
     fam, a = q.family, q.a
@@ -611,12 +604,14 @@ def deformation_data(p: SurfaceParam) -> DeformationData:
                 raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide")
 
     if fam == "H":
-        p_ai = _p_ai_H
+        rows = _p_ai_H
     elif fam == "rPD":
-        p_ai = _p_ai_rPD
+        rows = _p_ai_rPD
     else:
-        p_ai = lambda z, _a=a: _p_ai_tetragonal(z, _a)
-    return DeformationData(points=pts, p1=P1.copy(), p2=P2.copy(), p_ai=p_ai)
+        rows = lambda z: _p_ai_tetragonal(z, a)
+    p_ai = np.stack([rows(z) for z in pts])
+    p_ai.flags.writeable = False
+    return p_ai
 
 
 # ---------------------------------------------------------------------------

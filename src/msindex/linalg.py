@@ -5,15 +5,15 @@ pipeline produces and raises typed errors instead of returning garbage:
 input holding inf or nan is refused up front, and every tolerance test
 is written so that a nan fails it.  Eigenvalues of Hermitian matrices
 come from LAPACK ``eigvalsh`` (through numpy.linalg), which takes
-complex Hermitian input directly; linear systems are solved by LAPACK
-``gesv`` (LU with partial pivoting, through ``numpy.linalg.solve``),
-guarded by a singularity test and a residual check of its own.
+complex Hermitian input directly, and are returned as one read-only
+descending array; linear systems are solved by LAPACK ``gesv`` (LU
+with partial pivoting, through ``numpy.linalg.solve``), guarded by a
+singularity test and a residual check of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,14 +102,6 @@ def solve(a, b) -> np.ndarray:
     return x[:, 0] if rhs_was_vector else x
 
 
-@dataclass(frozen=True, eq=False)
-class EigenResult:
-    """Eigenvalues of a self-adjoint matrix, sorted descending, as one
-    contiguous read-only float64 array."""
-
-    eigenvalues: np.ndarray
-
-
 def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
     vals = np.asarray(eigenvalues, dtype=float)
     pos = int(np.sum(vals > zero_tol))
@@ -117,8 +109,9 @@ def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
     return pos, neg, len(vals) - pos - neg
 
 
-def eig_selfadjoint(m) -> EigenResult:
-    """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``.
+def eig_selfadjoint(m) -> np.ndarray:
+    """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``,
+    sorted descending in one contiguous read-only float64 array.
 
     The input is symmetrized and handed to ``eigvalsh``; input whose
     imaginary part is exactly zero goes in as a real matrix.  Raises
@@ -145,4 +138,4 @@ def eig_selfadjoint(m) -> EigenResult:
         raise NonConvergence(f"eigvalsh failed: {exc}") from exc
     values = np.array(ascending[::-1], dtype=np.float64)
     values.flags.writeable = False
-    return EigenResult(eigenvalues=values)
+    return values

@@ -1,11 +1,12 @@
 """Second-variation spectra over the moduli of flat three-tori.
 
 A nine-dimensional deformation space is spanned by five branch-point
-motions and four lattice motions.  The Hermitian pairing eta of period
-data gives a 9x9 key matrix whose signature classifies the surface,
-and an 18x18 real comparison of actual against admissible periods
-decides whether the classification is clean (kernel of dimension
-exactly eight) or sits at a degeneration.
+motions and four lattice motions, held as one (9, 3, 6) array of
+period derivatives.  The Hermitian pairing eta of period data gives a
+9x9 key matrix whose signature classifies the surface, and an 18x18
+real comparison of actual against admissible periods decides whether
+the classification is clean (kernel of dimension exactly eight) or
+sits at a degeneration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import families, linalg
-from .families import IntegralSet, PeriodFrame, QuadConfig, SurfaceParam
+from .families import P1, P2, IntegralSet, PeriodFrame, QuadConfig, SurfaceParam
 
 # relative factor fixing what counts as a zero eigenvalue
 ZERO_TOL_FACTOR = 1e-7
@@ -25,14 +26,6 @@ ZERO_TOL_FACTOR = 1e-7
 # a clean spectrum has exactly this many zero directions in the
 # 18x18 comparison matrix
 _EXPECTED_KERNEL = 8
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Nine 3x6 period derivatives as one read-only (9, 3, 6) array;
-    key_matrices splits each into 3x3 halves."""
-
-    mats: np.ndarray
 
 
 # generators of the three rotations of the lattice, stacked (3, 3, 3)
@@ -43,42 +36,36 @@ _ROT_GENERATORS = np.array([
 ])
 
 
-def tangent_frame(frame: PeriodFrame, defo: families.DeformationData) -> TangentFrame:
-    """Assemble the nine tangent directions of the deformation space:
-    five branch-point motions, then the lattice motion and its three
+def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
+    """The nine tangent directions of the deformation space as one
+    read-only (9, 3, 6) array: five branch-point motions from the
+    stacked derivatives p_ai of deformation_data, then the lattice
+    motion (the top 3x6 block of the period matrix omega) and its three
     rotations."""
-    p_ai = np.stack([defo.p_ai(pt) for pt in defo.points])
-    top = frame.omega[:3, :]
+    top = omega[:3, :]
     mats = np.concatenate([
-        0.5 * (defo.p1 @ p_ai @ defo.p2 @ frame.omega),
+        0.5 * (P1 @ p_ai @ P2 @ omega),
         top[None],
         _ROT_GENERATORS @ top,
     ])
     mats.flags.writeable = False
-    return TangentFrame(mats=mats)
-
-
-def eta(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> complex:
-    """Hermitian pairing of two period splits (Z1, Z2) and (W1, W2)."""
-    z1, z2 = x
-    w1, w2 = y
-    return complex(-1j * np.trace(z2.T @ w1.conj() - z1.T @ w2.conj()))
+    return mats
 
 
 @dataclass(frozen=True)
 class KeyMatrices:
     w: np.ndarray          # 9x9 Hermitian
-    w1: np.ndarray         # 18x18 real symmetric
-    w2: np.ndarray         # 18x18 real symmetric
-    wdiff: np.ndarray      # w2 - w1
+    wdiff: np.ndarray      # 18x18 real symmetric, admissible minus actual
     hermitian_defect: float
 
 
 def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """Gram matrix of eta over stacked direction halves.
 
-    tr(A^t conj(B)) is the plain elementwise sum of A * conj(B), so
-    the full matrix reduces to two contractions.
+    eta pairs the splits (Z1, Z2) and (W1, W2) of two directions as
+    -i tr(Z2^t conj(W1) - Z1^t conj(W2)).  tr(A^t conj(B)) is the plain
+    elementwise sum of A * conj(B), so the full matrix reduces to two
+    contractions.
     """
     return -1j * (
         np.einsum("iab,jab->ij", ds, cs.conj())
@@ -86,16 +73,19 @@ def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     )
 
 
-def key_matrices(tf: TangentFrame, tau: np.ndarray) -> KeyMatrices:
-    """The 9x9 pairing matrix and the 18x18 period comparison.
+def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
+    """The 9x9 pairing matrix and the 18x18 period comparison of the
+    tangent directions mats, a (9, 3, 6) array from tangent_frame.
 
-    The admissible projection of a tangent direction with halves
-    (C, D) is K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired
-    with K tau; the second batch applies the same projection to the
-    direction rotated by i.
+    Each direction splits into 3x3 halves (C, D).  The admissible
+    projection of a direction with halves (C, D) is
+    K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired with K tau;
+    the second batch applies the same projection to the direction
+    rotated by i.  W1 pairs the 18 directions themselves and W2 their
+    projections; only Wdiff = W2 - W1 is kept.
     """
-    cs = np.ascontiguousarray(tf.mats[:, :, :3])
-    ds = np.ascontiguousarray(tf.mats[:, :, 3:])
+    cs = np.ascontiguousarray(mats[:, :, :3])
+    ds = np.ascontiguousarray(mats[:, :, 3:])
 
     w = _pair_all(cs, ds)
     defect = linalg.frobenius(w - w.conj().T)
@@ -114,7 +104,7 @@ def key_matrices(tf: TangentFrame, tau: np.ndarray) -> KeyMatrices:
     w2 = _pair_all(cv, dv).real
     w1 = 0.5 * (w1 + w1.T)
     w2 = 0.5 * (w2 + w2.T)
-    return KeyMatrices(w=w, w1=w1, w2=w2, wdiff=w2 - w1, hermitian_defect=defect)
+    return KeyMatrices(w=w, wdiff=w2 - w1, hermitian_defect=defect)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -144,7 +134,7 @@ class SpectralReport:
     zero_tol_wdiff: float
 
 
-def spectral_report(km: KeyMatrices, zero_tol_factor: float = ZERO_TOL_FACTOR) -> SpectralReport:
+def spectral_report(km: KeyMatrices) -> SpectralReport:
     """Classify a surface from its key matrices.
 
     Genuine nullity always comes with extra zero directions in the
@@ -155,21 +145,21 @@ def spectral_report(km: KeyMatrices, zero_tol_factor: float = ZERO_TOL_FACTOR) -
     stable eigenvalues dip below any fixed fraction of the largest.
     """
     ew = linalg.eig_selfadjoint(km.w)
-    zero_w = zero_tol_factor * float(np.max(np.abs(ew.eigenvalues)))
+    zero_w = ZERO_TOL_FACTOR * float(np.max(np.abs(ew)))
 
     ed = linalg.eig_selfadjoint(km.wdiff)
-    zero_d = zero_tol_factor * float(np.max(np.abs(ed.eigenvalues)))
-    d_pos, d_neg, d_zero = linalg.count_signs(ed.eigenvalues, zero_d)
+    zero_d = ZERO_TOL_FACTOR * float(np.max(np.abs(ed)))
+    d_pos, d_neg, d_zero = linalg.count_signs(ed, zero_d)
 
     degenerate = d_zero != _EXPECTED_KERNEL
     if degenerate:
-        p, q, nullity = linalg.count_signs(ew.eigenvalues, zero_w)
+        p, q, nullity = linalg.count_signs(ew, zero_w)
     else:
-        p, q, nullity = linalg.count_signs(ew.eigenvalues, 0.0)
+        p, q, nullity = linalg.count_signs(ew, 0.0)
     index_e = 1 + d_neg
     return SpectralReport(
-        eig_w=ew.eigenvalues,
-        eig_wdiff=ed.eigenvalues,
+        eig_w=ew,
+        eig_wdiff=ed,
         p=p,
         q=q,
         nullity_E=nullity,
@@ -196,28 +186,22 @@ class SurfaceAnalysis:
 
 
 @lru_cache(maxsize=4096)
-def _analyze_cached(family: str, a: float, config: QuadConfig,
-                    zero_tol_factor: float) -> SurfaceAnalysis:
+def _analyze_cached(family: str, a: float, config: QuadConfig) -> SurfaceAnalysis:
     p = SurfaceParam(family, a)
     integrals = families.integral_set(p, config)
-    frame = families.period_frame(p, integrals, config)
-    defo = families.deformation_data(p)
-    tf = tangent_frame(frame, defo)
-    km = key_matrices(tf, frame.tau)
-    report = spectral_report(km, zero_tol_factor)
+    frame = families.period_frame(p, integrals)
+    mats = tangent_frame(frame.omega, families.deformation_data(p))
+    km = key_matrices(mats, frame.tau)
+    report = spectral_report(km)
     return SurfaceAnalysis(param=p, canonical=p, integrals=integrals,
                            frame=frame, key=km, report=report)
 
 
-def analyze(
-    p: SurfaceParam,
-    config: Optional[QuadConfig] = None,
-    zero_tol_factor: float = ZERO_TOL_FACTOR,
-) -> SurfaceAnalysis:
+def analyze(p: SurfaceParam, config: Optional[QuadConfig] = None) -> SurfaceAnalysis:
     """Full pipeline for one surface, cached on canonical parameters.
 
-    The cache is keyed on the canonical family and parameter, the full
-    QuadConfig and the zero tolerance factor.  tD and negative-parameter
+    The cache is keyed on the canonical family and parameter and the
+    full QuadConfig.  tD and negative-parameter
     tCLP requests are folded first; they get a new SurfaceAnalysis that
     records the requested parameter and shares the cached integrals,
     frame, key matrices and report of the folded one.
@@ -225,7 +209,7 @@ def analyze(
     families.validate_param(p)
     q = families.canonical_param(p)
     cfg = config if config is not None else QuadConfig()
-    result = _analyze_cached(q.family, q.a, cfg, zero_tol_factor)
+    result = _analyze_cached(q.family, q.a, cfg)
     if q != p:
         result = SurfaceAnalysis(param=p, canonical=q, integrals=result.integrals,
                                  frame=result.frame, key=result.key,

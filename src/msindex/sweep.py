@@ -29,6 +29,9 @@ _BRENT_SLACK = 8
 # relative to the largest one
 _ROOT_DEPTH_FACTOR = 1e-5
 
+# distance of the two flanking evaluations of classify_at
+_FLANK_OFFSET = 1e-4
+
 # windows used by the reproduction command; the unbounded families are
 # cut off past the last known transition
 DEFAULT_WINDOWS = {
@@ -47,7 +50,6 @@ class SweepConfig:
     steps: int = 200
     refine_tol: float = 1e-9
     quad: QuadConfig = field(default_factory=QuadConfig)
-    zero_tol_factor: float = moduli.ZERO_TOL_FACTOR
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a_min) and math.isfinite(self.a_max)):
@@ -113,11 +115,7 @@ def _probe(family: str, a: float,
     Returns the sample and the eigenvalues of the key matrix in
     descending order, as Python floats.
     """
-    report = moduli.analyze(
-        SurfaceParam(family, a),
-        config=cfg.quad,
-        zero_tol_factor=cfg.zero_tol_factor,
-    ).report
+    report = moduli.analyze(SurfaceParam(family, a), config=cfg.quad).report
     eig_w = report.eig_w.tolist()
     det = 1.0
     for v in eig_w:
@@ -262,11 +260,7 @@ def _refine(family: str, cfg: SweepConfig,
     assert _raw_negatives(seen[lo]) != _raw_negatives(seen[hi])
 
     a_star = 0.5 * (lo + hi)
-    at = moduli.analyze(
-        SurfaceParam(family, a_star),
-        config=cfg.quad,
-        zero_tol_factor=cfg.zero_tol_factor,
-    ).report
+    at = moduli.analyze(SurfaceParam(family, a_star), config=cfg.quad).report
     depth = min(abs(v) for v in at.eig_w)
     scale = max(abs(v) for v in at.eig_w)
     if depth > _ROOT_DEPTH_FACTOR * scale:
@@ -347,37 +341,27 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
 def classify_at(
     family: str,
     a: float,
-    neighborhood: float = 1e-4,
     config: Optional[QuadConfig] = None,
-    zero_tol_factor: float = moduli.ZERO_TOL_FACTOR,
 ) -> tuple[moduli.SpectralReport, int]:
     """Report at one parameter plus the index inferred by continuity.
 
     At a degeneration the constrained index drops by the incoming
-    nullity; flanking evaluations recover the limiting value, taken as
-    the smaller of the two one-sided indices (they agree away from a
-    transition).
+    nullity; evaluations _FLANK_OFFSET to either side recover the
+    limiting value, taken as the smaller of the two one-sided indices
+    (they agree away from a transition).
     """
-    if not neighborhood > 0.0:
-        raise DomainError("neighborhood must be positive")
     validate_param(SurfaceParam(family, a))
-    report = moduli.analyze(
-        SurfaceParam(family, a), config=config,
-        zero_tol_factor=zero_tol_factor,
-    ).report
+    report = moduli.analyze(SurfaceParam(family, a), config=config).report
 
     flank_indices: list[int] = []
-    for side in (a - neighborhood, a + neighborhood):
+    for side in (a - _FLANK_OFFSET, a + _FLANK_OFFSET):
         try:
             validate_param(SurfaceParam(family, side))
         except DomainError:
             continue
-        flank = moduli.analyze(
-            SurfaceParam(family, side), config=config,
-            zero_tol_factor=zero_tol_factor,
-        ).report
+        flank = moduli.analyze(SurfaceParam(family, side), config=config).report
         flank_indices.append(flank.index_E)
     if not flank_indices:
         raise DomainError(
-            f"no admissible flanking parameter within {neighborhood} of {a}")
+            f"no admissible flanking parameter within {_FLANK_OFFSET} of {a}")
     return report, min(flank_indices)

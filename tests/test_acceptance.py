@@ -135,7 +135,7 @@ def test_criterion_4_structural_invariants(family_sweeps):
             r = res.report
             if linalg.frobenius(tau - tau.T) > 1e-9 * linalg.frobenius(tau):
                 bad.append(f"{fam} a={a:.4g} tau asymmetry")
-            if min(linalg.eig_selfadjoint(tau.imag).eigenvalues) <= 0.0:
+            if min(linalg.eig_selfadjoint(tau.imag)) <= 0.0:
                 bad.append(f"{fam} a={a:.4g} Im tau not positive")
             if res.key.hermitian_defect > 1e-9:
                 bad.append(f"{fam} a={a:.4g} pairing defect")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from msindex import errors, moduli
 from msindex.cli import main
 
 
@@ -131,24 +132,39 @@ def test_sweep_rejects_infinite_refine_tol(capsys):
     assert "refine_tol" in err
 
 
-def test_quad_tol_env(monkeypatch, capsys):
-    monkeypatch.setenv("MSINDEX_QUAD_TOL", "1e-10")
-    _, out, _ = run(capsys, "analyze", "--family", "H", "--a", "0.5", "--json")
+def test_quad_tol_flag_is_recorded(capsys):
+    _, out, _ = run(capsys, "analyze", "--family", "H", "--a", "0.5",
+                    "--json", "--quad-tol", "1e-10")
     assert json.loads(out)["tolerances"]["quad_rel_tol"] == 1e-10
 
 
-def test_quad_tol_flag_beats_env(monkeypatch, capsys):
-    monkeypatch.setenv("MSINDEX_QUAD_TOL", "1e-10")
-    _, out, _ = run(capsys, "analyze", "--family", "H", "--a", "0.5",
-                    "--json", "--quad-tol", "1e-11")
-    assert json.loads(out)["tolerances"]["quad_rel_tol"] == 1e-11
-
-
-def test_quad_tol_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("MSINDEX_QUAD_TOL", "not-a-number")
-    code, _, err = run(capsys, "analyze", "--family", "H", "--a", "0.5")
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_quad_tol_flag_must_be_positive(capsys, tol):
+    code, _, err = run(capsys, "analyze", "--family", "H", "--a", "0.5",
+                       "--quad-tol", tol)
     assert code == 1
     assert "usage error" in err
+
+
+def _error_classes():
+    return sorted((c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.MsindexError)),
+                  key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("exc", _error_classes(), ids=lambda c: c.__name__)
+def test_package_errors_map_to_exit_codes(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(moduli, "analyze", fail)
+    code, _, err = run(capsys, "analyze", "--family", "H", "--a", "0.5")
+    if issubclass(exc, errors.UsageError):
+        assert (code, err) == (1, "usage error: injected\n")
+    elif issubclass(exc, errors.DomainError):
+        assert (code, err) == (2, "domain error: injected\n")
+    else:
+        assert (code, err) == (3, "numerical failure: injected\n")
 
 
 def test_reproduce_single_family(capsys):

@@ -109,7 +109,7 @@ def test_period_frame_riemann_conditions(fam, a):
     assert tau.shape == (3, 3)
     scale = linalg.frobenius(tau)
     assert linalg.frobenius(tau - tau.T) <= 1e-9 * scale
-    im_eigs = linalg.eig_selfadjoint(tau.imag).eigenvalues
+    im_eigs = linalg.eig_selfadjoint(tau.imag)
     assert min(im_eigs) > 0.0
 
 
@@ -122,7 +122,7 @@ def test_period_frame_at_the_range_ends(fam, a):
     p = SurfaceParam(fam, a)
     tau = period_frame(p, integral_set(p)).tau
     assert linalg.frobenius(tau - tau.T) <= 1e-9 * linalg.frobenius(tau)
-    assert min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T)).eigenvalues) > 0.0
+    assert min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T))) > 0.0
 
 
 def test_identities_h_count_and_residuals():

@@ -7,9 +7,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from msindex import linalg
+from msindex import linalg, moduli
 from msindex.errors import DomainError
 from msindex.families import (
+    P1,
     QuadConfig,
     SurfaceParam,
     deformation_data,
@@ -18,11 +19,12 @@ from msindex.families import (
 )
 from msindex.moduli import (
     ZERO_TOL_FACTOR,
+    _pair_all,
     analyze,
-    eta,
     spectral_report,
     tangent_frame,
 )
+from msindex.sweep import DEFAULT_WINDOWS
 
 
 def _cmat(data):
@@ -30,8 +32,9 @@ def _cmat(data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _split(rng):
-    z = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+def _halves(rng, k):
+    """Random halves (C, D) of k directions, as two (k, 3, 3) stacks."""
+    z = rng.standard_normal((2, k, 3, 3)) + 1j * rng.standard_normal((2, k, 3, 3))
     return z[0], z[1]
 
 
@@ -41,57 +44,54 @@ def h_mid():
 
 
 def test_p1_inverse_matches_fixture(oracle):
-    defo = deformation_data(SurfaceParam("H", 0.5))
-    inv = linalg.solve(defo.p1, np.eye(3))
+    inv = linalg.solve(P1, np.eye(3))
     assert np.allclose(inv, _cmat(oracle["p1_inverse"]), atol=1e-13)
 
 
 def test_first_tangent_direction_matches_fixture(oracle, h_mid):
     p = SurfaceParam("H", 0.5)
-    tf = tangent_frame(h_mid.frame, deformation_data(p))
+    mats = tangent_frame(h_mid.frame.omega, deformation_data(p))
     want = _cmat(oracle["t1_H_a0.5"])
-    got = tf.mats[0]
+    got = mats[0]
     assert got.shape == (3, 6)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_tangent_frame_has_nine_directions(h_mid):
-    tf = tangent_frame(h_mid.frame, deformation_data(SurfaceParam("H", 0.5)))
-    assert len(tf.mats) == 9
-    assert all(m.shape == (3, 6) for m in tf.mats)
+    p_ai = deformation_data(SurfaceParam("H", 0.5))
+    assert p_ai.shape == (5, 3, 6) and not p_ai.flags.writeable
+    mats = tangent_frame(h_mid.frame.omega, p_ai)
+    assert mats.shape == (9, 3, 6) and not mats.flags.writeable
     # the sixth direction is the top period block itself
-    assert np.array_equal(tf.mats[5], h_mid.frame.omega[:3, :])
+    assert np.array_equal(mats[5], h_mid.frame.omega[:3, :])
 
 
 def test_eta_hermitian_symmetry():
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        x, y = (_split(rng), _split(rng))
-        assert abs(eta(x, y) - np.conj(eta(y, x))) <= 1e-12
-        assert abs(eta(x, x).imag) <= 1e-12
+    gram = _pair_all(*_halves(rng, 10))
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12
+    assert np.max(np.abs(np.diag(gram).imag)) <= 1e-12
 
 
 def test_eta_sesquilinear():
+    # directions x, y, s x, s y: eta(s x, y) = s eta(x, y) and
+    # eta(x, s y) = conj(s) eta(x, y)
     rng = np.random.default_rng(11)
-    x, y = (_split(rng), _split(rng))
     s = 0.8 - 1.7j
-    sx = (s * x[0], s * x[1])
-    sy = (s * y[0], s * y[1])
-    assert abs(eta(sx, y) - s * eta(x, y)) <= 1e-12
-    assert abs(eta(x, sy) - np.conj(s) * eta(x, y)) <= 1e-12
+    cs, ds = _halves(rng, 2)
+    gram = _pair_all(np.concatenate([cs, s * cs]), np.concatenate([ds, s * ds]))
+    assert abs(gram[2, 1] - s * gram[0, 1]) <= 1e-12
+    assert abs(gram[0, 3] - np.conj(s) * gram[0, 1]) <= 1e-12
 
 
 def test_key_matrix_structure(h_mid):
     km = h_mid.key
     assert km.w.shape == (9, 9)
-    assert km.w1.shape == (18, 18)
-    assert km.w2.shape == (18, 18)
+    assert km.wdiff.shape == (18, 18)
     assert km.hermitian_defect <= 1e-12
     assert linalg.frobenius(km.w - km.w.conj().T) == 0.0
-    assert np.array_equal(km.w1, km.w1.T)
-    assert np.array_equal(km.w2, km.w2.T)
-    assert np.array_equal(km.wdiff, km.w2 - km.w1)
-    assert not np.iscomplexobj(km.w1)
+    assert np.array_equal(km.wdiff, km.wdiff.T)
+    assert not np.iscomplexobj(km.wdiff)
 
 
 def test_report_counts_and_relations(h_mid):
@@ -107,10 +107,10 @@ def test_report_counts_and_relations(h_mid):
     assert r.zero_tol_w == ZERO_TOL_FACTOR * max(abs(v) for v in r.eig_w)
 
 
-def test_zero_tol_factor_is_recorded():
-    r = analyze(SurfaceParam("tP", 14.0), zero_tol_factor=1e-3).report
-    assert r.zero_tol_w == 1e-3 * max(abs(v) for v in r.eig_w)
-    assert r.zero_tol_wdiff == 1e-3 * max(abs(v) for v in r.eig_wdiff)
+def test_zero_tolerances_are_recorded():
+    r = analyze(SurfaceParam("tP", 14.0)).report
+    assert r.zero_tol_w == ZERO_TOL_FACTOR * max(abs(v) for v in r.eig_w)
+    assert r.zero_tol_wdiff == ZERO_TOL_FACTOR * max(abs(v) for v in r.eig_wdiff)
 
 
 def test_analyze_is_cached():
@@ -162,6 +162,30 @@ def test_retained_reports_are_compact(h_mid):
         tracemalloc.stop()
     assert len(reports) == count
     assert (after - before) / count <= 800
+
+
+def test_cached_analyses_are_compact():
+    # what the analysis cache frees per entry: the integrals, the period
+    # frame (omega and tau), the 9x9 and 18x18 key matrices, the report
+    # and the cache key, about 7.3 KB; the bound leaves no room for a
+    # second pair of 18x18 matrices (5.2 KB)
+    count = 30
+    rng = np.random.default_rng(30)
+    windows = [DEFAULT_WINDOWS[fam] + (fam,) for fam in ("H", "rPD", "tP", "tCLP")]
+    points = [SurfaceParam(fam, rng.uniform(lo, hi))
+              for lo, hi, fam in windows * (count // len(windows) + 1)][:count]
+    moduli._analyze_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in points:
+            analyze(p)
+        assert moduli._analyze_cached.cache_info().currsize == count
+        held = tracemalloc.get_traced_memory()[0]
+        moduli._analyze_cached.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed / count <= 8000
 
 
 def test_analyze_rejects_bad_parameters():

@@ -120,8 +120,6 @@ def test_classify_at_closed_endpoint_uses_one_flank():
 
 def test_classify_at_validation():
     with pytest.raises(DomainError):
-        classify_at("rPD", 0.5, neighborhood=0.0)
-    with pytest.raises(DomainError):
         classify_at("H", 2.0)
 
 
