@@ -41,7 +41,7 @@ from .moduli import (
     spectral_report,
     tangent_frame,
 )
-from .quadrature import Integrand, integrate, integrate_tail
+from .quadrature import Integrand, integrate
 from .sweep import (
     DEFAULT_WINDOWS,
     Interval,
@@ -87,7 +87,6 @@ __all__ = [
     "domain_bounds",
     "integral_set",
     "integrate",
-    "integrate_tail",
     "key_matrices",
     "period_frame",
     "spectral_report",

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from importlib import resources
-from typing import Optional
 
 from . import families, moduli
 from .sweep import SweepConfig, SweepReport
@@ -248,7 +247,7 @@ def _compare_table(label: str, ref_vals: list, got_vals: list, tol: dict,
     return ok
 
 
-def _reproduce_family(family: str, data: dict, steps: Optional[int],
+def _reproduce_family(family: str, data: dict, steps: int,
                       quad: QuadConfig, out) -> bool:
     entry = data["families"][family]
     tol = data["eig_tolerance"]
@@ -288,7 +287,7 @@ def _reproduce_family(family: str, data: dict, steps: Optional[int],
         lo, hi = entry["window"]
         cfg = SweepConfig(
             a_min=lo, a_max=hi,
-            steps=steps if steps is not None else 200,
+            steps=steps,
             quad=quad)
         rep = _run_sweep(family, cfg)
 
@@ -390,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which = pr.add_mutually_exclusive_group(required=True)
     which.add_argument("--family", choices=families.FAMILIES)
     which.add_argument("--all", action="store_true")
-    pr.add_argument("--steps", type=int, default=None)
+    pr.add_argument("--steps", type=int, default=200)
     pr.add_argument("--quad-tol", type=float, default=None)
     pr.set_defaults(func=cmd_reproduce)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergence, RiemannMatrixViolation
-from .quadrature import Integrand, QuadConfig, integrate, integrate_tail
+from .quadrature import Integrand, QuadConfig, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
 
@@ -63,10 +63,6 @@ def validate_param(p: SurfaceParam) -> None:
         raise DomainError(f"parameter must be finite, got {a!r}")
     lo_ok = a >= lo if closed_lo else a >= lo + MARGIN
     hi_ok = a <= hi if closed_hi else a <= hi - MARGIN
-    if math.isinf(hi):
-        hi_ok = True
-    if math.isinf(lo):
-        lo_ok = True
     if not (lo_ok and hi_ok):
         lo_b = "[" if closed_lo else "("
         hi_b = "]" if closed_hi else ")"
@@ -89,7 +85,7 @@ def canonical_param(p: SurfaceParam) -> SurfaceParam:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralSet:
     """The eight period integrals of one surface, plus provenance."""
 
@@ -115,13 +111,12 @@ def _integrate_all(tables: dict[str, Integrand],
 
     Returns the values by row name and the largest error estimate.  A
     table contributes one value per named row, a single integrand one
-    value under its key.  Entries on (1, inf) go through the tail fold.
+    value under its key.
     """
     values: dict[str, float] = {}
     err_max = 0.0
     for key, f in tables.items():
-        rule = integrate_tail if math.isinf(f.hi) else integrate
-        result = rule(f, config)
+        result = integrate(f, config)
         for name, (value, err) in (result.items() if f.names else [(key, result)]):
             values[name] = value
             err_max = max(err_max, err)
@@ -389,7 +384,7 @@ def integral_set(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> Integral
 # period frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodFrame:
     """The 6x6 period matrix and the period ratio tau = C1^-1 C2 of its
     top 3x6 block [C1 | C2]."""
@@ -507,25 +502,15 @@ P1.flags.writeable = False
 P2.flags.writeable = False
 
 
-def _p_ai_H(p: complex) -> np.ndarray:
+def _p_ai_hexagonal(p: complex, sign: float) -> np.ndarray:
+    """P_ai at the branch point p of z (z^3 - a^3) (z^3 - sign a^-3)."""
     return np.array([
         [-5.0 / (6.0 * p), -0.5 / p ** 2, -1.0 / (6.0 * p ** 3),
-         0.5 * (p ** 2 - p ** -4), 0.5 * (p - p ** -5), 0.5 * (1.0 - p ** -6)],
+         0.5 * (p ** 2 - sign * p ** -4), 0.5 * (p - sign * p ** -5), 0.5 * (1.0 - sign * p ** -6)],
         [1.0 / 6.0, -0.5 / p, -1.0 / (6.0 * p ** 2),
-         0.5 * (p ** 3 - p ** -3), 0.5 * (p ** 2 - p ** -4), 0.5 * (p - p ** -5)],
+         0.5 * (p ** 3 - sign * p ** -3), 0.5 * (p ** 2 - sign * p ** -4), 0.5 * (p - sign * p ** -5)],
         [p / 6.0, 0.5, -1.0 / (6.0 * p),
-         0.5 * (p ** 4 - p ** -2), 0.5 * (p ** 3 - p ** -3), 0.5 * (p ** 2 - p ** -4)],
-    ], dtype=complex)
-
-
-def _p_ai_rPD(p: complex) -> np.ndarray:
-    return np.array([
-        [-5.0 / (6.0 * p), -0.5 / p ** 2, -1.0 / (6.0 * p ** 3),
-         0.5 * (p ** 2 + p ** -4), 0.5 * (p + p ** -5), 0.5 * (1.0 + p ** -6)],
-        [1.0 / 6.0, -0.5 / p, -1.0 / (6.0 * p ** 2),
-         0.5 * (p ** 3 + p ** -3), 0.5 * (p ** 2 + p ** -4), 0.5 * (p + p ** -5)],
-        [p / 6.0, 0.5, -1.0 / (6.0 * p),
-         0.5 * (p ** 4 + p ** -2), 0.5 * (p ** 3 + p ** -3), 0.5 * (p ** 2 + p ** -4)],
+         0.5 * (p ** 4 - sign * p ** -2), 0.5 * (p ** 3 - sign * p ** -3), 0.5 * (p ** 2 - sign * p ** -4)],
     ], dtype=complex)
 
 
@@ -540,20 +525,21 @@ def _p_ai_tetragonal(p: complex, a: float) -> np.ndarray:
     ], dtype=complex)
 
 
+# H and rPD lie on y^2 = z (z^3 - a^3) (z^3 - sign a^-3) with this sign
+_HEX_SIGN = {"H": 1.0, "rPD": -1.0}
+
+
 def _branch_points(fam: str, a: float) -> tuple[complex, ...]:
-    if fam == "H":
+    if fam in _HEX_SIGN:
+        sign = _HEX_SIGN[fam]
         w = cmath.exp(2j * math.pi / 3.0)
-        return (a + 0j, a * w, a * w.conjugate(), 1.0 / a + 0j, w / a)
-    if fam == "rPD":
-        w = cmath.exp(2j * math.pi / 3.0)
-        return (a + 0j, a * w, a * w.conjugate(), -1.0 / a + 0j, -w / a)
+        return (a + 0j, a * w, a * w.conjugate(), sign / a + 0j, sign * w / a)
     if fam == "tP":
         alpha = math.sqrt(0.5 * (math.sqrt(a + 2.0) + math.sqrt(a - 2.0)))
         e = cmath.exp(0.25j * math.pi)
         return (e * alpha, 1j * e * alpha, e.conjugate() * alpha,
                 -1j * e.conjugate() * alpha, e / alpha)
     if fam == "tCLP":
-        a = abs(a)
         # angle of -a/2 + i sqrt(4 - a^2)/2, a point on the unit circle
         angle = math.atan2(0.5 * math.sqrt((2.0 - a) * (2.0 + a)), -0.5 * a)
         z = cmath.exp(0.25j * angle)
@@ -570,10 +556,8 @@ def _residual_scale(fam: str, a: float, z: complex) -> float:
 
 
 def _curve_poly(fam: str, a: float, z: complex) -> complex:
-    if fam == "H":
-        return z * (z ** 3 - a ** 3) * (z ** 3 - a ** -3)
-    if fam == "rPD":
-        return z * (z ** 3 - a ** 3) * (z ** 3 + a ** -3)
+    if fam in _HEX_SIGN:
+        return z * (z ** 3 - a ** 3) * (z ** 3 - _HEX_SIGN[fam] * a ** -3)
     return z ** 8 + a * z ** 4 + 1.0
 
 
@@ -592,7 +576,7 @@ def deformation_data(p: SurfaceParam) -> np.ndarray:
     q = canonical_param(p)
     validate_param(q)
     fam, a = q.family, q.a
-    pts = _branch_points(fam, a if fam != "tCLP" else abs(a))
+    pts = _branch_points(fam, a)
 
     for z in pts:
         res = abs(_curve_poly(fam, a, z)) / _residual_scale(fam, a, z)
@@ -603,13 +587,10 @@ def deformation_data(p: SurfaceParam) -> np.ndarray:
             if abs(pts[i] - pts[j]) <= _POINT_SEPARATION:
                 raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide")
 
-    if fam == "H":
-        rows = _p_ai_H
-    elif fam == "rPD":
-        rows = _p_ai_rPD
+    if fam in _HEX_SIGN:
+        p_ai = np.stack([_p_ai_hexagonal(z, _HEX_SIGN[fam]) for z in pts])
     else:
-        rows = lambda z: _p_ai_tetragonal(z, a)
-    p_ai = np.stack([rows(z) for z in pts])
+        p_ai = np.stack([_p_ai_tetragonal(z, a) for z in pts])
     p_ai.flags.writeable = False
     return p_ai
 

@@ -99,7 +99,8 @@ def solve(a, b) -> np.ndarray:
     rhs_norm = frobenius(bb)
     if rhs_norm > 0.0 and not (resid <= _RESIDUAL_TOL * rhs_norm):
         raise SingularMatrix(f"solution residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e} * |b|")
-    return x[:, 0] if rhs_was_vector else x
+    # a copy, so that a kept solution does not hold all of [x | a^-1]
+    return (x[:, 0] if rhs_was_vector else x).copy()
 
 
 def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:

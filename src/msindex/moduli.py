@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
     return mats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyMatrices:
     w: np.ndarray          # 9x9 Hermitian
     wdiff: np.ndarray      # 18x18 real symmetric, admissible minus actual
@@ -152,10 +151,7 @@ def spectral_report(km: KeyMatrices) -> SpectralReport:
     d_pos, d_neg, d_zero = linalg.count_signs(ed, zero_d)
 
     degenerate = d_zero != _EXPECTED_KERNEL
-    if degenerate:
-        p, q, nullity = linalg.count_signs(ew, zero_w)
-    else:
-        p, q, nullity = linalg.count_signs(ew, 0.0)
+    p, q, nullity = linalg.count_signs(ew, zero_w if degenerate else 0.0)
     index_e = 1 + d_neg
     return SpectralReport(
         eig_w=ew,
@@ -173,7 +169,7 @@ def spectral_report(km: KeyMatrices) -> SpectralReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceAnalysis:
     """Everything computed for one (family, a) pair."""
 
@@ -197,7 +193,7 @@ def _analyze_cached(family: str, a: float, config: QuadConfig) -> SurfaceAnalysi
                            frame=frame, key=km, report=report)
 
 
-def analyze(p: SurfaceParam, config: Optional[QuadConfig] = None) -> SurfaceAnalysis:
+def analyze(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> SurfaceAnalysis:
     """Full pipeline for one surface, cached on canonical parameters.
 
     The cache is keyed on the canonical family and parameter and the
@@ -208,8 +204,7 @@ def analyze(p: SurfaceParam, config: Optional[QuadConfig] = None) -> SurfaceAnal
     """
     families.validate_param(p)
     q = families.canonical_param(p)
-    cfg = config if config is not None else QuadConfig()
-    result = _analyze_cached(q.family, q.a, cfg)
+    result = _analyze_cached(q.family, q.a, config)
     if q != p:
         result = SurfaceAnalysis(param=p, canonical=q, integrals=result.integrals,
                                  frame=result.frame, key=result.key,

@@ -19,6 +19,9 @@ the distance as its argument (the ``from_lo`` / ``from_hi`` forms of
 only where the endpoint is 0; so a singular endpoint anywhere else must
 come with its offset form, and ``Integrand`` refuses it otherwise.
 
+An integrand on (1, inf) is folded onto (0, 1) by t = 1/u inside
+``integrate``; every other infinite interval is refused.
+
 Integrands are vectorized: each form is called on a 1-D array of n
 nodes and returns an array of shape (n,), or ``integrate`` raises
 TypeError.  An ``Integrand`` with ``names`` is a table of k integrands
@@ -61,6 +64,11 @@ _FIRST_TEST_LEVEL = 3
 
 # Levels 0 .. _FUSED_LEVEL are evaluated in one block, 155 nodes per side.
 _FUSED_LEVEL = 5
+
+# The last level refined before NonConvergence, and the absolute error
+# that passes the stopping test whatever the value.
+_MAX_LEVEL = 12
+_ABS_FLOOR = 1e-15
 
 # (value, err_estimate) of one integrand, or of each named row of a table
 Result = Union[tuple[float, float], dict[str, tuple[float, float]]]
@@ -114,7 +122,8 @@ class Integrand:
     evaluator   plain f(x); called on a 1-D array of nodes, returns an
                 array of the same shape, or for a table one row per name
                 (shape (len(names), nodes), e.g. a tuple of row arrays)
-    lo, hi      interval endpoints; hi may be math.inf for tails
+    lo, hi      interval endpoints; (1, math.inf) is a tail, which
+                integrate folds onto (0, 1)
     singular_lo / singular_hi
                 whether f blows up at the endpoint (at worst like an
                 inverse square root)
@@ -151,19 +160,13 @@ class Integrand:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budget for one integration."""
+    """The relative tolerance of one integration."""
 
     target_rel_tol: float = 1e-12
-    max_level: int = 12
-    abs_floor: float = 1e-15
 
     def __post_init__(self) -> None:
         if not (self.target_rel_tol > 0.0):
             raise ValueError("target_rel_tol must be positive")
-        if self.max_level < 4:
-            raise ValueError("max_level must be at least 4")
-        if not (self.abs_floor > 0.0):
-            raise ValueError("abs_floor must be positive")
 
 
 def _as_rows(out) -> np.ndarray:
@@ -239,8 +242,34 @@ def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray,
                 f"integrand returned a non-finite value near x = {float(np.asarray(x)[bad][0])!r}")
 
 
+def _fold(f: Integrand) -> Integrand:
+    """f on (1, inf) as an integrand on (0, 1), by t = 1/u.
+
+    The integrand must decay at least like t**-3/2; a singularity at
+    t = 1 is supported through the usual flag and offset form, and the
+    fold maps from_lo, expressed in s = t - 1, onto the upper endpoint
+    exactly.
+    """
+    ev = f.evaluator
+
+    def folded(u):
+        t = 1.0 / u
+        return _as_rows(ev(t)) / (u * u)
+
+    folded_from_hi = None
+    if f.from_lo is not None:
+        base = f.from_lo
+
+        def folded_from_hi(sigma):
+            r = 1.0 - sigma
+            return _as_rows(base(sigma / r)) / (r * r)
+
+    return Integrand(evaluator=folded, lo=0.0, hi=1.0, singular_lo=True,
+                     singular_hi=f.singular_lo, from_hi=folded_from_hi, names=f.names)
+
+
 def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
-    """Integrate f over its finite interval.
+    """Integrate f over its interval, finite or (1, inf).
 
     Returns (value, err_estimate) for a plain integrand and a dict
     {name: (value, err_estimate)} for a table; the estimate is the
@@ -249,13 +278,15 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
     interval or a non-finite value in a row still being refined, and
     TypeError if a form does not map a node array to the expected shape.
     """
+    if f.lo == 1.0 and f.hi == math.inf:
+        f = _fold(f)
     lo, hi = f.lo, f.hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integrate requires a finite interval; use integrate_tail")
+        raise DomainError(f"integrate requires a finite interval or (1, inf), got ({lo}, {hi})")
     if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
-    tol, floor = config.target_rel_tol, config.abs_floor
+    tol = config.target_rel_tol
 
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
@@ -274,7 +305,7 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         n_rows = len(value)
         err = np.full(n_rows, math.inf)
         active = np.arange(n_rows)
-        for level in range(1, config.max_level + 1):
+        for level in range(1, _MAX_LEVEL + 1):
             if level <= _FUSED_LEVEL:
                 w, sl = fused[level]
                 d_near = d_fused[sl]
@@ -293,7 +324,7 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
             trapezoid[active] = t
             value[active] = new_value
             if level >= _FIRST_TEST_LEVEL:
-                done = err[active] <= np.maximum(tol * np.abs(new_value), floor)
+                done = err[active] <= np.maximum(tol * np.abs(new_value), _ABS_FLOOR)
                 active = active[~done]
                 if not len(active):
                     results = list(zip(value.tolist(), err.tolist()))
@@ -301,43 +332,7 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
     r = int(active[0])
     row = f" in row {f.names[r]!r}" if f.names else ""
     raise NonConvergence(
-        f"tanh-sinh did not reach tolerance by level {config.max_level}{row}: "
+        f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}: "
         f"value {float(value[r])!r}, last change {float(err[r])!r}"
     )
 
-
-def integrate_tail(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
-    """Integrate f, a single integrand or a table, over (1, inf) by folding with t = 1/u.
-
-    Returns what integrate returns.  The integrand must decay at least
-    like t**-3/2; a singularity at the finite end is supported through
-    the usual flags and offset form.  The fold maps from_lo, expressed
-    in s = t - 1, onto the transformed upper endpoint exactly.
-    """
-    if not (f.lo == 1.0 and math.isinf(f.hi)):
-        raise DomainError("integrate_tail expects the interval (1, inf)")
-
-    ev = f.evaluator
-
-    def folded(u):
-        t = 1.0 / u
-        return _as_rows(ev(t)) / (u * u)
-
-    folded_from_hi = None
-    if f.from_lo is not None:
-        base = f.from_lo
-
-        def folded_from_hi(sigma):
-            r = 1.0 - sigma
-            return _as_rows(base(sigma / r)) / (r * r)
-
-    inner = Integrand(
-        evaluator=folded,
-        lo=0.0,
-        hi=1.0,
-        singular_lo=True,
-        singular_hi=f.singular_lo,
-        from_hi=folded_from_hi,
-        names=f.names,
-    )
-    return integrate(inner, config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable
 
 from . import moduli
 from .errors import DomainError, UnresolvedTransition
@@ -143,14 +143,8 @@ def _raw_negatives(eig_w: list[float]) -> int:
 
 def _grid(family: str, cfg: SweepConfig) -> list[float]:
     lo_b, hi_b, closed_lo, closed_hi = domain_bounds(family)
-    lo = cfg.a_min
-    hi = cfg.a_max
-    if math.isfinite(lo_b):
-        floor = lo_b if closed_lo else lo_b + MARGIN
-        lo = max(lo, floor)
-    if math.isfinite(hi_b):
-        ceil = hi_b if closed_hi else hi_b - MARGIN
-        hi = min(hi, ceil)
+    lo = max(cfg.a_min, lo_b if closed_lo else lo_b + MARGIN)
+    hi = min(cfg.a_max, hi_b if closed_hi else hi_b - MARGIN)
     if not lo < hi:
         raise DomainError(
             f"window [{cfg.a_min}, {cfg.a_max}] misses the {family} domain")
@@ -341,7 +335,7 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
 def classify_at(
     family: str,
     a: float,
-    config: Optional[QuadConfig] = None,
+    config: QuadConfig = QuadConfig(),
 ) -> tuple[moduli.SpectralReport, int]:
     """Report at one parameter plus the index inferred by continuity.
 

@@ -159,7 +159,7 @@ def test_identity_fixture_value_at_closed_end(oracle):
 def test_rpd_tail_piece_matches_oracle(oracle):
     # slowest-decaying bare tail integral, recomputed through our
     # folded quadrature and compared against the frozen value
-    from msindex.quadrature import Integrand, integrate_tail
+    from msindex.quadrature import Integrand, integrate
 
     a = 0.5
     a3, ia3 = a ** 3, 1.0 / a ** 3
@@ -176,10 +176,17 @@ def test_rpd_tail_piece_matches_oracle(oracle):
         lambda t: (1.0 + a * a * t * t) / np.sqrt(rad(t)), 1.0, math.inf,
         singular_lo=True, from_lo=off,
     )
-    value, _ = integrate_tail(f)
+    value, _ = integrate(f)
     want = oracle["rpd_tail_bare"]["0.5"]
     assert abs(value - want) <= 1e-10 * want
 
 
 def test_families_tuple_is_stable():
     assert FAMILIES == ("H", "rPD", "tP", "tD", "tCLP")
+
+
+def test_every_public_name_resolves():
+    import msindex
+
+    assert all(hasattr(msindex, name) for name in msindex.__all__)
+    assert len(set(msindex.__all__)) == len(msindex.__all__)

@@ -67,6 +67,15 @@ def test_solve_complex_matrix_rhs():
     assert np.allclose(a @ x, b, atol=1e-13)
 
 
+def test_solve_returns_arrays_that_own_their_data():
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    for b in (np.array([1.0, 2.0, 3.0]), np.eye(3)[:, :2]):
+        x = linalg.solve(a, b)
+        assert x.shape == b.shape
+        assert x.base is None and x.flags.owndata
+        np.testing.assert_allclose(a @ x, b, atol=1e-14)
+
+
 def test_solve_requires_pivoting():
     # zero leading pivot, solvable only after a row swap
     a = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from msindex import linalg, moduli
-from msindex.errors import DomainError
+from msindex.errors import DomainError, NonConvergence
 from msindex.families import (
     P1,
     QuadConfig,
@@ -118,11 +118,12 @@ def test_analyze_is_cached():
 
 
 def test_analyze_keys_its_cache_on_the_whole_quad_config():
-    # a config differing only in abs_floor must not reuse the default
+    # a looser tolerance must not reuse the default analysis
     p = SurfaceParam("tP", 14.0)
-    loose = QuadConfig(abs_floor=1e-3)
+    loose = QuadConfig(target_rel_tol=1e-4)
     assert analyze(p).integrals == integral_set(p)
     assert analyze(p, config=loose).integrals == integral_set(p, loose)
+    assert analyze(p, config=loose).integrals != analyze(p).integrals
 
 
 def test_delegation_shares_the_analysis():
@@ -167,8 +168,9 @@ def test_retained_reports_are_compact(h_mid):
 def test_cached_analyses_are_compact():
     # what the analysis cache frees per entry: the integrals, the period
     # frame (omega and tau), the 9x9 and 18x18 key matrices, the report
-    # and the cache key, about 7.3 KB; the bound leaves no room for a
-    # second pair of 18x18 matrices (5.2 KB)
+    # and the cache key, about 6.5 KB in slotted records; the bound
+    # leaves no room for a __dict__ per record or for a tau that keeps
+    # the whole [tau | C1^-1] array of its solve alive
     count = 30
     rng = np.random.default_rng(30)
     windows = [DEFAULT_WINDOWS[fam] + (fam,) for fam in ("H", "rPD", "tP", "tCLP")]
@@ -185,7 +187,17 @@ def test_cached_analyses_are_compact():
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert freed / count <= 8000
+    assert freed / count <= 7000
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="row A2 of tP peaks at t = 1/sqrt(2) with width about "
+                          "sqrt(a - 2), which tanh-sinh does not resolve by level 12")
+@pytest.mark.parametrize("family, a", [("tP", 2.00001), ("tP", 2.000002), ("tD", -2.00001)])
+def test_analyze_near_the_tp_boundary(family, a):
+    # inside the admitted domain a >= 2 + MARGIN
+    r = analyze(SurfaceParam(family, a)).report
+    assert r.eig_w.shape == (9,) and r.eig_wdiff.shape == (18,)
 
 
 def test_analyze_rejects_bad_parameters():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msindex import families, quadrature
 from msindex.errors import DomainError, NonConvergence
-from msindex.quadrature import Integrand, QuadConfig, _fused_nodes, _nodes, integrate, integrate_tail
+from msindex.quadrature import Integrand, QuadConfig, _fused_nodes, _nodes, integrate
 
 
 def test_cubic_polynomial_exact():
@@ -103,7 +103,7 @@ def test_singular_endpoint_at_zero_or_with_offset_form_is_accepted():
 
 def test_tail_inverse_square():
     f = Integrand(lambda t: 1.0 / t ** 2, 1.0, math.inf)
-    value, _ = integrate_tail(f)
+    value, _ = integrate(f)
     assert abs(value - 1.0) < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_tail_with_finite_end_singularity():
         singular_lo=True,
         from_lo=lambda s: 1.0 / ((1.0 + s) ** 2 * np.sqrt(s)),
     )
-    value, _ = integrate_tail(f)
+    value, _ = integrate(f)
     assert abs(value - math.pi / 2.0) < 1e-12
 
 
@@ -125,20 +125,21 @@ def test_error_estimate_bounds_true_error():
     assert abs(value - exact) <= max(10.0 * err, 1e-14)
 
 
-def test_level_budget_does_not_change_converged_result():
+def test_level_budget_does_not_change_converged_result(monkeypatch):
     f = Integrand(lambda x: np.exp(x) * np.cos(2.0 * x), 0.0, 1.5)
-    v8, _ = integrate(f, QuadConfig(max_level=8))
-    v12, _ = integrate(f, QuadConfig(max_level=12))
+    v12, _ = integrate(f)
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 8)
+    v8, _ = integrate(f)
     assert v8 == v12
 
 
 def test_interval_validation():
     with pytest.raises(DomainError):
         integrate(Integrand(lambda x: x, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        integrate(Integrand(lambda x: x, 0.0, math.inf))
-    with pytest.raises(DomainError):
-        integrate_tail(Integrand(lambda x: x, 0.0, 1.0))
+    # (1, inf) is the only infinite interval, folded onto (0, 1)
+    for lo, hi in ((0.0, math.inf), (2.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+        with pytest.raises(DomainError):
+            integrate(Integrand(lambda x: 1.0 / (1.0 + x * x), lo, hi))
 
 
 def test_nonfinite_integrand_rejected():
@@ -160,31 +161,30 @@ def test_nonfinite_value_first_at_level_two_rejected():
         integrate(f)
 
 
-def test_nonfinite_value_only_at_level_four_rejected():
+def test_nonfinite_value_only_at_level_four_rejected(monkeypatch):
     _, d_near = _nodes(4)
     bad_x = 0.0 + 0.5 * d_near[0]
     f = Integrand(lambda x: np.where(x == bad_x, np.nan, _rough(x)), 0.0, 1.0)
     with pytest.raises(DomainError):
         integrate(f)
     # level 4 is reached: without the bad node it is evaluated and still unconverged
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
     with pytest.raises(NonConvergence):
-        integrate(Integrand(_rough, 0.0, 1.0), QuadConfig(max_level=4))
+        integrate(Integrand(_rough, 0.0, 1.0))
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     # interior kink, far too slow for four levels at 1e-15
     rough = Integrand(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0)
-    with pytest.raises(NonConvergence):
-        integrate(rough, QuadConfig(target_rel_tol=1e-15, max_level=4))
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
+    with pytest.raises(NonConvergence, match="by level 4"):
+        integrate(rough, QuadConfig(target_rel_tol=1e-15))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(target_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_level=3)
-    with pytest.raises(ValueError):
-        QuadConfig(abs_floor=0.0)
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError):
+            QuadConfig(target_rel_tol=tol)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -205,7 +205,7 @@ def test_linearity(c0, c1, c2, alpha, beta):
     assert abs(vc - (alpha * vf + beta * vg)) <= 1e-10 * scale
 
 
-def _per_level_reference(f, row=0, config=QuadConfig()):
+def _per_level_reference(f, row=0):
     """One row of f, level by level: its own calls per side, one np.dot per side per level."""
     half = 0.5 * (f.hi - f.lo)
 
@@ -228,27 +228,19 @@ def _per_level_reference(f, row=0, config=QuadConfig()):
         centre = call(f.evaluator, np.array([f.lo + half]))
         trapezoid = level_sum(0) + 0.5 * math.pi * float(centre[0])
         value = half * trapezoid
-        for level in range(1, config.max_level + 1):
+        for level in range(1, quadrature._MAX_LEVEL + 1):
             trapezoid = 0.5 * trapezoid + 0.5 ** level * level_sum(level)
             new_value = half * trapezoid
             err = abs(new_value - value)
             value = new_value
-            if level >= 3 and err <= max(config.target_rel_tol * abs(value), config.abs_floor):
+            if level >= 3 and err <= max(QuadConfig().target_rel_tol * abs(value), quadrature._ABS_FLOOR):
                 return value, err
     raise AssertionError("reference did not converge")
 
 
-def _one_row(f, row, monkeypatch):
+def _one_row(f, row):
     """The per-level reference for one row of f, through the tail fold where f needs it."""
-    if not math.isinf(f.hi):
-        return _per_level_reference(f, row)
-    # integrate_tail folds onto (0, 1) and calls the module's integrate
-    monkeypatch.setattr(quadrature, "integrate",
-                        lambda g, config=QuadConfig(): _per_level_reference(g, row, config))
-    try:
-        return integrate_tail(f)
-    finally:
-        monkeypatch.undo()
+    return _per_level_reference(quadrature._fold(f) if math.isinf(f.hi) else f, row)
 
 
 @pytest.mark.parametrize("table, a", [
@@ -271,12 +263,12 @@ def _one_row(f, row, monkeypatch):
     (families._identity_integrands_rPD, 0.01),
     (families._identity_integrands_rPD, 0.99),
 ])
-def test_sums_equal_the_per_level_reference_exactly(monkeypatch, table, a):
+def test_sums_equal_the_per_level_reference_exactly(table, a):
     seen = 0
     for key, f in table(a).items():
-        got = integrate_tail(f) if math.isinf(f.hi) else integrate(f)
+        got = integrate(f)
         for row, name in enumerate(f.names or (key,)):
-            want = _one_row(f, row, monkeypatch)
+            want = _one_row(f, row)
             have = got[name] if f.names else got
             assert have[0] == want[0], name
             assert have[1] == want[1], name
@@ -403,13 +395,14 @@ def test_nonfinite_value_in_an_active_row_names_its_node(level, upper):
         integrate(_table({"sqrt": np.sqrt, "bump": bump_bad}))
 
 
-def test_one_unconverged_row_raises_non_convergence():
+def test_one_unconverged_row_raises_non_convergence(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 6)
     rows = {"sqrt": np.sqrt, "rough": _rough, "cos": _STOPS["cos"][1]}
     with pytest.raises(NonConvergence, match="rough"):
-        integrate(_table(rows), QuadConfig(max_level=6))
+        integrate(_table(rows))
     with pytest.raises(NonConvergence, match="rough"):
-        integrate_tail(Integrand(lambda t: (1.0 / t ** 2, _rough(1.0 / t) / t ** 2), 1.0, math.inf,
-                                 names=("square", "rough")), QuadConfig(max_level=6))
+        integrate(Integrand(lambda t: (1.0 / t ** 2, _rough(1.0 / t) / t ** 2), 1.0, math.inf,
+                            names=("square", "rough")))
 
 
 def test_wrong_row_count_raises_type_error():
@@ -422,9 +415,9 @@ def test_wrong_row_count_raises_type_error():
     with pytest.raises(TypeError):
         integrate(Integrand(lambda x: (x, 1.0), 0.0, 1.0, names=("a", "b")))
     with pytest.raises(TypeError):
-        integrate_tail(Integrand(lambda t: (t ** -2, 1.0), 1.0, math.inf, names=("a", "b")))
+        integrate(Integrand(lambda t: (t ** -2, 1.0), 1.0, math.inf, names=("a", "b")))
     with pytest.raises(TypeError):
-        integrate_tail(Integrand(lambda t: (t ** -2,) * 3, 1.0, math.inf, names=("a", "b")))
+        integrate(Integrand(lambda t: (t ** -2,) * 3, 1.0, math.inf, names=("a", "b")))
 
 
 def test_table_row_names_are_distinct():
