@@ -472,12 +472,10 @@ def period_frame(p: SurfaceParam, integrals: IntegralSet) -> PeriodFrame:
     sym_defect = linalg.frobenius(tau - tau.T)
     if sym_defect > _TAU_SYM_TOL * max(linalg.frobenius(tau), 1e-300):
         raise RiemannMatrixViolation(f"tau asymmetry {sym_defect:.3e}")
-    im = 0.5 * (tau.imag + tau.imag.T)
-    im_eigs = linalg.eig_selfadjoint(im)
-    if min(im_eigs) <= 0.0:
+    im_eigs = linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T))
+    if im_eigs[-1] <= 0.0:
         raise RiemannMatrixViolation(
-            f"Im tau not positive definite, eigenvalues {im_eigs.tolist()}"
-        )
+            f"Im tau not positive definite, eigenvalues {im_eigs.tolist()}")
     return PeriodFrame(omega=omega, tau=tau)
 
 
@@ -502,27 +500,27 @@ P1.flags.writeable = False
 P2.flags.writeable = False
 
 
-def _p_ai_hexagonal(p: complex, sign: float) -> np.ndarray:
-    """P_ai at the branch point p of z (z^3 - a^3) (z^3 - sign a^-3)."""
-    return np.array([
+def _p_ai_hexagonal(p: complex, sign: float) -> list:
+    """Rows of P_ai at the branch point p of z (z^3 - a^3) (z^3 - sign a^-3)."""
+    return [
         [-5.0 / (6.0 * p), -0.5 / p ** 2, -1.0 / (6.0 * p ** 3),
          0.5 * (p ** 2 - sign * p ** -4), 0.5 * (p - sign * p ** -5), 0.5 * (1.0 - sign * p ** -6)],
         [1.0 / 6.0, -0.5 / p, -1.0 / (6.0 * p ** 2),
          0.5 * (p ** 3 - sign * p ** -3), 0.5 * (p ** 2 - sign * p ** -4), 0.5 * (p - sign * p ** -5)],
         [p / 6.0, 0.5, -1.0 / (6.0 * p),
          0.5 * (p ** 4 - sign * p ** -2), 0.5 * (p ** 3 - sign * p ** -3), 0.5 * (p ** 2 - sign * p ** -4)],
-    ], dtype=complex)
+    ]
 
 
-def _p_ai_tetragonal(p: complex, a: float) -> np.ndarray:
-    return np.array([
+def _p_ai_tetragonal(p: complex, a: float) -> list:
+    return [
         [-0.75 / p, -0.5 / p ** 2, -0.25 / p ** 3,
          0.5 * a / p + p ** 3, 0.5 * a / p ** 2 + p ** 2, 0.5 * a / p ** 3 + p],
         [0.25, -0.5 / p, -0.25 / p ** 2,
          -0.5 * a - p ** -4, 0.5 * a / p + p ** 3, 0.5 * a / p ** 2 + p ** 2],
         [0.25 * p, 0.5, -0.25 / p,
          -0.5 * a * p - p ** -3, -0.5 * a - p ** -4, 0.5 * a / p + p ** 3],
-    ], dtype=complex)
+    ]
 
 
 # H and rPD lie on y^2 = z (z^3 - a^3) (z^3 - sign a^-3) with this sign
@@ -587,10 +585,9 @@ def deformation_data(p: SurfaceParam) -> np.ndarray:
             if abs(pts[i] - pts[j]) <= _POINT_SEPARATION:
                 raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide")
 
-    if fam in _HEX_SIGN:
-        p_ai = np.stack([_p_ai_hexagonal(z, _HEX_SIGN[fam]) for z in pts])
-    else:
-        p_ai = np.stack([_p_ai_tetragonal(z, a) for z in pts])
+    sign = _HEX_SIGN.get(fam)
+    p_ai = np.array([_p_ai_tetragonal(z, a) if sign is None else _p_ai_hexagonal(z, sign)
+                     for z in pts], dtype=complex)
     p_ai.flags.writeable = False
     return p_ai
 

@@ -6,9 +6,11 @@ input holding inf or nan is refused up front, and every tolerance test
 is written so that a nan fails it.  Eigenvalues of Hermitian matrices
 come from LAPACK ``eigvalsh`` (through numpy.linalg), which takes
 complex Hermitian input directly, and are returned as one read-only
-descending array; linear systems are solved by LAPACK ``gesv`` (LU
-with partial pivoting, through ``numpy.linalg.solve``), guarded by a
-singularity test and a residual check of its own.
+descending array; input exactly equal to its conjugate transpose, as
+the pipeline's key matrices are by construction, is not symmetrized.
+Linear systems are solved by LAPACK ``gesv`` (LU with partial
+pivoting, through ``numpy.linalg.solve``), guarded by a singularity
+test and a residual check of its own.
 """
 
 from __future__ import annotations
@@ -46,15 +48,21 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm, rescaled by max|m| where the plain sum of squares
-    overflows or underflows (Blue 1978), so that any finite matrix gets a
-    finite norm and a nonzero one a nonzero norm."""
-    a = np.asarray(m)
-    norm = float(np.linalg.norm(a))
+    """Frobenius norm with np.linalg.norm's bits, rescaled by max|m| where
+    the plain sum of squares overflows or underflows (Blue 1978), so that
+    any finite matrix gets a finite, and a nonzero one a nonzero, norm.
+    np.vdot forms the sums: unlike ndarray.dot it never warns."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+    else:
+        x = x if x.dtype.kind == "f" else x.astype(float)
+        norm = math.sqrt(float(np.vdot(x, x)))
     if norm == 0.0 or math.isinf(norm):
-        big = float(np.max(np.abs(a), initial=0.0))
+        big = float(np.max(np.abs(x), initial=0.0))
         if 0.0 < big < math.inf:
-            norm = big * float(np.linalg.norm(a / big))
+            norm = big * frobenius(x / big)
     return norm
 
 
@@ -76,15 +84,17 @@ def solve(a, b) -> np.ndarray:
         bb = bb[:, None]
     if bb.ndim != 2 or bb.shape[0] != aa.shape[0]:
         raise DimensionMismatch(f"rhs shape {np.asarray(b).shape} does not match {aa.shape}")
-    _require_finite(aa, "coefficient matrix")
-    _require_finite(bb, "rhs")
+    scale = frobenius(aa)
+    rhs_norm = frobenius(bb)
+    if not math.isfinite(scale + rhs_norm):  # an inf or nan entry makes its norm so
+        _require_finite(aa, "coefficient matrix")
+        _require_finite(bb, "rhs")
 
     n, k = bb.shape
-    scale = frobenius(aa)
     if scale == 0.0:
         raise SingularMatrix("zero coefficient matrix")
     try:
-        sol = np.linalg.solve(aa, np.hstack([bb, np.eye(n)]))
+        sol = np.linalg.solve(aa, np.concatenate((bb, np.eye(n)), axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"gesv: {exc}") from exc
     x = sol[:, :k]
@@ -96,7 +106,6 @@ def solve(a, b) -> np.ndarray:
             f"(1/|a^-1| = {sigma_min_lower:.3e})")
 
     resid = frobenius(aa @ x - bb)
-    rhs_norm = frobenius(bb)
     if rhs_norm > 0.0 and not (resid <= _RESIDUAL_TOL * rhs_norm):
         raise SingularMatrix(f"solution residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e} * |b|")
     # a copy, so that a kept solution does not hold all of [x | a^-1]
@@ -105,8 +114,8 @@ def solve(a, b) -> np.ndarray:
 
 def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
     vals = np.asarray(eigenvalues, dtype=float)
-    pos = int(np.sum(vals > zero_tol))
-    neg = int(np.sum(vals < -zero_tol))
+    pos = int(np.count_nonzero(vals > zero_tol))
+    neg = int(np.count_nonzero(vals < -zero_tol))
     return pos, neg, len(vals) - pos - neg
 
 
@@ -114,27 +123,27 @@ def eig_selfadjoint(m) -> np.ndarray:
     """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``,
     sorted descending in one contiguous read-only float64 array.
 
-    The input is symmetrized and handed to ``eigvalsh``; input whose
-    imaginary part is exactly zero goes in as a real matrix.  Raises
-    NonFiniteInput for inf or nan entries, NotSelfAdjoint when the input
-    is too far from its own conjugate transpose, and NonConvergence if
-    LAPACK reports that its iteration failed.
+    Input equal to its conjugate transpose goes to ``eigvalsh`` as it is,
+    other input is symmetrized first; input whose imaginary part is
+    exactly zero goes in as a real matrix.  Raises NonFiniteInput for inf
+    or nan entries, NotSelfAdjoint when the input is too far from its own
+    conjugate transpose, and NonConvergence if LAPACK reports failure.
     """
     a = _as_square(m)
     if a.shape[0] not in _ALLOWED_SIZES:
         raise DimensionMismatch(f"unsupported size {a.shape[0]}, expected one of {_ALLOWED_SIZES}")
     _require_finite(a, "matrix")
-    scale = frobenius(a)
-    complex_input = np.iscomplexobj(a)
-    adjoint = a.conj().T if complex_input else a.T
-    defect = frobenius(a - adjoint)
-    if not (defect <= _HERMITIAN_DEFECT_TOL * max(scale, 1e-300)):
-        raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}")
-    sym = 0.5 * (a + adjoint)
-    if complex_input and not np.any(sym.imag != 0.0):
-        sym = sym.real
+    adjoint = a.conj().T
+    if not (a == adjoint).all():
+        scale = frobenius(a)
+        defect = frobenius(a - adjoint)
+        if not (defect <= _HERMITIAN_DEFECT_TOL * max(scale, 1e-300)):
+            raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}")
+        a = 0.5 * (a + adjoint)
+    if a.dtype.kind == "c" and not a.imag.any():
+        a = a.real
     try:
-        ascending = np.linalg.eigvalsh(sym)
+        ascending = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigvalsh failed: {exc}") from exc
     values = np.array(ascending[::-1], dtype=np.float64)

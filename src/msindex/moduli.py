@@ -6,7 +6,8 @@ period derivatives.  The Hermitian pairing eta of period data gives a
 9x9 key matrix whose signature classifies the surface, and an 18x18
 real comparison of actual against admissible periods decides whether
 the classification is clean (kernel of dimension exactly eight) or
-sits at a degeneration.
+sits at a degeneration.  Each Gram matrix of eta is one contraction m
+taken to -i (m - m^H), so both key matrices are Hermitian exactly.
 """
 
 from __future__ import annotations
@@ -63,47 +64,38 @@ def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
     eta pairs the splits (Z1, Z2) and (W1, W2) of two directions as
     -i tr(Z2^t conj(W1) - Z1^t conj(W2)).  tr(A^t conj(B)) is the plain
-    elementwise sum of A * conj(B), so the full matrix reduces to two
-    contractions.
+    elementwise sum of A * conj(B), and the second trace is the
+    conjugate of the first with the directions swapped, so one
+    contraction m gives the full matrix -i (m - m^H), Hermitian exactly.
     """
-    return -1j * (
-        np.einsum("iab,jab->ij", ds, cs.conj())
-        - np.einsum("iab,jab->ij", cs, ds.conj())
-    )
+    m = np.einsum("iab,jab->ij", ds, cs.conj())
+    return -1j * (m - m.conj().T)
 
 
 def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     """The 9x9 pairing matrix and the 18x18 period comparison of the
     tangent directions mats, a (9, 3, 6) array from tangent_frame.
 
-    Each direction splits into 3x3 halves (C, D).  The admissible
-    projection of a direction with halves (C, D) is
-    K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired with K tau;
-    the second batch applies the same projection to the direction
-    rotated by i.  W1 pairs the 18 directions themselves and W2 their
-    projections; only Wdiff = W2 - W1 is kept.
+    Each direction splits into 3x3 halves (C, D) and projects to the
+    admissible K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired with
+    K tau; the second batch projects the directions rotated by i, with
+    real halves -Im C and -Im D.  W1 pairs the 18 directions and W2
+    their projections; Wdiff = W2 - W1.  Rotation by i scales a row of
+    eta by i and a column by -i, so W1 = [[Re W, Im W], [-Im W, Re W]],
+    and W2 = Im m2 + (Im m2)^t for the contraction m2 of the projections.
+    W is Hermitian and W1, W2 symmetric by construction: hermitian_defect is 0.
     """
     cs = np.ascontiguousarray(mats[:, :, :3])
     ds = np.ascontiguousarray(mats[:, :, 3:])
-
     w = _pair_all(cs, ds)
-    defect = linalg.frobenius(w - w.conj().T)
-    w = 0.5 * (w + w.conj().T)
-
-    re_tau = tau.real
     im_inv = linalg.solve(tau.imag, np.eye(3))
-
-    cu = np.concatenate([cs, 1j * cs])
-    du = np.concatenate([ds, 1j * ds])
-    k_all = cu.real + 1j * ((cu.real @ re_tau - du.real) @ im_inv)
-    cv = k_all
-    dv = k_all @ tau
-
-    w1 = _pair_all(cu, du).real
-    w2 = _pair_all(cv, dv).real
-    w1 = 0.5 * (w1 + w1.T)
-    w2 = 0.5 * (w2 + w2.T)
-    return KeyMatrices(w=w, wdiff=w2 - w1, hermitian_defect=defect)
+    c_re = np.concatenate([cs.real, -cs.imag])
+    k_all = np.empty(c_re.shape, dtype=complex)
+    k_all.real = c_re
+    k_all.imag = (c_re @ tau.real - np.concatenate([ds.real, -ds.imag])) @ im_inv
+    m2 = np.einsum("iab,jab->ij", k_all @ tau, k_all.conj()).imag
+    w1 = np.concatenate([np.concatenate([w.real, w.imag], 1), np.concatenate([-w.imag, w.real], 1)])
+    return KeyMatrices(w=w, wdiff=m2 + m2.T - w1, hermitian_defect=0.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -143,11 +135,12 @@ def spectral_report(km: KeyMatrices) -> SpectralReport:
     ends, where the spectrum spreads over many orders of magnitude and
     stable eigenvalues dip below any fixed fraction of the largest.
     """
+    # max|eigenvalue| sits at one end of each sorted spectrum
     ew = linalg.eig_selfadjoint(km.w)
-    zero_w = ZERO_TOL_FACTOR * float(np.max(np.abs(ew)))
+    zero_w = ZERO_TOL_FACTOR * float(max(abs(ew[0]), abs(ew[-1])))
 
     ed = linalg.eig_selfadjoint(km.wdiff)
-    zero_d = ZERO_TOL_FACTOR * float(np.max(np.abs(ed)))
+    zero_d = ZERO_TOL_FACTOR * float(max(abs(ed[0]), abs(ed[-1])))
     d_pos, d_neg, d_zero = linalg.count_signs(ed, zero_d)
 
     degenerate = d_zero != _EXPECTED_KERNEL

@@ -6,6 +6,8 @@ order); the independent references are analytic spectra, the trace,
 and the mpmath spectra of the pipeline's key matrices in test_moduli.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,11 +27,6 @@ def test_frobenius():
     assert linalg.frobenius([[3.0, 0.0], [0.0, 4.0]]) == 5.0
 
 
-# frobenius's unscaled first try overflows before it rescales
-_OVERFLOW_WARNS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
-
-@_OVERFLOW_WARNS
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_frobenius_outside_the_range_of_squares(scale):
     m = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
@@ -38,7 +35,6 @@ def test_frobenius_outside_the_range_of_squares(scale):
     assert linalg.frobenius([[np.inf, 0.0], [0.0, 1.0]]) == np.inf
 
 
-@_OVERFLOW_WARNS
 def test_eig_rejects_huge_antisymmetric_block():
     # the defect and the norm overflow alike without rescaling
     m = np.array([[0.0, 1e200, 0.0], [-1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -46,7 +42,6 @@ def test_eig_rejects_huge_antisymmetric_block():
         linalg.eig_selfadjoint(m)
 
 
-@_OVERFLOW_WARNS
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_solve_scaled_identity(scale):
     b = np.array([1.0, -2.0, 3.0])
@@ -104,6 +99,27 @@ def test_count_signs():
     assert linalg.count_signs(vals, 0.0) == (2, 2, 0)
 
 
+def _summed_signs(vals, zero_tol):
+    """Sign counts as np.sum forms them, the reference for count_signs."""
+    vals = np.asarray(vals, dtype=float)
+    pos = int(np.sum(vals > zero_tol))
+    neg = int(np.sum(vals < -zero_tol))
+    return pos, neg, len(vals) - pos - neg
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([3, 9, 18]))
+def test_count_signs_matches_the_summed_counts(seed, n):
+    # values drawn so that ties at +-zero_tol and exact zeros occur
+    rng = np.random.default_rng(seed)
+    tol = 1e-7
+    vals = rng.choice([-3.0, -tol, -0.5 * tol, -0.0, 0.0, 0.5 * tol, tol, 2.0], size=n)
+    for zero_tol in (tol, 0.0):
+        got = linalg.count_signs(vals, zero_tol)
+        assert got == _summed_signs(vals, zero_tol)
+        assert all(type(c) is int for c in got)
+
+
 def test_eig_diagonal():
     vals = linalg.eig_selfadjoint(np.diag([5.0, -2.0, 0.0]))
     assert np.array_equal(vals, [5.0, 0.0, -2.0])
@@ -132,6 +148,96 @@ def test_eig_rejects_non_selfadjoint():
 def test_eig_rejects_unsupported_size():
     with pytest.raises(DimensionMismatch):
         linalg.eig_selfadjoint(np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        linalg.eig_selfadjoint(np.ones((3, 4)))
+    with pytest.raises(DimensionMismatch):
+        linalg.eig_selfadjoint(np.ones(9))
+
+
+def _random_hermitian(seed, n):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z + z.conj().T
+
+
+def _capture_eigvalsh(monkeypatch):
+    """Record what eig_selfadjoint hands to numpy's eigvalsh."""
+    seen = []
+    exact = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a)
+        return exact(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 9, 18])
+def test_eig_exactly_hermitian_input_goes_straight_to_eigvalsh(n, monkeypatch):
+    for m in (_random_hermitian(n, n), _random_symmetric(n, n)):
+        assert np.array_equal(m, m.conj().T)
+        want = np.linalg.eigvalsh(m)[::-1]
+        seen = _capture_eigvalsh(monkeypatch)
+        assert np.array_equal(linalg.eig_selfadjoint(m), want)
+        assert len(seen) == 1 and seen[0] is m
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [3, 9, 18])
+def test_eig_symmetrizes_input_with_a_small_defect(n):
+    rng = np.random.default_rng(100 + n)
+    d = rng.standard_normal((n, n))
+    for h in (_random_hermitian(n, n), _random_symmetric(n, n)):
+        m = h + 1e-12 * (d - d.T)
+        assert not np.array_equal(m, m.conj().T)
+        want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
+        assert np.array_equal(linalg.eig_selfadjoint(m), want)
+
+
+def test_eig_rejects_complex_symmetric_input():
+    # equal to its transpose but not to its conjugate transpose
+    m = _random_symmetric(1, 3) + 1j * _random_symmetric(2, 3)
+    with pytest.raises(NotSelfAdjoint):
+        linalg.eig_selfadjoint(m)
+
+
+@pytest.mark.parametrize("defect", [0.0, 1e-12], ids=["exact", "symmetrized"])
+def test_eig_complex_input_with_zero_imaginary_part_takes_the_real_path(defect, monkeypatch):
+    m = _random_symmetric(5, 9)
+    m[0, 1] += defect
+    seen = _capture_eigvalsh(monkeypatch)
+    vals = linalg.eig_selfadjoint(m.astype(complex))
+    assert len(seen) == 1 and seen[0].dtype == np.float64
+    assert np.array_equal(vals, np.linalg.eigvalsh(0.5 * (m + m.T))[::-1])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_no_floating_point_warning_at_extreme_scales(scale):
+    m = scale * np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.frobenius(m) > 0.0
+        assert linalg.frobenius((1.0 + 1.0j) * m) > 0.0
+        linalg.eig_selfadjoint(m)
+        linalg.eig_selfadjoint(m + 1e-12 * scale * skew)
+        linalg.eig_selfadjoint(m + 1j * scale * skew)
+        linalg.solve(m, np.array([1.0, -2.0, 3.0]))
+        with pytest.raises(NotSelfAdjoint):
+            linalg.eig_selfadjoint(scale * (skew + np.eye(3)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([3, 6, 9, 18]),
+       is_complex=st.booleans())
+def test_frobenius_has_the_bits_of_numpy_norm(seed, n, is_complex):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, 2 * n)) * 10.0 ** rng.uniform(-8, 8, (n, 2 * n))
+    if is_complex:
+        m = m + 1j * rng.standard_normal((n, 2 * n))
+    for view in (m, m[:, :n], m[:, ::2], m.T):
+        assert linalg.frobenius(view) == float(np.linalg.norm(view))
 
 
 def _random_symmetric(seed, n):

@@ -19,6 +19,7 @@ from msindex.families import (
 )
 from msindex.moduli import (
     ZERO_TOL_FACTOR,
+    KeyMatrices,
     _pair_all,
     analyze,
     spectral_report,
@@ -88,7 +89,7 @@ def test_key_matrix_structure(h_mid):
     km = h_mid.key
     assert km.w.shape == (9, 9)
     assert km.wdiff.shape == (18, 18)
-    assert km.hermitian_defect <= 1e-12
+    assert km.hermitian_defect == 0.0
     assert linalg.frobenius(km.w - km.w.conj().T) == 0.0
     assert np.array_equal(km.wdiff, km.wdiff.T)
     assert not np.iscomplexobj(km.wdiff)
@@ -249,3 +250,75 @@ def test_key_matrix_spectra_match_numpy(family, a):
                      (res.key.wdiff, res.report.eig_wdiff)):
         ref = np.linalg.eigvalsh(mat)[::-1]
         assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _six_contraction_key_matrices(mats, tau):
+    """W and Wdiff by the reference formula: every Gram matrix from two
+    einsum contractions, the directions rotated by i formed as complex
+    products, and each result symmetrized."""
+    def pair(cs, ds):
+        return -1j * (np.einsum("iab,jab->ij", ds, cs.conj())
+                      - np.einsum("iab,jab->ij", cs, ds.conj()))
+
+    cs = np.ascontiguousarray(mats[:, :, :3])
+    ds = np.ascontiguousarray(mats[:, :, 3:])
+    w = pair(cs, ds)
+    w = 0.5 * (w + w.conj().T)
+    im_inv = linalg.solve(tau.imag, np.eye(3))
+    cu = np.concatenate([cs, 1j * cs])
+    du = np.concatenate([ds, 1j * ds])
+    k_all = cu.real + 1j * ((cu.real @ tau.real - du.real) @ im_inv)
+    w1 = pair(cu, du).real
+    w2 = pair(k_all, k_all @ tau).real
+    return w, 0.5 * (w2 + w2.T) - 0.5 * (w1 + w1.T)
+
+
+def _key_matrix_points():
+    """Every reference sample and root, the tD mirror of each tP one,
+    and both ends of each family's default window."""
+    path = resources.files("msindex.data").joinpath("reference_tables.json")
+    with path.open(encoding="utf-8") as fh:
+        families = json.load(fh)["families"]
+    points = [(fam, entry["a"]) for fam, table in families.items()
+              for key in ("samples", "roots") for entry in table.get(key, [])]
+    points += [("tD", -a) for fam, a in points if fam == "tP"]
+    points += [(fam, a) for fam, window in DEFAULT_WINDOWS.items() for a in window]
+    return points
+
+
+def test_key_matrices_equal_the_six_contraction_reference():
+    # one contraction per Gram matrix and the realification of W give
+    # the reference's bits: each product and each summation order match
+    for family, a in _key_matrix_points():
+        res = analyze(SurfaceParam(family, a))
+        mats = tangent_frame(res.frame.omega, deformation_data(res.canonical))
+        km = res.key
+        w_ref, wdiff_ref = _six_contraction_key_matrices(mats, res.frame.tau)
+        assert np.array_equal(km.w, w_ref), (family, a)
+        assert np.array_equal(km.wdiff, wdiff_ref), (family, a)
+        assert km.hermitian_defect == 0.0
+        assert np.array_equal(km.w, km.w.conj().T)
+        assert np.array_equal(km.wdiff, km.wdiff.T)
+
+
+@pytest.mark.parametrize("family,a", _key_matrix_points())
+def test_zero_tolerances_scale_with_the_largest_eigenvalue(family, a):
+    r = analyze(SurfaceParam(family, a)).report
+    assert r.zero_tol_w == ZERO_TOL_FACTOR * float(np.max(np.abs(r.eig_w)))
+    assert r.zero_tol_wdiff == ZERO_TOL_FACTOR * float(np.max(np.abs(r.eig_wdiff)))
+
+
+@pytest.mark.parametrize("w_diag", [
+    [9.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.01, 1e-3],
+    [-1e-3, -0.01, -0.1, -0.25, -0.5, -1.0, -2.0, -4.0, -9.0],
+    [3.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, -2.0, -7.5],
+    [0.0] * 9,
+], ids=["positive", "negative", "mixed", "zero"])
+def test_zero_tolerances_on_synthetic_spectra(w_diag):
+    wdiff_diag = np.concatenate([w_diag, -2.0 * np.array(w_diag)])
+    km = KeyMatrices(w=np.diag(w_diag).astype(complex), wdiff=np.diag(wdiff_diag),
+                     hermitian_defect=0.0)
+    r = spectral_report(km)
+    assert r.zero_tol_w == ZERO_TOL_FACTOR * float(np.max(np.abs(w_diag)))
+    assert r.zero_tol_wdiff == ZERO_TOL_FACTOR * float(np.max(np.abs(wdiff_diag)))
+    assert np.copysign(1.0, r.zero_tol_w) == 1.0
