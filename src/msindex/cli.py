@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 
@@ -46,27 +45,28 @@ def _fmt(x: float) -> str:
 
 
 def _quad_config(args) -> QuadConfig:
-    tol = args.quad_tol
-    if tol is None:
+    if args.quad_tol is None:
         return QuadConfig()
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise UsageError("quadrature tolerance must be a positive real")
-    return QuadConfig(target_rel_tol=tol)
+    try:
+        return QuadConfig(target_rel_tol=args.quad_tol)
+    except ValueError as exc:
+        raise UsageError("quadrature tolerance must be a positive real") from exc
 
 
 # ---------------------------------------------------------------- analyze
 
-def _analysis_record(res: moduli.SurfaceAnalysis, quad: QuadConfig) -> dict:
+def _analysis_record(p: SurfaceParam, res: moduli.SurfaceAnalysis, quad: QuadConfig) -> dict:
+    """The record of request p; res is the analysis of its folded parameter."""
     r = res.report
     tau = res.frame.tau
-    tau_asym = float(abs(tau - tau.T).max())
+    w = res.key.w
     return {
         "schema_version": _SCHEMA_VERSION,
         "command": "analyze",
-        "family": res.param.family,
-        "a": res.param.a,
-        "canonical_family": res.canonical.family,
-        "canonical_a": res.canonical.a,
+        "family": p.family,
+        "a": p.a,
+        "canonical_family": res.param.family,
+        "canonical_a": res.param.a,
         "tolerances": {
             "quad_rel_tol": quad.target_rel_tol,
             "zero_tol_w": r.zero_tol_w,
@@ -74,8 +74,8 @@ def _analysis_record(res: moduli.SurfaceAnalysis, quad: QuadConfig) -> dict:
         },
         "diagnostics": {
             "quad_err_max": res.integrals.err_max,
-            "w_hermitian_defect": res.key.hermitian_defect,
-            "tau_asymmetry": tau_asym,
+            "w_hermitian_defect": float(abs(w - w.conj().T).max()),
+            "tau_asymmetry": float(abs(tau - tau.T).max()),
         },
         "eig_w": r.eig_w.tolist(),
         "eig_wdiff": r.eig_wdiff.tolist(),
@@ -132,8 +132,8 @@ def _print_analysis_csv(rec: dict, out) -> None:
 
 def cmd_analyze(args) -> int:
     quad = _quad_config(args)
-    res = moduli.analyze(SurfaceParam(args.family, args.a), config=quad)
-    rec = _analysis_record(res, quad)
+    p = SurfaceParam(args.family, args.a)
+    rec = _analysis_record(p, moduli.analyze(p, config=quad), quad)
     if args.json:
         sys.stdout.write(json.dumps(rec, indent=2, sort_keys=True) + "\n")
     elif args.csv:

@@ -1,18 +1,21 @@
 """The five surface families: domains, period integrals, period frames.
 
-Every family is described by one real parameter a.  The quantities
-A..I are singular integrals over branch-point data; they feed a 6x6
-matrix of periods whose top half determines the lattice and the
-period ratio tau.  All integrands are written so that each endpoint
-singularity sits at offset zero of the quadrature engine's distance
-coordinate, with cancellation-prone factors expanded by hand.  Each
-family defines its integrands once, as quadrature tables: one
-``Integrand`` with named rows per interval and set of endpoint forms
-(H: ``near0`` and ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP:
-``periods``).  Each table computes the radicands its rows share once
-per node array and is integrated in one call; integral_set and
-verify_identities read the same tables, the identities adding their
-own integrands beside them.
+Every family is described by one real parameter a, admitted in
+admissible_range and folded by canonical_param (tD onto tP, negative
+tCLP onto positive).  The quantities A..I are singular integrals over
+branch-point data; an IntegralSet records them with their family, and
+period_frame feeds them into that family's 6x6 matrix of periods,
+whose top half determines the lattice and the period ratio tau.  All
+integrands are written so that each endpoint singularity sits at
+offset zero of the quadrature engine's distance coordinate, with
+cancellation-prone factors expanded by hand.  Each family defines its
+integrands once, as quadrature tables: one ``Integrand`` with named
+rows per interval and set of endpoint forms (H: ``near0`` and
+``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``).  Each
+table computes the radicands its rows share once per node array and
+is integrated in one call; integral_set and verify_identities read
+the same tables, the identities adding their own integrands beside
+them.
 """
 
 from __future__ import annotations
@@ -56,14 +59,21 @@ def domain_bounds(family: str) -> tuple[float, float, bool, bool]:
     return table[family]
 
 
+def admissible_range(family: str) -> tuple[float, float]:
+    """The closed range of admitted parameters: the domain with MARGIN
+    taken off each open end.  An unbounded end stays infinite."""
+    lo, hi, closed_lo, closed_hi = domain_bounds(family)
+    return (lo if closed_lo else lo + MARGIN, hi if closed_hi else hi - MARGIN)
+
+
 def validate_param(p: SurfaceParam) -> None:
-    lo, hi, closed_lo, closed_hi = domain_bounds(p.family)
+    """Refuse a non-finite parameter or one outside admissible_range."""
+    a_lo, a_hi = admissible_range(p.family)
     a = p.a
     if not math.isfinite(a):
         raise DomainError(f"parameter must be finite, got {a!r}")
-    lo_ok = a >= lo if closed_lo else a >= lo + MARGIN
-    hi_ok = a <= hi if closed_hi else a <= hi - MARGIN
-    if not (lo_ok and hi_ok):
+    if not a_lo <= a <= a_hi:
+        lo, hi, closed_lo, closed_hi = domain_bounds(p.family)
         lo_b = "[" if closed_lo else "("
         hi_b = "]" if closed_hi else ")"
         raise DomainError(
@@ -98,7 +108,6 @@ class IntegralSet:
     H: float
     I: float
     family: str
-    a: float
     err_max: float
 
     def as_dict(self) -> dict[str, float]:
@@ -368,16 +377,13 @@ def integral_set(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> Integral
     a = p.a
     if fam == "tD":
         raise DomainError("tD shares its integrals with tP; apply canonical_param first")
-    compute = _INTEGRALS.get(fam)
-    if compute is None:
-        raise DomainError(f"unknown family {fam!r}")
     if fam == "H":
         if not (math.isfinite(a) and a >= MARGIN and abs(a - 1.0) >= MARGIN):
             raise DomainError(f"H integrals need a > 0 with a != 1, margin {MARGIN:g}; got {a!r}")
     else:
         validate_param(p)
-    vals, err = compute(a, config)
-    return IntegralSet(family=fam, a=a, err_max=err, **vals)
+    vals, err = _INTEGRALS[fam](a, config)
+    return IntegralSet(family=fam, err_max=err, **vals)
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +461,14 @@ _OMEGA_BUILDERS = {
 _TAU_SYM_TOL = 1e-9
 
 
-def period_frame(p: SurfaceParam, integrals: IntegralSet) -> PeriodFrame:
+def period_frame(integrals: IntegralSet) -> PeriodFrame:
     """Assemble the 6x6 period matrix and the period ratio tau from the
-    integrals of the canonical parameter.
+    integrals of one surface, in the period table of integrals.family.
 
     Raises RiemannMatrixViolation if tau comes out non-symmetric or
     its imaginary part is not positive definite.
     """
-    q = canonical_param(p)
-    builder = _OMEGA_BUILDERS.get(q.family)
-    if builder is None:
-        raise DomainError(f"no period table for family {q.family!r}")
-    omega = builder(integrals)
+    omega = _OMEGA_BUILDERS[integrals.family](integrals)
     tau = linalg.solve(omega[:3, :3], omega[:3, 3:])
 
     sym_defect = linalg.frobenius(tau - tau.T)
@@ -537,12 +539,10 @@ def _branch_points(fam: str, a: float) -> tuple[complex, ...]:
         e = cmath.exp(0.25j * math.pi)
         return (e * alpha, 1j * e * alpha, e.conjugate() * alpha,
                 -1j * e.conjugate() * alpha, e / alpha)
-    if fam == "tCLP":
-        # angle of -a/2 + i sqrt(4 - a^2)/2, a point on the unit circle
-        angle = math.atan2(0.5 * math.sqrt((2.0 - a) * (2.0 + a)), -0.5 * a)
-        z = cmath.exp(0.25j * angle)
-        return (z, 1j * z, -z, -1j * z, z.conjugate())
-    raise DomainError(f"no deformation points for family {fam!r}")
+    # tCLP: angle of -a/2 + i sqrt(4 - a^2)/2, a point on the unit circle
+    angle = math.atan2(0.5 * math.sqrt((2.0 - a) * (2.0 + a)), -0.5 * a)
+    z = cmath.exp(0.25j * angle)
+    return (z, 1j * z, -z, -1j * z, z.conjugate())
 
 
 def _residual_scale(fam: str, a: float, z: complex) -> float:
@@ -566,14 +566,15 @@ _POINT_SEPARATION = 1e-8
 def deformation_data(p: SurfaceParam) -> np.ndarray:
     """Derivatives of the period integrands in the five branch points.
 
-    Checks that each branch point lies on the curve and that no two
-    collide, then returns the 3x6 matrix P_ai of every point as one
-    read-only (5, 3, 6) array; the tangent frame maps it through the
-    constant matrices P1 and P2.
+    p must be canonical.  Checks that each branch point lies on the
+    curve and that no two collide, then returns the 3x6 matrix P_ai of
+    every point as one read-only (5, 3, 6) array; the tangent frame
+    maps it through the constant matrices P1 and P2.
     """
-    q = canonical_param(p)
-    validate_param(q)
-    fam, a = q.family, q.a
+    validate_param(p)
+    if canonical_param(p) is not p:
+        raise DomainError(f"{p} folds onto {canonical_param(p)}; apply canonical_param first")
+    fam, a = p.family, p.a
     pts = _branch_points(fam, a)
 
     for z in pts:

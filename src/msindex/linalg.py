@@ -27,8 +27,6 @@ from .errors import (
     SingularMatrix,
 )
 
-_ALLOWED_SIZES = (3, 6, 9, 18)
-
 # relative thresholds, all against the Frobenius norm of the input
 _HERMITIAN_DEFECT_TOL = 1e-9
 _PIVOT_TOL = 1e-14
@@ -130,8 +128,6 @@ def eig_selfadjoint(m) -> np.ndarray:
     conjugate transpose, and NonConvergence if LAPACK reports failure.
     """
     a = _as_square(m)
-    if a.shape[0] not in _ALLOWED_SIZES:
-        raise DimensionMismatch(f"unsupported size {a.shape[0]}, expected one of {_ALLOWED_SIZES}")
     _require_finite(a, "matrix")
     adjoint = a.conj().T
     if not (a == adjoint).all():

@@ -8,6 +8,8 @@ real comparison of actual against admissible periods decides whether
 the classification is clean (kernel of dimension exactly eight) or
 sits at a degeneration.  Each Gram matrix of eta is one contraction m
 taken to -i (m - m^H), so both key matrices are Hermitian exactly.
+analyze validates and folds its parameter once, then returns the
+cached analysis of the folded parameter.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
 class KeyMatrices:
     w: np.ndarray          # 9x9 Hermitian
     wdiff: np.ndarray      # 18x18 real symmetric, admissible minus actual
-    hermitian_defect: float
 
 
 def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -83,7 +84,7 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     their projections; Wdiff = W2 - W1.  Rotation by i scales a row of
     eta by i and a column by -i, so W1 = [[Re W, Im W], [-Im W, Re W]],
     and W2 = Im m2 + (Im m2)^t for the contraction m2 of the projections.
-    W is Hermitian and W1, W2 symmetric by construction: hermitian_defect is 0.
+    W is Hermitian and W1, W2 symmetric by construction.
     """
     cs = np.ascontiguousarray(mats[:, :, :3])
     ds = np.ascontiguousarray(mats[:, :, 3:])
@@ -95,7 +96,7 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     k_all.imag = (c_re @ tau.real - np.concatenate([ds.real, -ds.imag])) @ im_inv
     m2 = np.einsum("iab,jab->ij", k_all @ tau, k_all.conj()).imag
     w1 = np.concatenate([np.concatenate([w.real, w.imag], 1), np.concatenate([-w.imag, w.real], 1)])
-    return KeyMatrices(w=w, wdiff=m2 + m2.T - w1, hermitian_defect=0.0)
+    return KeyMatrices(w=w, wdiff=m2 + m2.T - w1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -164,10 +165,9 @@ def spectral_report(km: KeyMatrices) -> SpectralReport:
 
 @dataclass(frozen=True, slots=True)
 class SurfaceAnalysis:
-    """Everything computed for one (family, a) pair."""
+    """Everything computed for one canonical (family, a) pair."""
 
     param: SurfaceParam
-    canonical: SurfaceParam
     integrals: IntegralSet
     frame: PeriodFrame
     key: KeyMatrices
@@ -175,31 +175,19 @@ class SurfaceAnalysis:
 
 
 @lru_cache(maxsize=4096)
-def _analyze_cached(family: str, a: float, config: QuadConfig) -> SurfaceAnalysis:
-    p = SurfaceParam(family, a)
+def _analyze_cached(p: SurfaceParam, config: QuadConfig) -> SurfaceAnalysis:
     integrals = families.integral_set(p, config)
-    frame = families.period_frame(p, integrals)
+    frame = families.period_frame(integrals)
     mats = tangent_frame(frame.omega, families.deformation_data(p))
     km = key_matrices(mats, frame.tau)
-    report = spectral_report(km)
-    return SurfaceAnalysis(param=p, canonical=p, integrals=integrals,
-                           frame=frame, key=km, report=report)
+    return SurfaceAnalysis(param=p, integrals=integrals, frame=frame, key=km,
+                           report=spectral_report(km))
 
 
 def analyze(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> SurfaceAnalysis:
-    """Full pipeline for one surface, cached on canonical parameters.
-
-    The cache is keyed on the canonical family and parameter and the
-    full QuadConfig.  tD and negative-parameter
-    tCLP requests are folded first; they get a new SurfaceAnalysis that
-    records the requested parameter and shares the cached integrals,
-    frame, key matrices and report of the folded one.
-    """
+    """Full pipeline for one surface: p is validated and folded once,
+    and the result is the analysis of the folded parameter, cached on
+    it and the full QuadConfig.  So tD at -a returns the very object of
+    tP at a, and tCLP at -a that of tCLP at a."""
     families.validate_param(p)
-    q = families.canonical_param(p)
-    result = _analyze_cached(q.family, q.a, config)
-    if q != p:
-        result = SurfaceAnalysis(param=p, canonical=q, integrals=result.integrals,
-                                 frame=result.frame, key=result.key,
-                                 report=result.report)
-    return result
+    return _analyze_cached(families.canonical_param(p), config)

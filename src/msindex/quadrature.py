@@ -165,8 +165,8 @@ class QuadConfig:
     target_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.target_rel_tol > 0.0):
-            raise ValueError("target_rel_tol must be positive")
+        if not (self.target_rel_tol > 0.0 and math.isfinite(self.target_rel_tol)):
+            raise ValueError("target_rel_tol must be positive and finite")
 
 
 def _as_rows(out) -> np.ndarray:

@@ -11,13 +11,14 @@ of constant signature.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from collections import Counter
 from typing import Callable
 
-from . import moduli
+from . import linalg, moduli
 from .errors import DomainError, UnresolvedTransition
-from .families import MARGIN, QuadConfig, SurfaceParam, domain_bounds, validate_param
+from .families import QuadConfig, SurfaceParam, admissible_range
 
 _MIN_STEPS = 16
 _MAX_REFINE_EVALS = 80
@@ -57,8 +58,13 @@ class SweepConfig:
         if not self.a_min < self.a_max:
             raise DomainError(
                 f"empty sweep window [{self.a_min}, {self.a_max}]")
-        if self.steps < _MIN_STEPS:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise DomainError(f"steps must be an integer, got {self.steps!r}") from None
+        if steps < _MIN_STEPS:
             raise DomainError(f"steps must be at least {_MIN_STEPS}")
+        object.__setattr__(self, "steps", steps)
         if not (self.refine_tol > 0.0 and math.isfinite(self.refine_tol)):
             raise DomainError("refine_tol must be positive and finite")
 
@@ -138,18 +144,17 @@ def _raw_negatives(eig_w: list[float]) -> int:
     The raw count ignores the zero threshold entirely, so it jumps
     exactly where an eigenvalue crosses zero and nowhere else.
     """
-    return sum(1 for v in eig_w if v < 0.0)
+    return linalg.count_signs(eig_w, 0.0)[1]
 
 
 def _grid(family: str, cfg: SweepConfig) -> list[float]:
-    lo_b, hi_b, closed_lo, closed_hi = domain_bounds(family)
-    lo = max(cfg.a_min, lo_b if closed_lo else lo_b + MARGIN)
-    hi = min(cfg.a_max, hi_b if closed_hi else hi_b - MARGIN)
+    # lo < hi inside the admissible range admits both ends
+    lo_b, hi_b = admissible_range(family)
+    lo = max(cfg.a_min, lo_b)
+    hi = min(cfg.a_max, hi_b)
     if not lo < hi:
         raise DomainError(
             f"window [{cfg.a_min}, {cfg.a_max}] misses the {family} domain")
-    validate_param(SurfaceParam(family, lo))
-    validate_param(SurfaceParam(family, hi))
     n = cfg.steps
     pts = [lo + (hi - lo) * k / n for k in range(n + 1)]
     # the affine form can overshoot hi by one ulp, which would put the
@@ -291,15 +296,11 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     for k in range(len(samples) - 1):
         s0, s1 = samples[k], samples[k + 1]
         if q_raw[k] != q_raw[k + 1] and s0.signature_class != s1.signature_class:
-            transitions.append(_refine(family, cfg, *probes[k], *probes[k + 1]))
-    transitions.sort(key=lambda t: t.a_star)
-    # a root landing on a grid point refines from both flanking cells
-    pruned: list[Transition] = []
-    for t in transitions:
-        if pruned and t.a_star - pruned[-1].a_star <= 10.0 * cfg.refine_tol:
-            continue
-        pruned.append(t)
-    transitions = pruned
+            t = _refine(family, cfg, *probes[k], *probes[k + 1])
+            # roots come sorted, each from its bracket in grid order; one
+            # landing on a grid point refines from both flanking cells
+            if not transitions or t.a_star - transitions[-1].a_star > 10.0 * cfg.refine_tol:
+                transitions.append(t)
 
     cuts = [grid[0]] + [t.a_star for t in transitions] + [grid[-1]]
     intervals: list[Interval] = []
@@ -308,11 +309,7 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
         inside = [s for s in samples if lo < s.a < hi and s.nullity_E == 0]
         if not inside:
             inside = [_probe(family, 0.5 * (lo + hi), cfg)[0]]
-        majority, _ = Counter(s.signature_class for s in inside).most_common(1)[0]
-        p, q, index_e = majority
-        nullity = Counter(
-            s.nullity_E for s in inside if s.signature_class == majority
-        ).most_common(1)[0][0]
+        (p, q, index_e), _ = Counter(s.signature_class for s in inside).most_common(1)[0]
         intervals.append(Interval(
             lo=lo,
             hi=hi,
@@ -320,7 +317,8 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
             q=q,
             index_E=index_e,
             index_A=index_e,
-            nullity_A=nullity + 3,
+            # the grid samples in inside have nullity 0, a midpoint probe may not
+            nullity_A=inside[0].nullity_E + 3,
         ))
 
     return SweepReport(
@@ -344,17 +342,11 @@ def classify_at(
     limiting value, taken as the smaller of the two one-sided indices
     (they agree away from a transition).
     """
-    validate_param(SurfaceParam(family, a))
     report = moduli.analyze(SurfaceParam(family, a), config=config).report
-
-    flank_indices: list[int] = []
-    for side in (a - _FLANK_OFFSET, a + _FLANK_OFFSET):
-        try:
-            validate_param(SurfaceParam(family, side))
-        except DomainError:
-            continue
-        flank = moduli.analyze(SurfaceParam(family, side), config=config).report
-        flank_indices.append(flank.index_E)
+    lo, hi = admissible_range(family)
+    flank_indices = [
+        moduli.analyze(SurfaceParam(family, side), config=config).report.index_E
+        for side in (a - _FLANK_OFFSET, a + _FLANK_OFFSET) if lo <= side <= hi]
     if not flank_indices:
         raise DomainError(
             f"no admissible flanking parameter within {_FLANK_OFFSET} of {a}")

@@ -137,7 +137,7 @@ def test_criterion_4_structural_invariants(family_sweeps):
                 bad.append(f"{fam} a={a:.4g} tau asymmetry")
             if min(linalg.eig_selfadjoint(tau.imag)) <= 0.0:
                 bad.append(f"{fam} a={a:.4g} Im tau not positive")
-            if res.key.hermitian_defect > 1e-9:
+            if not np.array_equal(res.key.w, res.key.w.conj().T):
                 bad.append(f"{fam} a={a:.4g} pairing defect")
             if r.p + r.q + r.nullity_E != 9 or r.index_E < 1:
                 bad.append(f"{fam} a={a:.4g} counts")

@@ -35,6 +35,8 @@ def test_analyze_json_schema(capsys):
     assert len(rec["eig_wdiff"]) == 18
     assert rec["p"] + rec["q"] + rec["nullity_E"] == 9
     assert rec["diagnostics"]["tau_asymmetry"] <= 1e-12
+    # measured from W, which is Hermitian by construction
+    assert rec["diagnostics"]["w_hermitian_defect"] == 0.0
     # emitted with sorted keys, so a sorted re-encoding is byte equal
     assert out.strip() == json.dumps(rec, indent=2, sort_keys=True)
 

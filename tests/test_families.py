@@ -12,6 +12,7 @@ from msindex.families import (
     MARGIN,
     QuadConfig,
     SurfaceParam,
+    admissible_range,
     canonical_param,
     domain_bounds,
     integral_set,
@@ -52,6 +53,28 @@ def test_validate_accepts_interior(fam, a):
 def test_validate_rejects_boundary_and_outside(fam, a):
     with pytest.raises(DomainError):
         validate_param(SurfaceParam(fam, a))
+
+
+def test_admissible_range_takes_the_margin_off_open_ends():
+    assert admissible_range("H") == (MARGIN, 1.0 - MARGIN)
+    assert admissible_range("rPD") == (MARGIN, 1.0)
+    assert admissible_range("tP") == (2.0 + MARGIN, math.inf)
+    assert admissible_range("tD") == (-math.inf, -2.0 - MARGIN)
+    assert admissible_range("tCLP") == (-2.0 + MARGIN, 2.0 - MARGIN)
+    with pytest.raises(DomainError, match="unknown family 'gyroid'"):
+        admissible_range("gyroid")
+
+
+@pytest.mark.parametrize("fam,a,text", [
+    ("tP", 2.0, "family tP needs a in (2.0, inf) with margin 1e-06 at open ends; got 2.0"),
+    ("rPD", 1.5, "family rPD needs a in (0.0, 1.0] with margin 1e-06 at open ends; got 1.5"),
+    ("tD", -1.0, "family tD needs a in (-inf, -2.0) with margin 1e-06 at open ends; got -1.0"),
+    ("H", math.nan, "parameter must be finite, got nan"),
+])
+def test_validate_error_text(fam, a, text):
+    with pytest.raises(DomainError) as info:
+        validate_param(SurfaceParam(fam, a))
+    assert str(info.value) == text
 
 
 def test_canonical_param():
@@ -103,7 +126,7 @@ def test_tclp_even_in_a():
 ])
 def test_period_frame_riemann_conditions(fam, a):
     p = SurfaceParam(fam, a)
-    frame = period_frame(p, integral_set(p))
+    frame = period_frame(integral_set(p))
     tau = frame.tau
     assert frame.omega.shape == (6, 6)
     assert tau.shape == (3, 3)
@@ -120,7 +143,7 @@ def test_period_frame_riemann_conditions(fam, a):
 def test_period_frame_at_the_range_ends(fam, a):
     # the linear solve for tau meets its worst-conditioned c1 here
     p = SurfaceParam(fam, a)
-    tau = period_frame(p, integral_set(p)).tau
+    tau = period_frame(integral_set(p)).tau
     assert linalg.frobenius(tau - tau.T) <= 1e-9 * linalg.frobenius(tau)
     assert min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T))) > 0.0
 

@@ -146,8 +146,9 @@ def test_eig_rejects_non_selfadjoint():
 
 
 def test_eig_rejects_unsupported_size():
-    with pytest.raises(DimensionMismatch):
-        linalg.eig_selfadjoint(np.eye(4))
+    # any square size is supported; only non-square input is refused
+    m = _random_hermitian(5, 5)
+    assert np.array_equal(linalg.eig_selfadjoint(m), np.linalg.eigvalsh(m)[::-1])
     with pytest.raises(DimensionMismatch):
         linalg.eig_selfadjoint(np.ones((3, 4)))
     with pytest.raises(DimensionMismatch):

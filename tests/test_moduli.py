@@ -89,7 +89,6 @@ def test_key_matrix_structure(h_mid):
     km = h_mid.key
     assert km.w.shape == (9, 9)
     assert km.wdiff.shape == (18, 18)
-    assert km.hermitian_defect == 0.0
     assert linalg.frobenius(km.w - km.w.conj().T) == 0.0
     assert np.array_equal(km.wdiff, km.wdiff.T)
     assert not np.iscomplexobj(km.wdiff)
@@ -128,16 +127,14 @@ def test_analyze_keys_its_cache_on_the_whole_quad_config():
 
 
 def test_delegation_shares_the_analysis():
+    # a folded request returns the folded analysis itself
     td = analyze(SurfaceParam("tD", -14.0))
-    tp = analyze(SurfaceParam("tP", 14.0))
-    assert td.report is tp.report
-    assert td.key is tp.key
-    assert td.param == SurfaceParam("tD", -14.0)
-    assert td.canonical == SurfaceParam("tP", 14.0)
+    assert td is analyze(SurfaceParam("tP", 14.0))
+    assert td.param == SurfaceParam("tP", 14.0)
 
     neg = analyze(SurfaceParam("tCLP", -0.7))
-    pos = analyze(SurfaceParam("tCLP", 0.7))
-    assert neg.report is pos.report
+    assert neg is analyze(SurfaceParam("tCLP", 0.7))
+    assert neg.param == SurfaceParam("tCLP", 0.7)
 
 
 def test_report_spectra_are_read_only(h_mid):
@@ -206,13 +203,30 @@ def test_analyze_rejects_bad_parameters():
         analyze(SurfaceParam("H", 2.0))
     with pytest.raises(DomainError):
         analyze(SurfaceParam("tP", 1.0))
+    # validated before the fold: the refusal names the requested family
+    with pytest.raises(DomainError, match="family tD"):
+        analyze(SurfaceParam("tD", 14.0))
 
 
 def test_pipeline_pieces_agree_with_analyze(h_mid):
     # rebuilding by hand from the same integrals reproduces tau exactly
     p = SurfaceParam("H", 0.5)
-    frame = period_frame(p, integral_set(p))
+    frame = period_frame(integral_set(p))
     assert np.array_equal(frame.tau, h_mid.frame.tau)
+
+
+@pytest.mark.parametrize("family,a", [("H", 0.3), ("rPD", 0.7), ("tP", 14.0), ("tCLP", 0.7)])
+def test_period_frame_reads_its_family_from_the_integrals(family, a):
+    p = SurfaceParam(family, a)
+    integrals = integral_set(p)
+    assert integrals.family == family
+    assert np.array_equal(period_frame(integrals).tau, analyze(p).frame.tau)
+
+
+@pytest.mark.parametrize("family,a", [("tD", -14.0), ("tCLP", -0.7)])
+def test_deformation_data_refuses_a_folded_parameter(family, a):
+    with pytest.raises(DomainError, match="apply canonical_param"):
+        deformation_data(SurfaceParam(family, a))
 
 
 def _pipeline_points():
@@ -291,12 +305,11 @@ def test_key_matrices_equal_the_six_contraction_reference():
     # the reference's bits: each product and each summation order match
     for family, a in _key_matrix_points():
         res = analyze(SurfaceParam(family, a))
-        mats = tangent_frame(res.frame.omega, deformation_data(res.canonical))
+        mats = tangent_frame(res.frame.omega, deformation_data(res.param))
         km = res.key
         w_ref, wdiff_ref = _six_contraction_key_matrices(mats, res.frame.tau)
         assert np.array_equal(km.w, w_ref), (family, a)
         assert np.array_equal(km.wdiff, wdiff_ref), (family, a)
-        assert km.hermitian_defect == 0.0
         assert np.array_equal(km.w, km.w.conj().T)
         assert np.array_equal(km.wdiff, km.wdiff.T)
 
@@ -316,8 +329,7 @@ def test_zero_tolerances_scale_with_the_largest_eigenvalue(family, a):
 ], ids=["positive", "negative", "mixed", "zero"])
 def test_zero_tolerances_on_synthetic_spectra(w_diag):
     wdiff_diag = np.concatenate([w_diag, -2.0 * np.array(w_diag)])
-    km = KeyMatrices(w=np.diag(w_diag).astype(complex), wdiff=np.diag(wdiff_diag),
-                     hermitian_defect=0.0)
+    km = KeyMatrices(w=np.diag(w_diag).astype(complex), wdiff=np.diag(wdiff_diag))
     r = spectral_report(km)
     assert r.zero_tol_w == ZERO_TOL_FACTOR * float(np.max(np.abs(w_diag)))
     assert r.zero_tol_wdiff == ZERO_TOL_FACTOR * float(np.max(np.abs(wdiff_diag)))

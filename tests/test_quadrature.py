@@ -182,7 +182,7 @@ def test_budget_exhaustion_raises(monkeypatch):
 
 
 def test_config_validation():
-    for tol in (0.0, -1e-12, math.nan):
+    for tol in (0.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValueError):
             QuadConfig(target_rel_tol=tol)
 

@@ -4,13 +4,14 @@ import bisect
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msindex import moduli
 from msindex.errors import DomainError
-from msindex.families import MARGIN, SurfaceParam
+from msindex.families import FAMILIES, MARGIN, SurfaceParam, admissible_range, validate_param
 from msindex.sweep import (
     _MAX_REFINE_EVALS,
     DEFAULT_WINDOWS,
@@ -19,6 +20,7 @@ from msindex.sweep import (
     SweepSample,
     Transition,
     _brent,
+    _grid,
     classify_at,
     sweep,
 )
@@ -35,6 +37,29 @@ def test_config_validation():
         SweepConfig(a_min=0.1, a_max=0.9, refine_tol=0.0)
     with pytest.raises(DomainError):
         SweepConfig(a_min=math.nan, a_max=0.9)
+
+
+def test_config_steps_must_be_integral():
+    with pytest.raises(DomainError, match="integer"):
+        SweepConfig(a_min=0.4, a_max=0.45, steps=16.0)
+    cfg = SweepConfig(a_min=0.4, a_max=0.45, steps=np.int64(16))
+    assert cfg.steps == 16 and type(cfg.steps) is int
+    assert _grid("H", cfg) == _grid("H", SweepConfig(a_min=0.4, a_max=0.45, steps=16))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_wide_window_grid_ends_on_the_admissible_range(family):
+    lo, hi = admissible_range(family)
+    a_min = lo - 1.0 if math.isfinite(lo) else hi - 50.0
+    a_max = hi + 1.0 if math.isfinite(hi) else lo + 50.0
+    grid = _grid(family, SweepConfig(a_min=a_min, a_max=a_max, steps=16))
+    assert grid[0] == (lo if math.isfinite(lo) else a_min)
+    assert grid[-1] == (hi if math.isfinite(hi) else a_max)
+    for end, outward in ((lo, -math.inf), (hi, math.inf)):
+        if math.isfinite(end):
+            validate_param(SurfaceParam(family, end))
+            with pytest.raises(DomainError):
+                validate_param(SurfaceParam(family, math.nextafter(end, outward)))
 
 
 def test_default_windows_cover_all_families():
