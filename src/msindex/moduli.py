@@ -8,18 +8,23 @@ real comparison of actual against admissible periods decides whether
 the classification is clean (kernel of dimension exactly eight) or
 sits at a degeneration.  Each Gram matrix of eta is one contraction m
 taken to -i (m - m^H), so both key matrices are Hermitian exactly.
-analyze validates and folds its parameter once, then returns the
-cached analysis of the folded parameter.
+tangent_frame, key_matrices and spectral_report also take a stack of
+surfaces along a leading axis.  analyze validates and folds its
+parameter once, then returns the cached analysis of the folded
+parameter; analyze_many does so for a list, and computes the points
+that miss the cache as stacks, analyze being its case of one point.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from . import families, linalg
+from .errors import MsindexError
 from .families import P1, P2, IntegralSet, PeriodFrame, QuadConfig, SurfaceParam
 
 # relative factor fixing what counts as a zero eigenvalue
@@ -38,18 +43,23 @@ _ROT_GENERATORS = np.array([
 ])
 
 
+def _each_direction(m: np.ndarray) -> np.ndarray:
+    """m, or each matrix of a stack m, applied alike to a stack of directions."""
+    return m[..., None, :, :] if m.ndim > 2 else m
+
+
 def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
     """The nine tangent directions of the deformation space as one
     read-only (9, 3, 6) array: five branch-point motions from the
     stacked derivatives p_ai of deformation_data, then the lattice
     motion (the top 3x6 block of the period matrix omega) and its three
-    rotations."""
-    top = omega[:3, :]
+    rotations.  Stacks (N, 6, 6) and (N, 5, 3, 6) give (N, 9, 3, 6)."""
+    top = omega[..., None, :3, :]
     mats = np.concatenate([
-        0.5 * (P1 @ p_ai @ P2 @ omega),
-        top[None],
+        0.5 * (P1 @ p_ai @ P2 @ _each_direction(omega)),
+        top,
         _ROT_GENERATORS @ top,
-    ])
+    ], axis=-3)
     mats.flags.writeable = False
     return mats
 
@@ -69,13 +79,14 @@ def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     conjugate of the first with the directions swapped, so one
     contraction m gives the full matrix -i (m - m^H), Hermitian exactly.
     """
-    m = np.einsum("iab,jab->ij", ds, cs.conj())
-    return -1j * (m - m.conj().T)
+    m = np.einsum("...iab,...jab->...ij", ds, cs.conj())
+    return -1j * (m - m.conj().swapaxes(-1, -2))
 
 
 def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     """The 9x9 pairing matrix and the 18x18 period comparison of the
-    tangent directions mats, a (9, 3, 6) array from tangent_frame.
+    tangent directions mats, a (9, 3, 6) array from tangent_frame, or
+    of each surface of a stack (N, 9, 3, 6) with tau (N, 3, 3).
 
     Each direction splits into 3x3 halves (C, D) and projects to the
     admissible K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired with
@@ -86,17 +97,19 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     and W2 = Im m2 + (Im m2)^t for the contraction m2 of the projections.
     W is Hermitian and W1, W2 symmetric by construction.
     """
-    cs = np.ascontiguousarray(mats[:, :, :3])
-    ds = np.ascontiguousarray(mats[:, :, 3:])
+    cs = np.ascontiguousarray(mats[..., :3])
+    ds = np.ascontiguousarray(mats[..., 3:])
     w = _pair_all(cs, ds)
     im_inv = linalg.solve(tau.imag, np.eye(3))
-    c_re = np.concatenate([cs.real, -cs.imag])
+    c_re = np.concatenate([cs.real, -cs.imag], axis=-3)
     k_all = np.empty(c_re.shape, dtype=complex)
     k_all.real = c_re
-    k_all.imag = (c_re @ tau.real - np.concatenate([ds.real, -ds.imag])) @ im_inv
-    m2 = np.einsum("iab,jab->ij", k_all @ tau, k_all.conj()).imag
-    w1 = np.concatenate([np.concatenate([w.real, w.imag], 1), np.concatenate([-w.imag, w.real], 1)])
-    return KeyMatrices(w=w, wdiff=m2 + m2.T - w1)
+    tau, im_inv = _each_direction(tau), _each_direction(im_inv)
+    k_all.imag = (c_re @ tau.real - np.concatenate([ds.real, -ds.imag], axis=-3)) @ im_inv
+    m2 = np.einsum("...iab,...jab->...ij", k_all @ tau, k_all.conj()).imag
+    w1 = np.concatenate([np.concatenate([w.real, w.imag], -1),
+                         np.concatenate([-w.imag, w.real], -1)], -2)
+    return KeyMatrices(w=w, wdiff=m2 + m2.swapaxes(-1, -2) - w1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -126,21 +139,9 @@ class SpectralReport:
     zero_tol_wdiff: float
 
 
-def spectral_report(km: KeyMatrices) -> SpectralReport:
-    """Classify a surface from its key matrices.
-
-    Genuine nullity always comes with extra zero directions in the
-    18x18 comparison, so a small 9x9 eigenvalue only counts as zero
-    when that kernel exceeds its structural dimension.  Without the
-    corroboration the relative threshold misfires near parameter range
-    ends, where the spectrum spreads over many orders of magnitude and
-    stable eigenvalues dip below any fixed fraction of the largest.
-    """
-    # max|eigenvalue| sits at one end of each sorted spectrum
-    ew = linalg.eig_selfadjoint(km.w)
+def _report(ew: np.ndarray, ed: np.ndarray) -> SpectralReport:
+    """The report of one surface from its two read-only spectra."""
     zero_w = ZERO_TOL_FACTOR * float(max(abs(ew[0]), abs(ew[-1])))
-
-    ed = linalg.eig_selfadjoint(km.wdiff)
     zero_d = ZERO_TOL_FACTOR * float(max(abs(ed[0]), abs(ed[-1])))
     d_pos, d_neg, d_zero = linalg.count_signs(ed, zero_d)
 
@@ -163,6 +164,34 @@ def spectral_report(km: KeyMatrices) -> SpectralReport:
     )
 
 
+def _own(row: np.ndarray) -> np.ndarray:
+    """A read-only copy of one row of a stack, so that what a caller
+    keeps does not hold the whole stack."""
+    row = row.copy()
+    row.flags.writeable = False
+    return row
+
+
+def spectral_report(km: KeyMatrices):
+    """Classify a surface from its key matrices; a stack of key matrices
+    gives a list of reports, one per surface, from spectra computed as
+    one stack.
+
+    Genuine nullity always comes with extra zero directions in the
+    18x18 comparison, so a small 9x9 eigenvalue only counts as zero
+    when that kernel exceeds its structural dimension.  Without the
+    corroboration the relative threshold misfires near parameter range
+    ends, where the spectrum spreads over many orders of magnitude and
+    stable eigenvalues dip below any fixed fraction of the largest.
+    """
+    # max|eigenvalue| sits at one end of each sorted spectrum
+    ew = linalg.eig_selfadjoint(km.w)
+    ed = linalg.eig_selfadjoint(km.wdiff)
+    if ew.ndim == 1:
+        return _report(ew, ed)
+    return [_report(_own(w), _own(d)) for w, d in zip(ew, ed)]
+
+
 @dataclass(frozen=True, slots=True)
 class SurfaceAnalysis:
     """Everything computed for one canonical (family, a) pair."""
@@ -174,20 +203,117 @@ class SurfaceAnalysis:
     report: SpectralReport
 
 
-@lru_cache(maxsize=4096)
-def _analyze_cached(p: SurfaceParam, config: QuadConfig) -> SurfaceAnalysis:
-    integrals = families.integral_set(p, config)
+# most points evaluated as one stack: bounds the transient memory of a
+# long grid, about 0.1 MB per point
+_STACK_POINTS = 24
+
+
+def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[SurfaceAnalysis]:
+    """The analyses of canonical parameters of one family, as one stack.
+
+    A stack of one surface drops its stack axis: its integrals are
+    floats and its matrices plain, which numpy handles fastest, and
+    every layer takes both shapes.
+    """
+    (one,) = params if len(params) == 1 else (None,)
+    integrals = families.integral_set(one or params, config)
     frame = families.period_frame(integrals)
-    mats = tangent_frame(frame.omega, families.deformation_data(p))
-    km = key_matrices(mats, frame.tau)
-    return SurfaceAnalysis(param=p, integrals=integrals, frame=frame, key=km,
-                           report=spectral_report(km))
+    p_ai = (families.deformation_data(one) if one else
+            np.array([families.deformation_data(p) for p in params]))
+    km = key_matrices(tangent_frame(frame.omega, p_ai), frame.tau)
+    reports = spectral_report(km)
+    if one:
+        return [SurfaceAnalysis(param=one, integrals=integrals, frame=frame, key=km, report=reports)]
+    # each record owns its arrays, so that a cached analysis keeps no stack alive
+    return [SurfaceAnalysis(
+        param=p,
+        integrals=point,
+        frame=PeriodFrame(omega=omega.copy(), tau=tau.copy()),
+        key=KeyMatrices(w=w.copy(), wdiff=wdiff.copy()),
+        report=report,
+    ) for p, point, omega, tau, w, wdiff, report in zip(
+        params, integrals.points(), frame.omega, frame.tau, km.w, km.wdiff, reports)]
+
+
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _AnalysisCache:
+    """Analyses by canonical parameter and QuadConfig, least recently
+    used dropped first, with functools.lru_cache's cache_info() and
+    cache_clear().
+
+    A lookup takes a whole list of parameters.  Each distinct parameter
+    not yet cached counts one miss and is computed with the other misses
+    of its family, in stacks of at most _STACK_POINTS; a parameter
+    already cached, or repeated in the list, counts one hit.  A stack
+    that raises is computed again point by point, so the first failing
+    point raises its own error and the points before it are cached, as
+    one by one.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, params: list[SurfaceParam], config: QuadConfig) -> list[SurfaceAnalysis]:
+        entries = self._entries
+        found: dict[SurfaceParam, SurfaceAnalysis] = {}
+        missing: dict[str, list[SurfaceParam]] = {}
+        for p in params:
+            if p in found:
+                continue
+            hit = found[p] = entries.get((p, config))
+            if hit is None:
+                missing.setdefault(p.family, []).append(p)
+            else:
+                entries.move_to_end((p, config))
+        n_missing = sum(map(len, missing.values()))
+        self._misses += n_missing
+        self._hits += len(params) - n_missing
+        for todo in missing.values():
+            blocks = -(-len(todo) // _STACK_POINTS)
+            for b in range(blocks):
+                block = todo[b * len(todo) // blocks:(b + 1) * len(todo) // blocks]
+                try:
+                    done = _analyze_stack(block, config)
+                except MsindexError:
+                    if len(block) == 1:
+                        raise
+                    done = None
+                for k, p in enumerate(block):
+                    res = found[p] = done[k] if done is not None else _analyze_stack([p], config)[0]
+                    entries[p, config] = res
+                    if len(entries) > self.maxsize:
+                        entries.popitem(last=False)
+        return [found[p] for p in params]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+_analyze_cached = _AnalysisCache(maxsize=4096)
 
 
 def analyze(p: SurfaceParam, config: QuadConfig = QuadConfig()) -> SurfaceAnalysis:
     """Full pipeline for one surface: p is validated and folded once,
     and the result is the analysis of the folded parameter, cached on
     it and the full QuadConfig.  So tD at -a returns the very object of
-    tP at a, and tCLP at -a that of tCLP at a."""
+    tP at a, and tCLP at -a that of tCLP at a.  The same code as
+    analyze_many, on a stack of one."""
     families.validate_param(p)
-    return _analyze_cached(families.canonical_param(p), config)
+    return _analyze_cached([families.canonical_param(p)], config)[0]
+
+
+def analyze_many(params: Sequence[SurfaceParam],
+                 config: QuadConfig = QuadConfig()) -> list[SurfaceAnalysis]:
+    """analyze at each parameter, in order; the parameters that miss the
+    cache are evaluated as stacks, each point bit for bit its analyze."""
+    for p in params:
+        families.validate_param(p)
+    return _analyze_cached([families.canonical_param(p) for p in params], config)

@@ -29,19 +29,32 @@ that share the interval and the forms; its forms return k rows, shape
 (k, n), and compute the subexpressions the rows share once per call.
 A single integrand is the table of one unnamed row.
 
+A table can also depend on a parameter: an ``Integrand`` with
+``params``, the parameter itself and any constants derived from it, has
+forms called as ``fn(x, *cols)``.  For one surface each is a float.
+For a stack of N surfaces each is a 1-D array of N values, and the
+forms get them as (M, 1) columns over the M points being evaluated and
+return each row with that leading axis, shape (k, M, n); a single point
+gets its values as floats, which numpy takes by its scalar path, and
+returns rows of shape (k, n).  The N points by k rows are k * N rows to
+``integrate``, each with its own trapezoid sum and stopping level, and
+each (row, point) pair is bit for bit what integrating the table at
+that one parameter gives.
+
 The stopping test first runs at level 3, and most integrals in this
 package stop at level 4 or 5, so the nodes of levels 0-5 form one
 cached block.  Each distinct form is called once on the nodes of every
 side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
-and the midpoint in a single call.  Each row keeps its own trapezoid
-sum and its own stopping level; the rows still active at a level are
-summed in one stacked dot product per side, which runs each row
-through the same BLAS dot as ``np.dot``, so every row's (value, err)
-is bit for bit what integrating it alone level by level gives.  A row
-that has stopped is no longer read: a non-finite value it produces at
-a later level, inside the block or after it, is ignored, while one in
-a row still being refined raises DomainError.
+and the midpoint in a single call.  Past the block, a form is called
+only at the parameter points that still have an active row.  Each row
+keeps its own trapezoid sum and its own stopping level; the rows still
+active at a level are summed in one stacked dot product per side, which
+runs each row through the same BLAS dot as ``np.dot``, so every row's
+(value, err) is bit for bit what integrating it alone level by level
+gives.  A row that has stopped is no longer read: a non-finite value it
+produces at a later level, inside the block or after it, is ignored,
+while one in a row still being refined raises DomainError.
 """
 
 from __future__ import annotations
@@ -131,6 +144,12 @@ class Integrand:
                 s in (0, hi - lo); used for nodes in the lower half
     from_hi     f expressed in s = hi - x; used for the upper half
     names       row names of a table; empty for a single integrand
+    params      the parameter of a table and the constants derived from
+                it, handed to every form after the nodes: floats, or
+                1-D arrays of N values for a stack of N surfaces, which
+                the forms see as (M, 1) columns over the M points
+                evaluated (as floats when M = 1) and which give each
+                row a leading axis of M
 
     The offset forms take and return arrays as the evaluator does.  A
     singular endpoint other than 0 requires its offset form: the plain
@@ -148,6 +167,7 @@ class Integrand:
     from_lo: Optional[Callable] = None
     from_hi: Optional[Callable] = None
     names: tuple[str, ...] = ()
+    params: tuple = ()
 
     def __post_init__(self) -> None:
         if self.singular_lo and self.lo != 0.0 and self.from_lo is None:
@@ -177,10 +197,31 @@ def _as_rows(out) -> np.ndarray:
         raise TypeError(f"integrand rows must each map the node array: {exc}") from exc
 
 
-def _apply(f: Integrand, fn: Callable, arg: np.ndarray) -> np.ndarray:
-    """fn (a form of f) at the nodes arg, as a (rows, nodes) array."""
-    out = _as_rows(fn(arg))
-    want = (len(f.names), len(arg)) if f.names else arg.shape
+def _points(f: Integrand) -> int:
+    """The number of surfaces of a stacked f, 0 for one surface."""
+    return len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
+
+
+def _columns(f: Integrand, pts: Optional[np.ndarray] = None) -> list:
+    """The params of f at the points pts of a stack (all if None), as its
+    forms take them: one point's as floats."""
+    n = _points(f)
+    if not n:
+        return list(f.params)
+    if (n if pts is None else len(pts)) == 1:
+        j = 0 if pts is None else pts[0]
+        return [float(c[j]) for c in f.params]
+    idx = slice(None) if pts is None else pts
+    return [np.asarray(c, dtype=float)[idx, None] for c in f.params]
+
+
+def _apply(f: Integrand, fn: Callable, arg: np.ndarray, cols: list) -> np.ndarray:
+    """fn (a form of f) at the nodes arg and the parameter columns cols,
+    as a (rows, nodes) array; row i * M + j is row i of the table at
+    point j."""
+    out = _as_rows(fn(arg, *cols))
+    points = (len(cols[0]),) if cols and isinstance(cols[0], np.ndarray) else ()
+    want = ((len(f.names),) if f.names else ()) + points + arg.shape
     if out.shape != want:
         raise TypeError(
             f"integrand must map an array of shape {arg.shape} to one of shape {want}, "
@@ -189,30 +230,51 @@ def _apply(f: Integrand, fn: Callable, arg: np.ndarray) -> np.ndarray:
     return out.reshape(-1, len(arg))
 
 
-def _sides(f: Integrand, half: float, d_near: np.ndarray,
-           mid: Optional[float] = None) -> list[np.ndarray]:
-    """Evaluate f at the distances half * d_near from each endpoint, and at mid.
+@functools.lru_cache(maxsize=64)
+def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool,
+               offset_lo: bool) -> tuple:
+    """What the forms of an integrand on (lo, hi) are called on at one
+    level, or at the fused block and the midpoint for level None.
 
-    Returns [hi_vals, lo_vals] (and the midpoint column if mid is given),
+    Returns (s, plain, parts, lengths): the distances s = half * d_near
+    that an offset form takes, the nodes hi - s, lo + s (and the
+    midpoint) of every side without one concatenated into one array for
+    the evaluator, the indices of those sides, and the length of each
+    side.  Cached per interval, so a fixed interval forms them once.
+    """
+    half = 0.5 * (hi - lo)
+    s = half * (_fused_nodes()[0] if level is None else _nodes(level)[1])
+    xs = [hi - s, lo + s] + ([np.array([lo + half])] if level is None else [])
+    parts = [i for i in range(len(xs)) if i == 2 or not (offset_hi, offset_lo)[i]]
+    plain = np.concatenate([xs[i] for i in parts]) if parts else None
+    for arr in (s, plain):
+        if arr is not None:
+            arr.flags.writeable = False
+    return s, plain, parts, [len(x) for x in xs]
+
+
+def _sides(f: Integrand, level: Optional[int], cols: list) -> list[np.ndarray]:
+    """Evaluate f at the nodes of one level from each endpoint, or at the
+    fused block and the midpoint for level None.
+
+    Returns [hi_vals, lo_vals] (and the midpoint column for the block),
     each of shape (rows, nodes).  An offset form is called on its own
     side; the evaluator is called once, on the nodes of every other
     part.  The values are not checked here: integrate reads each level
     of a row only while the row is active, and checks what it reads.
     """
-    s = half * d_near
-    xs = [f.hi - s, f.lo + s] + ([np.array([mid])] if mid is not None else [])
-    forms = [f.from_hi, f.from_lo]
-    calls = [(form, s, [i]) for i, form in enumerate(forms) if form is not None]
-    plain = [i for i in range(len(xs)) if i == 2 or forms[i] is None]
-    if plain:
-        calls.append((f.evaluator, np.concatenate([xs[i] for i in plain]), plain))
-    blocks: list = [None] * len(xs)
-    for fn, arg, parts in calls:
-        vals = _apply(f, fn, arg)
+    s, plain, parts, lengths = _arguments(f.lo, f.hi, level, f.from_hi is not None,
+                                          f.from_lo is not None)
+    calls = [(form, s, [i]) for i, form in enumerate((f.from_hi, f.from_lo)) if form is not None]
+    if parts:
+        calls.append((f.evaluator, plain, parts))
+    blocks: list = [None] * len(lengths)
+    for fn, arg, sides in calls:
+        vals = _apply(f, fn, arg, cols)
         start = 0
-        for i in parts:
-            blocks[i] = vals[:, start:start + len(xs[i])]
-            start += len(xs[i])
+        for i in sides:
+            blocks[i] = vals[:, start:start + lengths[i]]
+            start += lengths[i]
     return blocks
 
 
@@ -252,20 +314,21 @@ def _fold(f: Integrand) -> Integrand:
     """
     ev = f.evaluator
 
-    def folded(u):
+    def folded(u, *cols):
         t = 1.0 / u
-        return _as_rows(ev(t)) / (u * u)
+        return _as_rows(ev(t, *cols)) / (u * u)
 
     folded_from_hi = None
     if f.from_lo is not None:
         base = f.from_lo
 
-        def folded_from_hi(sigma):
+        def folded_from_hi(sigma, *cols):
             r = 1.0 - sigma
-            return _as_rows(base(sigma / r)) / (r * r)
+            return _as_rows(base(sigma / r, *cols)) / (r * r)
 
     return Integrand(evaluator=folded, lo=0.0, hi=1.0, singular_lo=True,
-                     singular_hi=f.singular_lo, from_hi=folded_from_hi, names=f.names)
+                     singular_hi=f.singular_lo, from_hi=folded_from_hi, names=f.names,
+                     params=f.params)
 
 
 def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
@@ -273,10 +336,12 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
 
     Returns (value, err_estimate) for a plain integrand and a dict
     {name: (value, err_estimate)} for a table; the estimate is the
-    change at the last level refinement of that row.  Raises
-    NonConvergence if any row exhausts the budget, DomainError on a bad
-    interval or a non-finite value in a row still being refined, and
-    TypeError if a form does not map a node array to the expected shape.
+    change at the last level refinement of that row.  For a stack each
+    value and estimate is an array with one entry per surface.  Raises
+    NonConvergence, naming the row and the parameter, if any row
+    exhausts the budget, DomainError on a bad interval or a non-finite
+    value in a row still being refined, and TypeError if a form does
+    not map a node array to the expected shape.
     """
     if f.lo == 1.0 and f.hi == math.inf:
         f = _fold(f)
@@ -287,13 +352,14 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         raise DomainError(f"empty interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
     tol = config.target_rel_tol
+    stack = _points(f)
 
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
     # being read is still rejected.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         d_fused, fused = _fused_nodes()
-        hi_block, lo_block, centre = _sides(f, half, d_fused, mid=lo + half)
+        hi_block, lo_block, centre = _sides(f, None, _columns(f))
         w, sl = fused[0]
         hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
         # a non-finite value makes its row's sum non-finite, so the
@@ -303,36 +369,54 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
             _raise_nonfinite(f, half, d_fused[sl], (hi_vals, lo_vals, centre))
         value = half * trapezoid
         n_rows = len(value)
-        err = np.full(n_rows, math.inf)
         active = np.arange(n_rows)
         for level in range(1, _MAX_LEVEL + 1):
             if level <= _FUSED_LEVEL:
                 w, sl = fused[level]
                 d_near = d_fused[sl]
                 hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
+                rows = active
             else:
                 w, d_near = _nodes(level)
-                hi_vals, lo_vals = _sides(f, half, d_near)
-            if len(active) < n_rows:
-                hi_vals, lo_vals = hi_vals[active], lo_vals[active]
+                rows, pts = active, None
+                if stack:
+                    # only the points with an active row are evaluated again
+                    point = active % stack
+                    keep = np.zeros(stack, dtype=bool)
+                    keep[point] = True
+                    pts = np.flatnonzero(keep)
+                    rows = active // stack * len(pts) + (np.cumsum(keep) - 1)[point]
+                hi_vals, lo_vals = _sides(f, level, _columns(f, pts))
+            if len(rows) < len(hi_vals):
+                hi_vals, lo_vals = hi_vals[rows], lo_vals[rows]
             term = _level_sums(w, hi_vals, lo_vals)
             if not np.isfinite(term).all():
                 _raise_nonfinite(f, half, d_near, (hi_vals, lo_vals))
-            t = 0.5 * trapezoid[active] + 0.5 ** level * term
-            new_value = half * t
-            err[active] = np.abs(new_value - value[active])
-            trapezoid[active] = t
-            value[active] = new_value
+            if len(active) == n_rows:
+                # every row still active: the same arithmetic on whole arrays
+                trapezoid = 0.5 * trapezoid + 0.5 ** level * term
+                new_value = half * trapezoid
+                err = np.abs(new_value - value)
+                value = new_value
+            else:
+                t = 0.5 * trapezoid[active] + 0.5 ** level * term
+                new_value = half * t
+                err[active] = np.abs(new_value - value[active])
+                trapezoid[active] = t
+                value[active] = new_value
             if level >= _FIRST_TEST_LEVEL:
                 done = err[active] <= np.maximum(tol * np.abs(new_value), _ABS_FLOOR)
                 active = active[~done]
                 if not len(active):
-                    results = list(zip(value.tolist(), err.tolist()))
+                    if stack:
+                        results = list(zip(value.reshape(-1, stack), err.reshape(-1, stack)))
+                    else:
+                        results = list(zip(value.tolist(), err.tolist()))
                     return dict(zip(f.names, results)) if f.names else results[0]
-    r = int(active[0])
+    r, point = divmod(int(active[0]), stack or 1)
     row = f" in row {f.names[r]!r}" if f.names else ""
+    at = f" at parameter {float(f.params[0][point] if stack else f.params[0])!r}" if f.params else ""
     raise NonConvergence(
-        f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}: "
-        f"value {float(value[r])!r}, last change {float(err[r])!r}"
+        f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}{at}: "
+        f"value {float(value[active[0]])!r}, last change {float(err[active[0]])!r}"
     )
-

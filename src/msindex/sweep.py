@@ -1,8 +1,9 @@
 """Interval classification of a surface family.
 
 A sweep samples the admissible parameter range on a uniform grid,
-counts the negative eigenvalues of the key matrix, and brackets
-every parameter where the spectrum degenerates.  Each bracket is
+analyzed as one stack (moduli.analyze_many), counts the negative
+eigenvalues of the key matrix, and brackets every parameter where the
+spectrum degenerates.  Each bracket is
 refined by Brent's method on the eigenvalue of the key matrix that
 crosses zero in it, and the refined roots cut the window into intervals
 of constant signature.
@@ -12,9 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import linalg, moduli
 from .errors import DomainError, UnresolvedTransition
@@ -86,6 +90,42 @@ class SweepSample:
         return (self.p, self.q, self.index_E)
 
 
+class SweepSamples(Sequence):
+    """The grid samples of a sweep, kept as columns: a read-only sequence
+    of SweepSample records, built as they are read."""
+
+    __slots__ = ("_floats", "_counts")
+
+    def __init__(self, samples: list[SweepSample]):
+        # (a, det_w, min_abs_eig_w) and (p, q, nullity_E, index_E) per sample
+        self._floats = np.array([(s.a, s.det_w, s.min_abs_eig_w) for s in samples],
+                                dtype=float).reshape(-1, 3)
+        self._counts = np.array([(s.p, s.q, s.nullity_E, s.index_E) for s in samples],
+                                dtype=np.int8).reshape(-1, 4)
+        self._floats.flags.writeable = self._counts.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._floats)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return SweepSample(*self._floats[k].tolist(), *self._counts[k].tolist())
+
+    def __iter__(self):
+        for floats, counts in zip(self._floats.tolist(), self._counts.tolist()):
+            yield SweepSample(*floats, *counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepSamples):
+            return NotImplemented
+        return (np.array_equal(self._floats, other._floats)
+                and np.array_equal(self._counts, other._counts))
+
+    def __hash__(self):
+        return hash((self._floats.tobytes(), self._counts.tobytes()))
+
+
 @dataclass(frozen=True, slots=True)
 class Transition:
     a_star: float
@@ -109,7 +149,7 @@ class Interval:
 class SweepReport:
     family: str
     config: SweepConfig
-    samples: tuple[SweepSample, ...]
+    samples: SweepSamples
     transitions: tuple[Transition, ...]
     intervals: tuple[Interval, ...]
 
@@ -121,7 +161,11 @@ def _probe(family: str, a: float,
     Returns the sample and the eigenvalues of the key matrix in
     descending order, as Python floats.
     """
-    report = moduli.analyze(SurfaceParam(family, a), config=cfg.quad).report
+    return _sample(a, moduli.analyze(SurfaceParam(family, a), config=cfg.quad).report)
+
+
+def _sample(a: float, report: moduli.SpectralReport) -> tuple[SweepSample, list[float]]:
+    """The sample of the report at a, and its key matrix spectrum as floats."""
     eig_w = report.eig_w.tolist()
     det = 1.0
     for v in eig_w:
@@ -288,7 +332,8 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     zero threshold absorbs the sign change.
     """
     grid = _grid(family, cfg)
-    probes = [_probe(family, a, cfg) for a in grid]
+    analyses = moduli.analyze_many([SurfaceParam(family, a) for a in grid], config=cfg.quad)
+    probes = [_sample(a, res.report) for a, res in zip(grid, analyses)]
     samples = [sample for sample, _ in probes]
     q_raw = [_raw_negatives(eig) for _, eig in probes]
 
@@ -324,7 +369,7 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     return SweepReport(
         family=family,
         config=cfg,
-        samples=tuple(samples),
+        samples=SweepSamples(samples),
         transitions=tuple(transitions),
         intervals=tuple(intervals),
     )

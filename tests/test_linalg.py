@@ -6,6 +6,7 @@ order); the independent references are analytic spectra, the trace,
 and the mpmath spectra of the pipeline's key matrices in test_moduli.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -437,3 +438,75 @@ def test_solve_checks_the_residual_of_what_lapack_returns(monkeypatch):
     # a perturbation within the residual tolerance passes
     monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: exact(m, rhs) * (1.0 + 1e-13))
     np.testing.assert_allclose(linalg.solve(a, b), exact(a, b), rtol=1e-12)
+
+
+# stacks: one call over (N, n, n), each result bit for bit the one alone,
+# each check once over the stack, and an error naming the matrix
+
+
+def test_stacked_solve_equals_each_system_alone():
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    x = linalg.solve(a, b)
+    shared = linalg.solve(a.real, np.eye(3))
+    assert x.shape == (5, 3, 3) and x.base is None
+    for j in range(5):
+        assert linalg.solve(a[j], b[j]).tobytes() == x[j].tobytes()
+        assert linalg.solve(a[j].real, np.eye(3)).tobytes() == shared[j].tobytes()
+
+
+def test_stacked_solve_names_the_failing_system():
+    a = np.stack([np.eye(3), np.array([[1.0, 2.0, 0.0], [2.0, 4.0 + 1e-13, 0.0],
+                                       [0.0, 0.0, 1.0]]), np.eye(3)])
+    with pytest.raises(SingularMatrix, match="matrix 1 of the stack"):
+        linalg.solve(a, np.ones((3, 3, 1)))
+    bad = np.stack([np.eye(3)] * 3)
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(NonFiniteInput, match="matrix 2 of the stack"):
+        linalg.solve(bad, np.eye(3))
+    with pytest.raises(SingularMatrix, match="zero coefficient matrix \\(matrix 1 of"):
+        linalg.solve(np.stack([np.eye(2), np.zeros((2, 2))]), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        linalg.solve(np.stack([np.eye(3)] * 3), np.ones((2, 3, 1)))
+    with pytest.raises(DimensionMismatch):
+        linalg.solve(np.stack([np.eye(3)] * 3), np.ones(3))
+
+
+def test_stacked_eig_equals_each_matrix_alone():
+    # Hermitian and real symmetric matrices in one stack: each goes to
+    # eigvalsh as it would alone, the real ones as real matrices
+    mats = np.stack([_random_hermitian(1, 9), _random_symmetric(2, 9).astype(complex),
+                     _random_hermitian(3, 9)])
+    vals = linalg.eig_selfadjoint(mats)
+    assert vals.shape == (3, 9) and not vals.flags.writeable
+    for j in range(3):
+        assert vals[j].tobytes() == linalg.eig_selfadjoint(mats[j]).tobytes()
+    near = mats + 1e-12 * np.stack([np.zeros((9, 9)), np.triu(np.ones((9, 9)), 1), np.zeros((9, 9))])
+    vals = linalg.eig_selfadjoint(near)
+    for j in range(3):
+        assert vals[j].tobytes() == linalg.eig_selfadjoint(near[j]).tobytes()
+
+
+def test_stacked_eig_names_the_failing_matrix():
+    mats = np.stack([_random_symmetric(n, 3) for n in range(4)])
+    mats[2, 0, 1] += 1.0
+    with pytest.raises(NotSelfAdjoint, match="matrix 2 of the stack"):
+        linalg.eig_selfadjoint(mats)
+    mats[2, 0, 1] = np.inf
+    with pytest.raises(NonFiniteInput, match="matrix 2 of the stack"):
+        linalg.eig_selfadjoint(mats)
+    with pytest.raises(NonFiniteInput, match="matrix \\(1, 0\\) of the stack"):
+        linalg.eig_selfadjoint(mats.reshape(2, 2, 3, 3))
+
+
+def test_frobenius_of_a_stack():
+    m = np.stack([np.array([[3.0, 0.0], [0.0, 4.0]]), 1e200 * np.eye(2), np.zeros((2, 2)),
+                  1e-200 * np.eye(2)]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = linalg.frobenius(m)
+    assert norms.shape == (4,)
+    assert norms[0] == 5.0 and norms[2] == 0.0
+    assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norms[3] == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)

@@ -205,12 +205,16 @@ def test_linearity(c0, c1, c2, alpha, beta):
     assert abs(vc - (alpha * vf + beta * vg)) <= 1e-10 * scale
 
 
-def _per_level_reference(f, row=0):
-    """One row of f, level by level: its own calls per side, one np.dot per side per level."""
+def _per_level_reference(f, row=0, point=None):
+    """One row of f, level by level: its own calls per side, one np.dot per side per level.
+
+    For a stack, the row at one point, the forms called with that point's params alone.
+    """
     half = 0.5 * (f.hi - f.lo)
+    params = list(f.params) if point is None else [float(c[point]) for c in f.params]
 
     def call(fn, arg):
-        out = np.asarray(fn(arg), dtype=float)
+        out = np.asarray(fn(arg, *params), dtype=float)
         return out[row] if f.names else out
 
     def side(d_near, upper):
@@ -238,9 +242,9 @@ def _per_level_reference(f, row=0):
     raise AssertionError("reference did not converge")
 
 
-def _one_row(f, row):
+def _one_row(f, row, point=None):
     """The per-level reference for one row of f, through the tail fold where f needs it."""
-    return _per_level_reference(quadrature._fold(f) if math.isinf(f.hi) else f, row)
+    return _per_level_reference(quadrature._fold(f) if math.isinf(f.hi) else f, row, point)
 
 
 @pytest.mark.parametrize("table, a", [
@@ -274,6 +278,57 @@ def test_sums_equal_the_per_level_reference_exactly(table, a):
             assert have[1] == want[1], name
             seen += 1
     assert seen >= 3
+
+
+# stacks of the families' own tables: tP points that need levels 6-7 near
+# a = 2.1 among points that stop by level 5, and H, rPD and tCLP grids
+# with both ends of their ranges
+_STACKS = [
+    (families._integrands_tP, [2.1, 2.101, 2.5, 10.0, 40.0, 2.1004]),
+    (families._integrands_H, [0.01, 0.3, 0.5, 0.99]),
+    (families._integrands_rPD, [0.01, 0.6, 1.0]),
+    (families._integrands_tCLP, [0.0, 1.0, 1.99, 1.999999]),
+]
+
+
+@pytest.mark.parametrize("table, points", _STACKS)
+def test_stacked_rows_equal_the_one_point_references_exactly(table, points):
+    stack = np.array(points)
+    for key, f in table(stack).items():
+        got = integrate(f)
+        for row, name in enumerate(f.names or (key,)):
+            values, errs = got[name] if f.names else got
+            assert values.shape == errs.shape == (len(points),)
+            for j, a in enumerate(points):
+                alone = integrate(table(a)[key])
+                alone = alone[name] if f.names else alone
+                assert (values[j], errs[j]) == alone, (name, a)
+                assert alone == _one_row(f, row, j), (name, a)
+
+
+def test_stacked_table_evaluates_only_the_points_still_active():
+    # a bump at x = 1/2: the wide ones stop by level 5, the narrow ones
+    # need later levels, where only their columns come back
+    seen = []
+
+    def bump(x, width):
+        seen.append(np.shape(width))
+        return 1.0 / (1.0 + (x - 0.5) ** 2 / width)
+
+    widths = np.array([1.0, 2e-3, 1.0, 1.0, 2e-3])
+    values, errs = integrate(Integrand(bump, 0.0, 1.0, params=(widths,)))
+    assert seen[0] == (5, 1) and len(seen) > 1
+    assert all(shape == (2, 1) for shape in seen[1:])
+    for j, width in enumerate(widths):
+        assert (values[j], errs[j]) == integrate(Integrand(bump, 0.0, 1.0, params=(width,)))
+
+
+def test_non_convergence_in_a_stack_names_the_row_and_the_parameter(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 6)
+    f = Integrand(lambda x, c: (np.sqrt(x) + 0.0 * c, _rough(x) * (1.0 + 0.0 * c)), 0.0, 1.0,
+                  names=("sqrt", "rough"), params=(np.array([0.25, 0.75]),))
+    with pytest.raises(NonConvergence, match=r"row 'rough' at parameter 0\.25"):
+        integrate(f)
 
 
 # rows that stop at levels 3, 5 and 6 under the default tolerance
