@@ -60,21 +60,33 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 
 
 def _norms(m: np.ndarray) -> list[float]:
-    """The Frobenius norm of each matrix of a stack (..., rows, cols),
-    or of one matrix, as a flat list.
+    """The Frobenius norm of each matrix of a stack (..., rows, cols), or
+    of one matrix, as a flat list, each with the bits of _flat_norm of
+    that matrix alone.
 
-    A stack's sums come from one einsum, which does not warn, over the
-    real and imaginary parts side by side; only a matrix whose sum
-    overflows or underflows is measured again alone."""
-    if m.ndim == 2 or m.size == m.shape[-2] * m.shape[-1]:
+    A float64 or complex128 stack whose matrices lie in row order forms
+    _flat_norm's sums for all of them at once: each matrix a contiguous row, the real and the
+    imaginary parts of a complex one read in place, each row dotted with
+    itself by (N, 1, n) @ (N, n, 1), which runs the BLAS dot that
+    np.vdot runs with the same strides.  Only a matrix whose sum
+    overflows or underflows, or a stack in another layout, is measured
+    matrix by matrix.
+    """
+    if m.ndim == 2:
         return [_flat_norm(m)]
-    x = np.ascontiguousarray(m, dtype=complex if m.dtype.kind == "c" else float)
-    x = x.view(float).reshape(-1, x.shape[-2] * x.shape[-1] * x.itemsize // 8)
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x)).tolist()
-    if 0.0 in norms or math.inf in norms:
-        flat = m.reshape((-1,) + m.shape[-2:])
-        norms = [v if 0.0 < v < math.inf else _flat_norm(flat[j]) for j, v in enumerate(norms)]
-    return norms
+    x = m.reshape((-1,) + m.shape[-2:])
+    rows, cols = x.shape[-2:]
+    in_row_order = rows == 1 or cols == 1 or x.strides[-2] >= x.strides[-1] > 0
+    if x.dtype.char not in "dD" or not in_row_order:
+        # another dtype, or ravel(order="K") would not read each matrix by rows
+        return [_flat_norm(mat) for mat in x]
+    flat = np.ascontiguousarray(x).reshape(len(x), 1, rows * cols)
+    sums = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for part in ((flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)):
+            sums = sums + (part @ part.swapaxes(-1, -2))[:, 0, 0]
+    norms = np.sqrt(sums).tolist()
+    return [v if 0.0 < v < math.inf else _flat_norm(x[j]) for j, v in enumerate(norms)]
 
 
 def frobenius(m):
@@ -82,7 +94,8 @@ def frobenius(m):
     the plain sum of squares overflows or underflows (Blue 1978), so that
     any finite matrix gets a finite, and a nonzero one a nonzero, norm.
     np.vdot forms the sums: unlike ndarray.dot it never warns.  A stack
-    (..., rows, cols) gives the norm of each matrix, as an array."""
+    (..., rows, cols) gives the norm of each matrix, as an array, each
+    bit for bit the norm of that matrix alone."""
     x = np.asarray(m)
     if x.ndim > 2:
         return np.array(_norms(x)).reshape(x.shape[:-2])
@@ -140,12 +153,9 @@ def solve(a, b) -> np.ndarray:
     if 0.0 in scale:
         raise SingularMatrix(f"zero coefficient matrix{_where(aa, scale.index(0.0))}")
 
-    if aa.ndim == 2:
-        rhs = np.concatenate((bb, np.eye(n)), axis=1)
-    else:
-        rhs = np.empty(aa.shape[:-2] + (n, k + n), dtype=complex if bb.dtype.kind == "c" else float)
-        rhs[..., :k] = bb
-        rhs[..., k:] = np.eye(n)
+    rhs = np.empty(aa.shape[:-2] + (n, k + n), dtype=complex if bb.dtype.kind == "c" else float)
+    rhs[..., :k] = bb
+    rhs[..., k:] = np.eye(n)
     try:
         sol = np.linalg.solve(aa, rhs)
     except np.linalg.LinAlgError as exc:

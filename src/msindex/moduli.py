@@ -44,8 +44,9 @@ _ROT_GENERATORS = np.array([
 
 
 def _each_direction(m: np.ndarray) -> np.ndarray:
-    """m, or each matrix of a stack m, applied alike to a stack of directions."""
-    return m[..., None, :, :] if m.ndim > 2 else m
+    """Each matrix of a stack m (a matrix being a stack of none), applied
+    alike to every direction of its surface."""
+    return m[..., None, :, :]
 
 
 def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
@@ -212,8 +213,9 @@ def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[Surfa
     """The analyses of canonical parameters of one family, as one stack.
 
     A stack of one surface drops its stack axis: its integrals are
-    floats and its matrices plain, which numpy handles fastest, and
-    every layer takes both shapes.
+    floats and its matrices plain, which numpy handles fastest (a
+    one-point analyze as a (1, ...) stack takes about a quarter longer),
+    and every layer takes both shapes.
     """
     (one,) = params if len(params) == 1 else (None,)
     integrals = families.integral_set(one or params, config)
@@ -243,13 +245,13 @@ class _AnalysisCache:
     used dropped first, with functools.lru_cache's cache_info() and
     cache_clear().
 
-    A lookup takes a whole list of parameters.  Each distinct parameter
-    not yet cached counts one miss and is computed with the other misses
-    of its family, in stacks of at most _STACK_POINTS; a parameter
-    already cached, or repeated in the list, counts one hit.  A stack
-    that raises is computed again point by point, so the first failing
-    point raises its own error and the points before it are cached, as
-    one by one.
+    A lookup takes a whole list of parameters and counts a hit for each
+    parameter already cached or repeated in the list.  The others are
+    computed with the other misses of their family, in stacks of at
+    most _STACK_POINTS, each counting one miss as it is computed.  A
+    stack that raises is computed again point by point, so the first
+    failing point counts its miss and raises its own error, and the
+    points before it are cached, as one by one.
     """
 
     def __init__(self, maxsize: int):
@@ -260,34 +262,40 @@ class _AnalysisCache:
     def __call__(self, params: list[SurfaceParam], config: QuadConfig) -> list[SurfaceAnalysis]:
         entries = self._entries
         found: dict[SurfaceParam, SurfaceAnalysis] = {}
-        missing: dict[str, list[SurfaceParam]] = {}
+        todo: dict[str, list[SurfaceParam]] = {}
         for p in params:
             if p in found:
+                self._hits += 1
                 continue
-            hit = found[p] = entries.get((p, config))
-            if hit is None:
-                missing.setdefault(p.family, []).append(p)
+            res = found[p] = entries.get((p, config))
+            if res is None:
+                todo.setdefault(p.family, []).append(p)
             else:
+                self._hits += 1
                 entries.move_to_end((p, config))
-        n_missing = sum(map(len, missing.values()))
-        self._misses += n_missing
-        self._hits += len(params) - n_missing
-        for todo in missing.values():
-            blocks = -(-len(todo) // _STACK_POINTS)
+        for points in todo.values():
+            blocks = -(-len(points) // _STACK_POINTS)
             for b in range(blocks):
-                block = todo[b * len(todo) // blocks:(b + 1) * len(todo) // blocks]
+                block = points[b * len(points) // blocks:(b + 1) * len(points) // blocks]
                 try:
                     done = _analyze_stack(block, config)
                 except MsindexError:
                     if len(block) == 1:
+                        self._misses += 1
                         raise
-                    done = None
-                for k, p in enumerate(block):
-                    res = found[p] = done[k] if done is not None else _analyze_stack([p], config)[0]
-                    entries[p, config] = res
+                    # again point by point, each cached before the next is computed
+                    done = (self._alone(p, config) for p in block)
+                else:
+                    self._misses += len(block)
+                for p, res in zip(block, done):
+                    found[p] = entries[p, config] = res
                     if len(entries) > self.maxsize:
                         entries.popitem(last=False)
         return [found[p] for p in params]
+
+    def _alone(self, p: SurfaceParam, config: QuadConfig) -> SurfaceAnalysis:
+        self._misses += 1
+        return _analyze_stack([p], config)[0]
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))

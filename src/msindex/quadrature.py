@@ -48,13 +48,15 @@ side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
 and the midpoint in a single call.  Past the block, a form is called
 only at the parameter points that still have an active row.  Each row
-keeps its own trapezoid sum and its own stopping level; the rows still
-active at a level are summed in one stacked dot product per side, which
-runs each row through the same BLAS dot as ``np.dot``, so every row's
-(value, err) is bit for bit what integrating it alone level by level
-gives.  A row that has stopped is no longer read: a non-finite value it
-produces at a later level, inside the block or after it, is ignored,
-while one in a row still being refined raises DomainError.
+keeps its own trapezoid sum and its own stopping level; the two sides
+of the rows still active at a level are summed in one stacked dot
+product, which runs each row's side through the same BLAS dot as
+``np.dot``, so every row's (value, err) is bit for bit what integrating
+it alone level by level gives.  A row that has stopped is no longer
+read: a non-finite value it produces at a later level, inside the block
+or after it, is ignored, while one in a row still being refined raises
+DomainError.  The node arrays of each level are formed once per
+interval and kept.
 """
 
 from __future__ import annotations
@@ -197,22 +199,16 @@ def _as_rows(out) -> np.ndarray:
         raise TypeError(f"integrand rows must each map the node array: {exc}") from exc
 
 
-def _points(f: Integrand) -> int:
-    """The number of surfaces of a stacked f, 0 for one surface."""
-    return len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
-
-
-def _columns(f: Integrand, pts: Optional[np.ndarray] = None) -> list:
-    """The params of f at the points pts of a stack (all if None), as its
-    forms take them: one point's as floats."""
-    n = _points(f)
-    if not n:
+def _columns(f: Integrand, stack: int, pts=slice(None)) -> list:
+    """The params of f at the points pts of its stack, as (M, 1) columns,
+    or as floats for one point or one surface (stack 0).  numpy then
+    takes its scalar path, and a form's subexpressions in the params
+    alone stay Python arithmetic: a tP form call on floats takes about
+    two fifths less time than on (1, 1) columns."""
+    if not stack:
         return list(f.params)
-    if (n if pts is None else len(pts)) == 1:
-        j = 0 if pts is None else pts[0]
-        return [float(c[j]) for c in f.params]
-    idx = slice(None) if pts is None else pts
-    return [np.asarray(c, dtype=float)[idx, None] for c in f.params]
+    cols = [c[pts, None] for c in f.params]
+    return [float(c[0, 0]) for c in cols] if len(cols[0]) == 1 else cols
 
 
 def _apply(f: Integrand, fn: Callable, arg: np.ndarray, cols: list) -> np.ndarray:
@@ -232,73 +228,78 @@ def _apply(f: Integrand, fn: Callable, arg: np.ndarray, cols: list) -> np.ndarra
 
 @functools.lru_cache(maxsize=64)
 def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool,
-               offset_lo: bool) -> tuple:
+               offset_lo: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """What the forms of an integrand on (lo, hi) are called on at one
     level, or at the fused block and the midpoint for level None.
 
-    Returns (s, plain, parts, lengths): the distances s = half * d_near
-    that an offset form takes, the nodes hi - s, lo + s (and the
-    midpoint) of every side without one concatenated into one array for
-    the evaluator, the indices of those sides, and the length of each
-    side.  Cached per interval, so a fixed interval forms them once.
+    Returns (s, plain): the distances s = half * d_near that an offset
+    form takes, and the nodes hi - s, lo + s of each side without one,
+    then the midpoint, concatenated into one array for the evaluator
+    (None if it has none to take).  Cached per interval, so a fixed
+    interval forms them once.
     """
     half = 0.5 * (hi - lo)
     s = half * (_fused_nodes()[0] if level is None else _nodes(level)[1])
-    xs = [hi - s, lo + s] + ([np.array([lo + half])] if level is None else [])
-    parts = [i for i in range(len(xs)) if i == 2 or not (offset_hi, offset_lo)[i]]
-    plain = np.concatenate([xs[i] for i in parts]) if parts else None
+    xs = [x for x, offset in ((hi - s, offset_hi), (lo + s, offset_lo)) if not offset]
+    xs += [np.array([lo + half])] if level is None else []
+    plain = np.concatenate(xs) if xs else None
     for arr in (s, plain):
         if arr is not None:
             arr.flags.writeable = False
-    return s, plain, parts, [len(x) for x in xs]
+    return s, plain
 
 
-def _sides(f: Integrand, level: Optional[int], cols: list) -> list[np.ndarray]:
+def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
     """Evaluate f at the nodes of one level from each endpoint, or at the
     fused block and the midpoint for level None.
 
-    Returns [hi_vals, lo_vals] (and the midpoint column for the block),
-    each of shape (rows, nodes).  An offset form is called on its own
-    side; the evaluator is called once, on the nodes of every other
-    part.  The values are not checked here: integrate reads each level
-    of a row only while the row is active, and checks what it reads.
+    Returns (vals, centre): the values at the hi and lo sides as one
+    (rows, 2, nodes) array, and the midpoint column (None past the
+    block).  An offset form is called on its own side; the evaluator is
+    called once, on the nodes of every other part, and when it takes
+    both sides, vals is a view of its output.  The values are not
+    checked here: integrate reads each level of a row only while the
+    row is active, and checks what it reads.
     """
-    s, plain, parts, lengths = _arguments(f.lo, f.hi, level, f.from_hi is not None,
-                                          f.from_lo is not None)
-    calls = [(form, s, [i]) for i, form in enumerate((f.from_hi, f.from_lo)) if form is not None]
-    if parts:
-        calls.append((f.evaluator, plain, parts))
-    blocks: list = [None] * len(lengths)
-    for fn, arg, sides in calls:
-        vals = _apply(f, fn, arg, cols)
-        start = 0
-        for i in sides:
-            blocks[i] = vals[:, start:start + lengths[i]]
-            start += lengths[i]
-    return blocks
+    s, plain = _arguments(f.lo, f.hi, level, f.from_hi is not None, f.from_lo is not None)
+    n = len(s)
+    out = None if plain is None else _apply(f, f.evaluator, plain, cols)
+    sides, at = [], 0
+    for form in (f.from_hi, f.from_lo):
+        if form is None:
+            sides.append(out[:, at:at + n])
+            at += n
+        else:
+            sides.append(_apply(f, form, s, cols))
+    centre = out[:, at:] if level is None else None
+    vals = out[:, :at].reshape(len(out), 2, n) if at == 2 * n else np.stack(sides, axis=1)
+    return vals, centre
 
 
-def _level_sums(w: np.ndarray, hi_vals: np.ndarray, lo_vals: np.ndarray) -> np.ndarray:
-    """Each row's weighted sum over both sides, one stacked dot product per side.
+def _level_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Each row's weighted sum over both sides of vals (rows, 2, nodes),
+    one stacked dot product.
 
-    (k, 1, n) @ (n, 1) runs every row through the same BLAS dot as
-    np.dot(w, row), so each sum is bit for bit the one-row sum.
+    (rows, 2, 1, n) @ (n, 1) runs every row and side through the same
+    BLAS dot as np.dot(w, side), so each sum, the hi side's plus the lo
+    side's, is bit for bit the one-row sum.
     """
-    col = w[:, None]
-    return (hi_vals[:, None, :] @ col)[:, 0, 0] + (lo_vals[:, None, :] @ col)[:, 0, 0]
+    sums = vals[:, :, None, :] @ w[:, None]
+    return sums[:, 0, 0, 0] + sums[:, 1, 0, 0]
 
 
-def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray,
-                     parts: tuple[np.ndarray, ...]) -> None:
-    """Raise DomainError at the first node where a row of parts is not finite.
+def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.ndarray,
+                     centre: Optional[np.ndarray] = None) -> None:
+    """Raise DomainError at the first node where a row of vals (or of the
+    midpoint column centre) is not finite.
 
-    parts are the hi and lo values (and the midpoint column) of the
-    rows being read.  Returns if every value is finite: a sum that
-    overflowed is not a domain error.
+    vals are the hi and lo values of the rows being read.  Returns if
+    every value is finite: a sum that overflowed is not a domain error.
     """
     s = half * d_near
-    for vals, x in zip(parts, (f.hi - s, f.lo + s, [f.lo + half])):
-        bad = ~np.isfinite(vals).all(axis=0)
+    parts = [(vals[:, 0], f.hi - s), (vals[:, 1], f.lo + s)]
+    for part, x in parts + ([(centre, [f.lo + half])] if centre is not None else []):
+        bad = ~np.isfinite(part).all(axis=0)
         if bad.any():
             raise DomainError(
                 f"integrand returned a non-finite value near x = {float(np.asarray(x)[bad][0])!r}")
@@ -352,33 +353,35 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         raise DomainError(f"empty interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
     tol = config.target_rel_tol
-    stack = _points(f)
+    # a stack has k * stack rows, row i * stack + j being row i at point j
+    stack = len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
 
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
     # being read is still rejected.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         d_fused, fused = _fused_nodes()
-        hi_block, lo_block, centre = _sides(f, None, _columns(f))
+        block, centre = _sides(f, None, _columns(f, stack))
         w, sl = fused[0]
-        hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
+        vals = block[:, :, sl]
         # a non-finite value makes its row's sum non-finite, so the
         # values are searched only when a sum is
-        trapezoid = _level_sums(w, hi_vals, lo_vals) + 0.5 * math.pi * centre[:, 0]
+        trapezoid = _level_sums(w, vals) + 0.5 * math.pi * centre[:, 0]
         if not np.isfinite(trapezoid).all():
-            _raise_nonfinite(f, half, d_fused[sl], (hi_vals, lo_vals, centre))
+            _raise_nonfinite(f, half, d_fused[sl], vals, centre)
         value = half * trapezoid
         n_rows = len(value)
+        err = np.full(n_rows, math.inf)
         active = np.arange(n_rows)
         for level in range(1, _MAX_LEVEL + 1):
+            rows = active
             if level <= _FUSED_LEVEL:
                 w, sl = fused[level]
                 d_near = d_fused[sl]
-                hi_vals, lo_vals = hi_block[:, sl], lo_block[:, sl]
-                rows = active
+                vals = block[:, :, sl]
             else:
                 w, d_near = _nodes(level)
-                rows, pts = active, None
+                pts = slice(None)
                 if stack:
                     # only the points with an active row are evaluated again
                     point = active % stack
@@ -386,36 +389,28 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
                     keep[point] = True
                     pts = np.flatnonzero(keep)
                     rows = active // stack * len(pts) + (np.cumsum(keep) - 1)[point]
-                hi_vals, lo_vals = _sides(f, level, _columns(f, pts))
-            if len(rows) < len(hi_vals):
-                hi_vals, lo_vals = hi_vals[rows], lo_vals[rows]
-            term = _level_sums(w, hi_vals, lo_vals)
+                vals, _ = _sides(f, level, _columns(f, stack, pts))
+            if len(rows) < len(vals):
+                vals = vals[rows]
+            term = _level_sums(w, vals)
             if not np.isfinite(term).all():
-                _raise_nonfinite(f, half, d_near, (hi_vals, lo_vals))
-            if len(active) == n_rows:
-                # every row still active: the same arithmetic on whole arrays
-                trapezoid = 0.5 * trapezoid + 0.5 ** level * term
-                new_value = half * trapezoid
-                err = np.abs(new_value - value)
-                value = new_value
-            else:
-                t = 0.5 * trapezoid[active] + 0.5 ** level * term
-                new_value = half * t
-                err[active] = np.abs(new_value - value[active])
-                trapezoid[active] = t
-                value[active] = new_value
+                _raise_nonfinite(f, half, d_near, vals)
+            t = 0.5 * trapezoid[active] + 0.5 ** level * term
+            new_value = half * t
+            err[active] = np.abs(new_value - value[active])
+            trapezoid[active] = t
+            value[active] = new_value
             if level >= _FIRST_TEST_LEVEL:
                 done = err[active] <= np.maximum(tol * np.abs(new_value), _ABS_FLOOR)
                 active = active[~done]
                 if not len(active):
-                    if stack:
-                        results = list(zip(value.reshape(-1, stack), err.reshape(-1, stack)))
-                    else:
-                        results = list(zip(value.tolist(), err.tolist()))
+                    value, err = ((value.reshape(-1, stack), err.reshape(-1, stack)) if stack
+                                  else (value.tolist(), err.tolist()))
+                    results = list(zip(value, err))
                     return dict(zip(f.names, results)) if f.names else results[0]
     r, point = divmod(int(active[0]), stack or 1)
     row = f" in row {f.names[r]!r}" if f.names else ""
-    at = f" at parameter {float(f.params[0][point] if stack else f.params[0])!r}" if f.params else ""
+    at = f" at parameter {float(np.reshape(f.params[0], -1)[point])!r}" if f.params else ""
     raise NonConvergence(
         f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}{at}: "
         f"value {float(value[active[0]])!r}, last change {float(err[active[0]])!r}"

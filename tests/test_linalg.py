@@ -510,3 +510,23 @@ def test_frobenius_of_a_stack():
     assert norms[0] == 5.0 and norms[2] == 0.0
     assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norms[3] == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 9, 18])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frobenius_of_a_stack_equals_each_matrix_alone(n, kind):
+    # the norms that decide solve's and eig_selfadjoint's checks: each
+    # matrix of a stack, whatever its layout or scale, gets the bits it
+    # gets alone, which are np.linalg.norm's
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((5, n, n))
+    if kind == "complex":
+        m = m + 1j * rng.standard_normal((5, n, n))
+    m = m * np.array([1.0, 1e-3, 1e200, 1e-200, 7.0])[:, None, None]
+    for stack in (m, m.swapaxes(-1, -2), m[:, ::2, 1:], m[:, ::-1], m.reshape(5, 1, n, n)):
+        norms = linalg.frobenius(stack)
+        assert norms.shape == stack.shape[:-2]
+        for j, mat in enumerate(stack.reshape((-1,) + stack.shape[-2:])):
+            assert norms.reshape(-1)[j] == linalg.frobenius(mat)
+            if j in (0, 1, 4):
+                assert norms.reshape(-1)[j] == float(np.linalg.norm(mat))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msindex import cli, moduli
+from msindex import cli, families, moduli
 from msindex.errors import NonConvergence
 from msindex.families import SurfaceParam, canonical_param
 from msindex.sweep import DEFAULT_WINDOWS, SweepConfig, _grid, sweep
@@ -107,6 +107,31 @@ def test_a_failing_grid_point_fails_the_sweep_as_alone():
         sweep("tP", SweepConfig(2.00001, 2.1, steps=16))
     assert str(stacked.value) == str(alone.value)
     assert "row 'A2'" in str(stacked.value) and "2.00001" in str(stacked.value)
+    # as one by one: the failing first point counts its miss, nothing is cached
+    info = moduli._analyze_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 0)
+
+
+def test_a_failing_point_inside_a_stack_counts_what_was_computed(monkeypatch):
+    # the third of five points fails: the two before it are computed and
+    # cached, and it counts its own miss, as one analyze call after another
+    real = families.deformation_data
+
+    def failing(p):
+        if p.a == 5.0:
+            raise NonConvergence("deliberate")
+        return real(p)
+
+    monkeypatch.setattr(families, "deformation_data", failing)
+    moduli._analyze_cached.cache_clear()
+    params = [SurfaceParam("tP", a) for a in (3.0, 4.0, 5.0, 6.0, 7.0)]
+    with pytest.raises(NonConvergence, match="deliberate"):
+        moduli.analyze_many(params)
+    info = moduli._analyze_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 0, 2)
+    moduli.analyze(params[1])
+    assert moduli._analyze_cached.cache_info().hits == 1
+    moduli._analyze_cached.cache_clear()
 
 
 def _transient_peak(cfg):
