@@ -165,6 +165,38 @@ def _report(ew: np.ndarray, ed: np.ndarray) -> SpectralReport:
     )
 
 
+def _reports(ew: np.ndarray, ed: np.ndarray) -> list[SpectralReport]:
+    """The reports of a stack of surfaces from their (N, 9) and (N, 18)
+    spectra: the tolerances, counts and degeneracy of all surfaces in one
+    numpy pass, elementwise, so each the bits of _report on its row."""
+    zero_w = ZERO_TOL_FACTOR * np.maximum(abs(ew[:, 0]), abs(ew[:, -1]))
+    zero_d = ZERO_TOL_FACTOR * np.maximum(abs(ed[:, 0]), abs(ed[:, -1]))
+    d_neg = np.count_nonzero(ed < -zero_d[:, None], axis=1)
+    d_zero = ed.shape[1] - np.count_nonzero(ed > zero_d[:, None], axis=1) - d_neg
+    degenerate = d_zero != _EXPECTED_KERNEL
+    tol_w = np.where(degenerate, zero_w, 0.0)[:, None]
+    p = np.count_nonzero(ew > tol_w, axis=1)
+    q = np.count_nonzero(ew < -tol_w, axis=1)
+    nullity = ew.shape[1] - p - q
+    index_e = 1 + d_neg
+    return [SpectralReport(
+        eig_w=_own(w),
+        eig_wdiff=_own(d),
+        p=p_k,
+        q=q_k,
+        nullity_E=n_k,
+        kernel_dim_wdiff=z_k,
+        index_E=i_k,
+        index_A=i_k,
+        nullity_A=n_k + 3,
+        degenerate=g_k,
+        zero_tol_w=tw_k,
+        zero_tol_wdiff=td_k,
+    ) for w, d, p_k, q_k, n_k, z_k, i_k, g_k, tw_k, td_k in zip(
+        ew, ed, p.tolist(), q.tolist(), nullity.tolist(), d_zero.tolist(), index_e.tolist(),
+        degenerate.tolist(), zero_w.tolist(), zero_d.tolist())]
+
+
 def _own(row: np.ndarray) -> np.ndarray:
     """A read-only copy of one row of a stack, so that what a caller
     keeps does not hold the whole stack."""
@@ -190,7 +222,7 @@ def spectral_report(km: KeyMatrices):
     ed = linalg.eig_selfadjoint(km.wdiff)
     if ew.ndim == 1:
         return _report(ew, ed)
-    return [_report(_own(w), _own(d)) for w, d in zip(ew, ed)]
+    return _reports(ew, ed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,8 +279,9 @@ class _AnalysisCache:
 
     A lookup takes a whole list of parameters and counts a hit for each
     parameter already cached or repeated in the list.  The others are
-    computed with the other misses of their family, in stacks of at
-    most _STACK_POINTS, each counting one miss as it is computed.  A
+    computed with the other misses of their family, in order, in stacks
+    of _STACK_POINTS and a last one of the rest, each counting one miss
+    as it is computed.  A
     stack that raises is computed again point by point, so the first
     failing point counts its miss and raises its own error, and the
     points before it are cached, as one by one.
@@ -274,9 +307,8 @@ class _AnalysisCache:
                 self._hits += 1
                 entries.move_to_end((p, config))
         for points in todo.values():
-            blocks = -(-len(points) // _STACK_POINTS)
-            for b in range(blocks):
-                block = points[b * len(points) // blocks:(b + 1) * len(points) // blocks]
+            for b in range(0, len(points), _STACK_POINTS):
+                block = points[b:b + _STACK_POINTS]
                 try:
                     done = _analyze_stack(block, config)
                 except MsindexError:

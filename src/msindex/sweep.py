@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg, moduli
+from . import moduli
 from .errors import DomainError, UnresolvedTransition
 from .families import QuadConfig, SurfaceParam, admissible_range
 
@@ -96,12 +96,10 @@ class SweepSamples(Sequence):
 
     __slots__ = ("_floats", "_counts")
 
-    def __init__(self, samples: list[SweepSample]):
+    def __init__(self, floats: np.ndarray, counts: np.ndarray):
         # (a, det_w, min_abs_eig_w) and (p, q, nullity_E, index_E) per sample
-        self._floats = np.array([(s.a, s.det_w, s.min_abs_eig_w) for s in samples],
-                                dtype=float).reshape(-1, 3)
-        self._counts = np.array([(s.p, s.q, s.nullity_E, s.index_E) for s in samples],
-                                dtype=np.int8).reshape(-1, 4)
+        self._floats = np.array(floats, dtype=float).reshape(-1, 3)
+        self._counts = np.array(counts, dtype=np.int8).reshape(-1, 4)
         self._floats.flags.writeable = self._counts.flags.writeable = False
 
     def __len__(self) -> int:
@@ -154,41 +152,36 @@ class SweepReport:
     intervals: tuple[Interval, ...]
 
 
-def _probe(family: str, a: float,
-           cfg: SweepConfig) -> tuple[SweepSample, list[float]]:
-    """Evaluate the pipeline at a.
+def _report_at(family: str, a: float, cfg: SweepConfig) -> moduli.SpectralReport:
+    """The report of one analyze call at a."""
+    return moduli.analyze(SurfaceParam(family, a), config=cfg.quad).report
 
-    Returns the sample and the eigenvalues of the key matrix in
-    descending order, as Python floats.
+
+def _samples(a: Sequence[float],
+             reports: Sequence[moduli.SpectralReport]) -> tuple[SweepSamples, np.ndarray]:
+    """The samples of the reports at the parameters a, and their key
+    matrix spectra as one (N, 9) array.
+
+    det_w multiplies the columns in order into ones, so each is bit for
+    bit the left-to-right product of its spectrum's floats from 1.0.
     """
-    return _sample(a, moduli.analyze(SurfaceParam(family, a), config=cfg.quad).report)
+    eig_w = np.array([r.eig_w for r in reports])
+    det = np.ones(len(eig_w))
+    for column in eig_w.T:
+        det *= column
+    floats = np.column_stack([a, det, abs(eig_w).min(axis=1)])
+    counts = [(r.p, r.q, r.nullity_E, r.index_E) for r in reports]
+    return SweepSamples(floats, counts), eig_w
 
 
-def _sample(a: float, report: moduli.SpectralReport) -> tuple[SweepSample, list[float]]:
-    """The sample of the report at a, and its key matrix spectrum as floats."""
-    eig_w = report.eig_w.tolist()
-    det = 1.0
-    for v in eig_w:
-        det *= v
-    sample = SweepSample(
-        a=a,
-        det_w=det,
-        min_abs_eig_w=min(abs(v) for v in eig_w),
-        p=report.p,
-        q=report.q,
-        nullity_E=report.nullity_E,
-        index_E=report.index_E,
-    )
-    return sample, eig_w
-
-
-def _raw_negatives(eig_w: list[float]) -> int:
-    """Count of strictly negative eigenvalues.
+def _raw_negatives(eig_w):
+    """Count of strictly negative eigenvalues of a spectrum, or of each
+    spectrum of a stack (..., 9).
 
     The raw count ignores the zero threshold entirely, so it jumps
     exactly where an eigenvalue crosses zero and nowhere else.
     """
-    return linalg.count_signs(eig_w, 0.0)[1]
+    return np.count_nonzero(np.less(eig_w, 0.0), axis=-1)
 
 
 def _grid(family: str, cfg: SweepConfig) -> list[float]:
@@ -287,11 +280,11 @@ def _refine(family: str, cfg: SweepConfig,
     across the bracket, so Brent's method runs on it, and the ends of
     the final bracket have different raw counts.
     """
-    k = len(eig_lo) - max(_raw_negatives(eig_lo), _raw_negatives(eig_hi))
+    k = len(eig_lo) - int(_raw_negatives([eig_lo, eig_hi]).max())
     seen = {s_lo.a: eig_lo, s_hi.a: eig_hi}
 
     def crossing(a: float) -> float:
-        seen[a] = _probe(family, a, cfg)[1]
+        seen[a] = _report_at(family, a, cfg).eig_w.tolist()
         return seen[a][k]
 
     lo, _, hi, _ = _brent(crossing, s_lo.a, eig_lo[k], s_hi.a, eig_hi[k],
@@ -303,7 +296,7 @@ def _refine(family: str, cfg: SweepConfig,
     assert _raw_negatives(seen[lo]) != _raw_negatives(seen[hi])
 
     a_star = 0.5 * (lo + hi)
-    at = moduli.analyze(SurfaceParam(family, a_star), config=cfg.quad).report
+    at = _report_at(family, a_star, cfg)
     depth = min(abs(v) for v in at.eig_w)
     scale = max(abs(v) for v in at.eig_w)
     if depth > _ROOT_DEPTH_FACTOR * scale:
@@ -333,15 +326,15 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     """
     grid = _grid(family, cfg)
     analyses = moduli.analyze_many([SurfaceParam(family, a) for a in grid], config=cfg.quad)
-    probes = [_sample(a, res.report) for a, res in zip(grid, analyses)]
-    samples = [sample for sample, _ in probes]
-    q_raw = [_raw_negatives(eig) for _, eig in probes]
+    grid_samples, eig_w = _samples(grid, [res.report for res in analyses])
+    samples = list(grid_samples)
+    q_raw = _raw_negatives(eig_w).tolist()
 
     transitions: list[Transition] = []
     for k in range(len(samples) - 1):
         s0, s1 = samples[k], samples[k + 1]
         if q_raw[k] != q_raw[k + 1] and s0.signature_class != s1.signature_class:
-            t = _refine(family, cfg, *probes[k], *probes[k + 1])
+            t = _refine(family, cfg, s0, eig_w[k].tolist(), s1, eig_w[k + 1].tolist())
             # roots come sorted, each from its bracket in grid order; one
             # landing on a grid point refines from both flanking cells
             if not transitions or t.a_star - transitions[-1].a_star > 10.0 * cfg.refine_tol:
@@ -353,7 +346,8 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
         lo, hi = cuts[k], cuts[k + 1]
         inside = [s for s in samples if lo < s.a < hi and s.nullity_E == 0]
         if not inside:
-            inside = [_probe(family, 0.5 * (lo + hi), cfg)[0]]
+            mid = 0.5 * (lo + hi)
+            inside, _ = _samples([mid], [_report_at(family, mid, cfg)])
         (p, q, index_e), _ = Counter(s.signature_class for s in inside).most_common(1)[0]
         intervals.append(Interval(
             lo=lo,
@@ -369,7 +363,7 @@ def sweep(family: str, cfg: SweepConfig) -> SweepReport:
     return SweepReport(
         family=family,
         config=cfg,
-        samples=SweepSamples(samples),
+        samples=grid_samples,
         transitions=tuple(transitions),
         intervals=tuple(intervals),
     )
@@ -385,14 +379,15 @@ def classify_at(
     At a degeneration the constrained index drops by the incoming
     nullity; evaluations _FLANK_OFFSET to either side recover the
     limiting value, taken as the smaller of the two one-sided indices
-    (they agree away from a transition).
+    (they agree away from a transition).  a and its admissible flanks
+    are analyzed as one stack, a validated first: the results, errors
+    and cache counts are those of one analyze call after another.
     """
-    report = moduli.analyze(SurfaceParam(family, a), config=config).report
     lo, hi = admissible_range(family)
-    flank_indices = [
-        moduli.analyze(SurfaceParam(family, side), config=config).report.index_E
-        for side in (a - _FLANK_OFFSET, a + _FLANK_OFFSET) if lo <= side <= hi]
-    if not flank_indices:
+    sides = [side for side in (a - _FLANK_OFFSET, a + _FLANK_OFFSET) if lo <= side <= hi]
+    report, *flanks = (res.report for res in moduli.analyze_many(
+        [SurfaceParam(family, x) for x in [a, *sides]], config=config))
+    if not flanks:
         raise DomainError(
             f"no admissible flanking parameter within {_FLANK_OFFSET} of {a}")
-    return report, min(flank_indices)
+    return report, min(r.index_E for r in flanks)

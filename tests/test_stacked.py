@@ -1,5 +1,7 @@
 """The stacked grid: sweep analyzes the grid points that miss the cache as
-stacks, and every point must come out as a fresh one-point analysis does."""
+stacks, and every point must come out as a fresh one-point analysis does.
+classify_at and reproduce stack the points they know in advance, with the
+results, errors and cache counts of one analyze call after another."""
 
 import contextlib
 import io
@@ -8,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msindex import cli, families, moduli
+from msindex import cli, families, linalg, moduli
 from msindex.errors import NonConvergence
-from msindex.families import SurfaceParam, canonical_param
-from msindex.sweep import DEFAULT_WINDOWS, SweepConfig, _grid, sweep
+from msindex.families import SurfaceParam, admissible_range, canonical_param
+from msindex.sweep import (_FLANK_OFFSET, DEFAULT_WINDOWS, SweepConfig, _grid, _raw_negatives,
+                           classify_at, sweep)
 
 # one window per family as refine_roots draws them: 1 % of the default
 # window around a transition, 16 steps
@@ -153,3 +156,153 @@ def test_a_long_grid_has_bounded_transient_memory():
     long = _transient_peak(SweepConfig(2.1, 40.0, steps=1024))
     assert long <= 1.5e6
     assert long <= 1.1 * short
+
+
+def _reference_points():
+    data = cli._load_reference()
+    roots = [(family, r["a"]) for family, e in data["families"].items()
+             for r in e.get("roots", [])]
+    return roots + [("rPD", 1.0), ("H", 0.42)]
+
+
+def _flanks(family, a):
+    lo, hi = admissible_range(family)
+    return [x for x in (a - _FLANK_OFFSET, a + _FLANK_OFFSET) if lo <= x <= hi]
+
+
+def _info():
+    info = moduli._analyze_cached.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+@pytest.mark.parametrize("family, a", _reference_points())
+def test_classify_at_is_its_three_analyze_calls(family, a):
+    moduli._analyze_cached.cache_clear()
+    report, limit = classify_at(family, a)
+    stacked_info = _info()
+    # the report is the cached one, and the flanks are cached too
+    assert moduli.analyze(SurfaceParam(family, a)).report is report
+    flanks = [moduli.analyze(SurfaceParam(family, x)).report for x in _flanks(family, a)]
+    assert len(flanks) == (1 if a == 1.0 else 2)
+    assert limit == min(r.index_E for r in flanks)
+
+    moduli._analyze_cached.cache_clear()
+    alone = moduli.analyze(SurfaceParam(family, a)).report
+    alone_flanks = [moduli.analyze(SurfaceParam(family, x)).report for x in _flanks(family, a)]
+    assert _info() == stacked_info
+    assert limit == min(r.index_E for r in alone_flanks)
+    for got, want in zip([report] + flanks, [alone] + alone_flanks):
+        assert _same(got.eig_w, want.eig_w) and _same(got.eig_wdiff, want.eig_wdiff)
+        assert (got.p, got.q, got.nullity_E, got.index_E, got.degenerate) == (
+            want.p, want.q, want.nullity_E, want.index_E, want.degenerate)
+    moduli._analyze_cached.cache_clear()
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_failing_flank_fails_classify_at_as_one_by_one(monkeypatch, side):
+    real = families.deformation_data
+    a = 0.42
+    bad = a + side * _FLANK_OFFSET
+
+    def failing(p):
+        if p.a == bad:
+            raise NonConvergence("deliberate")
+        return real(p)
+
+    monkeypatch.setattr(families, "deformation_data", failing)
+    moduli._analyze_cached.cache_clear()
+    with pytest.raises(NonConvergence, match="deliberate"):
+        classify_at("H", a)
+    stacked_info = _info()
+    moduli._analyze_cached.cache_clear()
+    with pytest.raises(NonConvergence, match="deliberate"):
+        for x in [a] + _flanks("H", a):
+            moduli.analyze(SurfaceParam("H", x))
+    assert _info() == stacked_info
+    # the left flank fails second, the right one third
+    assert stacked_info[1:] == ((2, 1) if side < 0 else (3, 2))
+    moduli._analyze_cached.cache_clear()
+
+
+def _reproduce(capsys, *argv):
+    moduli._analyze_cached.cache_clear()
+    code = cli.main(["reproduce", *argv])
+    out, err = capsys.readouterr()
+    moduli._analyze_cached.cache_clear()
+    return code, out, err
+
+
+@pytest.mark.parametrize("failing", [0.3, 0.5])
+def test_a_failing_reference_sample_stops_reproduce_where_it_did(monkeypatch, capsys, failing):
+    # a sample that fails stops the report before its lines, as one
+    # analyze call per sample did: stdout is the passing run's up to it
+    _, clean, _ = _reproduce(capsys, "--family", "H", "--steps", "16")
+    real = families.deformation_data
+
+    def failing_at(p):
+        if p.a == failing:
+            raise NonConvergence("deliberate")
+        return real(p)
+
+    monkeypatch.setattr(families, "deformation_data", failing_at)
+    code, out, err = _reproduce(capsys, "--family", "H", "--steps", "16")
+    assert (code, err) == (cli.EXIT_NUMERIC, "numerical failure: deliberate\n")
+    assert out == clean[:clean.index("  a=%r key matrix" % failing)]
+    assert out.startswith("[H]\n")
+
+
+def test_stacked_reports_equal_the_one_point_report_row_by_row():
+    rng = np.random.default_rng(14)
+    rows_w, rows_d = [], []
+    for _ in range(40):
+        w = rng.standard_normal(9) * 10.0 ** rng.integers(-8, 8, size=9)
+        d = rng.standard_normal(18) * 10.0 ** rng.integers(-8, 8, size=18)
+        d[rng.permutation(18)[:8]] = rng.standard_normal(8) * 1e-20
+        rows_w.append(w)
+        rows_d.append(d)
+    # eigenvalues exactly at +-zero_tol of spectra whose largest is 1: the
+    # two at the Wdiff tolerance make its kernel 8 in the first row, 10 in
+    # the second, which counts the W eigenvalues at +-zero_tol as zeros
+    tol = moduli.ZERO_TOL_FACTOR
+    at_tol_w = np.array([1.0, tol, tol, 0.5, 0.0, -0.0, -tol, -tol, -0.25])
+    for zeros in (6, 8):
+        rest = [0.5, -0.5, 2 * tol, -2 * tol, 0.3, -0.3, -1.0, 0.7, -0.7][:15 - zeros]
+        rows_w.append(at_tol_w)
+        rows_d.append(np.array([1.0, tol, -tol] + [0.0] * zeros + rest))
+    # an all-zero spectrum, and a clean one beside a degenerate Wdiff kernel
+    rows_w.append(np.zeros(9))
+    rows_d.append(np.zeros(18))
+    clean_d = np.array([3.0, 2.0, 1.0, 0.5, 0.25] + [1e-12] * 8 + [-0.25, -0.5, -1.0, -2.0, -3.0])
+    for zeros in (8, 9):
+        d = clean_d.copy()
+        d[5:5 + zeros] = 1e-12
+        rows_w.append(np.array([2.0, 1.0, 1e-9, -1e-9, -1.0, 0.5, -0.5, 4.0, -4.0]))
+        rows_d.append(d)
+    ew = -np.sort(-np.array(rows_w), axis=1)
+    ed = -np.sort(-np.array(rows_d), axis=1)
+    stacked = moduli._reports(ew, ed)
+    assert [r.degenerate for r in stacked[-5:]] == [False, True, True, False, True]
+    assert [r.nullity_E for r in stacked[-5:]] == [2, 6, 9, 0, 2]
+    for w, d, got in zip(ew, ed, stacked):
+        want = moduli._report(moduli._own(w), moduli._own(d))
+        assert _same(got.eig_w, want.eig_w) and _same(got.eig_wdiff, want.eig_wdiff)
+        assert got.eig_w.base is None and not got.eig_w.flags.writeable
+        for field in moduli.SpectralReport.__slots__:
+            if field.startswith("eig_"):
+                continue
+            g, v = getattr(got, field), getattr(want, field)
+            assert type(g) is type(v) and (g == v), field
+            if isinstance(v, float):
+                assert g.hex() == v.hex(), field
+
+
+def test_grid_samples_equal_the_per_sample_arithmetic(family_sweeps):
+    for family, rep in family_sweeps.items():
+        for s in rep.samples:
+            eig = moduli.analyze(SurfaceParam(family, s.a)).report.eig_w.tolist()
+            det = 1.0
+            for v in eig:
+                det *= v
+            assert s.det_w.hex() == det.hex()
+            assert s.min_abs_eig_w.hex() == min(abs(v) for v in eig).hex()
+            assert int(_raw_negatives(eig)) == linalg.count_signs(eig, 0.0)[1]

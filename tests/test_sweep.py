@@ -288,3 +288,14 @@ def test_retained_sweep_reports_are_compact():
     samples = sum(len(r.samples) for r in reports)
     assert samples == 5 * 65
     assert (after - before) / samples <= 80
+
+
+def test_an_interval_without_a_clean_grid_sample_is_classed_at_its_midpoint():
+    # every grid point of a window 1e-8 wide around the root has nullity
+    rep = sweep("rPD", SweepConfig(a_min=RPD_ROOT - 1e-8, a_max=RPD_ROOT + 1e-8, steps=16))
+    assert all(s.nullity_E > 0 for s in rep.samples)
+    (iv,) = rep.intervals
+    mid = moduli.analyze(SurfaceParam("rPD", 0.5 * (iv.lo + iv.hi))).report
+    assert (iv.p, iv.q, iv.index_E, iv.nullity_A) == (mid.p, mid.q, mid.index_E,
+                                                      mid.nullity_E + 3)
+    assert iv.nullity_A == 4
