@@ -12,14 +12,15 @@ cancellation-prone factors expanded by hand.  Each family defines its
 integrands once, as quadrature tables: one ``Integrand`` with named
 rows per interval and set of endpoint forms (H: ``near0`` and
 ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``).  Each
-table computes the radicands its rows share once per node array and
-is integrated in one call; integral_set and verify_identities read
-the same tables, the identities adding their own integrands beside
-them.  A table takes its parameter as one float or as an array of N,
-a stack of N surfaces integrated together; the constants that depend
-on a alone are formed point by point in Python floats, so every point
-of a stack is bit for bit the surface alone, and so are its integral
-set and period frame.
+table computes the radicands its rows share once per node array, and
+all the tables of one integral set go to one integrate call;
+integral_set and verify_identities read the same tables, the
+identities adding their own integrands beside them in their call.  A
+table takes its parameter as one float or as an array of N, a stack
+of N surfaces integrated together; the constants that depend on a
+alone are formed point by point in Python floats, so every point of a
+stack is bit for bit the surface alone, and so are its integral set
+and period frame.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _each(fn: Callable[[float], float], a: Values) -> Values:
 
 def _integrate_all(tables: dict[str, Integrand],
                    config: QuadConfig) -> tuple[dict[str, Values], Values]:
-    """Integrate every entry of a dict of integrand tables.
+    """Integrate every entry of a dict of integrand tables, all in one
+    integrate call.
 
     Returns the values by row name and the largest error estimate, as
     floats for one surface and arrays for a stack.  A table contributes
@@ -154,8 +156,7 @@ def _integrate_all(tables: dict[str, Integrand],
     """
     values: dict[str, np.ndarray] = {}
     errs = []
-    for key, f in tables.items():
-        result = integrate(f, config)
+    for (key, f), result in zip(tables.items(), integrate(tables.values(), config)):
         for name, (value, err) in (result.items() if f.names else [(key, result)]):
             values[name] = value
             errs.append(err)

@@ -43,12 +43,6 @@ _ROT_GENERATORS = np.array([
 ])
 
 
-def _each_direction(m: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack m (a matrix being a stack of none), applied
-    alike to every direction of its surface."""
-    return m[..., None, :, :]
-
-
 def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
     """The nine tangent directions of the deformation space as one
     read-only (9, 3, 6) array: five branch-point motions from the
@@ -56,8 +50,13 @@ def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
     motion (the top 3x6 block of the period matrix omega) and its three
     rotations.  Stacks (N, 6, 6) and (N, 5, 3, 6) give (N, 9, 3, 6)."""
     top = omega[..., None, :3, :]
+    # P1 times every point's P_ai as one (3, 3) @ (3, ... 5 * 6) product,
+    # then every row of the results through P2 and omega at once
+    swapped = p_ai.swapaxes(0, -2)
+    moved = (P1 @ swapped.reshape(3, -1)).reshape(swapped.shape).swapaxes(0, -2)
+    rows = moved.reshape(p_ai.shape[:-3] + (15, 6)) @ P2 @ omega
     mats = np.concatenate([
-        0.5 * (P1 @ p_ai @ P2 @ _each_direction(omega)),
+        0.5 * rows.reshape(p_ai.shape),
         top,
         _ROT_GENERATORS @ top,
     ], axis=-3)
@@ -102,12 +101,16 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     ds = np.ascontiguousarray(mats[..., 3:])
     w = _pair_all(cs, ds)
     im_inv = linalg.solve(tau.imag, np.eye(3))
+    # the 18 directions' 3x3 halves as 54 rows of 3, one product each per surface
     c_re = np.concatenate([cs.real, -cs.imag], axis=-3)
-    k_all = np.empty(c_re.shape, dtype=complex)
-    k_all.real = c_re
-    tau, im_inv = _each_direction(tau), _each_direction(im_inv)
-    k_all.imag = (c_re @ tau.real - np.concatenate([ds.real, -ds.imag], axis=-3)) @ im_inv
-    m2 = np.einsum("...iab,...jab->...ij", k_all @ tau, k_all.conj()).imag
+    d_re = np.concatenate([ds.real, -ds.imag], axis=-3)
+    shape = c_re.shape
+    rows = shape[:-3] + (54, 3)
+    k_all = np.empty(rows, dtype=complex)
+    k_all.real = c_re.reshape(rows)
+    k_all.imag = (k_all.real @ tau.real - d_re.reshape(rows)) @ im_inv
+    m2 = np.einsum("...iab,...jab->...ij", (k_all @ tau).reshape(shape),
+                   k_all.conj().reshape(shape)).imag
     w1 = np.concatenate([np.concatenate([w.real, w.imag], -1),
                          np.concatenate([-w.imag, w.real], -1)], -2)
     return KeyMatrices(w=w, wdiff=m2 + m2.swapaxes(-1, -2) - w1)
@@ -277,14 +280,16 @@ class _AnalysisCache:
     used dropped first, with functools.lru_cache's cache_info() and
     cache_clear().
 
-    A lookup takes a whole list of parameters and counts a hit for each
-    parameter already cached or repeated in the list.  The others are
-    computed with the other misses of their family, in order, in stacks
-    of _STACK_POINTS and a last one of the rest, each counting one miss
-    as it is computed.  A
-    stack that raises is computed again point by point, so the first
-    failing point counts its miss and raises its own error, and the
-    points before it are cached, as one by one.
+    A lookup takes a list of parameters and reads it in order.  A
+    parameter already cached, or waiting to be computed in the same
+    list, counts a hit.  The others wait with the other misses of their
+    family and are computed as one stack when _STACK_POINTS of them
+    wait, and the rest of each family after the list is read, each
+    counting one miss as it is computed; so what a lookup keeps beside
+    its results does not grow with the list.  A stack that raises is
+    computed again point by point, so the first failing point counts
+    its miss and raises its own error, and the points before it are
+    cached, as one by one.
     """
 
     def __init__(self, maxsize: int):
@@ -294,36 +299,50 @@ class _AnalysisCache:
 
     def __call__(self, params: list[SurfaceParam], config: QuadConfig) -> list[SurfaceAnalysis]:
         entries = self._entries
-        found: dict[SurfaceParam, SurfaceAnalysis] = {}
-        todo: dict[str, list[SurfaceParam]] = {}
-        for p in params:
-            if p in found:
-                self._hits += 1
-                continue
-            res = found[p] = entries.get((p, config))
-            if res is None:
-                todo.setdefault(p.family, []).append(p)
-            else:
+        out: list = [None] * len(params)
+        # per family, the parameters waiting to be computed and their positions in params
+        waiting: dict[str, dict[SurfaceParam, list[int]]] = {}
+        for i, p in enumerate(params):
+            res = entries.get((p, config))
+            if res is not None:
                 self._hits += 1
                 entries.move_to_end((p, config))
-        for points in todo.values():
-            for b in range(0, len(points), _STACK_POINTS):
-                block = points[b:b + _STACK_POINTS]
-                try:
-                    done = _analyze_stack(block, config)
-                except MsindexError:
-                    if len(block) == 1:
-                        self._misses += 1
-                        raise
-                    # again point by point, each cached before the next is computed
-                    done = (self._alone(p, config) for p in block)
-                else:
-                    self._misses += len(block)
-                for p, res in zip(block, done):
-                    found[p] = entries[p, config] = res
-                    if len(entries) > self.maxsize:
-                        entries.popitem(last=False)
-        return [found[p] for p in params]
+                out[i] = res
+                continue
+            block = waiting.setdefault(p.family, {})
+            if p in block:
+                self._hits += 1
+                block[p].append(i)
+                continue
+            block[p] = [i]
+            if len(block) == _STACK_POINTS:
+                self._compute(waiting.pop(p.family), config, out)
+        for block in waiting.values():
+            self._compute(block, config, out)
+        return out
+
+    def _compute(self, block: dict[SurfaceParam, list[int]], config: QuadConfig,
+                 out: list) -> None:
+        """Compute, cache and place at their positions in out the
+        analyses of one family's waiting parameters, as one stack."""
+        entries = self._entries
+        points = list(block)
+        try:
+            done = _analyze_stack(points, config)
+        except MsindexError:
+            if len(points) == 1:
+                self._misses += 1
+                raise
+            # again point by point, each cached before the next is computed
+            done = (self._alone(p, config) for p in points)
+        else:
+            self._misses += len(points)
+        for p, res in zip(points, done):
+            entries[p, config] = res
+            if len(entries) > self.maxsize:
+                entries.popitem(last=False)
+            for i in block[p]:
+                out[i] = res
 
     def _alone(self, p: SurfaceParam, config: QuadConfig) -> SurfaceAnalysis:
         self._misses += 1

@@ -41,34 +41,45 @@ returns rows of shape (k, n).  The N points by k rows are k * N rows to
 each (row, point) pair is bit for bit what integrating the table at
 that one parameter gives.
 
+``integrate`` also takes a sequence of integrands, such as all the
+tables of one surface, and integrates them in one pass; it returns
+their results in order, each bit for bit what integrating that
+integrand alone gives, and raises the error of the first one that
+fails, as one call after another would.
+
 The stopping test first runs at level 3, and most integrals in this
 package stop at level 4 or 5, so the nodes of levels 0-5 form one
 cached block.  Each distinct form is called once on the nodes of every
 side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
-and the midpoint in a single call.  Past the block, a form is called
-only at the parameter points that still have an active row.  Each row
-keeps its own trapezoid sum and its own stopping level; the two sides
-of the rows still active at a level are summed in one stacked dot
-product, which runs each row's side through the same BLAS dot as
-``np.dot``, so every row's (value, err) is bit for bit what integrating
-it alone level by level gives.  A row that has stopped is no longer
-read: a non-finite value it produces at a later level, inside the block
-or after it, is ignored, while one in a row still being refined raises
-DomainError.  The node arrays of each level are formed once per
-interval and kept.
+and the midpoint in a single call.  Each row keeps its own trapezoid
+sum and its own stopping level.  Each table's two sides are summed per
+level in one stacked dot product, which runs each row's side through
+the same BLAS dot as ``np.dot``; the sums of levels 0-5 of every row of
+every integrand in the pass go into one array, and each row's
+trapezoid sums, values, changes and stopping level there come from a
+few whole-array operations, with no loop over the levels.  Past the
+block, the rows still active are refined integrand by integrand, level
+by level, and a form is called only at the parameter points that still
+have an active row.  So every row's (value, err) is bit for bit what
+integrating it alone level by level gives.  A row that has stopped is
+no longer read: a non-finite value it produces at a later level,
+inside the block or after it, is ignored, while one in a row still
+being refined raises DomainError.  The node arrays of each level are
+formed once per interval and kept.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, MsindexError, NonConvergence
 
 # Node abscissas beyond this |t| contribute below 1e-38 even against an
 # inverse-square-root blowup, and every intermediate stays finite.
@@ -117,13 +128,14 @@ def _fused_nodes() -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice], ...]]:
     """The distances of levels 0 .. _FUSED_LEVEL in one array.
 
     Returns (d_near, levels) where levels[k] = (w, sl) holds the
-    weights of level k and the slice of d_near that carries its nodes.
+    weights of level k as an (n, 1) column and the slice of d_near that
+    carries its nodes.
     """
     parts = [_nodes(level) for level in range(_FUSED_LEVEL + 1)]
     levels = []
     start = 0
     for w, d in parts:
-        levels.append((w, slice(start, start + len(d))))
+        levels.append((w[:, None], slice(start, start + len(d))))
         start += len(d)
     d_near = np.concatenate([d for _, d in parts])
     d_near.flags.writeable = False
@@ -332,18 +344,9 @@ def _fold(f: Integrand) -> Integrand:
                      params=f.params)
 
 
-def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
-    """Integrate f over its interval, finite or (1, inf).
-
-    Returns (value, err_estimate) for a plain integrand and a dict
-    {name: (value, err_estimate)} for a table; the estimate is the
-    change at the last level refinement of that row.  For a stack each
-    value and estimate is an array with one entry per surface.  Raises
-    NonConvergence, naming the row and the parameter, if any row
-    exhausts the budget, DomainError on a bad interval or a non-finite
-    value in a row still being refined, and TypeError if a form does
-    not map a node array to the expected shape.
-    """
+def _evaluate_block(f: Integrand) -> tuple:
+    """f, folded if it is a tail and checked, with its stack size and
+    its values on the fused block: (f, stack, block, centre)."""
     if f.lo == 1.0 and f.hi == math.inf:
         f = _fold(f)
     lo, hi = f.lo, f.hi
@@ -351,63 +354,74 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         raise DomainError(f"integrate requires a finite interval or (1, inf), got ({lo}, {hi})")
     if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi})")
-    half = 0.5 * (hi - lo)
-    tol = config.target_rel_tol
     # a stack has k * stack rows, row i * stack + j being row i at point j
     stack = len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
+    block, centre = _sides(f, None, _columns(f, stack))
+    return f, stack, block, centre
 
-    # Overflow in intermediates is tolerated (a blown-up radicand under
-    # a square root yields a clean zero); a non-finite value in a row
-    # being read is still rejected.
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        d_fused, fused = _fused_nodes()
-        block, centre = _sides(f, None, _columns(f, stack))
-        w, sl = fused[0]
-        vals = block[:, :, sl]
-        # a non-finite value makes its row's sum non-finite, so the
-        # values are searched only when a sum is
-        trapezoid = _level_sums(w, vals) + 0.5 * math.pi * centre[:, 0]
-        if not np.isfinite(trapezoid).all():
-            _raise_nonfinite(f, half, d_fused[sl], vals, centre)
-        value = half * trapezoid
-        n_rows = len(value)
-        err = np.full(n_rows, math.inf)
-        active = np.arange(n_rows)
-        for level in range(1, _MAX_LEVEL + 1):
-            rows = active
-            if level <= _FUSED_LEVEL:
-                w, sl = fused[level]
-                d_near = d_fused[sl]
-                vals = block[:, :, sl]
+
+def _block_domain_error(f: Integrand, block: np.ndarray, centre: np.ndarray,
+                        sums: np.ndarray, stop: np.ndarray) -> Optional[DomainError]:
+    """The DomainError that reading the block level by level raises, or None.
+
+    sums are the rows' (levels, rows) terms of the block, level 0 with
+    its midpoint, and stop each row's last level read.  A level is read
+    by the rows that have not stopped before it, and its first node
+    where one of them is not finite is named.
+    """
+    d_fused, fused = _fused_nodes()
+    half = 0.5 * (f.hi - f.lo)
+    bad = ~np.isfinite(sums)
+    for level in np.flatnonzero(bad.any(axis=1)).tolist():
+        read = stop >= level
+        if not (bad[level] & read).any():
+            continue
+        sl = fused[level][1]
+        try:
+            if level == 0:
+                _raise_nonfinite(f, half, d_fused[sl], block[:, :, sl], centre)
             else:
-                w, d_near = _nodes(level)
-                pts = slice(None)
-                if stack:
-                    # only the points with an active row are evaluated again
-                    point = active % stack
-                    keep = np.zeros(stack, dtype=bool)
-                    keep[point] = True
-                    pts = np.flatnonzero(keep)
-                    rows = active // stack * len(pts) + (np.cumsum(keep) - 1)[point]
-                vals, _ = _sides(f, level, _columns(f, stack, pts))
-            if len(rows) < len(vals):
-                vals = vals[rows]
-            term = _level_sums(w, vals)
-            if not np.isfinite(term).all():
-                _raise_nonfinite(f, half, d_near, vals)
-            t = 0.5 * trapezoid[active] + 0.5 ** level * term
-            new_value = half * t
-            err[active] = np.abs(new_value - value[active])
-            trapezoid[active] = t
-            value[active] = new_value
-            if level >= _FIRST_TEST_LEVEL:
-                done = err[active] <= np.maximum(tol * np.abs(new_value), _ABS_FLOOR)
-                active = active[~done]
-                if not len(active):
-                    value, err = ((value.reshape(-1, stack), err.reshape(-1, stack)) if stack
-                                  else (value.tolist(), err.tolist()))
-                    results = list(zip(value, err))
-                    return dict(zip(f.names, results)) if f.names else results[0]
+                _raise_nonfinite(f, half, d_fused[sl], block[read][:, :, sl])
+        except DomainError as exc:
+            return exc
+    return None
+
+
+def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
+            err: np.ndarray, active: np.ndarray, tol: float, first: int) -> None:
+    """Refine the active rows of f level by level from level first on,
+    updating trapezoid, value and err in place until every row passes
+    the stopping test.
+
+    Only the points with an active row are evaluated.  Raises DomainError
+    on a non-finite value in an active row, and NonConvergence if a row
+    is still active after _MAX_LEVEL.
+    """
+    half = 0.5 * (f.hi - f.lo)
+    for level in range(first, _MAX_LEVEL + 1):
+        w, d_near = _nodes(level)
+        rows, pts = active, slice(None)
+        if stack:
+            point = active % stack
+            keep = np.zeros(stack, dtype=bool)
+            keep[point] = True
+            pts = np.flatnonzero(keep)
+            rows = active // stack * len(pts) + (np.cumsum(keep) - 1)[point]
+        vals, _ = _sides(f, level, _columns(f, stack, pts))
+        if len(rows) < len(vals):
+            vals = vals[rows]
+        term = _level_sums(w, vals)
+        if not np.isfinite(term).all():
+            _raise_nonfinite(f, half, d_near, vals)
+        t = 0.5 * trapezoid[active] + 0.5 ** level * term
+        new_value = half * t
+        err[active] = np.abs(new_value - value[active])
+        trapezoid[active] = t
+        value[active] = new_value
+        done = err[active] <= np.maximum(tol * np.abs(new_value), _ABS_FLOOR)
+        active = active[~done]
+        if not len(active):
+            return
     r, point = divmod(int(active[0]), stack or 1)
     row = f" in row {f.names[r]!r}" if f.names else ""
     at = f" at parameter {float(np.reshape(f.params[0], -1)[point])!r}" if f.params else ""
@@ -415,3 +429,118 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}{at}: "
         f"value {float(value[active[0]])!r}, last change {float(err[active[0]])!r}"
     )
+
+
+# 0.5 ** level for the levels of the fused block, as a column
+_HALVINGS = (0.5 ** np.arange(_FUSED_LEVEL + 1.0))[:, None]
+_HALVINGS.flags.writeable = False
+
+
+def integrate(f: Union[Integrand, Sequence[Integrand]],
+              config: QuadConfig = QuadConfig()) -> Union[Result, list[Result]]:
+    """Integrate f over its interval, finite or (1, inf), or each
+    integrand of a sequence f in one pass.
+
+    Returns (value, err_estimate) for a plain integrand and a dict
+    {name: (value, err_estimate)} for a table; the estimate is the
+    change at the last level refinement of that row.  For a stack each
+    value and estimate is an array with one entry per surface.  A
+    sequence gives the list of its integrands' results, in order, each
+    bit for bit what integrating that integrand alone gives.  Raises
+    NonConvergence, naming the row and the parameter, if any row
+    exhausts the budget, DomainError on a bad interval or a non-finite
+    value in a row still being refined, and TypeError if a form does
+    not map a node array to the expected shape; for a sequence, the
+    error of the first integrand that fails, as one call after another
+    raises it.
+    """
+    if isinstance(f, Integrand):
+        return _integrate_joint((f,), config)[0]
+    return _integrate_joint(tuple(f), config)
+
+
+def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Result]:
+    """The results of integrate for each integrand of fs, in order.
+
+    Every integrand's forms are called on the fused block first.  The
+    rows of all of them then take levels 0 .. _FUSED_LEVEL together:
+    each integrand writes its level sums, one stacked dot product per
+    level, into its own rows of one (levels, rows) array, and every
+    row's value, change and first passing level at those levels come
+    from whole-array operations on it.  The trapezoid sum of level k,
+    t_k = t_(k-1) / 2 + s_k / 2**k, is 2**-k times the running sum
+    t_0 + s_1 + ... + s_k, added left to right; scaling by a power of
+    two commutes with rounding, so the two, and the values half * t_k,
+    agree bit for bit for every sum above the subnormal range and below
+    2**-5 of the largest float.
+    The rows still active after the block are refined integrand by
+    integrand.  An integrand whose block failed, on a bad interval, a
+    form of the wrong shape or a non-finite value read, raises its error
+    in turn, after the integrands before it are done.
+    """
+    tol = config.target_rel_tol
+    top = min(_FUSED_LEVEL, _MAX_LEVEL)
+    fused = _fused_nodes()[1]
+    tables: list = []
+    # Overflow in intermediates is tolerated (a blown-up radicand under
+    # a square root yields a clean zero); a non-finite value in a row
+    # being read is still rejected.
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for g in fs:
+            try:
+                tables.append(_evaluate_block(g))
+            except (MsindexError, TypeError) as exc:  # raised once those before g are done
+                tables.append(exc)
+        evaluated = [t for t in tables if not isinstance(t, Exception)]
+        bounds = list(itertools.accumulate((len(t[2]) for t in evaluated), initial=0))
+        spans = list(zip(bounds, bounds[1:]))
+        n_rows = bounds[-1]
+        # the hi and lo side sums of every row at every level of the block
+        sides = np.empty((top + 1, n_rows, 2, 1, 1))
+        mid = np.empty(n_rows)
+        for (_, _, block, centre), (r0, r1) in zip(evaluated, spans):
+            for level in range(top + 1):
+                w, sl = fused[level]
+                np.matmul(block[:, :, None, sl], w, out=sides[level, r0:r1])
+            np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
+        halves = [0.5 * (t[0].hi - t[0].lo) for t in evaluated]
+        half = halves[0] if len(set(halves)) == 1 else np.repeat(halves, np.diff(bounds))
+        sums = sides[:, :, 0, 0, 0] + sides[:, :, 1, 0, 0]
+        sums[0] += mid
+        # 2**level times each row's trapezoid sum at each level
+        running = np.cumsum(sums, axis=0)
+        value = running * (_HALVINGS[:top + 1] * half)
+        tested = value[_FIRST_TEST_LEVEL:]
+        change = np.abs(tested - value[_FIRST_TEST_LEVEL - 1:-1])
+        passed = np.ones((len(tested) + 1, n_rows), dtype=bool)
+        np.less_equal(change, np.maximum(tol * np.abs(tested), _ABS_FLOOR), out=passed[:-1])
+        # each row's first passing test, len(tested) for a row still active
+        first = passed.argmax(axis=0)
+        last = np.minimum(first, len(tested) - 1)
+        cols = np.arange(n_rows)
+        value, err = tested[last, cols], change[last, cols]
+        nonfinite = not np.isfinite(sums).all()
+
+        spans_left = iter(spans)
+        for t in tables:
+            if isinstance(t, Exception):
+                raise t
+            g, stack, block, centre = t
+            r0, r1 = next(spans_left)
+            if nonfinite:
+                exc = _block_domain_error(g, block, centre, sums[:, r0:r1],
+                                          first[r0:r1] + _FIRST_TEST_LEVEL)
+                if exc is not None:
+                    raise exc
+            active = np.flatnonzero(first[r0:r1] == len(tested))
+            if len(active):
+                _refine(g, stack, running[top, r0:r1] * 0.5 ** top, value[r0:r1], err[r0:r1],
+                        active, tol, top + 1)
+
+    results = []
+    for (g, stack, _, _), (r0, r1) in zip(evaluated, spans):
+        v, e = value[r0:r1], err[r0:r1]
+        v, e = (v.reshape(-1, stack), e.reshape(-1, stack)) if stack else (v.tolist(), e.tolist())
+        rows = list(zip(v, e))
+        results.append(dict(zip(g.names, rows)) if g.names else rows[0])
+    return results

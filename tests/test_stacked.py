@@ -4,6 +4,7 @@ classify_at and reproduce stack the points they know in advance, with the
 results, errors and cache counts of one analyze call after another."""
 
 import contextlib
+import gc
 import io
 import tracemalloc
 
@@ -138,10 +139,14 @@ def test_a_failing_point_inside_a_stack_counts_what_was_computed(monkeypatch):
 
 
 def _transient_peak(cfg):
+    # a full collection empties CPython's free lists, which would
+    # otherwise keep freed objects counted as held
     moduli._analyze_cached.cache_clear()
+    gc.collect()
     tracemalloc.start()
     try:
         sweep("tP", cfg)
+        gc.collect()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -126,6 +126,37 @@ def test_bench_summary_pairs_runs_by_seed():
         runs + [_run("v", 2, "change", 0.1), _run("v", 2, "parent", 0.2)])
 
 
+
+def _rate_run(seed, side, wall, rate):
+    run = _run("w", seed, side, wall)
+    run["result"]["metrics"]["evals_per_s"] = {"value": rate, "unit": "1/s"}
+    return run
+
+
+def test_bench_summary_counts_better_pairs_by_each_metrics_direction():
+    # the change is faster in every pair: lower wall_s, higher evals_per_s
+    runs = [_rate_run(seed, side, wall, rate) for seed, pair in enumerate(
+        [((1.0, 10.0), (0.9, 11.0)), ((1.2, 8.0), (1.1, 9.0)), ((0.8, 12.0), (0.8, 13.0)),
+         ((1.4, 7.0), (1.3, 7.5)), ((1.1, 9.0), (1.0, 9.5))], start=1)
+        for side, (wall, rate) in zip(("parent", "change"), pair)]
+    better = bench_pairs.directions(json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()))
+    assert better["wall_s"] == "lower" and better["evals_per_s"] == "higher"
+    table = bench_pairs.summarize(runs, better)["w --trace 0 (5 pairs)"]
+    assert table["evals_per_s"]["pairs_change_lower"] == 0
+    assert table["evals_per_s"]["pairs_change_better"] == 5
+    # a tie is not better
+    assert table["wall_s"]["pairs_change_lower"] == table["wall_s"]["pairs_change_better"] == 4
+    # each side's spread: quartiles by the inclusive method
+    assert table["wall_s"]["parent_iqr"] == pytest.approx(1.2 - 1.0)
+    assert table["wall_s"]["change_iqr"] == pytest.approx(1.1 - 0.9)
+    assert table["evals_per_s"]["parent_iqr"] == pytest.approx(10.0 - 8.0)
+    # without directions no better count
+    assert "pairs_change_better" not in bench_pairs.summarize(runs)["w --trace 0 (5 pairs)"]["wall_s"]
+    # one pair has no spread
+    one = bench_pairs.summarize(runs[:2], better)["w --trace 0 (1 pairs)"]["wall_s"]
+    assert one["parent_iqr"] is None and one["change_iqr"] is None
+
 def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
     # a stand-in for perfbench/run.py that prints the lines bench_pairs reads
     fake = tmp_path / "perfbench" / "run.py"

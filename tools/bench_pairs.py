@@ -16,17 +16,19 @@ stops the script.
 
 FILE is written in the layout of the repository's ``BENCH_<n>.json``:
 the command, the parent revision (``git rev-parse HEAD`` in PARENT_DIR),
-the ``# machine`` line, a summary of medians per workload and trace
-setting, and every run's result line with its repetition count (from
-perfbench's ``# <workload>: N repetitions`` line).  perfbench keeps
-every repetition's outputs, so ``peak_rss_mb`` grows with the count; the
-summary gives the median count per side beside the metrics, which
-tells a change in what perfbench retains from one in the program's
-own memory.  If FILE exists, its runs are kept
-and the new ones added, so one file can collect several workloads and
-trace settings; the script stops if FILE records another parent or
-already holds a run of this workload and trace setting with one of the
-new seeds.
+the ``# machine`` line, a summary per workload and trace setting, and
+every run's result line with its repetition count (from perfbench's
+``# <workload>: N repetitions`` line).  The summary gives each metric's
+median and IQR per side, the pairs in which the change is lower, and
+the pairs in which it is better by the metric's ``better`` in
+CHANGE_DIR's ``BENCHMARK.json``.  perfbench keeps every repetition's
+outputs, so ``peak_rss_mb`` grows with the count; the summary gives the
+median count per side beside the metrics, which tells a change in what
+perfbench retains from one in the program's own memory.  If FILE
+exists, its runs are kept and the new ones added, so one file can
+collect several workloads and trace settings; the script stops if FILE
+records another parent or already holds a run of this workload and
+trace setting with one of the new seeds.
 """
 
 from __future__ import annotations
@@ -66,13 +68,32 @@ def _machine_without_seed(line: str) -> str:
     return "# machine " + json.dumps(info, sort_keys=True)
 
 
-def summarize(runs: list) -> dict:
+def _iqr(values: list):
+    """Distance between the upper and lower quartile (inclusive method),
+    None for fewer than two values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def directions(benchmark: dict) -> dict:
+    """Each metric's ``better`` ("lower" or "higher") from a BENCHMARK.json."""
+    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
+            for m in benchmark.get(key, [])}
+
+
+def summarize(runs: list, better: dict = None) -> dict:
     """Medians per (workload, trace) group and metric, parent against change.
 
     Runs pair up by seed; a second run of one side with the same seed
     raises ValueError.  A run's repetition count is summarized as the
-    metric ``repetitions``.
+    metric ``repetitions``.  Each metric also gets each side's IQR and,
+    where better (metric name to "lower" or "higher") names its
+    direction, ``pairs_change_better``: the pairs in which the change
+    is strictly better.
     """
+    better = better or {}
     groups: dict = {}
     for run in runs:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
@@ -100,8 +121,13 @@ def summarize(runs: list) -> dict:
                 "parent_median": parent,
                 "change_median": change,
                 "rel_change": change / parent - 1.0 if parent else None,
+                "parent_iqr": _iqr([x for x, _ in vals]),
+                "change_iqr": _iqr([y for _, y in vals]),
                 "pairs_change_lower": sum(y < x for x, y in vals),
             }
+            if name in better:
+                sign = 1 if better[name] == "higher" else -1
+                table[name]["pairs_change_better"] = sum(sign * (y - x) > 0 for x, y in vals)
         summary["%s --trace %d (%d pairs)" % (workload, trace, len(pairs))] = table
     return summary
 
@@ -136,7 +162,8 @@ def main(argv=None) -> int:
     if taken:
         raise SystemExit("%s already has %s --trace %d runs with seeds %s"
                          % (args.out, args.workload, args.trace, taken))
-    seconds = json.loads((args.change_dir / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change_dir / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -150,7 +177,7 @@ def main(argv=None) -> int:
                                 "repetitions": reps, "result": result})
             print("%s %s seed %d: %s" % (args.workload, side, seed,
                                          json.dumps(result["metrics"].get("wall_s"))), flush=True)
-        doc["summary"] = summarize(doc["runs"])
+        doc["summary"] = summarize(doc["runs"], directions(benchmark))
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
