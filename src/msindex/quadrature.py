@@ -128,14 +128,13 @@ def _fused_nodes() -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice], ...]]:
     """The distances of levels 0 .. _FUSED_LEVEL in one array.
 
     Returns (d_near, levels) where levels[k] = (w, sl) holds the
-    weights of level k as an (n, 1) column and the slice of d_near that
-    carries its nodes.
+    weights of level k and the slice of d_near that carries its nodes.
     """
     parts = [_nodes(level) for level in range(_FUSED_LEVEL + 1)]
     levels = []
     start = 0
     for w, d in parts:
-        levels.append((w[:, None], slice(start, start + len(d))))
+        levels.append((w, slice(start, start + len(d))))
         start += len(d)
     d_near = np.concatenate([d for _, d in parts])
     d_near.flags.writeable = False
@@ -290,14 +289,13 @@ def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
 
 def _level_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Each row's weighted sum over both sides of vals (rows, 2, nodes),
-    one stacked dot product.
+    the hi side's plus the lo side's.
 
-    (rows, 2, 1, n) @ (n, 1) runs every row and side through the same
-    BLAS dot as np.dot(w, side), so each sum, the hi side's plus the lo
-    side's, is bit for bit the one-row sum.
+    np.vecdot runs every row and side through the same BLAS dot as
+    np.dot(w, side), so each sum is bit for bit the one-row sum.
     """
-    sums = vals[:, :, None, :] @ w[:, None]
-    return sums[:, 0, 0, 0] + sums[:, 1, 0, 0]
+    sums = np.vecdot(vals, w)
+    return sums[:, 0] + sums[:, 1]
 
 
 def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.ndarray,
@@ -495,30 +493,35 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
         bounds = list(itertools.accumulate((len(t[2]) for t in evaluated), initial=0))
         spans = list(zip(bounds, bounds[1:]))
         n_rows = bounds[-1]
-        # the hi and lo side sums of every row at every level of the block
-        sides = np.empty((top + 1, n_rows, 2, 1, 1))
+        # the hi and lo side sums of every row at every level of the block,
+        # as _level_sums forms them
+        sides = np.empty((top + 1, n_rows, 2))
         mid = np.empty(n_rows)
         for (_, _, block, centre), (r0, r1) in zip(evaluated, spans):
             for level in range(top + 1):
                 w, sl = fused[level]
-                np.matmul(block[:, :, None, sl], w, out=sides[level, r0:r1])
+                np.vecdot(block[:, :, sl], w, out=sides[level, r0:r1])
             np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
         halves = [0.5 * (t[0].hi - t[0].lo) for t in evaluated]
         half = halves[0] if len(set(halves)) == 1 else np.repeat(halves, np.diff(bounds))
-        sums = sides[:, :, 0, 0, 0] + sides[:, :, 1, 0, 0]
+        sums = sides[..., 0] + sides[..., 1]
         sums[0] += mid
         # 2**level times each row's trapezoid sum at each level
-        running = np.cumsum(sums, axis=0)
+        running = np.add.accumulate(sums)
         value = running * (_HALVINGS[:top + 1] * half)
         tested = value[_FIRST_TEST_LEVEL:]
         change = np.abs(tested - value[_FIRST_TEST_LEVEL - 1:-1])
-        passed = np.ones((len(tested) + 1, n_rows), dtype=bool)
+        # the stopping test at each tested level, then a row every row passes
+        passed = np.empty((len(tested) + 1, n_rows), dtype=bool)
+        passed[-1] = True
         np.less_equal(change, np.maximum(tol * np.abs(tested), _ABS_FLOOR), out=passed[:-1])
         # each row's first passing test, len(tested) for a row still active
         first = passed.argmax(axis=0)
         last = np.minimum(first, len(tested) - 1)
         cols = np.arange(n_rows)
         value, err = tested[last, cols], change[last, cols]
+        still = first == len(tested)
+        refine = still.any()
         nonfinite = not np.isfinite(sums).all()
 
         spans_left = iter(spans)
@@ -532,10 +535,9 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
                                           first[r0:r1] + _FIRST_TEST_LEVEL)
                 if exc is not None:
                     raise exc
-            active = np.flatnonzero(first[r0:r1] == len(tested))
-            if len(active):
+            if refine and still[r0:r1].any():
                 _refine(g, stack, running[top, r0:r1] * 0.5 ** top, value[r0:r1], err[r0:r1],
-                        active, tol, top + 1)
+                        np.flatnonzero(still[r0:r1]), tol, top + 1)
 
     results = []
     for (g, stack, _, _), (r0, r1) in zip(evaluated, spans):
