@@ -54,7 +54,7 @@ side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
 and the midpoint in a single call.  Each row keeps its own trapezoid
 sum and its own stopping level.  Each table's two sides are summed per
-level in one stacked dot product, which runs each row's side through
+level in one ``np.vecdot`` call, which runs each row's side through
 the same BLAS dot as ``np.dot``; the sums of levels 0-5 of every row of
 every integrand in the pass go into one array, and each row's
 trapezoid sums, values, changes and stopping level there come from a
@@ -287,14 +287,21 @@ def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
     return vals, centre
 
 
+def _side_sums(w: np.ndarray, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each row's weighted sum on each side of vals (rows, 2, nodes), as
+    (rows, 2), written into out if given.
+
+    np.vecdot (numpy 2.0 on) runs every row and side through the same
+    inner loop as np.dot(w, side), the BLAS dot, so each sum is bit for
+    bit the one-row sum.
+    """
+    return np.vecdot(vals, w, out=out)
+
+
 def _level_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Each row's weighted sum over both sides of vals (rows, 2, nodes),
-    the hi side's plus the lo side's.
-
-    np.vecdot runs every row and side through the same BLAS dot as
-    np.dot(w, side), so each sum is bit for bit the one-row sum.
-    """
-    sums = np.vecdot(vals, w)
+    the hi side's plus the lo side's."""
+    sums = _side_sums(w, vals)
     return sums[:, 0] + sums[:, 1]
 
 
@@ -462,7 +469,7 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
 
     Every integrand's forms are called on the fused block first.  The
     rows of all of them then take levels 0 .. _FUSED_LEVEL together:
-    each integrand writes its level sums, one stacked dot product per
+    each integrand writes its level sums, one _side_sums call per
     level, into its own rows of one (levels, rows) array, and every
     row's value, change and first passing level at those levels come
     from whole-array operations on it.  The trapezoid sum of level k,
@@ -497,13 +504,13 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
         # as _level_sums forms them
         sides = np.empty((top + 1, n_rows, 2))
         mid = np.empty(n_rows)
-        for (_, _, block, centre), (r0, r1) in zip(evaluated, spans):
+        half = np.empty(n_rows)
+        for (g, _, block, centre), (r0, r1) in zip(evaluated, spans):
             for level in range(top + 1):
                 w, sl = fused[level]
-                np.vecdot(block[:, :, sl], w, out=sides[level, r0:r1])
+                _side_sums(w, block[:, :, sl], out=sides[level, r0:r1])
             np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
-        halves = [0.5 * (t[0].hi - t[0].lo) for t in evaluated]
-        half = halves[0] if len(set(halves)) == 1 else np.repeat(halves, np.diff(bounds))
+            half[r0:r1] = 0.5 * (g.hi - g.lo)
         sums = sides[..., 0] + sides[..., 1]
         sums[0] += mid
         # 2**level times each row's trapezoid sum at each level

@@ -96,6 +96,11 @@ def test_eigenvalue_lines_are_scaled_by_their_spectrum():
     assert _diff(a, a.replace("false", "true"))[0] == 1
 
 
+# each metric's direction, as the repository's BENCHMARK.json gives it
+_BETTER = bench_pairs.directions(json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()))
+
+
 def _run(workload, seed, side, wall, rss=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
     return {"workload": workload, "trace": 0, "seed": seed, "side": side,
@@ -108,7 +113,7 @@ def test_bench_summary_pairs_runs_by_seed():
             _run("w", 3, "parent", 0.7, 40.0), _run("w", 3, "change", 0.6),
             # an unpaired run is left out
             _run("w", 4, "parent", 9.0, 99.0)]
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, _BETTER)
     assert list(summary) == ["w --trace 0 (3 pairs)"]
     wall = summary["w --trace 0 (3 pairs)"]["wall_s"]
     assert wall["parent_median"] == 0.8 and wall["change_median"] == 0.6
@@ -120,11 +125,10 @@ def test_bench_summary_pairs_runs_by_seed():
     assert rss["pairs_change_lower"] == 0
     # a second run of one side with a seed already used is refused, not overwritten
     with pytest.raises(ValueError, match="two change runs of w --trace 0 with seed 2"):
-        bench_pairs.summarize(runs + [_run("w", 2, "change", 0.1)])
+        bench_pairs.summarize(runs + [_run("w", 2, "change", 0.1)], _BETTER)
     # the same seed in another workload is a separate pair
     assert "v --trace 0 (1 pairs)" in bench_pairs.summarize(
-        runs + [_run("v", 2, "change", 0.1), _run("v", 2, "parent", 0.2)])
-
+        runs + [_run("v", 2, "change", 0.1), _run("v", 2, "parent", 0.2)], _BETTER)
 
 
 def _rate_run(seed, side, wall, rate):
@@ -139,10 +143,8 @@ def test_bench_summary_counts_better_pairs_by_each_metrics_direction():
         [((1.0, 10.0), (0.9, 11.0)), ((1.2, 8.0), (1.1, 9.0)), ((0.8, 12.0), (0.8, 13.0)),
          ((1.4, 7.0), (1.3, 7.5)), ((1.1, 9.0), (1.0, 9.5))], start=1)
         for side, (wall, rate) in zip(("parent", "change"), pair)]
-    better = bench_pairs.directions(json.loads(
-        (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()))
-    assert better["wall_s"] == "lower" and better["evals_per_s"] == "higher"
-    table = bench_pairs.summarize(runs, better)["w --trace 0 (5 pairs)"]
+    assert _BETTER["wall_s"] == "lower" and _BETTER["evals_per_s"] == "higher"
+    table = bench_pairs.summarize(runs, _BETTER)["w --trace 0 (5 pairs)"]
     assert table["evals_per_s"]["pairs_change_lower"] == 0
     assert table["evals_per_s"]["pairs_change_better"] == 5
     # a tie is not better
@@ -151,11 +153,10 @@ def test_bench_summary_counts_better_pairs_by_each_metrics_direction():
     assert table["wall_s"]["parent_iqr"] == pytest.approx(1.2 - 1.0)
     assert table["wall_s"]["change_iqr"] == pytest.approx(1.1 - 0.9)
     assert table["evals_per_s"]["parent_iqr"] == pytest.approx(10.0 - 8.0)
-    # without directions no better count
-    assert "pairs_change_better" not in bench_pairs.summarize(runs)["w --trace 0 (5 pairs)"]["wall_s"]
     # one pair has no spread
-    one = bench_pairs.summarize(runs[:2], better)["w --trace 0 (1 pairs)"]["wall_s"]
+    one = bench_pairs.summarize(runs[:2], _BETTER)["w --trace 0 (1 pairs)"]["wall_s"]
     assert one["parent_iqr"] is None and one["change_iqr"] is None
+
 
 def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
     # a stand-in for perfbench/run.py that prints the lines bench_pairs reads
@@ -176,13 +177,16 @@ def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
             for seed, side, count in [(1, "parent", 400), (1, "change", 480),
                                       (2, "parent", 410), (2, "change", 470),
                                       (3, "parent", 390), (3, "change", 500)]]
-    table = bench_pairs.summarize(runs)["w --trace 0 (3 pairs)"]
+    table = bench_pairs.summarize(runs, _BETTER)["w --trace 0 (3 pairs)"]
     assert table["repetitions"]["parent_median"] == 400
     assert table["repetitions"]["change_median"] == 480
     assert table["repetitions"]["pairs_change_lower"] == 0
+    # more repetitions in the run's time is better
+    assert table["repetitions"]["pairs_change_better"] == 3
     # runs recorded without a count get no repetitions row
     assert "repetitions" not in bench_pairs.summarize(
-        [_run("w", 1, "parent", 1.0), _run("w", 1, "change", 0.9)])["w --trace 0 (1 pairs)"]
+        [_run("w", 1, "parent", 1.0), _run("w", 1, "change", 0.9)],
+        _BETTER)["w --trace 0 (1 pairs)"]
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -83,17 +83,18 @@ def directions(benchmark: dict) -> dict:
             for m in benchmark.get(key, [])}
 
 
-def summarize(runs: list, better: dict = None) -> dict:
+def summarize(runs: list, better: dict) -> dict:
     """Medians per (workload, trace) group and metric, parent against change.
 
     Runs pair up by seed; a second run of one side with the same seed
     raises ValueError.  A run's repetition count is summarized as the
-    metric ``repetitions``.  Each metric also gets each side's IQR and,
-    where better (metric name to "lower" or "higher") names its
-    direction, ``pairs_change_better``: the pairs in which the change
-    is strictly better.
+    metric ``repetitions``, higher being better: a faster side fits
+    more repetitions into the run's time.  Each metric also gets each
+    side's IQR and ``pairs_change_better``, the pairs in which the
+    change is strictly better by its direction in better (metric name
+    to "lower" or "higher", see directions).
     """
-    better = better or {}
+    better = dict(better, repetitions="higher")
     groups: dict = {}
     for run in runs:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
@@ -115,6 +116,7 @@ def summarize(runs: list, better: dict = None) -> dict:
             vals = [(x, y) for x, y in vals if x is not None and y is not None]
             if not vals:
                 continue
+            sign = 1 if better[name] == "higher" else -1
             parent = statistics.median(x for x, _ in vals)
             change = statistics.median(y for _, y in vals)
             table[name] = {
@@ -124,10 +126,8 @@ def summarize(runs: list, better: dict = None) -> dict:
                 "parent_iqr": _iqr([x for x, _ in vals]),
                 "change_iqr": _iqr([y for _, y in vals]),
                 "pairs_change_lower": sum(y < x for x, y in vals),
+                "pairs_change_better": sum(sign * (y - x) > 0 for x, y in vals),
             }
-            if name in better:
-                sign = 1 if better[name] == "higher" else -1
-                table[name]["pairs_change_better"] = sum(sign * (y - x) > 0 for x, y in vals)
         summary["%s --trace %d (%d pairs)" % (workload, trace, len(pairs))] = table
     return summary
 
