@@ -1,4 +1,5 @@
-"""The five surface families: domains, period integrals, period frames.
+"""The five surface families: domains, period integrals, period frames
+and the deformation data of the branch points.
 
 Every family is described by one real parameter a, admitted in
 admissible_range and folded by canonical_param (tD onto tP, negative
@@ -9,23 +10,22 @@ whose top half determines the lattice and the period ratio tau.  All
 integrands are written so that each endpoint singularity sits at
 offset zero of the quadrature engine's distance coordinate, with
 cancellation-prone factors expanded by hand.  Each family defines its
-integrands once, as quadrature tables: one ``Integrand`` with named
-rows per interval and set of endpoint forms (H: ``near0`` and
-``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``).  Each
-table computes the radicands its rows share once per node array, and
-all the tables of one integral set go to one integrate call;
-integral_set and verify_identities read the same tables, the
-identities adding their own integrands beside them in their call.  A
-table takes its parameter as one float or as an array of N, a stack
-of N surfaces integrated together; the constants that depend on a
-alone are formed point by point in Python floats, so every point of a
-stack is bit for bit the surface alone, and so are its integral set
-and period frame.
+integrands once, as quadrature tables with named rows (H: ``near0``
+and ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``)
+that share their radicands; all the tables of an integral set, with
+the identities' integrands beside them, go to one integrate call.  A
+table takes one float or an (N,) array, a stack of N surfaces; the
+constants that depend on a alone are formed point by point in Python
+floats, so every point of a stack is bit for bit the surface alone,
+and so are its integral set and period frame.  deformation_data is
+one numpy path for one surface and for a stack: every P_ai entry is a
+sum of at most three terms over the powers x^-8 .. x^8 of one number
+x per surface, added elementwise, so each stack row is bit for bit
+its point alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -404,6 +404,20 @@ _INTEGRALS = {
 }
 
 
+def _stack(p: Union[SurfaceParam, Sequence[SurfaceParam]],
+           caller: str) -> tuple[bool, tuple[SurfaceParam, ...], str]:
+    """Whether p is one parameter, p as a tuple of parameters, and their one family."""
+    single = isinstance(p, SurfaceParam)
+    params = (p,) if single else tuple(p)
+    if not params:
+        raise DomainError(f"{caller} needs at least one parameter")
+    fam = params[0].family
+    for q in params:
+        if q.family != fam:
+            raise DomainError(f"a stack of parameters must share one family, got {fam} and {q.family}")
+    return single, params, fam
+
+
 def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
                  config: QuadConfig = QuadConfig()) -> IntegralSet:
     """Compute the eight period integrals of one surface, or of a stack.
@@ -416,14 +430,8 @@ def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
     same surface and give the same integrals); the other families are
     validated against their strict domains.
     """
-    single = isinstance(p, SurfaceParam)
-    params = (p,) if single else tuple(p)
-    if not params:
-        raise DomainError("integral_set needs at least one parameter")
-    fam = params[0].family
+    single, params, fam = _stack(p, "integral_set")
     for q in params:
-        if q.family != fam:
-            raise DomainError(f"a stack of parameters must share one family, got {fam} and {q.family}")
         if fam == "tD":
             raise DomainError("tD shares its integrals with tP; apply canonical_param first")
         if fam == "H":
@@ -512,11 +520,6 @@ _OMEGA_BUILDERS = {
 _TAU_SYM_TOL = 1e-9
 
 
-def _listed(x) -> list:
-    """A value per surface as a list: one float, or the entries of an array."""
-    return x.tolist() if isinstance(x, np.ndarray) else [x]
-
-
 def period_frame(integrals: IntegralSet) -> PeriodFrame:
     """Assemble the 6x6 period matrix and the period ratio tau from the
     integrals of one surface, in the period table of integrals.family;
@@ -542,8 +545,8 @@ def period_frame(integrals: IntegralSet) -> PeriodFrame:
     tau = linalg.solve(omega[..., :3, :3], omega[..., :3, 3:])
     im = tau.imag
     im_eigs = linalg.eig_selfadjoint(0.5 * (im + im.swapaxes(-1, -2)))
-    checks = zip(params, _listed(linalg.frobenius(tau - tau.swapaxes(-1, -2))),
-                 _listed(linalg.frobenius(tau)), im_eigs.reshape(-1, 3).tolist())
+    checks = zip(params, np.atleast_1d(linalg.frobenius(tau - tau.swapaxes(-1, -2))).tolist(),
+                 np.atleast_1d(linalg.frobenius(tau)).tolist(), im_eigs.reshape(-1, 3).tolist())
     for a, defect, norm, eigs in checks:
         if defect > _TAU_SYM_TOL * max(norm, 1e-300):
             raise RiemannMatrixViolation(f"tau asymmetry {defect:.3e} at a = {a!r}")
@@ -574,121 +577,118 @@ P1.flags.writeable = False
 P2.flags.writeable = False
 
 
-_ONE = complex(1.0, 0.0)
+# Each branch point is c x^e with c = e^(i deg pi / 180), given as (deg, e);
+# x is a for H and rPD, alpha for tP and e^(i theta / 4) for tCLP (_power_row)
+_BRANCH_POINTS = {
+    "H": ((0, 1), (120, 1), (240, 1), (0, -1), (120, -1)),
+    "rPD": ((0, 1), (120, 1), (240, 1), (180, -1), (300, -1)),
+    "tP": ((45, 1), (135, 1), (315, 1), (225, 1), (45, -1)),
+    "tCLP": ((0, 1), (90, 1), (180, 1), (270, 1), (0, -1)),
+}
+# cos on [0, 180] degrees at the angles that powers of those c reach
+_COS = {0: 1.0, 30: 0.5 * _SQ3, 45: math.sqrt(0.5), 60: 0.5, 90: 0.0,
+        120: -0.5, 135: -math.sqrt(0.5), 150: -0.5 * _SQ3, 180: -1.0}
+_PAIRS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
+# the exponents -8 .. 8, and them over 2 and times i/4
+_EXPONENTS = np.arange(-8.0, 9.0)
+_HALF_EXPONENTS, _QUARTER_TURNS = 0.5 * _EXPONENTS, 0.25j * _EXPONENTS
 
 
-def _powers(p: complex) -> tuple[list, list]:
-    """p ** k and p ** -k for k = 2 .. 6, indexed by k.
+def _gather_table(fam: str) -> tuple[np.ndarray, np.ndarray]:
+    """(E, 3) indices into the row of _power_row and (E, 3) coefficients:
+    E entries of three terms, P_ai at each branch point p_j row after row,
+    the curve at each point (z^7 - m z^4 + sign z for H and rPD, z^8 +
+    m z^4 + 1 for tP and tCLP), the points and their ten differences.
+    A term c p_j^k is c c_j^k, each part exact or correctly rounded,
+    times x^(e_j k) or m x^(e_j k)."""
+    hexagonal, sign = fam in ("H", "rPD"), (-1.0 if fam == "rPD" else 1.0)
+    # entry (i, j) of P_ai's first three columns is this times p^(i - j - 1)
+    first = (((-5 / 6, -0.5, -1 / 6), (1 / 6, -0.5, -1 / 6), (1 / 6, 0.5, -1 / 6)) if hexagonal
+             else ((-0.75, -0.5, -0.25), (0.25, -0.5, -0.25), (0.25, 0.5, -0.25)))
 
-    Bit for bit what Python's complex power gives for these exponents:
-    square and multiply from 1 (p ** 3 is (1 p) (p p)), and a negative
-    power as 1 over the positive one; here the squares are shared.
-    """
-    p2 = p * p
-    p4 = p2 * p2
-    s1, s2 = _ONE * p, _ONE * p2
-    up = [None, None, s2, s1 * p2, _ONE * p4, s1 * p4, s2 * p4]
-    return up, [None, None] + [_ONE / v for v in up[2:]]
+    def term(c, j, k, times_m=0):
+        deg, e = _BRANCH_POINTS[fam][j]
+        cis = complex(*(_COS[min(d % 360, -d % 360)] for d in (deg * k, deg * k - 90)))
+        return 8 + e * k + 17 * times_m, c * cis
 
-
-def _p_ai_hexagonal(p: complex, sign: float) -> list:
-    """P_ai at the branch point p of z (z^3 - a^3) (z^3 - sign a^-3), its
-    three rows of six one after the other.
-
-    The last three columns shift by one from row to row, so each of
-    their five distinct entries is formed once."""
-    up, down = _powers(p)
-    e2 = 0.5 * (up[2] - sign * down[4])
-    e1 = 0.5 * (p - sign * down[5])
-    e3 = 0.5 * (up[3] - sign * down[3])
-    return [
-        -5.0 / (6.0 * p), -0.5 / up[2], -1.0 / (6.0 * up[3]), e2, e1, 0.5 * (1.0 - sign * down[6]),
-        1.0 / 6.0, -0.5 / p, -1.0 / (6.0 * up[2]), e3, e2, e1,
-        p / 6.0, 0.5, -1.0 / (6.0 * p), 0.5 * (up[4] - sign * down[2]), e3, e2,
-    ]
-
-
-def _p_ai_tetragonal(p: complex, a: float) -> list:
-    """P_ai at the branch point p of z^8 + a z^4 + 1, row after row, each
-    distinct entry formed once."""
-    up, down = _powers(p)
-    t1 = 0.5 * a / p + up[3]
-    t2 = 0.5 * a / up[2] + up[2]
-    t4 = -0.5 * a - down[4]
-    return [
-        -0.75 / p, -0.5 / up[2], -0.25 / up[3], t1, t2, 0.5 * a / up[3] + p,
-        0.25, -0.5 / p, -0.25 / up[2], t4, t1, t2,
-        0.25 * p, 0.5, -0.25 / p, -0.5 * a * p - down[3], t4, t1,
-    ]
+    entries = []
+    for j in range(5):
+        for i in range(3):
+            entries += [[term(c, j, i - col - 1)] for col, c in enumerate(first[i])]
+            # columns 3 + i - s; on z^8 + a z^4 + 1, p^(s+3) = -a p^(s-1) - p^(s-5)
+            entries += [[term(0.5, j, s + 2), term(-0.5 * sign, j, s - 4)] if hexagonal else
+                        [term(0.5, j, s - 1, 1), term(1.0, j, s + 3)] if s <= 0 else
+                        [term(-0.5, j, s - 1, 1), term(-1.0, j, s - 5)] for s in (i, i - 1, i - 2)]
+    curve = (((1.0, 7, 0), (-1.0, 4, 1), (sign, 1, 0)) if hexagonal
+             else ((1.0, 8, 0), (1.0, 4, 1), (1.0, 0, 0)))
+    entries += [[term(c, j, k, t) for c, k, t in curve] for j in range(5)]
+    entries += [[term(1.0, j, 1)] for j in range(5)]
+    entries += [[term(1.0, i, 1), term(-1.0, j, 1)] for i, j in _PAIRS]
+    # a missing term is 0 times x^0 = 1
+    table = np.array([e + [(8, 0j)] * (3 - len(e)) for e in entries])
+    return table[..., 0].real.astype(int), table[..., 1]
 
 
-# H and rPD lie on y^2 = z (z^3 - a^3) (z^3 - sign a^-3) with this sign
-_HEX_SIGN = {"H": 1.0, "rPD": -1.0}
+_TABLES = {fam: _gather_table(fam) for fam in _BRANCH_POINTS}
 
 
-def _branch_points(fam: str, a: float) -> tuple[complex, ...]:
-    if fam in _HEX_SIGN:
-        sign = _HEX_SIGN[fam]
-        w = cmath.exp(2j * math.pi / 3.0)
-        return (a + 0j, a * w, a * w.conjugate(), sign / a + 0j, sign * w / a)
-    if fam == "tP":
-        alpha = math.sqrt(0.5 * (math.sqrt(a + 2.0) + math.sqrt(a - 2.0)))
-        e = cmath.exp(0.25j * math.pi)
-        return (e * alpha, 1j * e * alpha, e.conjugate() * alpha,
-                -1j * e.conjugate() * alpha, e / alpha)
-    # tCLP: angle of -a/2 + i sqrt(4 - a^2)/2, a point on the unit circle
-    angle = math.atan2(0.5 * math.sqrt((2.0 - a) * (2.0 + a)), -0.5 * a)
-    z = cmath.exp(0.25j * angle)
-    return (z, 1j * z, -z, -1j * z, z.conjugate())
-
-
-def _residual_scale(fam: str, a: float, z: complex) -> float:
-    r = abs(z)
-    if fam in ("tP", "tCLP"):
-        return max(1.0, r ** 8 + abs(a) * r ** 4 + 1.0)
-    a3 = a ** 3
-    return max(1.0, r * (r ** 3 + a3) * (r ** 3 + 1.0 / a3))
-
-
-def _curve_poly(fam: str, a: float, z: complex) -> complex:
-    if fam in _HEX_SIGN:
-        return z * (z ** 3 - a ** 3) * (z ** 3 - _HEX_SIGN[fam] * a ** -3)
-    return z ** 8 + a * z ** 4 + 1.0
+def _power_row(fam: str, a: np.ndarray) -> np.ndarray:
+    """x^-8 .. x^8 at each parameter of a (column 8 + k holds x^k), then m
+    times them, as (N, 34): m is a, or a^3 + a^-3 for H, a^3 - a^-3 for rPD."""
+    m = a
+    if fam == "tCLP":
+        # theta, the angle of -a + i sqrt(4 - a^2), gives x^k = e^(i theta k/4)
+        theta = np.arctan2(np.sqrt((2.0 - a) * (2.0 + a)), -a)
+        powers = np.exp(theta[:, None] * _QUARTER_TURNS)
+    elif fam == "tP":
+        # alpha^2 = (sqrt(a + 2) + sqrt(a - 2)) / 2
+        powers = (0.5 * (np.sqrt(a + 2.0) + np.sqrt(a - 2.0)))[:, None] ** _HALF_EXPONENTS
+    else:
+        powers = a[:, None] ** _EXPONENTS
+        m = powers[:, 11] + powers[:, 5] if fam == "H" else powers[:, 11] - powers[:, 5]
+    return np.concatenate([powers, m[:, None] * powers], axis=1)
 
 
 _ROOT_RESIDUAL_TOL = 1e-10
 _POINT_SEPARATION = 1e-8
 
 
-def deformation_data(p: SurfaceParam) -> np.ndarray:
+def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarray:
     """Derivatives of the period integrands in the five branch points.
 
-    p must be canonical.  Checks that each branch point lies on the
-    curve and that no two collide, then returns the 3x6 matrix P_ai of
-    every point as one read-only (5, 3, 6) array; the tangent frame
-    maps it through the constant matrices P1 and P2.
+    p is one canonical parameter, or a sequence of them of one family.
+    Checks that each branch point lies on its curve and that no two
+    collide, naming the parameter where one fails, then returns the 3x6
+    matrix P_ai of every point as one read-only (5, 3, 6) array, or
+    (N, 5, 3, 6); tangent_frame maps it through P1 and P2.  One gather
+    from the powers of x, one product and two sums compute a whole stack
+    elementwise (_gather_table), so each row is bit for bit its point alone.
     """
-    validate_param(p)
-    if canonical_param(p) is not p:
-        raise DomainError(f"{p} folds onto {canonical_param(p)}; apply canonical_param first")
-    fam, a = p.family, p.a
-    pts = _branch_points(fam, a)
-
-    for z in pts:
-        res = abs(_curve_poly(fam, a, z)) / _residual_scale(fam, a, z)
-        if res > _ROOT_RESIDUAL_TOL:
-            raise NonConvergence(f"branch point {z!r} has residual {res:.3e}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= _POINT_SEPARATION:
-                raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide")
-
-    sign = _HEX_SIGN.get(fam)
-    entries = [x for z in pts
-               for x in (_p_ai_tetragonal(z, a) if sign is None else _p_ai_hexagonal(z, sign))]
-    p_ai = np.array(entries, dtype=complex).reshape(len(pts), 3, 6)
+    single, params, fam = _stack(p, "deformation_data")
+    for q in params:
+        validate_param(q)
+        if canonical_param(q) is not q:
+            raise DomainError(f"{q} folds onto {canonical_param(q)}; apply canonical_param first")
+    idx, coef = _TABLES[fam]
+    terms = _power_row(fam, np.array([q.a for q in params]))[:, idx] * coef
+    vals = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    # |curve| at each point, |point| and |difference|; a residual is |curve|
+    # over the size of its terms where that exceeds 1, so at most |curve|
+    mags = np.abs(vals[:, 90:])
+    if (mags[:, :5] > _ROOT_RESIDUAL_TOL).any() or (mags[:, 10:] <= _POINT_SEPARATION).any():
+        res = mags[:, :5] / np.maximum(1.0, np.abs(terms[:, 90:95]).sum(axis=-1))
+        for q, pts, r, g in zip(params, vals[:, 95:100].tolist(), res.tolist(),
+                                mags[:, 10:].tolist()):
+            for z, rz in zip(pts, r):
+                if rz > _ROOT_RESIDUAL_TOL:
+                    raise NonConvergence(f"branch point {z!r} has residual {rz:.3e} at a = {q.a!r}")
+            for (i, j), gap in zip(_PAIRS, g):
+                if gap <= _POINT_SEPARATION:
+                    raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide "
+                                      f"at a = {q.a!r}")
+    p_ai = vals[:, :90].reshape(-1, 5, 3, 6)
     p_ai.flags.writeable = False
-    return p_ai
+    return p_ai[0] if single else p_ai
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ _ROT_GENERATORS = np.array([
 def tangent_frame(omega: np.ndarray, p_ai: np.ndarray) -> np.ndarray:
     """The nine tangent directions of the deformation space as one
     read-only (9, 3, 6) array: five branch-point motions from the
-    stacked derivatives p_ai of deformation_data, then the lattice
-    motion (the top 3x6 block of the period matrix omega) and its three
-    rotations.  Stacks (N, 6, 6) and (N, 5, 3, 6) give (N, 9, 3, 6)."""
+    derivatives p_ai of deformation_data, then the lattice motion (the
+    top 3x6 block of the period matrix omega) and its three rotations.
+    Stacks (N, 6, 6) and (N, 5, 3, 6), one call each, give (N, 9, 3, 6)."""
     top = omega[..., None, :3, :]
     # P1 times every point's P_ai as one (3, 3) @ (3, ... 5 * 6) product,
     # then every row of the results through P2 and omega at once
@@ -249,14 +249,13 @@ def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[Surfa
 
     A stack of one surface drops its stack axis: its integrals are
     floats and its matrices plain, which numpy handles fastest (a
-    one-point analyze as a (1, ...) stack takes about a quarter longer),
-    and every layer takes both shapes.
+    one-point analyze as a (1, ...) stack takes about a quarter longer);
+    every layer takes both shapes, deformation_data by one code path.
     """
     (one,) = params if len(params) == 1 else (None,)
     integrals = families.integral_set(one or params, config)
     frame = families.period_frame(integrals)
-    p_ai = (families.deformation_data(one) if one else
-            np.array([families.deformation_data(p) for p in params]))
+    p_ai = families.deformation_data(one or params)
     km = key_matrices(tangent_frame(frame.omega, p_ai), frame.tau)
     reports = spectral_report(km)
     if one:

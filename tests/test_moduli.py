@@ -229,6 +229,62 @@ def test_deformation_data_refuses_a_folded_parameter(family, a):
         deformation_data(SurfaceParam(family, a))
 
 
+def _branch_point_cases():
+    path = resources.files("msindex.data").joinpath("reference_tables.json")
+    with path.open(encoding="utf-8") as fh:
+        families = json.load(fh)["families"]
+    samples = [(fam, s["a"]) for fam, entry in families.items()
+               for s in entry.get("samples", [])]
+    ends = [("H", 1e-6), ("H", 1.0 - 1e-6), ("rPD", 1e-6), ("rPD", 1.0 - 1e-6), ("rPD", 1.0),
+            ("tP", 2.0 + 1e-6), ("tP", 1e12), ("tCLP", 1e-6), ("tCLP", 1.999999)]
+    return samples + ends
+
+
+def _p_ai_formula(p, a, sign):
+    """P_ai at the branch point p, row after row: of the hexagonal curve
+    z (z^3 - a^3) (z^3 - sign a^-3) for sign +-1, of z^8 + a z^4 + 1 for
+    sign None; in whatever arithmetic p and a carry."""
+    if sign is not None:
+        e1, e2, e3 = ((p ** k - sign * p ** (k - 6)) / 2 for k in (1, 2, 3))
+        return [-5 / (6 * p), -1 / (2 * p ** 2), -1 / (6 * p ** 3), e2, e1, (1 - sign / p ** 6) / 2,
+                p ** 0 / 6, -1 / (2 * p), -1 / (6 * p ** 2), e3, e2, e1,
+                p / 6, p ** 0 / 2, -1 / (6 * p), (p ** 4 - sign / p ** 2) / 2, e3, e2]
+    t1, t2, t4 = a / (2 * p) + p ** 3, a / (2 * p ** 2) + p ** 2, -a / 2 - 1 / p ** 4
+    return [-3 / (4 * p), -1 / (2 * p ** 2), -1 / (4 * p ** 3), t1, t2, a / (2 * p ** 3) + p,
+            p ** 0 / 4, -1 / (2 * p), -1 / (4 * p ** 2), t4, t1, t2,
+            p / 4, p ** 0 / 2, -1 / (4 * p), -a * p / 2 - 1 / p ** 3, t4, t1]
+
+
+@pytest.mark.parametrize("family,a", _branch_point_cases())
+def test_deformation_data_matches_mpmath(family, a):
+    # the branch points from mpmath's roots of each curve at 40 digits,
+    # each taken as the root nearest its closed form; P_ai from them in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    got = deformation_data(SurfaceParam(family, a)).reshape(5, 18)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(a)
+        sign = {"H": 1, "rPD": -1}.get(family)
+        if sign is not None:
+            coeffs = [1, 0, 0, -(x ** 3 + sign / x ** 3), 0, 0, sign, 0]
+            w = mpmath.expjpi(mpmath.mpf(2) / 3)
+            near = [x, x * w, x / w, sign / x, sign * w / x]
+        else:
+            coeffs = [1, 0, 0, 0, x, 0, 0, 0, 1]
+            if family == "tP":
+                alpha = mpmath.sqrt((mpmath.sqrt(x + 2) + mpmath.sqrt(x - 2)) / 2)
+                z, last = mpmath.expjpi(0.25) * alpha, mpmath.expjpi(0.25) / alpha
+            else:
+                z = mpmath.expj(mpmath.atan2(mpmath.sqrt(4 - x * x), -x) / 4)
+                last = mpmath.conj(z)
+            near = [z, 1j * z, mpmath.conj(z) if family == "tP" else -z,
+                    -1j * (mpmath.conj(z) if family == "tP" else z), last]
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        want = [[complex(v) for v in _p_ai_formula(min(roots, key=lambda r: abs(r - z0)), x, sign)]
+                for z0 in near]
+    want = np.array(want)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 def _pipeline_points():
     path = resources.files("msindex.data").joinpath("reference_tables.json")
     with path.open(encoding="utf-8") as fh:

@@ -6,13 +6,14 @@ results, errors and cache counts of one analyze call after another."""
 import contextlib
 import gc
 import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from msindex import cli, families, linalg, moduli
-from msindex.errors import NonConvergence
+from msindex.errors import DomainError, NonConvergence
 from msindex.families import SurfaceParam, admissible_range, canonical_param
 from msindex.sweep import (_FLANK_OFFSET, DEFAULT_WINDOWS, SweepConfig, _grid, _raw_negatives,
                            classify_at, sweep)
@@ -116,13 +117,18 @@ def test_a_failing_grid_point_fails_the_sweep_as_alone():
     assert (info.misses, info.hits, info.currsize) == (1, 0, 0)
 
 
+def _as(p):
+    # the parameter values of a deformation_data call, one point or a stack
+    return [p.a] if isinstance(p, SurfaceParam) else [q.a for q in p]
+
+
 def test_a_failing_point_inside_a_stack_counts_what_was_computed(monkeypatch):
     # the third of five points fails: the two before it are computed and
     # cached, and it counts its own miss, as one analyze call after another
     real = families.deformation_data
 
     def failing(p):
-        if p.a == 5.0:
+        if 5.0 in _as(p):
             raise NonConvergence("deliberate")
         return real(p)
 
@@ -136,6 +142,93 @@ def test_a_failing_point_inside_a_stack_counts_what_was_computed(monkeypatch):
     moduli.analyze(params[1])
     assert moduli._analyze_cached.cache_info().hits == 1
     moduli._analyze_cached.cache_clear()
+
+
+# the admitted ends and the tCLP fold, where powers of the branch points
+# spread widest; rPD is closed at 1
+_BRANCH_ENDS = {"H": (1e-6, 1.0 - 1e-6), "rPD": (1e-6, 1.0 - 1e-6, 1.0),
+                "tP": (2.0 + 1e-6, 1e12), "tCLP": (1e-6, 1.999999, 0.0)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 65])
+@pytest.mark.parametrize("family", list(_BRANCH_ENDS))
+def test_stacked_deformation_data_is_each_point_alone(family, n):
+    lo, hi = DEFAULT_WINDOWS[family]
+    values = np.linspace(max(lo, 0.0), hi, n).tolist()
+    # the range ends at positions spread over the stack
+    for i, a in zip(range(n - 1, -1, -max(1, n // 3)), _BRANCH_ENDS[family]):
+        values[i] = a
+    params = [SurfaceParam(family, a) for a in values]
+    stack = families.deformation_data(params)
+    assert stack.shape == (n, 5, 3, 6) and not stack.flags.writeable
+    for p, row in zip(params, stack):
+        alone = families.deformation_data(p)
+        assert alone.shape == (5, 3, 6) and not alone.flags.writeable
+        assert _same(row, alone), p
+
+
+@pytest.mark.parametrize("family, values, folded", [
+    ("tCLP", (0.5, -0.7, 0.9), -0.7), ("tD", (-14.0, -20.0), -14.0)])
+def test_stacked_deformation_data_refuses_a_folded_parameter(family, values, folded):
+    with pytest.raises(DomainError, match=re.escape(f"a={folded!r}") + ".*apply canonical_param"):
+        families.deformation_data([SurfaceParam(family, a) for a in values])
+
+
+def _fails_as_one_by_one(params, error, text):
+    """analyze_many on params raises as analyze on each in turn does, with
+    the same cache counts and cached parameters; returns the counts."""
+    moduli._analyze_cached.cache_clear()
+    with pytest.raises(error, match=text):
+        moduli.analyze_many(params)
+    stacked = _info(), list(moduli._analyze_cached._entries)
+    moduli._analyze_cached.cache_clear()
+    with pytest.raises(error, match=text):
+        for p in params:
+            moduli.analyze(p)
+    assert (_info(), list(moduli._analyze_cached._entries)) == stacked
+    moduli._analyze_cached.cache_clear()
+    return stacked[0]
+
+
+def test_colliding_branch_points_fail_the_stack_as_one_by_one(monkeypatch):
+    # H's closest branch points are min(a sqrt(3), 1/a - a) apart: 0.10 at
+    # a = 0.95, 0.21 or more at the other four
+    monkeypatch.setattr(families, "_POINT_SEPARATION", 0.15)
+    params = [SurfaceParam("H", a) for a in (0.3, 0.5, 0.95, 0.7, 0.9)]
+    info = _fails_as_one_by_one(params, DomainError, r"branch points .* collide at a = 0\.95$")
+    # (hits, misses, cached): the two points before it are cached
+    assert info == (0, 3, 2)
+
+
+def _largest_residual(monkeypatch, p):
+    # raise the tolerance past each residual that deformation_data reports
+    # until it reports none: the last one reported is p's largest
+    tol, largest = -1.0, None
+    while True:
+        monkeypatch.setattr(families, "_ROOT_RESIDUAL_TOL", tol)
+        try:
+            families.deformation_data(p)
+        except NonConvergence as exc:
+            largest = float(re.search(r"residual (\S+) at a = ", str(exc)).group(1))
+            tol = 1.01 * largest
+        else:
+            return largest
+
+
+def test_a_branch_point_off_its_curve_fails_the_stack_as_one_by_one(monkeypatch):
+    # residuals of rounding size, the middle point's the largest here
+    params = [SurfaceParam("H", a) for a in (0.35, 0.4, 0.6, 0.5, 0.25)]
+    largest = [_largest_residual(monkeypatch, p) for p in params]
+    k = int(np.argmax(largest))
+    rest = max(largest[:k] + largest[k + 1:])
+    # the ratchet steps 1 % at a time, so it may miss a residual within 1 %
+    assert largest[k] > 1.1 * rest
+    # a tolerance that only the k-th point's curve residual exceeds
+    monkeypatch.setattr(families, "_ROOT_RESIDUAL_TOL", 0.5 * (largest[k] + rest))
+    info = _fails_as_one_by_one(
+        params, NonConvergence, r"branch point .* has residual .* at a = %s$" % re.escape(
+            repr(params[k].a)))
+    assert info == (0, k + 1, k)
 
 
 def _transient_peak(cfg):
@@ -210,7 +303,7 @@ def test_a_failing_flank_fails_classify_at_as_one_by_one(monkeypatch, side):
     bad = a + side * _FLANK_OFFSET
 
     def failing(p):
-        if p.a == bad:
+        if bad in _as(p):
             raise NonConvergence("deliberate")
         return real(p)
 
@@ -245,7 +338,7 @@ def test_a_failing_reference_sample_stops_reproduce_where_it_did(monkeypatch, ca
     real = families.deformation_data
 
     def failing_at(p):
-        if p.a == failing:
+        if failing in _as(p):
             raise NonConvergence("deliberate")
         return real(p)
 
