@@ -33,7 +33,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NonConvergence, RiemannMatrixViolation
+from .errors import DomainError, NonConvergence, RiemannMatrixViolation, SingularMatrix
 from .quadrature import Integrand, QuadConfig, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
@@ -452,11 +452,13 @@ def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
 
 @dataclass(frozen=True, slots=True)
 class PeriodFrame:
-    """The 6x6 period matrix and the period ratio tau = C1^-1 C2 of its
-    top 3x6 block [C1 | C2]; stacked, each with a leading parameter axis."""
+    """The 6x6 period matrix, the period ratio tau = C1^-1 C2 of its top
+    3x6 block [C1 | C2], and (Im tau)^-1; stacked, each with a leading
+    parameter axis."""
 
     omega: np.ndarray
     tau: np.ndarray
+    im_tau_inv: np.ndarray
 
 
 # The rows of each family's period matrix at one surface, from its eight
@@ -519,6 +521,12 @@ _OMEGA_BUILDERS = {
 
 _TAU_SYM_TOL = 1e-9
 
+# (Im tau)^-1 is refused wherever linalg.solve(Im tau, I) would be (see the
+# linalg docstring), and its residual held to solve's tolerance times |I|_F
+_IM_TAU_FLOOR = math.sqrt(3.0) * linalg.pivot_bound(3)
+_IM_TAU_RESIDUAL = math.sqrt(3.0) * linalg.RESIDUAL_TOL
+_EYE3 = np.broadcast_to(np.eye(3), (3, 3))  # read-only
+
 
 def period_frame(integrals: IntegralSet) -> PeriodFrame:
     """Assemble the 6x6 period matrix and the period ratio tau from the
@@ -527,6 +535,11 @@ def period_frame(integrals: IntegralSet) -> PeriodFrame:
 
     Raises RiemannMatrixViolation, naming the parameter, if tau comes
     out non-symmetric or its imaginary part is not positive definite.
+    sym(Im tau) = V diag(lambda) V^t, decomposed once, also gives X =
+    (Im tau)^-1 = V diag(1/lambda) V^t; SingularMatrix, naming the
+    parameter, refuses X if lambda_min < _IM_TAU_FLOOR * (sum lambda^2 +
+    |tau - tau^t|_F^2 / 4)^(1/2) >= _IM_TAU_FLOOR * |Im tau|_F, or if
+    |Im tau X - I|_F > _IM_TAU_RESIDUAL.
     """
     rows, times_i = _OMEGA_BUILDERS[integrals.family]
     s = integrals
@@ -544,16 +557,21 @@ def period_frame(integrals: IntegralSet) -> PeriodFrame:
         omega = 1j * omega
     tau = linalg.solve(omega[..., :3, :3], omega[..., :3, 3:])
     im = tau.imag
-    im_eigs = linalg.eig_selfadjoint(0.5 * (im + im.swapaxes(-1, -2)))
-    checks = zip(params, np.atleast_1d(linalg.frobenius(tau - tau.swapaxes(-1, -2))).tolist(),
-                 np.atleast_1d(linalg.frobenius(tau)).tolist(), im_eigs.reshape(-1, 3).tolist())
-    for a, defect, norm, eigs in checks:
+    lam, vec = linalg.eig_selfadjoint(0.5 * (im + im.swapaxes(-1, -2)), vectors=True)
+    im_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
+    checks = zip(params, linalg.norms(tau - tau.swapaxes(-1, -2)), linalg.norms(tau),
+                 lam.reshape(-1, 3).tolist(), linalg.norms(im @ im_inv - _EYE3))
+    for a, defect, norm, eigs, resid in checks:
         if defect > _TAU_SYM_TOL * max(norm, 1e-300):
             raise RiemannMatrixViolation(f"tau asymmetry {defect:.3e} at a = {a!r}")
         if eigs[-1] <= 0.0:
             raise RiemannMatrixViolation(
                 f"Im tau not positive definite at a = {a!r}, eigenvalues {eigs}")
-    return PeriodFrame(omega=omega, tau=tau)
+        floor = _IM_TAU_FLOOR * math.hypot(*eigs, 0.5 * defect)
+        if not (eigs[-1] >= floor and resid <= _IM_TAU_RESIDUAL):
+            raise SingularMatrix(f"Im tau is not safely invertible at a = {a!r}: lambda_min "
+                                 f"{eigs[-1]:.3e}, floor {floor:.3e}, residual {resid:.3e}")
+    return PeriodFrame(omega=omega, tau=tau, im_tau_inv=im_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,25 @@ Everything here is sized for the 3x3 / 6x6 / 9x9 / 18x18 matrices the
 pipeline produces and raises typed errors instead of returning garbage:
 input holding inf or nan is refused up front, and every tolerance test
 is written so that a nan fails it.  Eigenvalues of Hermitian matrices
-come from LAPACK ``eigvalsh`` (through numpy.linalg), which takes
-complex Hermitian input directly, and are returned as one read-only
-descending array; input exactly equal to its conjugate transpose, as
-the pipeline's key matrices are by construction, is not symmetrized.
-Linear systems are solved by LAPACK ``gesv`` (LU with partial
-pivoting, through ``numpy.linalg.solve``), guarded by a singularity
-test and a residual check of its own.  solve and eig_selfadjoint also
-take a stack of matrices along leading axes: each matrix goes to
-LAPACK as it would alone, each check runs once over the stack, and an
-error names the first matrix that fails it.
+come from LAPACK ``eigvalsh`` (``eigh`` with eigenvectors) through
+numpy.linalg, which takes complex Hermitian input directly, in one
+read-only descending array; input exactly equal to its conjugate
+transpose, as the pipeline's key matrices are by construction, is not
+symmetrized.  Linear systems are solved by LAPACK ``gesv`` (LU with
+partial pivoting, through ``numpy.linalg.solve``), guarded by a
+singularity test and a residual check of its own.  A matrix a with a
+positive definite symmetric part may be inverted from that part's
+eigenvectors instead; refusing it when lambda_min < sqrt(n)
+pivot_bound(n) |a|_F refuses wherever solve would, as sigma_min(a) >=
+lambda_min and 1 / |a^-1|_F >= sigma_min / sqrt(n).  solve and
+eig_selfadjoint also take a stack of matrices along leading axes: each
+matrix goes to LAPACK as it would alone, each check runs once over the
+stack, and an error names the first matrix that fails it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,7 +38,10 @@ from .errors import (
 # relative thresholds, all against the Frobenius norm of the input
 _HERMITIAN_DEFECT_TOL = 1e-9
 _PIVOT_TOL = 1e-14
-_RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
+
+# the n x n identity that solve appends to b, one read-only view per n
+_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
@@ -59,34 +67,21 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise NonFiniteInput(f"{name} has inf or nan entries{_where(a, j)}")
 
 
-def _norms(m: np.ndarray) -> list[float]:
+def norms(m) -> list[float]:
     """The Frobenius norm of each matrix of a stack (..., rows, cols), or
-    of one matrix, as a flat list, each with the bits of _flat_norm of
-    that matrix alone.
-
-    A float64 or complex128 stack whose matrices lie in row order forms
-    _flat_norm's sums for all of them at once: each matrix a contiguous row, the real and the
-    imaginary parts of a complex one read in place, each row dotted with
-    itself by (N, 1, n) @ (N, n, 1), which runs the BLAS dot that
-    np.vdot runs with the same strides.  Only a matrix whose sum
-    overflows or underflows, or a stack in another layout, is measured
-    matrix by matrix.
-    """
-    if m.ndim == 2:
-        return [_flat_norm(m)]
-    x = m.reshape((-1,) + m.shape[-2:])
-    rows, cols = x.shape[-2:]
-    in_row_order = rows == 1 or cols == 1 or x.strides[-2] >= x.strides[-1] > 0
-    if x.dtype.char not in "dD" or not in_row_order:
-        # another dtype, or ravel(order="K") would not read each matrix by rows
-        return [_flat_norm(mat) for mat in x]
-    flat = np.ascontiguousarray(x).reshape(len(x), 1, rows * cols)
-    sums = 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        for part in ((flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)):
-            sums = sums + (part @ part.swapaxes(-1, -2))[:, 0, 0]
-    norms = np.sqrt(sums).tolist()
-    return [v if 0.0 < v < math.inf else _flat_norm(x[j]) for j, v in enumerate(norms)]
+    of one matrix, as a flat list, for tolerance tests: one BLAS dot per
+    matrix (np.vdot alone, np.vecdot over a stack, with the same bits),
+    which sums in another order than frobenius and is rescaled as
+    frobenius where the sum overflows or underflows."""
+    x = np.asarray(m)
+    if x.ndim == 2:
+        v = math.sqrt(np.vdot(x, x).real)
+        return [v if 0.0 < v < math.inf else frobenius(x)]
+    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sums = np.vecdot(flat, flat).real.tolist()
+    return [v if 0.0 < v < math.inf else frobenius(x.reshape((-1,) + x.shape[-2:])[j])
+            for j, v in enumerate(map(math.sqrt, sums))]
 
 
 def frobenius(m):
@@ -94,16 +89,11 @@ def frobenius(m):
     the plain sum of squares overflows or underflows (Blue 1978), so that
     any finite matrix gets a finite, and a nonzero one a nonzero, norm.
     np.vdot forms the sums: unlike ndarray.dot it never warns.  A stack
-    (..., rows, cols) gives the norm of each matrix, as an array, each
-    bit for bit the norm of that matrix alone."""
+    (..., rows, cols) gives the norm of each matrix, as an array."""
     x = np.asarray(m)
     if x.ndim > 2:
-        return np.array(_norms(x)).reshape(x.shape[:-2])
-    return _flat_norm(x)
-
-
-def _flat_norm(x: np.ndarray) -> float:
-    """The Frobenius norm of all of x, as frobenius describes it."""
+        mats = x.reshape((-1,) + x.shape[-2:])
+        return np.array([frobenius(mat) for mat in mats]).reshape(x.shape[:-2])
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
@@ -114,8 +104,13 @@ def _flat_norm(x: np.ndarray) -> float:
     if norm == 0.0 or math.isinf(norm):
         big = float(np.max(np.abs(x), initial=0.0))
         if 0.0 < big < math.inf:
-            norm = big * _flat_norm(x / big)
+            norm = big * frobenius(x / big)
     return norm
+
+
+def pivot_bound(n: int) -> float:
+    """The b of solve's test, which refuses a when 1 / |a^-1|_F < b |a|_F."""
+    return math.sqrt(0.5 * n * (n + 1)) * _PIVOT_TOL
 
 
 def solve(a, b) -> np.ndarray:
@@ -143,8 +138,8 @@ def solve(a, b) -> np.ndarray:
             rhs_was_vector and aa.ndim > 2):
         raise DimensionMismatch(f"rhs shape {np.asarray(b).shape} does not match {aa.shape}")
     k = bb.shape[-1]
-    scale = _norms(aa)
-    rhs_norm = _norms(bb)
+    scale = norms(aa)
+    rhs_norm = norms(bb)
     if len(rhs_norm) < len(scale):
         rhs_norm *= len(scale)
     if not math.isfinite(sum(scale) + sum(rhs_norm)):  # an inf or nan entry makes a norm so
@@ -153,25 +148,23 @@ def solve(a, b) -> np.ndarray:
     if 0.0 in scale:
         raise SingularMatrix(f"zero coefficient matrix{_where(aa, scale.index(0.0))}")
 
-    rhs = np.empty(aa.shape[:-2] + (n, k + n), dtype=complex if bb.dtype.kind == "c" else float)
-    rhs[..., :k] = bb
-    rhs[..., k:] = np.eye(n)
+    eye = _eye(n) if bb.ndim == 2 else np.broadcast_to(_eye(n), bb.shape[:-1] + (n,))
     try:
-        sol = np.linalg.solve(aa, rhs)
+        sol = np.linalg.solve(aa, np.concatenate([bb, eye], axis=-1))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"gesv: {exc}") from exc
     x = sol[..., :k]
-    bound = math.sqrt(0.5 * n * (n + 1)) * _PIVOT_TOL
-    for j, (s, inv) in enumerate(zip(scale, _norms(sol[..., k:]))):
+    bound = pivot_bound(n)
+    for j, (s, inv) in enumerate(zip(scale, norms(sol[..., k:]))):
         if not (1.0 / inv >= bound * s):
             raise SingularMatrix(
                 f"smallest singular value may be below {bound:.1e} * norm "
                 f"(1/|a^-1| = {1.0 / inv:.3e}){_where(aa, j)}")
 
-    for j, (resid, r) in enumerate(zip(_norms(aa @ x - bb), rhs_norm)):
-        if r > 0.0 and not (resid <= _RESIDUAL_TOL * r):
+    for j, (resid, r) in enumerate(zip(norms(aa @ x - bb), rhs_norm)):
+        if r > 0.0 and not (resid <= RESIDUAL_TOL * r):
             raise SingularMatrix(
-                f"solution residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e} * |b|{_where(aa, j)}")
+                f"solution residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * |b|{_where(aa, j)}")
     # a copy, so that a kept solution does not hold all of [x | a^-1]
     return (x[..., 0] if rhs_was_vector else x).copy()
 
@@ -183,13 +176,14 @@ def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
     return pos, neg, len(vals) - pos - neg
 
 
-def eig_selfadjoint(m) -> np.ndarray:
+def eig_selfadjoint(m, vectors: bool = False):
     """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``,
     sorted descending in one contiguous read-only float64 array; for a
     stack (..., n, n), shape (..., n), each spectrum bit for bit that of
-    its matrix alone.
+    its matrix alone.  vectors=True gives (values, vectors) by ``eigh``,
+    the eigenvectors as the columns of a read-only (..., n, n) array.
 
-    Input equal to its conjugate transpose goes to ``eigvalsh`` as it is,
+    Input equal to its conjugate transpose goes to LAPACK as it is,
     other input is symmetrized first; input whose imaginary part is
     exactly zero goes in as a real matrix.  Raises NonFiniteInput for inf
     or nan entries, NotSelfAdjoint when the input is too far from its own
@@ -197,27 +191,38 @@ def eig_selfadjoint(m) -> np.ndarray:
     on a stack each check runs once and names the first matrix failing it.
     """
     a = _as_square(m)
-    _require_finite(a, "matrix")
+    # an inf or nan entry makes the sum of squares inf or nan; so may a finite overflow
+    if not math.isfinite(np.vdot(a, a).real):
+        _require_finite(a, "matrix")
     adjoint = a.conj().swapaxes(-1, -2)
     exact = a == adjoint
     if not exact.all():
-        for j, (scale, defect) in enumerate(zip(_norms(a), _norms(a - adjoint))):
+        for j, (scale, defect) in enumerate(zip(norms(a), norms(a - adjoint))):
             if not (defect <= _HERMITIAN_DEFECT_TOL * max(scale, 1e-300)):
                 raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}{_where(a, j)}")
         a = np.where(exact.all(axis=(-2, -1))[..., None, None], a, 0.5 * (a + adjoint))
-    if a.dtype.kind == "c" and not a.imag.any():
+    # a matrix with a zero imaginary part goes in as a real one, also within a stack
+    has_imag = a.imag.any(axis=(-2, -1), keepdims=True) if a.dtype.kind == "c" else None
+    count = None if has_imag is None else np.count_nonzero(has_imag)
+    if count == 0:
         a = a.real
-    # a stack can mix complex matrices with real ones, which go in as real
-    real = ~a.imag.any(axis=(-2, -1)) if a.dtype.kind == "c" and a.ndim > 2 else None
+    mixed = has_imag[..., 0, 0] if count and count < has_imag.size else None
+    name = "eigh" if vectors else "eigvalsh"
+    lapack = getattr(np.linalg, name)
     try:
-        if real is None or not real.any():
-            ascending = np.linalg.eigvalsh(a)
+        if mixed is None:
+            found = lapack(a) if vectors else (lapack(a),)
         else:
-            ascending = np.empty(a.shape[:-1])
-            ascending[real] = np.linalg.eigvalsh(a[real].real)
-            ascending[~real] = np.linalg.eigvalsh(a[~real])
+            found = [np.empty(a.shape[:-1]), np.empty(a.shape, dtype=complex)][:1 + vectors]
+            for rows, part in ((~mixed, a[~mixed].real), (mixed, a[mixed])):
+                for out, res in zip(found, lapack(part) if vectors else (lapack(part),)):
+                    out[rows] = res
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigvalsh failed: {exc}") from exc
-    values = np.array(ascending[..., ::-1], dtype=np.float64)
+        raise NonConvergence(f"{name} failed: {exc}") from exc
+    values = np.array(found[0][..., ::-1], dtype=np.float64)
     values.flags.writeable = False
-    return values
+    if not vectors:
+        return values
+    vecs = found[1][..., ::-1].copy()
+    vecs.flags.writeable = False
+    return values, vecs

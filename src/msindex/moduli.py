@@ -17,6 +17,8 @@ that miss the cache as stacks, analyze being its case of one point.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,10 +85,10 @@ def _pair_all(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return -1j * (m - m.conj().swapaxes(-1, -2))
 
 
-def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
+def key_matrices(mats: np.ndarray, frame: PeriodFrame) -> KeyMatrices:
     """The 9x9 pairing matrix and the 18x18 period comparison of the
     tangent directions mats, a (9, 3, 6) array from tangent_frame, or
-    of each surface of a stack (N, 9, 3, 6) with tau (N, 3, 3).
+    of each surface of a stack (N, 9, 3, 6) with a stacked frame.
 
     Each direction splits into 3x3 halves (C, D) and projects to the
     admissible K = Re C + i (Re C Re tau - Re D) (Im tau)^-1 paired with
@@ -95,12 +97,12 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     their projections; Wdiff = W2 - W1.  Rotation by i scales a row of
     eta by i and a column by -i, so W1 = [[Re W, Im W], [-Im W, Re W]],
     and W2 = Im m2 + (Im m2)^t for the contraction m2 of the projections.
-    W is Hermitian and W1, W2 symmetric by construction.
+    W is Hermitian and W1, W2 symmetric by construction.  tau and
+    (Im tau)^-1 come from frame, which inverted Im tau and checked it.
     """
     cs = np.ascontiguousarray(mats[..., :3])
     ds = np.ascontiguousarray(mats[..., 3:])
     w = _pair_all(cs, ds)
-    im_inv = linalg.solve(tau.imag, np.eye(3))
     # the 18 directions' 3x3 halves as 54 rows of 3, one product each per surface
     c_re = np.concatenate([cs.real, -cs.imag], axis=-3)
     d_re = np.concatenate([ds.real, -ds.imag], axis=-3)
@@ -108,8 +110,8 @@ def key_matrices(mats: np.ndarray, tau: np.ndarray) -> KeyMatrices:
     rows = shape[:-3] + (54, 3)
     k_all = np.empty(rows, dtype=complex)
     k_all.real = c_re.reshape(rows)
-    k_all.imag = (k_all.real @ tau.real - d_re.reshape(rows)) @ im_inv
-    m2 = np.einsum("...iab,...jab->...ij", (k_all @ tau).reshape(shape),
+    k_all.imag = (k_all.real @ frame.tau.real - d_re.reshape(rows)) @ frame.im_tau_inv
+    m2 = np.einsum("...iab,...jab->...ij", (k_all @ frame.tau).reshape(shape),
                    k_all.conj().reshape(shape)).imag
     w1 = np.concatenate([np.concatenate([w.real, w.imag], -1),
                          np.concatenate([-w.imag, w.real], -1)], -2)
@@ -143,14 +145,22 @@ class SpectralReport:
     zero_tol_wdiff: float
 
 
+def _signs(desc: list, zero_tol: float) -> tuple[int, int, int]:
+    """linalg.count_signs of a descending list, by bisection."""
+    pos = bisect.bisect_left(desc, -zero_tol, key=operator.neg)
+    neg = len(desc) - bisect.bisect_right(desc, zero_tol, key=operator.neg)
+    return pos, neg, len(desc) - pos - neg
+
+
 def _report(ew: np.ndarray, ed: np.ndarray) -> SpectralReport:
     """The report of one surface from its two read-only spectra."""
-    zero_w = ZERO_TOL_FACTOR * float(max(abs(ew[0]), abs(ew[-1])))
-    zero_d = ZERO_TOL_FACTOR * float(max(abs(ed[0]), abs(ed[-1])))
-    d_pos, d_neg, d_zero = linalg.count_signs(ed, zero_d)
+    w, d = ew.tolist(), ed.tolist()
+    zero_w = ZERO_TOL_FACTOR * max(abs(w[0]), abs(w[-1]))
+    zero_d = ZERO_TOL_FACTOR * max(abs(d[0]), abs(d[-1]))
+    d_pos, d_neg, d_zero = _signs(d, zero_d)
 
     degenerate = d_zero != _EXPECTED_KERNEL
-    p, q, nullity = linalg.count_signs(ew, zero_w if degenerate else 0.0)
+    p, q, nullity = _signs(w, zero_w if degenerate else 0.0)
     index_e = 1 + d_neg
     return SpectralReport(
         eig_w=ew,
@@ -166,38 +176,6 @@ def _report(ew: np.ndarray, ed: np.ndarray) -> SpectralReport:
         zero_tol_w=zero_w,
         zero_tol_wdiff=zero_d,
     )
-
-
-def _reports(ew: np.ndarray, ed: np.ndarray) -> list[SpectralReport]:
-    """The reports of a stack of surfaces from their (N, 9) and (N, 18)
-    spectra: the tolerances, counts and degeneracy of all surfaces in one
-    numpy pass, elementwise, so each the bits of _report on its row."""
-    zero_w = ZERO_TOL_FACTOR * np.maximum(abs(ew[:, 0]), abs(ew[:, -1]))
-    zero_d = ZERO_TOL_FACTOR * np.maximum(abs(ed[:, 0]), abs(ed[:, -1]))
-    d_neg = np.count_nonzero(ed < -zero_d[:, None], axis=1)
-    d_zero = ed.shape[1] - np.count_nonzero(ed > zero_d[:, None], axis=1) - d_neg
-    degenerate = d_zero != _EXPECTED_KERNEL
-    tol_w = np.where(degenerate, zero_w, 0.0)[:, None]
-    p = np.count_nonzero(ew > tol_w, axis=1)
-    q = np.count_nonzero(ew < -tol_w, axis=1)
-    nullity = ew.shape[1] - p - q
-    index_e = 1 + d_neg
-    return [SpectralReport(
-        eig_w=_own(w),
-        eig_wdiff=_own(d),
-        p=p_k,
-        q=q_k,
-        nullity_E=n_k,
-        kernel_dim_wdiff=z_k,
-        index_E=i_k,
-        index_A=i_k,
-        nullity_A=n_k + 3,
-        degenerate=g_k,
-        zero_tol_w=tw_k,
-        zero_tol_wdiff=td_k,
-    ) for w, d, p_k, q_k, n_k, z_k, i_k, g_k, tw_k, td_k in zip(
-        ew, ed, p.tolist(), q.tolist(), nullity.tolist(), d_zero.tolist(), index_e.tolist(),
-        degenerate.tolist(), zero_w.tolist(), zero_d.tolist())]
 
 
 def _own(row: np.ndarray) -> np.ndarray:
@@ -225,7 +203,7 @@ def spectral_report(km: KeyMatrices):
     ed = linalg.eig_selfadjoint(km.wdiff)
     if ew.ndim == 1:
         return _report(ew, ed)
-    return _reports(ew, ed)
+    return [_report(_own(w), _own(d)) for w, d in zip(ew, ed)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,19 +234,18 @@ def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[Surfa
     integrals = families.integral_set(one or params, config)
     frame = families.period_frame(integrals)
     p_ai = families.deformation_data(one or params)
-    km = key_matrices(tangent_frame(frame.omega, p_ai), frame.tau)
+    km = key_matrices(tangent_frame(frame.omega, p_ai), frame)
     reports = spectral_report(km)
     if one:
         return [SurfaceAnalysis(param=one, integrals=integrals, frame=frame, key=km, report=reports)]
-    # each record owns its arrays, so that a cached analysis keeps no stack alive
-    return [SurfaceAnalysis(
-        param=p,
-        integrals=point,
-        frame=PeriodFrame(omega=omega.copy(), tau=tau.copy()),
-        key=KeyMatrices(w=w.copy(), wdiff=wdiff.copy()),
-        report=report,
-    ) for p, point, omega, tau, w, wdiff, report in zip(
-        params, integrals.points(), frame.omega, frame.tau, km.w, km.wdiff, reports)]
+    return [SurfaceAnalysis(param=p, integrals=point, frame=_row(frame, j), key=_row(km, j),
+                            report=report)
+            for j, (p, point, report) in enumerate(zip(params, integrals.points(), reports))]
+
+
+def _row(record, j: int):
+    """Record j of a stacked record, owning its arrays: a cached analysis keeps no stack."""
+    return type(record)(*[getattr(record, name)[j].copy() for name in record.__slots__])
 
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msindex import linalg
-from msindex.errors import DomainError
+from msindex.errors import DomainError, RiemannMatrixViolation, SingularMatrix
 from msindex.families import (
     FAMILIES,
     MARGIN,
@@ -20,6 +20,7 @@ from msindex.families import (
     validate_param,
     verify_identities,
 )
+from msindex.sweep import DEFAULT_WINDOWS
 
 
 def test_domain_bounds_table():
@@ -146,6 +147,115 @@ def test_period_frame_at_the_range_ends(fam, a):
     tau = period_frame(integral_set(p)).tau
     assert linalg.frobenius(tau - tau.T) <= 1e-9 * linalg.frobenius(tau)
     assert min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T))) > 0.0
+
+
+def _frame_with_tau(monkeypatch, integrals, tau):
+    """period_frame of integrals with the tau of its solve replaced by tau."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "solve", lambda a, b: tau)
+        return period_frame(integrals)
+
+
+@pytest.mark.parametrize("fam", ["H", "rPD", "tP", "tCLP"])
+def test_the_frames_inverse_of_im_tau_is_solves(fam):
+    # (Im tau)^-1 from sym(Im tau)'s eigendecomposition against the guarded
+    # gesv solve over the default window, stacked and point by point
+    lo, hi = DEFAULT_WINDOWS[fam]
+    params = [canonical_param(SurfaceParam(fam, a)) for a in np.linspace(lo, hi, 33)]
+    stacked = period_frame(integral_set(params))
+    assert stacked.im_tau_inv.shape == (33, 3, 3)
+    for p, inv in zip(params, stacked.im_tau_inv):
+        frame = period_frame(integral_set(p))
+        assert frame.im_tau_inv.tobytes() == inv.tobytes()
+        ref = linalg.solve(frame.tau.imag, np.eye(3))
+        assert linalg.frobenius(inv - ref) <= 1e-14 * linalg.frobenius(ref), p
+
+
+def _near_singular(rng, im):
+    """im with its smallest symmetric eigenvalue moved to |im|_F times
+    10^-15 .. 10^-4: from below solve's singularity floor pivot_bound(3)
+    |im|_F, through the condition numbers near 10^6 where solve's
+    residual check starts to refuse, to matrices that both accept."""
+    lam_min = np.linalg.eigvalsh(0.5 * (im + im.T))[0]
+    target = 10.0 ** rng.uniform(-15.0, -4.0) * np.linalg.norm(im)
+    return im - (lam_min - target) * np.eye(3)
+
+
+def test_the_im_tau_refusal_is_at_least_as_strict_as_solve(monkeypatch):
+    # near-singular random SPD matrices and each family's own Im tau moved
+    # near singular: wherever solve refuses to invert Im tau (its
+    # singularity test or its residual check), period_frame refuses too,
+    # naming the parameter
+    rng = np.random.default_rng(18)
+    cases = []
+    for _ in range(300):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        spd = (q * (10.0 ** rng.uniform(-3, 3, 3))) @ q.T
+        re = rng.standard_normal((3, 3))
+        cases.append((re + re.T, _near_singular(rng, 0.5 * (spd + spd.T))))
+    for fam, a in [("H", 0.01), ("H", 0.5), ("rPD", 0.3), ("rPD", 1.0), ("tP", 2.1),
+                   ("tP", 40.0), ("tCLP", 0.0), ("tCLP", 1.99)]:
+        tau = period_frame(integral_set(SurfaceParam(fam, a))).tau
+        cases += [(tau.real, _near_singular(rng, tau.imag)) for _ in range(40)]
+    integrals = integral_set(SurfaceParam("tP", 10.0))
+    tally = {(True, True): 0, (False, True): 0, (False, False): 0}
+    singular = 0
+    for re, im in cases:
+        try:
+            linalg.solve(im, np.eye(3))
+            solve_refuses = False
+        except SingularMatrix as exc:
+            solve_refuses = True
+            if "smallest singular value" in str(exc):
+                # the singularity test alone: the eigenvalue floor refuses as well
+                singular += 1
+                lam = np.linalg.eigvalsh(0.5 * (im + im.T))
+                defect = np.linalg.norm(im - im.T)
+                floor = math.sqrt(3.0) * linalg.pivot_bound(3) * math.sqrt(
+                    float(lam @ lam) + 0.25 * defect ** 2)
+                assert lam[0] < floor
+        try:
+            _frame_with_tau(monkeypatch, integrals, re + 1j * im)
+            frame_refuses = False
+        except (SingularMatrix, RiemannMatrixViolation) as exc:
+            frame_refuses = True
+            assert str(exc).find("at a = 10.0") > 0
+        assert frame_refuses or not solve_refuses, (re, im)
+        tally[solve_refuses, frame_refuses] += 1
+    # both refuse, only period_frame refuses, and both accept, each often
+    assert min(tally.values()) >= 20 and singular >= 20, (tally, singular)
+
+
+def test_period_frame_names_the_parameter_of_each_refusal(monkeypatch):
+    p = SurfaceParam("tP", 10.0)
+    integrals = integral_set(p)
+    tau = period_frame(integrals).tau
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    lam, vec = np.linalg.eigh(tau.imag)
+    singular = (vec * np.array([1e-16 * lam[-1], lam[1], lam[2]])) @ vec.T
+    for fake, error, message in [
+            (tau + 1e-6 * skew, RiemannMatrixViolation, r"tau asymmetry .* at a = 10\.0$"),
+            (tau.conj(), RiemannMatrixViolation, r"Im tau not positive definite at a = 10\.0, "),
+            (tau.real + 1j * singular, SingularMatrix,
+             r"Im tau is not safely invertible at a = 10\.0: lambda_min \S+, floor")]:
+        with pytest.raises(error, match=message):
+            _frame_with_tau(monkeypatch, integrals, fake)
+    # a stack names its failing point
+    params = [SurfaceParam("tP", a) for a in (5.0, 10.0, 15.0)]
+    stack = period_frame(integral_set(params)).tau.copy()
+    stack[1] = tau.real + 1j * singular
+    with pytest.raises(SingularMatrix, match=r"at a = 10\.0: "):
+        _frame_with_tau(monkeypatch, integral_set(params), stack)
+    # eigenvectors off by 1e-8 leave a residual that only its own check refuses
+    exact = linalg.eig_selfadjoint
+
+    def perturbed(m, vectors=False):
+        vals, vecs = exact(m, vectors=vectors)
+        return vals, vecs * (1.0 + 1e-8)
+
+    monkeypatch.setattr(linalg, "eig_selfadjoint", perturbed)
+    with pytest.raises(SingularMatrix, match=r"at a = 10\.0: .* residual [34]\.\d+e-08$"):
+        period_frame(integrals)
 
 
 def test_identities_h_count_and_residuals():

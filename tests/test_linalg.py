@@ -515,9 +515,8 @@ def test_frobenius_of_a_stack():
 @pytest.mark.parametrize("n", [3, 9, 18])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_frobenius_of_a_stack_equals_each_matrix_alone(n, kind):
-    # the norms that decide solve's and eig_selfadjoint's checks: each
-    # matrix of a stack, whatever its layout or scale, gets the bits it
-    # gets alone, which are np.linalg.norm's
+    # each matrix of a stack, whatever its layout or scale, gets the bits
+    # it gets alone, which are np.linalg.norm's
     rng = np.random.default_rng(n)
     m = rng.standard_normal((5, n, n))
     if kind == "complex":
@@ -530,3 +529,79 @@ def test_frobenius_of_a_stack_equals_each_matrix_alone(n, kind):
             assert norms.reshape(-1)[j] == linalg.frobenius(mat)
             if j in (0, 1, 4):
                 assert norms.reshape(-1)[j] == float(np.linalg.norm(mat))
+
+
+@pytest.mark.parametrize("n", [3, 9, 18])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_check_norms_of_a_stack_equal_each_matrix_alone(n, kind):
+    # the norms that decide solve's, eig_selfadjoint's and period_frame's
+    # checks: each matrix of a stack, whatever its layout or scale, gets
+    # the bits it gets alone, within rounding of frobenius
+    rng = np.random.default_rng(50 + n)
+    m = rng.standard_normal((5, n, n))
+    if kind == "complex":
+        m = m + 1j * rng.standard_normal((5, n, n))
+    m = m * np.array([1.0, 1e-3, 1e200, 1e-200, 7.0])[:, None, None]
+    for stack in (m, m.swapaxes(-1, -2), m[:, ::2, 1:], m[:, ::-1], m.reshape(5, 1, n, n)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = linalg.norms(stack)
+        assert len(norms) == 5 and all(type(v) is float for v in norms)
+        for j, mat in enumerate(stack.reshape((-1,) + stack.shape[-2:])):
+            assert norms[j] == linalg.norms(mat)[0]
+            assert abs(norms[j] - linalg.frobenius(mat)) <= 4e-16 * n * linalg.frobenius(mat)
+    assert linalg.norms(np.zeros((2, 3, 3))) == [0.0, 0.0]
+    assert all(math.isnan(v) for v in linalg.norms(np.full((2, 2, 2), np.nan)))
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("count", [1, 2, 5, 24])
+def test_stacked_eigh_equals_each_matrix_alone(n, count):
+    # vectors=True: values and eigenvectors of each matrix of a stack
+    # bit for bit those of the matrix alone, descending, read-only
+    real = np.stack([_random_symmetric(100 * n + j, n) for j in range(count)])
+    herm = np.stack([_random_hermitian(200 * n + j, n) for j in range(count)])
+    for mats in (real, herm):
+        vals, vecs = linalg.eig_selfadjoint(mats, vectors=True)
+        assert vals.shape == (count, n) and vecs.shape == (count, n, n)
+        assert vecs.dtype == mats.dtype
+        for arr in (vals, vecs):
+            assert arr.flags.c_contiguous and not arr.flags.writeable and arr.base is None
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for j in range(count):
+            alone_vals, alone_vecs = linalg.eig_selfadjoint(mats[j], vectors=True)
+            assert vals[j].tobytes() == alone_vals.tobytes()
+            assert vecs[j].tobytes() == alone_vecs.tobytes()
+            assert np.all(np.diff(alone_vals) <= 0.0)
+            # the columns are the eigenvectors, in the order of the values
+            assert np.allclose(mats[j] @ alone_vecs, alone_vecs * alone_vals, atol=1e-12 * n)
+        # the values are those of eigh, reversed, and within rounding of eigvalsh
+        want_vals, want_vecs = np.linalg.eigh(mats)
+        assert np.array_equal(vals, want_vals[..., ::-1])
+        assert np.array_equal(vecs, want_vecs[..., ::-1])
+        assert np.allclose(vals, linalg.eig_selfadjoint(mats), rtol=0.0, atol=1e-13)
+
+
+def test_eigh_takes_the_checks_of_eigvalsh(monkeypatch):
+    # symmetrized, real-path and refused input as for the values alone
+    m = _random_symmetric(7, 3)
+    near = m + 1e-12 * np.triu(np.ones((3, 3)), 1)
+    vals, vecs = linalg.eig_selfadjoint(near.astype(complex), vectors=True)
+    assert vecs.dtype == np.float64
+    assert np.array_equal(vals, np.linalg.eigh(0.5 * (near + near.T))[0][::-1])
+    with pytest.raises(NotSelfAdjoint):
+        linalg.eig_selfadjoint(m + np.triu(np.ones((3, 3)), 1), vectors=True)
+    with pytest.raises(NonFiniteInput):
+        linalg.eig_selfadjoint(_with_entry(m, np.nan, (0, 2), (2, 0)), vectors=True)
+    mixed = np.stack([_random_hermitian(1, 3), m.astype(complex)])
+    vals, vecs = linalg.eig_selfadjoint(mixed, vectors=True)
+    assert vals[1].tobytes() == linalg.eig_selfadjoint(m, vectors=True)[0].tobytes()
+    assert np.array_equal(vecs[1], linalg.eig_selfadjoint(m, vectors=True)[1])
+
+    def failing(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NonConvergence, match="eigh failed: Eigenvalues did not converge"):
+        linalg.eig_selfadjoint(m, vectors=True)

@@ -322,10 +322,10 @@ def test_key_matrix_spectra_match_numpy(family, a):
         assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _six_contraction_key_matrices(mats, tau):
+def _six_contraction_key_matrices(mats, tau, im_inv):
     """W and Wdiff by the reference formula: every Gram matrix from two
     einsum contractions, the directions rotated by i formed as complex
-    products, and each result symmetrized."""
+    products, and each result symmetrized; im_inv is (Im tau)^-1."""
     def pair(cs, ds):
         return -1j * (np.einsum("iab,jab->ij", ds, cs.conj())
                       - np.einsum("iab,jab->ij", cs, ds.conj()))
@@ -334,7 +334,6 @@ def _six_contraction_key_matrices(mats, tau):
     ds = np.ascontiguousarray(mats[:, :, 3:])
     w = pair(cs, ds)
     w = 0.5 * (w + w.conj().T)
-    im_inv = linalg.solve(tau.imag, np.eye(3))
     cu = np.concatenate([cs, 1j * cs])
     du = np.concatenate([ds, 1j * ds])
     k_all = cu.real + 1j * ((cu.real @ tau.real - du.real) @ im_inv)
@@ -363,7 +362,8 @@ def test_key_matrices_equal_the_six_contraction_reference():
         res = analyze(SurfaceParam(family, a))
         mats = tangent_frame(res.frame.omega, deformation_data(res.param))
         km = res.key
-        w_ref, wdiff_ref = _six_contraction_key_matrices(mats, res.frame.tau)
+        w_ref, wdiff_ref = _six_contraction_key_matrices(mats, res.frame.tau,
+                                                         res.frame.im_tau_inv)
         assert np.array_equal(km.w, w_ref), (family, a)
         assert np.array_equal(km.wdiff, wdiff_ref), (family, a)
         assert np.array_equal(km.w, km.w.conj().T)

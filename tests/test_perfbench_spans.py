@@ -1,5 +1,6 @@
 """Every span of the per-layer benchmark metrics still finds its function,
-and the functions a sweep runs through, stacked grid included, fire.
+and the functions that a sweep (stacked grid included) and a cold
+one-point analyze run through fire.
 
 perfbench/spans.py wraps msindex functions by (module, attribute) and
 silently skips a name that no longer exists, so a rename would drop
@@ -13,7 +14,9 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
-from msindex import moduli
+import pytest
+
+from msindex import SurfaceParam, moduli
 from msindex.sweep import DEFAULT_WINDOWS, SweepConfig
 
 _SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -56,16 +59,34 @@ def _counted(fn, name, calls):
     return span
 
 
-def test_a_sweep_of_each_family_fires_every_core_span(monkeypatch):
+def _count_spans(monkeypatch):
     calls = Counter()
     for module_name, attr, name in _spans():
         module = importlib.import_module(module_name)
         fn = getattr(module, attr, None)
         if fn is not None:
             monkeypatch.setattr(module, attr, _counted(fn, name, calls))
+    return calls
+
+
+def test_a_sweep_of_each_family_fires_every_core_span(monkeypatch):
+    calls = _count_spans(monkeypatch)
     sweep_module = importlib.import_module("msindex.sweep")
     moduli._analyze_cached.cache_clear()
     for family, (lo, hi) in DEFAULT_WINDOWS.items():
         sweep_module.sweep(family, SweepConfig(lo, hi, steps=16))
     assert calls["sweep.sweep"] == len(DEFAULT_WINDOWS)
     assert {span for span in _CORE if not calls[span]} == set()
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_WINDOWS))
+def test_a_cold_one_point_analyze_fires_every_core_span(family, monkeypatch):
+    # the path of the analyze_cold workload: one point, a cache miss
+    lo, hi = DEFAULT_WINDOWS[family]
+    calls = _count_spans(monkeypatch)
+    moduli._analyze_cached.cache_clear()
+    moduli.analyze(SurfaceParam(family, 0.5 * (lo + hi)))
+    assert moduli._analyze_cached.cache_info().misses == 1
+    assert {span for span in _CORE if not calls[span]} == set()
+    # one solve (tau) and one 3x3 eigendecomposition (Im tau) per surface
+    assert calls["linalg.solve"] == calls["linalg.eig_selfadjoint.n3"] == 1

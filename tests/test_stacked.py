@@ -376,13 +376,14 @@ def test_stacked_reports_equal_the_one_point_report_row_by_row():
         d[5:5 + zeros] = 1e-12
         rows_w.append(np.array([2.0, 1.0, 1e-9, -1e-9, -1.0, 0.5, -0.5, 4.0, -4.0]))
         rows_d.append(d)
-    ew = -np.sort(-np.array(rows_w), axis=1)
-    ed = -np.sort(-np.array(rows_d), axis=1)
-    stacked = moduli._reports(ew, ed)
+    # diagonal key matrices, so that each spectrum is its rows' entries
+    w_mats = np.stack([np.diag(w) for w in rows_w]).astype(complex)
+    d_mats = np.stack([np.diag(d) for d in rows_d])
+    stacked = moduli.spectral_report(moduli.KeyMatrices(w=w_mats, wdiff=d_mats))
     assert [r.degenerate for r in stacked[-5:]] == [False, True, True, False, True]
     assert [r.nullity_E for r in stacked[-5:]] == [2, 6, 9, 0, 2]
-    for w, d, got in zip(ew, ed, stacked):
-        want = moduli._report(moduli._own(w), moduli._own(d))
+    for w, d, got in zip(w_mats, d_mats, stacked):
+        want = moduli.spectral_report(moduli.KeyMatrices(w=w, wdiff=d))
         assert _same(got.eig_w, want.eig_w) and _same(got.eig_wdiff, want.eig_wdiff)
         assert got.eig_w.base is None and not got.eig_w.flags.writeable
         for field in moduli.SpectralReport.__slots__:
@@ -392,6 +393,12 @@ def test_stacked_reports_equal_the_one_point_report_row_by_row():
             assert type(g) is type(v) and (g == v), field
             if isinstance(v, float):
                 assert g.hex() == v.hex(), field
+        # the counts by bisection of the sorted spectra equal linalg.count_signs
+        assert (got.kernel_dim_wdiff, got.index_E) == (
+            linalg.count_signs(got.eig_wdiff, got.zero_tol_wdiff)[2],
+            1 + linalg.count_signs(got.eig_wdiff, got.zero_tol_wdiff)[1])
+        tol_w = got.zero_tol_w if got.degenerate else 0.0
+        assert (got.p, got.q, got.nullity_E) == linalg.count_signs(got.eig_w, tol_w)
 
 
 def test_grid_samples_equal_the_per_sample_arithmetic(family_sweeps):

@@ -33,8 +33,9 @@ def test_identical_files_pass():
     text = "## msindex sweep\n0.5,1,5,4,2\n## exit 0\n"
     code, out = _diff(text, text)
     assert code == 0
-    assert out == ("0 differing lines, largest numeric deviation 0.000e+00, "
-                   "relative 0.000e+00\n")
+    assert out == ("0 differing lines\n"
+                   "eigenvalue lines: 0, largest |x - y| / max|eig| 0.000e+00\n"
+                   "other lines: 0, largest deviation 0.000e+00, relative 0.000e+00\n")
 
 
 def test_float_changes_are_reported_with_their_deviation():
@@ -45,8 +46,9 @@ def test_float_changes_are_reported_with_their_deviation():
     lines = out.splitlines()
     assert lines[0] == "## msindex sweep"
     assert "- 0.4947,1,5,4,2" in lines
-    assert lines[-1] == ("2 differing lines, largest numeric deviation "
-                         "2.500e-01, relative 5.000e-01")
+    assert lines[-3] == "2 differing lines"
+    assert lines[-1] == ("other lines: 2, largest deviation 2.500e-01 in msindex sweep, "
+                         "relative 5.000e-01 in msindex sweep")
 
 
 def test_relative_deviation_is_scaled_by_the_larger_magnitude():
@@ -60,8 +62,8 @@ def test_relative_deviation_is_scaled_by_the_larger_magnitude():
     assert lines[2] == "  max deviation 2.621e+05, relative 1.667e-01"
     # 0.0 and -0.0 differ as text only
     assert lines[5] == "  max deviation 0.000e+00, relative 0.000e+00"
-    assert lines[-1] == ("2 differing lines, largest numeric deviation "
-                         "2.621e+05, relative 1.667e-01")
+    # outside any block, no block is named
+    assert lines[-1] == "other lines: 2, largest deviation 2.621e+05, relative 1.667e-01"
 
 
 def test_integer_or_text_changes_fail():
@@ -90,10 +92,32 @@ def test_eigenvalue_lines_are_scaled_by_their_spectrum():
     assert lines[3] == "  max deviation 1.500e-14, relative 8.571e-16 of max|eig| 1.750e+01"
     # other lines keep their own size as the scale
     assert lines[6] == "  max deviation 1.250e-16, relative 5.000e-01"
-    assert lines[-1] == ("2 differing lines, largest numeric deviation "
-                         "1.500e-14, relative 5.000e-01")
+    # each class closes with its own largest deviation
+    assert lines[-3:] == [
+        "2 differing lines",
+        "eigenvalue lines: 1, largest |x - y| / max|eig| 8.571e-16 in msindex analyze "
+        "--family H --a 0.3 --json",
+        "other lines: 1, largest deviation 1.250e-16 in msindex analyze --family H --a 0.3 "
+        "--json, relative 5.000e-01 in msindex analyze --family H --a 0.3 --json"]
     # the exact-integer rule is unchanged inside a record
     assert _diff(a, a.replace("false", "true"))[0] == 1
+
+
+def test_closing_lines_bound_eigenvalues_apart_and_name_each_block():
+    # a spectrum that moves in its last bits beside a reproduce deviation
+    # text, a difference of nearly equal numbers, that moves by a third
+    a = (_analyze_record([17.5, 1.5e-14, -1.75]) + _analyze_record([2.0, -1.0]).replace(
+        "0.3", "0.7") + "## msindex reproduce --all\n  deviation 3.06e-10\n## exit 0\n")
+    b = (_analyze_record([17.5, 1.5e-14, -1.75]) + _analyze_record([2.0 + 4.4e-16, -1.0]).replace(
+        "0.3", "0.7") + "## msindex reproduce --all\n  deviation 1.94e-10\n## exit 0\n")
+    code, out = _diff(a, b)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "2 differing lines",
+        "eigenvalue lines: 1, largest |x - y| / max|eig| 2.220e-16 in msindex analyze "
+        "--family H --a 0.7 --json",
+        "other lines: 1, largest deviation 1.120e-10 in msindex reproduce --all, "
+        "relative 3.660e-01 in msindex reproduce --all"]
 
 
 # each metric's direction, as the repository's BENCHMARK.json gives it
@@ -189,6 +213,48 @@ def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
         _BETTER)["w --trace 0 (1 pairs)"]
 
 
+def _fake_perfbench(root, last_line):
+    """A stand-in for perfbench/run.py in root that ends with last_line."""
+    fake = root / "perfbench" / "run.py"
+    fake.parent.mkdir(parents=True, exist_ok=True)
+    fake.write_text("print('# w: 3 repetitions')\nprint(%r)\n" % last_line)
+
+
+def test_bench_pairs_stops_on_a_run_without_a_result(tmp_path):
+    for last in ("# missing linalg.solve.calls: span linalg.solve recorded no calls",
+                 "[1, 2]", '{"correct": true}'):
+        _fake_perfbench(tmp_path, last)
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.run_once(tmp_path, "w", 7, 1.0, 1)
+        message = str(stop.value)
+        assert "without a JSON result" in message
+        assert "w in %s (seed 7, --trace 1)" % tmp_path in message
+        assert repr(last[:200]) in message
+
+
+def test_bench_pairs_stops_on_a_result_missing_a_declared_metric(tmp_path):
+    metrics = {"wall_s": {"value": 1.0}, "linalg.share": {"value": 0.3}}
+    _fake_perfbench(tmp_path, json.dumps({"correct": True, "metrics": metrics}))
+    # present metrics pass, and the undeclared extra one is kept
+    _, result, reps = bench_pairs.run_once(tmp_path, "w", 7, 1.0, 0, ("wall_s",))
+    assert set(result["metrics"]) == set(metrics) and reps == 3
+    declared = ("wall_s", "linalg.solve.calls", "linalg.eig_selfadjoint.calls.n3")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run_once(tmp_path, "w", 8, 1.0, 1, declared)
+    message = str(stop.value)
+    assert "lacks 2 declared metrics" in message and "(seed 8, --trace 1)" in message
+    assert message.endswith("linalg.solve.calls, linalg.eig_selfadjoint.calls.n3")
+
+
+def test_bench_summary_refuses_a_run_missing_a_metric():
+    runs = [_run("w", 1, "parent", 1.0, 40.0), _run("w", 1, "change", 0.9, 40.0),
+            _run("w", 2, "parent", 1.0, 40.0), _run("w", 2, "change", 0.9, 40.0)]
+    del runs[3]["result"]["metrics"]["peak_rss_mb"]
+    with pytest.raises(ValueError, match="the change run of w --trace 0 with seed 2 lacks "
+                                         "peak_rss_mb"):
+        bench_pairs.summarize(runs, _BETTER)
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_bench_pairs_refuses_to_extend_a_file_it_would_corrupt(tmp_path):
     parent = tmp_path / "parent"
@@ -209,3 +275,26 @@ def test_bench_pairs_refuses_to_extend_a_file_it_would_corrupt(tmp_path):
         bench_pairs.main(args + ["--pairs", "1"])
     with pytest.raises(SystemExit, match="cannot read the revision"):
         bench_pairs.main([str(tmp_path)] + args[1:] + ["--pairs", "1"])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_checks_each_mode_against_its_declared_metrics(tmp_path):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}],
+        "per_layer": [{"name": "linalg.share", "better": "lower"}]}))
+    end_to_end = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 1.0}}})
+    for root in (parent, change):
+        _fake_perfbench(root, end_to_end)
+    out = tmp_path / "BENCH.json"
+    args = [str(parent), str(change), "--workload", "w", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    # the same result is one per-layer metric short under --trace 1
+    with pytest.raises(SystemExit, match=r"lacks 1 declared metrics: .*--trace 1\): linalg.share$"):
+        bench_pairs.main(args + ["--trace", "1"])

@@ -12,7 +12,11 @@ one process at a time, with S the ``run_seconds`` of CHANGE_DIR's
 ``BENCHMARK.json``.  Pair i uses seed SEED + i for both sides; the
 parent runs first in the even pairs and the change in the odd ones, so
 a drift of the host speed falls on both sides alike.  A failed run
-stops the script.
+stops the script, and so does a run whose last line is not a JSON
+result or whose result lacks a metric that CHANGE_DIR's
+``BENCHMARK.json`` declares for its mode (``end_to_end`` for --trace 0,
+``per_layer`` for --trace 1); the message names the run and the
+missing metrics.
 
 FILE is written in the layout of the repository's ``BENCH_<n>.json``:
 the command, the parent revision (``git rev-parse HEAD`` in PARENT_DIR),
@@ -46,20 +50,35 @@ WHAT = ("perfbench end-to-end (--trace 0) and per-layer (--trace 1) results for 
         "parent commit and this change, measured on the same machine in alternating pairs")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int):
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
+             required: tuple = ()):
     """One perfbench run in root; returns (machine line, result dict,
-    repetition count or None if perfbench did not print it)."""
+    repetition count or None if perfbench did not print it).  Stops,
+    naming the run, if it fails, if its last line is not a JSON result,
+    or if the result lacks one of the metrics named in required."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
+    run = "%s in %s (seed %d, --trace %d)" % (workload, root, seed, trace)
     if proc.returncode != 0 or not lines:
-        raise SystemExit("perfbench failed in %s (exit %d):\n%s"
-                         % (root, proc.returncode, proc.stderr[-2000:]))
+        raise SystemExit("perfbench failed: %s (exit %d):\n%s"
+                         % (run, proc.returncode, proc.stderr[-2000:]))
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not isinstance(result, dict) or not isinstance(result.get("metrics"), dict):
+        raise SystemExit("perfbench ended without a JSON result: %s; its last line is %r"
+                         % (run, lines[-1][:200]))
+    missing = [name for name in required if name not in result["metrics"]]
+    if missing:
+        raise SystemExit("perfbench result lacks %d declared metrics: %s: %s"
+                         % (len(missing), run, ", ".join(missing)))
     machine = next((line for line in lines if line.startswith("# machine ")), None)
     counted = re.compile(r"# %s: (\d+) repetitions" % re.escape(workload))
     reps = next((int(m.group(1)) for m in map(counted.match, lines) if m), None)
-    return machine, json.loads(lines[-1]), reps
+    return machine, result, reps
 
 
 def _machine_without_seed(line: str) -> str:
@@ -87,8 +106,10 @@ def summarize(runs: list, better: dict) -> dict:
     """Medians per (workload, trace) group and metric, parent against change.
 
     Runs pair up by seed; a second run of one side with the same seed
-    raises ValueError.  A run's repetition count is summarized as the
-    metric ``repetitions``, higher being better: a faster side fits
+    raises ValueError, and so does a run that lacks a metric another run
+    of its group has, naming the run and the metrics.  A run's
+    repetition count is summarized as the metric ``repetitions``,
+    higher being better: a faster side fits
     more repetitions into the run's time.  Each metric also gets each
     side's IQR and ``pairs_change_better``, the pairs in which the
     change is strictly better by its direction in better (metric name
@@ -100,6 +121,12 @@ def summarize(runs: list, better: dict) -> dict:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
     summary = {}
     for (workload, trace), group in groups.items():
+        have = {name for run in group for name in run["result"]["metrics"]}
+        for run in group:
+            missing = sorted(have - set(run["result"]["metrics"]))
+            if missing:
+                raise ValueError("the %s run of %s --trace %d with seed %d lacks %s"
+                                 % (run["side"], workload, trace, run["seed"], ", ".join(missing)))
         by_seed: dict = {}
         for run in group:
             pair = by_seed.setdefault(run["seed"], {})
@@ -164,12 +191,13 @@ def main(argv=None) -> int:
                          % (args.out, args.workload, args.trace, taken))
     benchmark = json.loads((args.change_dir / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    required = tuple(m["name"] for m in benchmark["end_to_end" if args.trace == 0 else "per_layer"])
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             machine, result, reps = run_once(sides[side], args.workload, seed, seconds,
-                                             args.trace)
+                                             args.trace, required)
             if machine is not None:
                 doc["machine"] = _machine_without_seed(machine)
             doc["runs"].append({"workload": args.workload, "trace": args.trace, "seed": seed,

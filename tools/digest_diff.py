@@ -9,8 +9,14 @@ max(|x|, |y|).  An eigenvalue line, one number of an ``"eig_..."``
 array of an ``analyze --json`` record, is divided by that spectrum's
 largest |value| in either file instead, so that a structural zero of
 Wdiff that moves by its own size reads as the small change it is
-against its matrix.  The last line gives the number of differing lines
-and the largest absolute and relative deviations over all of them.
+against its matrix.  The closing lines give the number of differing
+lines, then for the eigenvalue lines and for the other lines apart
+their count and largest deviations, each naming the block that holds
+it: for eigenvalue lines |x - y| over their spectrum's max|value|, a
+bound on how far the spectra moved; for the other lines the largest
+absolute deviation and the largest relative one, which for a
+difference of nearly equal numbers (a ``deviation`` text of
+``reproduce``) can be large though the inputs moved in their last bits.
 
 A floating-point number is a literal with a decimal point or an
 exponent, or inf/nan.  Everything else, including integers such as
@@ -84,7 +90,8 @@ def diff(lines_a: list, lines_b: list, out) -> int:
     header = None
     shown = None
     count = 0
-    worst = worst_rel = 0.0
+    # per class: [lines, (largest deviation, its block), (largest relative, its block)]
+    classes = {"eigenvalue": [0, (0.0, None), (0.0, None)], "other": [0, (0.0, None), (0.0, None)]}
     for i, (a, b) in enumerate(zip(lines_a, lines_b)):
         if a.startswith("## ") and a == b:
             header = a
@@ -107,11 +114,25 @@ def diff(lines_a: list, lines_b: list, out) -> int:
                 out.write("  max deviation %.3e, relative %.3e of max|eig| %.3e\n" % (dev + (scale,)))
             else:
                 out.write("  max deviation %.3e, relative %.3e\n" % dev)
-            worst = max(worst, dev[0])
-            worst_rel = max(worst_rel, dev[1])
-    out.write("%d differing lines, largest numeric deviation %.3e, "
-              "relative %.3e\n" % (count, worst, worst_rel))
+            entry = classes["eigenvalue" if scale else "other"]
+            entry[0] += 1
+            for k in (1, 2):
+                if dev[k - 1] > entry[k][0]:
+                    entry[k] = (dev[k - 1], header)
+    out.write("%d differing lines\n" % count)
+    for name, (lines, (worst, at), (worst_rel, at_rel)) in classes.items():
+        out.write("%s lines: %d" % (name, lines))
+        if name == "eigenvalue":
+            out.write(", largest |x - y| / max|eig| %.3e%s\n" % (worst_rel, _block(at_rel)))
+        else:
+            out.write(", largest deviation %.3e%s, relative %.3e%s\n"
+                      % (worst, _block(at), worst_rel, _block(at_rel)))
     return status
+
+
+def _block(header) -> str:
+    """' in <header>' for the block of a largest deviation, '' if none."""
+    return " in %s" % header[3:] if header else ""
 
 
 def main(argv: list) -> int:
