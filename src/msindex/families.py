@@ -17,7 +17,8 @@ the identities' integrands beside them, go to one integrate call.  A
 table takes one float or an (N,) array, a stack of N surfaces; the
 constants that depend on a alone are formed point by point in Python
 floats, so every point of a stack is bit for bit the surface alone,
-and so are its integral set and period frame.  deformation_data is
+and so are its integral set, held in Python floats like every
+IntegralSet, and its period frame.  deformation_data is
 one numpy path for one surface and for a stack: every P_ai entry is a
 sum of at most three terms over the powers x^-8 .. x^8 of one number
 x per surface, added elementwise, so each stack row is bit for bit
@@ -106,11 +107,8 @@ def canonical_param(p: SurfaceParam) -> SurfaceParam:
 
 @dataclass(frozen=True, slots=True)
 class IntegralSet:
-    """The eight period integrals of one surface, plus provenance.
-
-    A stacked set, from integral_set on a sequence of parameters, holds
-    one value per parameter in each numeric field, as (N,) arrays.
-    """
+    """The eight period integrals of one surface, plus provenance, in
+    Python floats."""
 
     A: float
     B: float
@@ -126,12 +124,6 @@ class IntegralSet:
 
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in "ABCDEFHI"}
-
-    def points(self) -> list["IntegralSet"]:
-        """The set of each point of a stacked set, in Python floats."""
-        rows = np.array([self.A, self.B, self.C, self.D, self.E, self.F, self.H, self.I,
-                         self.a, self.err_max]).T.tolist()
-        return [IntegralSet(*row[:8], self.family, *row[8:]) for row in rows]
 
 
 def _each(fn: Callable[[float], float], a: Values) -> Values:
@@ -404,33 +396,32 @@ _INTEGRALS = {
 }
 
 
-def _stack(p: Union[SurfaceParam, Sequence[SurfaceParam]],
-           caller: str) -> tuple[bool, tuple[SurfaceParam, ...], str]:
-    """Whether p is one parameter, p as a tuple of parameters, and their one family."""
-    single = isinstance(p, SurfaceParam)
-    params = (p,) if single else tuple(p)
+def _stack(params: Sequence[SurfaceParam], caller: str) -> tuple[tuple[SurfaceParam, ...], str]:
+    """params as a tuple, and their one family."""
+    params = tuple(params)
     if not params:
         raise DomainError(f"{caller} needs at least one parameter")
     fam = params[0].family
     for q in params:
         if q.family != fam:
             raise DomainError(f"a stack of parameters must share one family, got {fam} and {q.family}")
-    return single, params, fam
+    return params, fam
 
 
 def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
-                 config: QuadConfig = QuadConfig()) -> IntegralSet:
+                 config: QuadConfig = QuadConfig()) -> Union[IntegralSet, list[IntegralSet]]:
     """Compute the eight period integrals of one surface, or of a stack.
 
-    p is one parameter or a sequence of parameters of one family; a
-    sequence gives one stacked IntegralSet, each numeric field an (N,)
-    array, every point bit for bit the set of that parameter alone.
-    tD must be folded onto tP by canonical_param first.  For H the
-    parameter may sit on either side of 1 (the two sides describe the
-    same surface and give the same integrals); the other families are
-    validated against their strict domains.
+    p is one parameter, which gives its IntegralSet, or a sequence of
+    parameters of one family, which gives the list of their sets,
+    integrated as one stack, every point bit for bit the set of that
+    parameter alone.  tD must be folded onto tP by canonical_param
+    first.  For H the parameter may sit on either side of 1 (the two
+    sides describe the same surface and give the same integrals); the
+    other families are validated against their strict domains.
     """
-    single, params, fam = _stack(p, "integral_set")
+    single = isinstance(p, SurfaceParam)
+    params, fam = _stack([p] if single else p, "integral_set")
     for q in params:
         if fam == "tD":
             raise DomainError("tD shares its integrals with tP; apply canonical_param first")
@@ -443,7 +434,11 @@ def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
             validate_param(q)
     a = p.a if single else np.array([q.a for q in params])
     vals, err = _INTEGRALS[fam](a, config)
-    return IntegralSet(family=fam, a=a, err_max=err, **vals)
+    if single:
+        return IntegralSet(family=fam, a=a, err_max=err, **vals)
+    # each point's values as Python floats, in the field order of IntegralSet
+    points = np.array([vals[k] for k in "ABCDEFHI"] + [a, err]).T.tolist()
+    return [IntegralSet(*x[:8], fam, *x[8:]) for x in points]
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +523,11 @@ _IM_TAU_RESIDUAL = math.sqrt(3.0) * linalg.RESIDUAL_TOL
 _EYE3 = np.broadcast_to(np.eye(3), (3, 3))  # read-only
 
 
-def period_frame(integrals: IntegralSet) -> PeriodFrame:
+def period_frame(integrals: Union[IntegralSet, Sequence[IntegralSet]]) -> PeriodFrame:
     """Assemble the 6x6 period matrix and the period ratio tau from the
     integrals of one surface, in the period table of integrals.family;
-    a stacked set gives a stacked frame, (N, 6, 6) and (N, 3, 3).
+    the list of integral sets of a stack, of one family, gives a stacked
+    frame, (N, 6, 6) and (N, 3, 3).
 
     Raises RiemannMatrixViolation, naming the parameter, if tau comes
     out non-symmetric or its imaginary part is not positive definite.
@@ -541,26 +537,23 @@ def period_frame(integrals: IntegralSet) -> PeriodFrame:
     |tau - tau^t|_F^2 / 4)^(1/2) >= _IM_TAU_FLOOR * |Im tau|_F, or if
     |Im tau X - I|_F > _IM_TAU_RESIDUAL.
     """
-    rows, times_i = _OMEGA_BUILDERS[integrals.family]
-    s = integrals
-    fields = (s.A, s.B, s.C, s.D, s.E, s.F, s.H, s.I)
-    if isinstance(s.a, np.ndarray):
-        # each point's rows from Python floats, as for one surface, then one array
-        params = s.a.tolist()
-        points = np.array(fields).T.tolist()
-        shape = (len(params), 6, 6)
-    else:
-        params, points, shape = [s.a], [fields], (6, 6)
-    omega = np.array([x for v in points for row in rows(*v) for x in row], dtype=complex)
-    omega = omega.reshape(shape)
+    one = isinstance(integrals, IntegralSet)
+    sets = [integrals] if one else integrals
+    fams = {s.family for s in sets}
+    if len(fams) != 1:
+        raise DomainError(f"period_frame needs integral sets of one family, got {sorted(fams)}")
+    rows, times_i = _OMEGA_BUILDERS[fams.pop()]
+    # each point's rows from its Python floats, then one array
+    points = [rows(s.A, s.B, s.C, s.D, s.E, s.F, s.H, s.I) for s in sets]
+    omega = np.array(points[0] if one else points, dtype=complex)
     if times_i:
         omega = 1j * omega
     tau = linalg.solve(omega[..., :3, :3], omega[..., :3, 3:])
     im = tau.imag
     lam, vec = linalg.eig_selfadjoint(0.5 * (im + im.swapaxes(-1, -2)), vectors=True)
     im_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
-    checks = zip(params, linalg.norms(tau - tau.swapaxes(-1, -2)), linalg.norms(tau),
-                 lam.reshape(-1, 3).tolist(), linalg.norms(im @ im_inv - _EYE3))
+    checks = zip([s.a for s in sets], linalg.norms(tau - tau.swapaxes(-1, -2)),
+                 linalg.norms(tau), lam.reshape(-1, 3).tolist(), linalg.norms(im @ im_inv - _EYE3))
     for a, defect, norm, eigs, resid in checks:
         if defect > _TAU_SYM_TOL * max(norm, 1e-300):
             raise RiemannMatrixViolation(f"tau asymmetry {defect:.3e} at a = {a!r}")
@@ -674,15 +667,18 @@ _POINT_SEPARATION = 1e-8
 def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarray:
     """Derivatives of the period integrands in the five branch points.
 
-    p is one canonical parameter, or a sequence of them of one family.
-    Checks that each branch point lies on its curve and that no two
-    collide, naming the parameter where one fails, then returns the 3x6
-    matrix P_ai of every point as one read-only (5, 3, 6) array, or
-    (N, 5, 3, 6); tangent_frame maps it through P1 and P2.  One gather
-    from the powers of x, one product and two sums compute a whole stack
-    elementwise (_gather_table), so each row is bit for bit its point alone.
+    p is a sequence of canonical parameters of one family, or one of
+    them.  Checks that each branch point lies on its curve and that no
+    two collide, naming the parameter where one fails, then returns the
+    3x6 matrix P_ai of every point as one read-only (N, 5, 3, 6) array,
+    or (5, 3, 6) for one parameter, the row of its stack of one;
+    tangent_frame maps it through P1 and P2.  One gather from the powers
+    of x, one product and two sums compute a whole stack elementwise
+    (_gather_table), so each row is bit for bit its point alone.
     """
-    single, params, fam = _stack(p, "deformation_data")
+    if isinstance(p, SurfaceParam):
+        return deformation_data([p])[0]
+    params, fam = _stack(p, "deformation_data")
     for q in params:
         validate_param(q)
         if canonical_param(q) is not q:
@@ -706,7 +702,7 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
                                       f"at a = {q.a!r}")
     p_ai = vals[:, :90].reshape(-1, 5, 3, 6)
     p_ai.flags.writeable = False
-    return p_ai[0] if single else p_ai
+    return p_ai
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ _HERMITIAN_DEFECT_TOL = 1e-9
 _PIVOT_TOL = 1e-14
 RESIDUAL_TOL = 1e-10
 
-# the n x n identity that solve appends to b, one read-only view per n
-_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))
+# the identities that solve appends to b, one read-only view per shape (..., n, n)
+_eye = functools.lru_cache(maxsize=64)(lambda shape: np.broadcast_to(np.eye(shape[-1]), shape))
 
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
@@ -70,17 +70,19 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 def norms(m) -> list[float]:
     """The Frobenius norm of each matrix of a stack (..., rows, cols), or
     of one matrix, as a flat list, for tolerance tests: one BLAS dot per
-    matrix (np.vdot alone, np.vecdot over a stack, with the same bits),
-    which sums in another order than frobenius and is rescaled as
-    frobenius where the sum overflows or underflows."""
+    matrix, which sums in another order than frobenius and is rescaled as
+    frobenius where the sum overflows or underflows.  One matrix takes
+    np.vdot, which never warns; more take one np.vecdot, with the same
+    bits, which is faster from two matrices on."""
     x = np.asarray(m)
-    if x.ndim == 2:
+    shape = x.shape[-2:]
+    if x.size == shape[0] * shape[1]:
         v = math.sqrt(np.vdot(x, x).real)
-        return [v if 0.0 < v < math.inf else frobenius(x)]
-    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
+        return [v if 0.0 < v < math.inf else frobenius(x.reshape(shape))]
+    flat = x.reshape(-1, shape[0] * shape[1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sums = np.vecdot(flat, flat).real.tolist()
-    return [v if 0.0 < v < math.inf else frobenius(x.reshape((-1,) + x.shape[-2:])[j])
+    return [v if 0.0 < v < math.inf else frobenius(x.reshape((-1,) + shape)[j])
             for j, v in enumerate(map(math.sqrt, sums))]
 
 
@@ -148,9 +150,8 @@ def solve(a, b) -> np.ndarray:
     if 0.0 in scale:
         raise SingularMatrix(f"zero coefficient matrix{_where(aa, scale.index(0.0))}")
 
-    eye = _eye(n) if bb.ndim == 2 else np.broadcast_to(_eye(n), bb.shape[:-1] + (n,))
     try:
-        sol = np.linalg.solve(aa, np.concatenate([bb, eye], axis=-1))
+        sol = np.linalg.solve(aa, np.concatenate([bb, _eye(bb.shape[:-1] + (n,))], axis=-1))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"gesv: {exc}") from exc
     x = sol[..., :k]
@@ -167,13 +168,6 @@ def solve(a, b) -> np.ndarray:
                 f"solution residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * |b|{_where(aa, j)}")
     # a copy, so that a kept solution does not hold all of [x | a^-1]
     return (x[..., 0] if rhs_was_vector else x).copy()
-
-
-def count_signs(eigenvalues, zero_tol: float) -> tuple[int, int, int]:
-    vals = np.asarray(eigenvalues, dtype=float)
-    pos = int(np.count_nonzero(vals > zero_tol))
-    neg = int(np.count_nonzero(vals < -zero_tol))
-    return pos, neg, len(vals) - pos - neg
 
 
 def eig_selfadjoint(m, vectors: bool = False):

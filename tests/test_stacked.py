@@ -11,8 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from sign_counts import count_signs
 
-from msindex import cli, families, linalg, moduli
+from msindex import cli, families, moduli
 from msindex.errors import DomainError, NonConvergence
 from msindex.families import SurfaceParam, admissible_range, canonical_param
 from msindex.sweep import (_FLANK_OFFSET, DEFAULT_WINDOWS, SweepConfig, _grid, _raw_negatives,
@@ -59,13 +60,39 @@ def test_stacked_grid_equals_fresh_one_point_analyses(family, cfg):
             assert getattr(res.report, field) == getattr(alone.report, field), field
 
 
+# the shape and dtype of one surface's row of each array a cached analysis holds
+_ROWS = {"omega": ((6, 6), complex), "tau": ((3, 3), complex), "im_tau_inv": ((3, 3), float),
+         "w": ((9, 9), complex), "wdiff": ((18, 18), float), "eig_w": ((9,), float),
+         "eig_wdiff": ((18,), float)}
+
+
+def _arrays(record):
+    """(field name, array) of every array field of a slotted record and
+    of the slotted records it holds."""
+    for name in record.__slots__:
+        value = getattr(record, name)
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif hasattr(value, "__slots__"):
+            yield from _arrays(value)
+
+
 def test_stacked_records_own_their_arrays():
+    # a one-point analyze and a point of a 3-point stack: every array of
+    # the cached analysis owns its data, which is its own row's alone
     moduli._analyze_cached.cache_clear()
-    res = moduli.analyze_many([SurfaceParam("tP", a) for a in (3.0, 4.0, 5.0)])[1]
-    for arr in (res.frame.omega, res.frame.tau, res.key.w, res.key.wdiff,
-                res.report.eig_w, res.report.eig_wdiff):
-        assert arr.base is None
-    assert not res.report.eig_w.flags.writeable
+    alone = moduli.analyze(SurfaceParam("tP", 6.0))
+    stacked = moduli.analyze_many([SurfaceParam("tP", a) for a in (3.0, 4.0, 5.0)])[1]
+    for res in (alone, stacked):
+        arrays = dict(_arrays(res))
+        assert sorted(arrays) == sorted(_ROWS)
+        for name, arr in arrays.items():
+            shape, dtype = _ROWS[name]
+            assert arr.base is None, name
+            assert arr.shape == shape and arr.dtype == dtype, name
+            assert arr.nbytes == np.dtype(dtype).itemsize * int(np.prod(shape)), name
+        assert not res.report.eig_w.flags.writeable
+    moduli._analyze_cached.cache_clear()
 
 
 def test_reproduce_counts_each_computed_point_once():
@@ -393,12 +420,12 @@ def test_stacked_reports_equal_the_one_point_report_row_by_row():
             assert type(g) is type(v) and (g == v), field
             if isinstance(v, float):
                 assert g.hex() == v.hex(), field
-        # the counts by bisection of the sorted spectra equal linalg.count_signs
+        # the counts by bisection of the sorted spectra equal the reference counts
         assert (got.kernel_dim_wdiff, got.index_E) == (
-            linalg.count_signs(got.eig_wdiff, got.zero_tol_wdiff)[2],
-            1 + linalg.count_signs(got.eig_wdiff, got.zero_tol_wdiff)[1])
+            count_signs(got.eig_wdiff, got.zero_tol_wdiff)[2],
+            1 + count_signs(got.eig_wdiff, got.zero_tol_wdiff)[1])
         tol_w = got.zero_tol_w if got.degenerate else 0.0
-        assert (got.p, got.q, got.nullity_E) == linalg.count_signs(got.eig_w, tol_w)
+        assert (got.p, got.q, got.nullity_E) == count_signs(got.eig_w, tol_w)
 
 
 def test_grid_samples_equal_the_per_sample_arithmetic(family_sweeps):
@@ -410,4 +437,4 @@ def test_grid_samples_equal_the_per_sample_arithmetic(family_sweeps):
                 det *= v
             assert s.det_w.hex() == det.hex()
             assert s.min_abs_eig_w.hex() == min(abs(v) for v in eig).hex()
-            assert int(_raw_negatives(eig)) == linalg.count_signs(eig, 0.0)[1]
+            assert int(_raw_negatives(eig)) == count_signs(eig, 0.0)[1]

@@ -1,5 +1,6 @@
-"""Tests for the digest comparison and benchmark pairing scripts in tools/."""
+"""Tests for the digest comparison, benchmark pairing and layer timing scripts in tools/."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -21,6 +22,7 @@ def _load(name):
 
 digest_diff = _load("digest_diff")
 bench_pairs = _load("bench_pairs")
+pair_layers = _load("pair_layers")
 
 
 def _diff(a: str, b: str):
@@ -298,3 +300,31 @@ def test_bench_pairs_checks_each_mode_against_its_declared_metrics(tmp_path):
     # the same result is one per-layer metric short under --trace 1
     with pytest.raises(SystemExit, match=r"lacks 1 declared metrics: .*--trace 1\): linalg.share$"):
         bench_pairs.main(args + ["--trace", "1"])
+
+
+def test_pair_layers_times_a_tree_against_itself():
+    # one round of one call: every point is timed on both sides, the
+    # layers are found, and a tree's analyses equal its own bit for bit
+    src = _TOOLS.parent / "src"
+    out = io.StringIO()
+    assert pair_layers.pair(src, src, rounds=1, calls=1, out=out)
+    text = out.getvalue()
+    for family, a in pair_layers.POINTS:
+        assert "%s %r (us; min of 1 rounds x 1 calls)" % (family, a) in text
+    assert text.count("outputs: bit-identical") == len(pair_layers.POINTS)
+    for line in ("  analyze ", "  families.integral_set ", "  moduli.spectral_report "):
+        assert text.count(line) == len(pair_layers.POINTS), line
+
+
+def test_pair_layers_names_each_differing_field():
+    from msindex import moduli
+    from msindex.families import SurfaceParam
+
+    res = moduli.analyze(SurfaceParam("tP", 7.0))
+    assert pair_layers.differing(res, res) == []
+    moved = dataclasses.replace(res, integrals=dataclasses.replace(
+        res.integrals, A=res.integrals.A * (1.0 + 2.0 ** -52)))
+    assert pair_layers.differing(res, moved) == ["integrals.A"]
+    flipped = dataclasses.replace(res, report=dataclasses.replace(
+        res.report, eig_w=-res.report.eig_w))
+    assert pair_layers.differing(res, flipped) == ["report.eig_w"]
