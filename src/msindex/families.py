@@ -13,7 +13,14 @@ cancellation-prone factors expanded by hand.  Each family defines its
 integrands once, as quadrature tables with named rows (H: ``near0``
 and ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``)
 that share their radicands; all the tables of an integral set, with
-the identities' integrands beside them, go to one integrate call.  A
+the identities' integrands beside them, go to one integrate call.
+What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
+radicand factors without a) comes from a feature function at module
+level, which the quadrature computes once per node set and keeps, so a
+form call does only the arithmetic that depends on a, in the order the
+form written inline would.  H's identity integrands compute everything
+inline: the interval of ``mid`` starts at a, so its nodes differ with
+every parameter.  A
 table takes one float or an (N,) array, a stack of N surfaces; the
 constants that depend on a alone are formed point by point in Python
 floats, so every point of a stack is bit for bit the surface alone,
@@ -155,39 +162,59 @@ def _integrate_all(tables: dict[str, Integrand],
     return values, (np.maximum.reduce(errs) if isinstance(errs[0], np.ndarray) else max(errs))
 
 
+def _near0_features(t):
+    tt = t * t
+    t25 = t ** 2.5
+    return t, t ** 3, 1.0 + tt, 1.0 - tt, t25 * (1.0 + tt), t25 * (1.0 - tt), t ** 3.5
+
+
+def _near0(nodes, a, a3, ia3):
+    t, t3, plus, minus, plus25, minus25, t35 = nodes
+    rad = (t3 + a3) * (t3 + ia3)
+    root = np.sqrt(t * rad)
+    rad15 = rad ** 1.5
+    return plus / root, minus / root, t / root, plus25 / rad15, minus25 / rad15, t35 / rad15
+
+
+def _cap_rows(x, pol, span, root_span):
+    # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span); span = 1 - x^2
+    root = np.sqrt(pol * span)
+    den = pol ** 1.5 * root_span
+    return x / root, 1.0 / root, x / den, 1.0 / den
+
+
+def _cap_features(x):
+    span = 1.0 - x * x
+    return x, 6.0 * x, 8.0 * x ** 3, span, np.sqrt(span)
+
+
+def _cap(nodes, a, a3, ia3, c):
+    x, x6, x8_3, span, root_span = nodes
+    return _cap_rows(x, a3 + ia3 + x6 - x8_3, span, root_span)
+
+
+def _cap_hi_features(s):
+    # a^3 + 1/a^3 + 6x - 8x^3 less c, and 1 - x^2, at x = 1 - s
+    span = s * (2.0 - s)
+    return 1.0 - s, s * (18.0 - s * (24.0 - 8.0 * s)), span, np.sqrt(span)
+
+
+def _cap_hi(nodes, a, a3, ia3, c):
+    x, rise, span, root_span = nodes
+    return _cap_rows(x, c + rise, span, root_span)
+
+
 def _integrands_H(a: Values) -> dict[str, Integrand]:
     a3 = _each(lambda x: x ** 3, a)
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-
-    def near0(t, a, a3, ia3):
-        tt = t * t
-        t3 = t ** 3
-        rad = (t3 + a3) * (t3 + ia3)
-        root = np.sqrt(t * rad)
-        rad15 = rad ** 1.5
-        t25 = t ** 2.5
-        return ((1.0 + tt) / root, (1.0 - tt) / root, t / root,
-                t25 * (1.0 + tt) / rad15, t25 * (1.0 - tt) / rad15, t ** 3.5 / rad15)
-
-    def cap_rows(x, pol, span):
-        # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span); span = 1 - x^2
-        root = np.sqrt(pol * span)
-        den = pol ** 1.5 * np.sqrt(span)
-        return x / root, 1.0 / root, x / den, 1.0 / den
-
-    def cap(x, a, a3, ia3, c):
-        return cap_rows(x, a3 + ia3 + 6.0 * x - 8.0 * x ** 3, 1.0 - x * x)
-
-    def cap_hi(s, a, a3, ia3, c):
-        # a^3 + 1/a^3 + 6x - 8x^3 and 1 - x^2 at x = 1 - s
-        return cap_rows(1.0 - s, c + s * (18.0 - s * (24.0 - 8.0 * s)), s * (2.0 - s))
-
     return {
-        "near0": Integrand(near0, 0.0, 1.0, singular_lo=True,
-                           names=("A", "B1", "D", "E", "F1", "I"), params=(a, a3, 1.0 / a3)),
-        "cap": Integrand(cap, 0.5, 1.0, singular_hi=True, from_hi=cap_hi,
-                         names=("B2", "C", "F2", "H"), params=(a, a3, 1.0 / a3, c)),
+        "near0": Integrand(_near0, 0.0, 1.0, singular_lo=True,
+                           names=("A", "B1", "D", "E", "F1", "I"), params=(a, a3, 1.0 / a3),
+                           features=_near0_features),
+        "cap": Integrand(_cap, 0.5, 1.0, singular_hi=True, from_hi=_cap_hi,
+                         names=("B2", "C", "F2", "H"), params=(a, a3, 1.0 / a3, c),
+                         features=_cap_features, features_hi=_cap_hi_features),
     }
 
 
@@ -231,6 +258,18 @@ class _RPDCurve:
         return self.q - 2.0 * t3
 
 
+def _rpd_unit_features(t):
+    t3 = t ** 3
+    return t, t3, t * (1.0 - t3)
+
+
+def _rpd_unit_hi_features(s):
+    # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
+    t = 1.0 - s
+    t3 = t ** 3
+    return s, t, t3, t * s * (3.0 - s * (3.0 - s))
+
+
 def _rpd_unit(params, names, alt, nums, nums_hi=None) -> Integrand:
     """The table of num_i(t) / sqrt(R_i(t)) on (0, 1), singular at both ends.
 
@@ -248,19 +287,30 @@ def _rpd_unit(params, names, alt, nums, nums_hi=None) -> Integrand:
         alt_root = np.sqrt(base * (c.ia3 * t3 + c.a3)) if any(alt) else None
         return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
 
-    def f(t, *cols):
+    def f(nodes, *cols):
+        t, t3, base = nodes
         c = _RPDCurve(*cols)
-        t3 = t ** 3
-        return rows(c, nums(c, t, t3), t * (1.0 - t3), t3)
+        return rows(c, nums(c, t, t3), base, t3)
 
-    def f_hi(s, *cols):
-        # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
+    def f_hi(nodes, *cols):
+        s, t, t3, base = nodes
         c = _RPDCurve(*cols)
-        t = 1.0 - s
-        t3 = t ** 3
-        return rows(c, nums_hi(c, s, t, t3), t * s * (3.0 - s * (3.0 - s)), t3)
+        return rows(c, nums_hi(c, s, t, t3), base, t3)
 
-    return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names, params=params)
+    return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names, params=params,
+                     features=_rpd_unit_features, features_hi=_rpd_unit_hi_features)
+
+
+def _rpd_tail_features(t):
+    t3 = t ** 3
+    return t, t3, t * (t3 - 1.0)
+
+
+def _rpd_tail_lo_features(s):
+    # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
+    t = 1.0 + s
+    t3 = t ** 3
+    return s, t, t3, t * s * (s * (s + 3.0) + 3.0)
 
 
 def _rpd_tail(params, names, nums, nums_lo=None) -> Integrand:
@@ -270,22 +320,21 @@ def _rpd_tail(params, names, nums, nums_lo=None) -> Integrand:
         def nums_lo(c, s, t, t3):
             return nums(c, t, t3)
 
-    def f(t, *cols):
+    def f(nodes, *cols):
+        t, t3, base = nodes
         c = _RPDCurve(*cols)
-        t3 = t ** 3
-        root = np.sqrt(t * (t3 - 1.0) * (c.a3 * t3 + c.ia3))
+        root = np.sqrt(base * (c.a3 * t3 + c.ia3))
         return tuple(n / root for n in nums(c, t, t3))
 
-    def f_lo(s, *cols):
-        # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
+    def f_lo(nodes, *cols):
+        s, t, t3, base = nodes
         c = _RPDCurve(*cols)
-        t = 1.0 + s
-        t3 = t ** 3
-        root = np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (c.a3 * t3 + c.ia3))
+        root = np.sqrt(base * (c.a3 * t3 + c.ia3))
         return tuple(n / root for n in nums_lo(c, s, t, t3))
 
     return Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names,
-                     params=params)
+                     params=params, features=_rpd_tail_features,
+                     features_lo=_rpd_tail_lo_features)
 
 
 def _integrands_rPD(a: Values) -> dict[str, Integrand]:
@@ -320,26 +369,33 @@ def _integrals_rPD(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Va
     }, err
 
 
-def _quartic(t4, a):
-    """t^8 + a t^4 + 1 from t4 = t**4, and its square root and 1.5 power."""
-    quartic = t4 * t4 + a * t4 + 1.0
+def _quartic(t8, t4, a):
+    """t^8 + a t^4 + 1 from t8 = t4 * t4 and t4 = t**4, and its square
+    root and 1.5 power."""
+    quartic = t8 + a * t4 + 1.0
     return np.sqrt(quartic), quartic ** 1.5
 
 
-def _integrands_tP(a: Values) -> dict[str, Integrand]:
-    def periods(t, a):
-        tt = t * t
-        t4 = t ** 4
-        root, cube = _quartic(t4, a)
-        # 16 t^4 - 16 t^2 + 2 + a, grouped around its minimum
-        ridge = 16.0 * (tt - 0.5) ** 2 + (a - 2.0)
-        flat = (2.0 + a) * tt * tt + (2.0 * a - 12.0) * tt + (2.0 + a)
-        return ((1.0 - tt) / root, (1.0 + tt) / root, t / root,
-                t4 * (1.0 - tt) / cube, t4 * (1.0 + tt) / cube, t ** 5 / cube,
-                1.0 / np.sqrt(ridge), 1.0 / np.sqrt(flat),
-                1.0 / ridge ** 1.5, (1.0 + tt) ** 2 / flat ** 1.5)
+def _tp_features(t):
+    tt = t * t
+    t4 = t ** 4
+    plus, minus = 1.0 + tt, 1.0 - tt
+    return (t, tt, t4 * t4, t4, plus, minus, t4 * minus, t4 * plus, t ** 5,
+            16.0 * (tt - 0.5) ** 2, plus ** 2)
 
-    return {"periods": Integrand(periods, 0.0, 1.0, params=(a,),
+
+def _tp(nodes, a):
+    t, tt, t8, t4, plus, minus, minus4, plus4, t5, ridge0, plus_sq = nodes
+    root, cube = _quartic(t8, t4, a)
+    # 16 t^4 - 16 t^2 + 2 + a, grouped around its minimum
+    ridge = ridge0 + (a - 2.0)
+    flat = (2.0 + a) * tt * tt + (2.0 * a - 12.0) * tt + (2.0 + a)
+    return (minus / root, plus / root, t / root, minus4 / cube, plus4 / cube, t5 / cube,
+            1.0 / np.sqrt(ridge), 1.0 / np.sqrt(flat), 1.0 / ridge ** 1.5, plus_sq / flat ** 1.5)
+
+
+def _integrands_tP(a: Values) -> dict[str, Integrand]:
+    return {"periods": Integrand(_tp, 0.0, 1.0, params=(a,), features=_tp_features,
                                  names=("A1", "B", "C", "E1", "F", "H", "A2", "D", "E2", "I"))}
 
 
@@ -357,20 +413,25 @@ def _integrals_tP(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Val
     }, err
 
 
-def _integrands_tCLP(a: Values) -> dict[str, Integrand]:
-    def periods(t, a, b):
-        # tP's B, C, F and H rows over the quartic at +|a| and at -|a|;
-        # the latter is t^8 - |a| t^4 + 1 bit for bit
-        tt = t * t
-        t4 = t ** 4
-        t5 = t ** 5
-        root_p, cube_p = _quartic(t4, b)
-        root_m, cube_m = _quartic(t4, -b)
-        even = t4 * (1.0 + tt)
-        return ((1.0 + tt) / root_m, (1.0 + tt) / root_p, t / root_p, t / root_m,
-                even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
+def _tclp_features(t):
+    tt = t * t
+    t4 = t ** 4
+    plus = 1.0 + tt
+    return t, t4 * t4, t4, plus, t4 * plus, t ** 5
 
-    return {"periods": Integrand(periods, 0.0, 1.0, params=(a, abs(a)),
+
+def _tclp(nodes, a, b):
+    # tP's B, C, F and H rows over the quartic at +|a| and at -|a|;
+    # the latter is t^8 - |a| t^4 + 1 bit for bit
+    t, t8, t4, plus, even, t5 = nodes
+    root_p, cube_p = _quartic(t8, t4, b)
+    root_m, cube_m = _quartic(t8, t4, -b)
+    return (plus / root_m, plus / root_p, t / root_p, t / root_m,
+            even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
+
+
+def _integrands_tCLP(a: Values) -> dict[str, Integrand]:
+    return {"periods": Integrand(_tclp, 0.0, 1.0, params=(a, abs(a)), features=_tclp_features,
                                  names=("A", "B", "C", "D", "E", "F", "H", "I"))}
 
 

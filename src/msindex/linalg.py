@@ -77,13 +77,19 @@ def norms(m) -> list[float]:
     x = np.asarray(m)
     shape = x.shape[-2:]
     if x.size == shape[0] * shape[1]:
-        v = math.sqrt(np.vdot(x, x).real)
-        return [v if 0.0 < v < math.inf else frobenius(x.reshape(shape))]
+        return [_norm(x.reshape(shape))]
     flat = x.reshape(-1, shape[0] * shape[1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sums = np.vecdot(flat, flat).real.tolist()
     return [v if 0.0 < v < math.inf else frobenius(x.reshape((-1,) + shape)[j])
             for j, v in enumerate(map(math.sqrt, sums))]
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of one matrix x as norms takes it: one np.vdot,
+    rescaled as frobenius where the sum overflows or underflows."""
+    v = math.sqrt(np.vdot(x, x).real)
+    return v if 0.0 < v < math.inf else frobenius(x)
 
 
 def frobenius(m):
@@ -140,8 +146,9 @@ def solve(a, b) -> np.ndarray:
             rhs_was_vector and aa.ndim > 2):
         raise DimensionMismatch(f"rhs shape {np.asarray(b).shape} does not match {aa.shape}")
     k = bb.shape[-1]
-    scale = norms(aa)
-    rhs_norm = norms(bb)
+    # a single system takes each norm by one _norm, a stack by norms
+    measure = norms if aa.ndim > 2 else (lambda x: [_norm(x)])
+    scale, rhs_norm = measure(aa), measure(bb)
     if len(rhs_norm) < len(scale):
         rhs_norm *= len(scale)
     if not math.isfinite(sum(scale) + sum(rhs_norm)):  # an inf or nan entry makes a norm so
@@ -156,13 +163,13 @@ def solve(a, b) -> np.ndarray:
         raise SingularMatrix(f"gesv: {exc}") from exc
     x = sol[..., :k]
     bound = pivot_bound(n)
-    for j, (s, inv) in enumerate(zip(scale, norms(sol[..., k:]))):
+    for j, (s, inv) in enumerate(zip(scale, measure(sol[..., k:]))):
         if not (1.0 / inv >= bound * s):
             raise SingularMatrix(
                 f"smallest singular value may be below {bound:.1e} * norm "
                 f"(1/|a^-1| = {1.0 / inv:.3e}){_where(aa, j)}")
 
-    for j, (resid, r) in enumerate(zip(norms(aa @ x - bb), rhs_norm)):
+    for j, (resid, r) in enumerate(zip(measure(aa @ x - bb), rhs_norm)):
         if r > 0.0 and not (resid <= RESIDUAL_TOL * r):
             raise SingularMatrix(
                 f"solution residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * |b|{_where(aa, j)}")
@@ -172,7 +179,8 @@ def solve(a, b) -> np.ndarray:
 
 def eig_selfadjoint(m, vectors: bool = False):
     """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``,
-    sorted descending in one contiguous read-only float64 array; for a
+    sorted descending in one contiguous read-only array (float64, or
+    float32 for float32 input, as LAPACK gives them); for a
     stack (..., n, n), shape (..., n), each spectrum bit for bit that of
     its matrix alone.  vectors=True gives (values, vectors) by ``eigh``,
     the eigenvectors as the columns of a read-only (..., n, n) array.
@@ -188,7 +196,8 @@ def eig_selfadjoint(m, vectors: bool = False):
     # an inf or nan entry makes the sum of squares inf or nan; so may a finite overflow
     if not math.isfinite(np.vdot(a, a).real):
         _require_finite(a, "matrix")
-    adjoint = a.conj().swapaxes(-1, -2)
+    is_complex = a.dtype.kind == "c"
+    adjoint = (a.conj() if is_complex else a).swapaxes(-1, -2)
     exact = a == adjoint
     if not exact.all():
         for j, (scale, defect) in enumerate(zip(norms(a), norms(a - adjoint))):
@@ -196,11 +205,17 @@ def eig_selfadjoint(m, vectors: bool = False):
                 raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}{_where(a, j)}")
         a = np.where(exact.all(axis=(-2, -1))[..., None, None], a, 0.5 * (a + adjoint))
     # a matrix with a zero imaginary part goes in as a real one, also within a stack
-    has_imag = a.imag.any(axis=(-2, -1), keepdims=True) if a.dtype.kind == "c" else None
-    count = None if has_imag is None else np.count_nonzero(has_imag)
-    if count == 0:
-        a = a.real
-    mixed = has_imag[..., 0, 0] if count and count < has_imag.size else None
+    mixed = None
+    if is_complex and a.ndim == 2:
+        if not a.imag.any():
+            a = a.real
+    elif is_complex:
+        has_imag = a.imag.any(axis=(-2, -1))
+        count = np.count_nonzero(has_imag)
+        if count == 0:
+            a = a.real
+        elif count < has_imag.size:
+            mixed = has_imag
     name = "eigh" if vectors else "eigvalsh"
     lapack = getattr(np.linalg, name)
     try:
@@ -213,7 +228,7 @@ def eig_selfadjoint(m, vectors: bool = False):
                     out[rows] = res
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"{name} failed: {exc}") from exc
-    values = np.array(found[0][..., ::-1], dtype=np.float64)
+    values = found[0][..., ::-1].copy()
     values.flags.writeable = False
     if not vectors:
         return values

@@ -27,11 +27,17 @@ nodes and returns an array of shape (n,), or ``integrate`` raises
 TypeError.  An ``Integrand`` with ``names`` is a table of k integrands
 that share the interval and the forms; its forms return k rows, shape
 (k, n), and compute the subexpressions the rows share once per call.
-A single integrand is the table of one unnamed row.
+A single integrand is the table of one unnamed row.  The subexpressions
+in the nodes alone are computed once per node set: a form with a
+feature function (``features``, ``features_lo``, ``features_hi``) is
+called on that function's value at its nodes instead of the nodes, and
+the value is formed on first use and kept read-only beside the nodes,
+per interval, level and side.
 
 A table can also depend on a parameter: an ``Integrand`` with
 ``params``, the parameter itself and any constants derived from it, has
-forms called as ``fn(x, *cols)``.  For one surface each is a float.
+forms called as ``fn(x, *cols)``, x being the nodes or their features.
+For one surface each is a float.
 For a stack of N surfaces each is a 1-D array of N values, and the
 forms get them as (M, 1) columns over the M points being evaluated and
 return each row with that leading axis, shape (k, M, n); a single point
@@ -53,20 +59,24 @@ cached block.  Each distinct form is called once on the nodes of every
 side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
 and the midpoint in a single call.  Each row keeps its own trapezoid
-sum and its own stopping level.  Each table's two sides are summed per
-level in one ``np.vecdot`` call, which runs each row's side through
-the same BLAS dot as ``np.dot``; the sums of levels 0-5 of every row of
-every integrand in the pass go into one array, and each row's
-trapezoid sums, values, changes and stopping level there come from a
-few whole-array operations, with no loop over the levels.  Past the
+sum and its own stopping level.  The values of every row of every
+integrand in the pass on the block sit in one (rows, 2, nodes) array,
+and its two sides are summed per level in one ``np.vecdot`` call, which
+runs each row's side through the same BLAS dot as ``np.dot``; the sums
+of levels 0-5 go into one array, and each row's trapezoid sums,
+values, changes and stopping level there come from a few whole-array
+operations, with no loop over the levels.  Past the
 block, the rows still active are refined integrand by integrand, level
 by level, and a form is called only at the parameter points that still
 have an active row.  So every row's (value, err) is bit for bit what
 integrating it alone level by level gives.  A row that has stopped is
 no longer read: a non-finite value it produces at a later level,
 inside the block or after it, is ignored, while one in a row still
-being refined raises DomainError.  The node arrays of each level are
-formed once per interval and kept.
+being refined raises DomainError.  The node arrays of each level, and
+the features of each form there, are formed once per interval and
+kept.  An integrand on (1, inf) is folded with the features of its
+forms at t = 1/u, beside 1/u and u^2 (sigma / (1 - sigma) and
+(1 - sigma)^2 for its offset form), all formed once the same way.
 """
 
 from __future__ import annotations
@@ -163,13 +173,22 @@ class Integrand:
                 the forms see as (M, 1) columns over the M points
                 evaluated (as floats when M = 1) and which give each
                 row a leading axis of M
+    features    a function of the nodes alone that the evaluator takes
+                in their place: called once per node set and cached, so
+                the work that does not depend on the params is done once
+                and not at every call; its value, read-only, is the
+                evaluator's first argument
+    features_lo / features_hi
+                the same for from_lo and from_hi, on their distances
 
     The offset forms take and return arrays as the evaluator does.  A
     singular endpoint other than 0 requires its offset form: the plain
     path cannot resolve the distance to it, and construction raises
     ValueError without one.  The rows of a table share the interval,
     the flags and the forms, so their common subexpressions can be
-    computed once per call.
+    computed once per call, and those in the nodes alone once per node
+    set.  A feature function keys that cache, so it must be defined
+    once, at module level, not rebuilt with each table.
     """
 
     evaluator: Callable
@@ -181,12 +200,19 @@ class Integrand:
     from_hi: Optional[Callable] = None
     names: tuple[str, ...] = ()
     params: tuple = ()
+    features: Optional[Callable] = None
+    features_lo: Optional[Callable] = None
+    features_hi: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if self.singular_lo and self.lo != 0.0 and self.from_lo is None:
             raise ValueError(f"singular endpoint lo = {self.lo!r} needs its from_lo form")
         if self.singular_hi and self.hi != 0.0 and self.from_hi is None:
             raise ValueError(f"singular endpoint hi = {self.hi!r} needs its from_hi form")
+        if self.features_lo is not None and self.from_lo is None:
+            raise ValueError("features_lo needs the from_lo form it feeds")
+        if self.features_hi is not None and self.from_hi is None:
+            raise ValueError("features_hi needs the from_hi form it feeds")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"row names must be distinct, got {self.names!r}")
 
@@ -222,69 +248,94 @@ def _columns(f: Integrand, stack: int, pts=slice(None)) -> list:
     return [float(c[0, 0]) for c in cols] if len(cols[0]) == 1 else cols
 
 
-def _apply(f: Integrand, fn: Callable, arg: np.ndarray, cols: list) -> np.ndarray:
-    """fn (a form of f) at the nodes arg and the parameter columns cols,
-    as a (rows, nodes) array; row i * M + j is row i of the table at
-    point j."""
-    out = _as_rows(fn(arg, *cols))
+def _lead(f: Integrand, cols: list) -> tuple:
+    """The shape of a form's value at the parameter columns cols before
+    its node axis: (k,) for a table of k rows, then (M,) for M points."""
     points = (len(cols[0]),) if cols and isinstance(cols[0], np.ndarray) else ()
-    want = ((len(f.names),) if f.names else ()) + points + arg.shape
+    return ((len(f.names),) if f.names else ()) + points
+
+
+def _apply(f: Integrand, fn: Callable, arg, n: int, cols: list) -> np.ndarray:
+    """fn (a form of f) at arg, n nodes or their features, and the
+    parameter columns cols, as a (rows, nodes) array; row i * M + j is
+    row i of the table at point j."""
+    out = _as_rows(fn(arg, *cols))
+    want = _lead(f, cols) + (n,)
     if out.shape != want:
         raise TypeError(
-            f"integrand must map an array of shape {arg.shape} to one of shape {want}, "
+            f"integrand must map an array of shape {(n,)} to one of shape {want}, "
             f"got shape {out.shape}"
         )
-    return out.reshape(-1, len(arg))
+    return out.reshape(-1, n)
+
+
+def _read_only(x):
+    """x with every array in it, through nested tuples, made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for item in x:
+            _read_only(item)
+    return x
 
 
 @functools.lru_cache(maxsize=64)
-def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool,
-               offset_lo: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool, offset_lo: bool,
+               features: tuple = (None, None, None)) -> tuple:
     """What the forms of an integrand on (lo, hi) are called on at one
     level, or at the fused block and the midpoint for level None.
 
-    Returns (s, plain): the distances s = half * d_near that an offset
-    form takes, and the nodes hi - s, lo + s of each side without one,
-    then the midpoint, concatenated into one array for the evaluator
-    (None if it has none to take).  Cached per interval, so a fixed
-    interval forms them once.
+    features holds the feature functions of the evaluator, from_hi and
+    from_lo (None for a form without one).  Returns (s, plain, taken):
+    the distances s = half * d_near that an offset form takes, the
+    nodes hi - s, lo + s of each side without one, then the midpoint,
+    concatenated into one array for the evaluator (None if it has none
+    to take), and what each of the three forms takes, its features at
+    its nodes or the nodes themselves.  Cached per interval, level and
+    feature functions, read-only, so a fixed interval forms them once.
     """
     half = 0.5 * (hi - lo)
     s = half * (_fused_nodes()[0] if level is None else _nodes(level)[1])
     xs = [x for x, offset in ((hi - s, offset_hi), (lo + s, offset_lo)) if not offset]
     xs += [np.array([lo + half])] if level is None else []
     plain = np.concatenate(xs) if xs else None
-    for arr in (s, plain):
-        if arr is not None:
-            arr.flags.writeable = False
-    return s, plain
+    taken = tuple(x if fn is None or x is None else fn(x)
+                  for fn, x in zip(features, (plain, s, s)))
+    return _read_only((s, plain, taken))
 
 
-def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
+def _sides(f: Integrand, level: Optional[int], cols: list,
+           out: Optional[np.ndarray] = None) -> tuple:
     """Evaluate f at the nodes of one level from each endpoint, or at the
     fused block and the midpoint for level None.
 
     Returns (vals, centre): the values at the hi and lo sides as one
-    (rows, 2, nodes) array, and the midpoint column (None past the
-    block).  An offset form is called on its own side; the evaluator is
-    called once, on the nodes of every other part, and when it takes
-    both sides, vals is a view of its output.  The values are not
-    checked here: integrate reads each level of a row only while the
-    row is active, and checks what it reads.
+    (rows, 2, nodes) array, written into out if given, and the midpoint
+    column (None past the block).  An offset form is called on its own
+    side; the evaluator is called once, on the nodes of every other
+    part, and when it takes both sides and no out is given, vals is a
+    view of its output.  The values are not checked here: integrate
+    reads each level of a row only while the row is active, and checks
+    what it reads.
     """
-    s, plain = _arguments(f.lo, f.hi, level, f.from_hi is not None, f.from_lo is not None)
+    s, plain, (at_plain, at_hi, at_lo) = _arguments(
+        f.lo, f.hi, level, f.from_hi is not None, f.from_lo is not None,
+        (f.features, f.features_hi, f.features_lo))
     n = len(s)
-    out = None if plain is None else _apply(f, f.evaluator, plain, cols)
-    sides, at = [], 0
-    for form in (f.from_hi, f.from_lo):
+    got = None if plain is None else _apply(f, f.evaluator, at_plain, len(plain), cols)
+    centre = got[:, -1:] if level is None else None
+    if out is None and f.from_hi is None and f.from_lo is None:
+        return got[:, :2 * n].reshape(len(got), 2, n), centre
+    if out is None:
+        out = np.empty((math.prod(_lead(f, cols)), 2, n))
+    at = 0
+    for side, form, arg in ((0, f.from_hi, at_hi), (1, f.from_lo, at_lo)):
         if form is None:
-            sides.append(out[:, at:at + n])
+            out[:, side] = got[:, at:at + n]
             at += n
         else:
-            sides.append(_apply(f, form, s, cols))
-    centre = out[:, at:] if level is None else None
-    vals = out[:, :at].reshape(len(out), 2, n) if at == 2 * n else np.stack(sides, axis=1)
-    return vals, centre
+            out[:, side] = _apply(f, form, arg, n, cols)
+    return out, centre
 
 
 def _side_sums(w: np.ndarray, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -322,36 +373,56 @@ def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.nda
                 f"integrand returned a non-finite value near x = {float(np.asarray(x)[bad][0])!r}")
 
 
+@functools.cache
+def _folded(features: Optional[Callable], near_one: bool) -> Callable:
+    """The feature function of a tail's form folded onto (0, 1), made
+    once per (features, near_one), so that it keys the cache of
+    _arguments like any other.
+
+    At u in (0, 1) it gives (the tail form's features at t = 1/u, or t
+    itself, and u^2); with near_one, at sigma = 1 - u, the from_lo
+    form's features at s = t - 1 = sigma / (1 - sigma), or s, and
+    (1 - sigma)^2.
+    """
+    def fold(x: np.ndarray) -> tuple:
+        if near_one:
+            r = 1.0 - x
+            at, square = x / r, r * r
+        else:
+            at, square = 1.0 / x, x * x
+        return (at if features is None else features(at)), square
+    return fold
+
+
+def _unfolded(form: Callable) -> Callable:
+    """A tail form as a form of the fold: its value at the features that
+    _folded gives, over the square they carry."""
+    def folded(taken, *cols):
+        at, square = taken
+        return _as_rows(form(at, *cols)) / square
+    return folded
+
+
 def _fold(f: Integrand) -> Integrand:
     """f on (1, inf) as an integrand on (0, 1), by t = 1/u.
 
     The integrand must decay at least like t**-3/2; a singularity at
     t = 1 is supported through the usual flag and offset form, and the
     fold maps from_lo, expressed in s = t - 1, onto the upper endpoint
-    exactly.
+    exactly.  1/u and u^2, s and (1 - sigma)^2, and the tail's features
+    there are the fold's features, formed once per node set.
     """
-    ev = f.evaluator
-
-    def folded(u, *cols):
-        t = 1.0 / u
-        return _as_rows(ev(t, *cols)) / (u * u)
-
-    folded_from_hi = None
-    if f.from_lo is not None:
-        base = f.from_lo
-
-        def folded_from_hi(sigma, *cols):
-            r = 1.0 - sigma
-            return _as_rows(base(sigma / r, *cols)) / (r * r)
-
-    return Integrand(evaluator=folded, lo=0.0, hi=1.0, singular_lo=True,
-                     singular_hi=f.singular_lo, from_hi=folded_from_hi, names=f.names,
-                     params=f.params)
+    near_one = f.from_lo is not None
+    return Integrand(evaluator=_unfolded(f.evaluator), lo=0.0, hi=1.0, singular_lo=True,
+                     singular_hi=f.singular_lo,
+                     from_hi=_unfolded(f.from_lo) if near_one else None,
+                     names=f.names, params=f.params, features=_folded(f.features, False),
+                     features_hi=_folded(f.features_lo, True) if near_one else None)
 
 
-def _evaluate_block(f: Integrand) -> tuple:
+def _prepare(f: Integrand) -> tuple:
     """f, folded if it is a tail and checked, with its stack size and
-    its values on the fused block: (f, stack, block, centre)."""
+    the parameter columns of all its points: (f, stack, cols)."""
     if f.lo == 1.0 and f.hi == math.inf:
         f = _fold(f)
     lo, hi = f.lo, f.hi
@@ -361,8 +432,7 @@ def _evaluate_block(f: Integrand) -> tuple:
         raise DomainError(f"empty interval ({lo}, {hi})")
     # a stack has k * stack rows, row i * stack + j being row i at point j
     stack = len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
-    block, centre = _sides(f, None, _columns(f, stack))
-    return f, stack, block, centre
+    return f, stack, _columns(f, stack)
 
 
 def _block_domain_error(f: Integrand, block: np.ndarray, centre: np.ndarray,
@@ -467,12 +537,14 @@ def integrate(f: Union[Integrand, Sequence[Integrand]],
 def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Result]:
     """The results of integrate for each integrand of fs, in order.
 
-    Every integrand's forms are called on the fused block first.  The
-    rows of all of them then take levels 0 .. _FUSED_LEVEL together:
-    each integrand writes its level sums, one _side_sums call per
-    level, into its own rows of one (levels, rows) array, and every
-    row's value, change and first passing level at those levels come
-    from whole-array operations on it.  The trapezoid sum of level k,
+    Every integrand's forms are called on the fused block first, each
+    writing its rows into one (rows, 2, nodes) array of all the rows in
+    the pass (a lone integrand's own output is that array already).
+    The rows then take levels 0 .. _FUSED_LEVEL together: one
+    _side_sums call per level sums every row's two sides into one
+    (levels, rows) array, and every row's value, change and first
+    passing level at those levels come from whole-array operations on
+    it.  The trapezoid sum of level k,
     t_k = t_(k-1) / 2 + s_k / 2**k, is 2**-k times the running sum
     t_0 + s_1 + ... + s_k, added left to right; scaling by a power of
     two commutes with rounding, so the two, and the values half * t_k,
@@ -481,11 +553,13 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     The rows still active after the block are refined integrand by
     integrand.  An integrand whose block failed, on a bad interval, a
     form of the wrong shape or a non-finite value read, raises its error
-    in turn, after the integrands before it are done.
+    in turn, after the integrands before it are done; the rows of one
+    whose forms failed hold zeros, which stop at the first test and are
+    never read.
     """
     tol = config.target_rel_tol
     top = min(_FUSED_LEVEL, _MAX_LEVEL)
-    fused = _fused_nodes()[1]
+    d_fused, fused = _fused_nodes()
     tables: list = []
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
@@ -493,24 +567,46 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for g in fs:
             try:
-                tables.append(_evaluate_block(g))
+                tables.append(_prepare(g))
             except (MsindexError, TypeError) as exc:  # raised once those before g are done
                 tables.append(exc)
-        evaluated = [t for t in tables if not isinstance(t, Exception)]
-        bounds = list(itertools.accumulate((len(t[2]) for t in evaluated), initial=0))
-        spans = list(zip(bounds, bounds[1:]))
+        live = [i for i, t in enumerate(tables) if not isinstance(t, Exception)]
+        if not live:
+            if tables:
+                raise tables[0]
+            return []
+        bounds = list(itertools.accumulate(
+            (math.prod(_lead(tables[i][0], tables[i][2])) for i in live), initial=0))
+        spans = dict(zip(live, zip(bounds, bounds[1:])))
         n_rows = bounds[-1]
+        joint = None if len(live) == 1 else np.empty((n_rows, 2, len(d_fused)))
+        mid = np.empty(n_rows)
+        half = np.empty(n_rows)
+        for i in live:
+            g, stack, cols = tables[i]
+            r0, r1 = spans[i]
+            out = None if joint is None else joint[r0:r1]
+            try:
+                block, centre = _sides(g, None, cols, out)
+            except (MsindexError, TypeError) as exc:
+                tables[i] = exc
+                if out is None:  # the one integrand with rows: every one failed
+                    break
+                out[...] = 0.0
+                block, centre = out, np.zeros((r1 - r0, 1))
+            else:
+                tables[i] = (g, stack, block, centre)
+            joint = block if joint is None else joint
+            np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
+            half[r0:r1] = 0.5 * (g.hi - g.lo)
+        if joint is None:
+            raise tables[0]
         # the hi and lo side sums of every row at every level of the block,
         # as _level_sums forms them
         sides = np.empty((top + 1, n_rows, 2))
-        mid = np.empty(n_rows)
-        half = np.empty(n_rows)
-        for (g, _, block, centre), (r0, r1) in zip(evaluated, spans):
-            for level in range(top + 1):
-                w, sl = fused[level]
-                _side_sums(w, block[:, :, sl], out=sides[level, r0:r1])
-            np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
-            half[r0:r1] = 0.5 * (g.hi - g.lo)
+        for level in range(top + 1):
+            w, sl = fused[level]
+            _side_sums(w, joint[:, :, sl], out=sides[level])
         sums = sides[..., 0] + sides[..., 1]
         sums[0] += mid
         # 2**level times each row's trapezoid sum at each level
@@ -531,12 +627,11 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
         refine = still.any()
         nonfinite = not np.isfinite(sums).all()
 
-        spans_left = iter(spans)
-        for t in tables:
+        for i, t in enumerate(tables):
             if isinstance(t, Exception):
                 raise t
             g, stack, block, centre = t
-            r0, r1 = next(spans_left)
+            r0, r1 = spans[i]
             if nonfinite:
                 exc = _block_domain_error(g, block, centre, sums[:, r0:r1],
                                           first[r0:r1] + _FIRST_TEST_LEVEL)
@@ -547,7 +642,8 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
                         np.flatnonzero(still[r0:r1]), tol, top + 1)
 
     results = []
-    for (g, stack, _, _), (r0, r1) in zip(evaluated, spans):
+    for i, (g, stack, _, _) in enumerate(tables):
+        r0, r1 = spans[i]
         v, e = value[r0:r1], err[r0:r1]
         v, e = (v.reshape(-1, stack), e.reshape(-1, stack)) if stack else (v.tolist(), e.tolist())
         rows = list(zip(v, e))

@@ -206,30 +206,31 @@ def test_linearity(c0, c1, c2, alpha, beta):
 
 
 def _per_level_reference(f, row=0, point=None):
-    """One row of f, level by level: its own calls per side, one np.dot per side per level.
+    """One row of f, level by level: its own calls per side, each form on its
+    own features of that side's nodes where it has them, one np.dot per side per level.
 
     For a stack, the row at one point, the forms called with that point's params alone.
     """
     half = 0.5 * (f.hi - f.lo)
     params = list(f.params) if point is None else [float(c[point]) for c in f.params]
 
-    def call(fn, arg):
-        out = np.asarray(fn(arg, *params), dtype=float)
+    def call(fn, features, arg):
+        out = np.asarray(fn(arg if features is None else features(arg), *params), dtype=float)
         return out[row] if f.names else out
 
     def side(d_near, upper):
         s = half * d_near
         form = f.from_hi if upper else f.from_lo
         if form is not None:
-            return call(form, s)
-        return call(f.evaluator, f.hi - s if upper else f.lo + s)
+            return call(form, f.features_hi if upper else f.features_lo, s)
+        return call(f.evaluator, f.features, f.hi - s if upper else f.lo + s)
 
     def level_sum(level):
         w, d_near = _nodes(level)
         return float(np.dot(w, side(d_near, True))) + float(np.dot(w, side(d_near, False)))
 
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        centre = call(f.evaluator, np.array([f.lo + half]))
+        centre = call(f.evaluator, f.features, np.array([f.lo + half]))
         trapezoid = level_sum(0) + 0.5 * math.pi * float(centre[0])
         value = half * trapezoid
         for level in range(1, quadrature._MAX_LEVEL + 1):

@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import subprocess
+import types
 from pathlib import Path
 
 import pytest
@@ -193,10 +194,14 @@ def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
         "print('# machine {\"nproc\": 2, \"seed\": 5}')\n"
         "print('# other_workload: 7 repetitions, closed loop')\n"
         "print('# w: 412 repetitions, closed loop, one caller, one thread')\n"
+        "print('# host speed over the reference: median 0.912, range 0.850-1.020 "
+        "over repetitions')\n"
         "print(json.dumps({'correct': True, 'metrics': {}}))\n")
-    machine, result, reps = bench_pairs.run_once(tmp_path, "w", 5, 1.0, 0)
+    machine, result, reps, speed = bench_pairs.run_once(tmp_path, "w", 5, 1.0, 0)
     assert machine.startswith("# machine ") and result["correct"] is True
     assert reps == 412
+    assert speed == ("# host speed over the reference: median 0.912, range 0.850-1.020 "
+                     "over repetitions")
     assert bench_pairs.run_once(tmp_path, "v", 5, 1.0, 0)[2] is None
 
     runs = [dict(_run("w", seed, side, 1.0, 50.0), repetitions=count)
@@ -213,6 +218,53 @@ def test_bench_pairs_records_and_summarizes_repetition_counts(tmp_path):
     assert "repetitions" not in bench_pairs.summarize(
         [_run("w", 1, "parent", 1.0), _run("w", 1, "change", 0.9)],
         _BETTER)["w --trace 0 (1 pairs)"]
+
+
+def _paired(values):
+    """Runs of workload w, one pair per (parent, change) wall_s value."""
+    return [_run("w", seed, side, wall) for seed, pair in enumerate(values, start=1)
+            for side, wall in zip(("parent", "change"), pair)]
+
+
+def test_bench_summary_states_each_acceptance_rule():
+    # ten pairs: the change is faster in nine, by 6 % in the median
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    change = [0.94, 0.96, 0.92, 0.95, 0.93, 0.97, 0.91, 0.94, 0.95, 1.00]
+    table = bench_pairs.summarize(_paired(zip(parent, change)), _BETTER,
+                                  {"wall_s": 0.15})["w --trace 0 (10 pairs)"]["wall_s"]
+    assert table["pairs_change_better"] == 9 and table["wins_nine_tenths"] is True
+    # the parent's IQR is 0.02, and the medians differ by 0.06
+    assert table["parent_iqr"] == pytest.approx(0.02)
+    assert table["beyond_parent_iqr"] is True and table["within_bound"] is True
+    # eight wins of ten fall short of the rule
+    eight = change[:8] + [1.02, 1.00]
+    table = bench_pairs.summarize(_paired(zip(parent, eight)), _BETTER,
+                                  {"wall_s": 0.15})["w --trace 0 (10 pairs)"]["wall_s"]
+    assert table["pairs_change_better"] == 8 and table["wins_nine_tenths"] is False
+    # a gain inside the parent's spread wins every pair but not the IQR rule
+    close = [x - 0.005 for x in parent]
+    table = bench_pairs.summarize(_paired(zip(parent, close)), _BETTER)[
+        "w --trace 0 (10 pairs)"]["wall_s"]
+    assert table["wins_nine_tenths"] is True and table["beyond_parent_iqr"] is False
+    # without a bound there is no bound rule
+    assert table["within_bound"] is None
+
+
+def test_bench_summary_bound_follows_the_metrics_direction():
+    # wall_s 10 % and 20 % slower; evals_per_s 10 % and 20 % lower
+    for worse, within in ((0.1, True), (0.2, False)):
+        runs = [_rate_run(seed, side, 1.0 + worse * (side == "change"),
+                          100.0 * (1.0 - worse * (side == "change")))
+                for seed in (1, 2, 3) for side in ("parent", "change")]
+        table = bench_pairs.summarize(runs, _BETTER, bench_pairs.bounds(json.loads(
+            (_TOOLS.parent / "BENCHMARK.json").read_text())))["w --trace 0 (3 pairs)"]
+        assert table["wall_s"]["within_bound"] is within
+        assert table["evals_per_s"]["within_bound"] is within
+        assert table["wall_s"]["wins_nine_tenths"] is False
+        assert table["wall_s"]["beyond_parent_iqr"] is False
+    # one pair has no IQR to beat
+    one = bench_pairs.summarize(runs[:2], _BETTER)["w --trace 0 (1 pairs)"]["wall_s"]
+    assert one["beyond_parent_iqr"] is None
 
 
 def _fake_perfbench(root, last_line):
@@ -238,8 +290,10 @@ def test_bench_pairs_stops_on_a_result_missing_a_declared_metric(tmp_path):
     metrics = {"wall_s": {"value": 1.0}, "linalg.share": {"value": 0.3}}
     _fake_perfbench(tmp_path, json.dumps({"correct": True, "metrics": metrics}))
     # present metrics pass, and the undeclared extra one is kept
-    _, result, reps = bench_pairs.run_once(tmp_path, "w", 7, 1.0, 0, ("wall_s",))
+    _, result, reps, speed = bench_pairs.run_once(tmp_path, "w", 7, 1.0, 0, ("wall_s",))
     assert set(result["metrics"]) == set(metrics) and reps == 3
+    # a run without the host speed line records none
+    assert speed is None
     declared = ("wall_s", "linalg.solve.calls", "linalg.eig_selfadjoint.calls.n3")
     with pytest.raises(SystemExit) as stop:
         bench_pairs.run_once(tmp_path, "w", 8, 1.0, 1, declared)
@@ -328,3 +382,32 @@ def test_pair_layers_names_each_differing_field():
     flipped = dataclasses.replace(res, report=dataclasses.replace(
         res.report, eig_w=-res.report.eig_w))
     assert pair_layers.differing(res, flipped) == ["report.eig_w"]
+
+
+def test_pair_layers_counts_a_layer_that_calls_itself_once(monkeypatch):
+    # deformation_data of one parameter calls itself through its module on
+    # the list of that one; a clock that only the layer advances shows
+    # whether the inner call's time is added to the outer one's
+    clock = [0.0]
+    monkeypatch.setattr(pair_layers.time, "perf_counter", lambda: clock[0])
+    families = types.SimpleNamespace()
+
+    def deformation_data(p):
+        clock[0] += 1.0
+        if not isinstance(p, list):
+            return families.deformation_data([p])
+        clock[0] += 2.0
+        return p
+
+    families.deformation_data = deformation_data
+    pkg = {"families": families, "linalg": types.SimpleNamespace(),
+           "moduli": types.SimpleNamespace()}
+    layers = pair_layers._Layers(pkg)
+    assert layers.names == [("families", "deformation_data")]
+    spent = layers.run(lambda: families.deformation_data(7))
+    # 4 s in all, of which the inner call's 3 would be counted again
+    assert spent == {"families.deformation_data": 4.0}
+    # the module attribute is restored, and a second run starts afresh
+    assert families.deformation_data is deformation_data
+    assert layers.run(lambda: families.deformation_data([7])) == {
+        "families.deformation_data": 3.0}

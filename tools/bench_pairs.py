@@ -22,10 +22,14 @@ FILE is written in the layout of the repository's ``BENCH_<n>.json``:
 the command, the parent revision (``git rev-parse HEAD`` in PARENT_DIR),
 the ``# machine`` line, a summary per workload and trace setting, and
 every run's result line with its repetition count (from perfbench's
-``# <workload>: N repetitions`` line).  The summary gives each metric's
-median and IQR per side, the pairs in which the change is lower, and
-the pairs in which it is better by the metric's ``better`` in
-CHANGE_DIR's ``BENCHMARK.json``.  perfbench keeps every repetition's
+``# <workload>: N repetitions`` line) and its ``# host speed over the
+reference`` line, which shows a run whose scaling sets it apart.  The
+summary gives each metric's median and IQR per side, the pairs in
+which the change is lower, the pairs in which it is better by the
+metric's ``better`` in CHANGE_DIR's ``BENCHMARK.json``, and whether it
+meets each acceptance rule: better in at least 9 of 10 pairs, better in
+the median by more than the parent's IQR, and no worse in the median
+than the metric's ``bound``.  perfbench keeps every repetition's
 outputs, so ``peak_rss_mb`` grows with the count; the summary gives the
 median count per side beside the metrics, which tells a change in what
 perfbench retains from one in the program's own memory.  If FILE
@@ -46,6 +50,7 @@ import sys
 from pathlib import Path
 
 SCRIPT = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace TRACE"
+HOST_SPEED = "# host speed over the reference:"
 WHAT = ("perfbench end-to-end (--trace 0) and per-layer (--trace 1) results for the "
         "parent commit and this change, measured on the same machine in alternating pairs")
 
@@ -53,9 +58,10 @@ WHAT = ("perfbench end-to-end (--trace 0) and per-layer (--trace 1) results for 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
              required: tuple = ()):
     """One perfbench run in root; returns (machine line, result dict,
-    repetition count or None if perfbench did not print it).  Stops,
-    naming the run, if it fails, if its last line is not a JSON result,
-    or if the result lacks one of the metrics named in required."""
+    repetition count, host speed line), the count or line None if
+    perfbench did not print it.  Stops, naming the run, if it fails, if
+    its last line is not a JSON result, or if the result lacks one of
+    the metrics named in required."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -78,7 +84,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
     machine = next((line for line in lines if line.startswith("# machine ")), None)
     counted = re.compile(r"# %s: (\d+) repetitions" % re.escape(workload))
     reps = next((int(m.group(1)) for m in map(counted.match, lines) if m), None)
-    return machine, result, reps
+    speed = next((line for line in lines if line.startswith(HOST_SPEED)), None)
+    return machine, result, reps, speed
 
 
 def _machine_without_seed(line: str) -> str:
@@ -102,7 +109,13 @@ def directions(benchmark: dict) -> dict:
             for m in benchmark.get(key, [])}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def bounds(benchmark: dict) -> dict:
+    """Each end-to-end metric's ``bound`` from a BENCHMARK.json: the
+    largest relative change for the worse that it accepts."""
+    return {m["name"]: m["bound"] for m in benchmark.get("end_to_end", []) if "bound" in m}
+
+
+def summarize(runs: list, better: dict, bound: dict = None) -> dict:
     """Medians per (workload, trace) group and metric, parent against change.
 
     Runs pair up by seed; a second run of one side with the same seed
@@ -113,9 +126,19 @@ def summarize(runs: list, better: dict) -> dict:
     more repetitions into the run's time.  Each metric also gets each
     side's IQR and ``pairs_change_better``, the pairs in which the
     change is strictly better by its direction in better (metric name
-    to "lower" or "higher", see directions).
+    to "lower" or "higher", see directions), and the three rules by
+    which a claimed or a bounded metric is judged:
+
+    wins_nine_tenths   the change is better in at least 9 of 10 pairs
+    beyond_parent_iqr  the change median is better than the parent
+                       median by more than the parent's IQR (None for
+                       one pair)
+    within_bound       the change median is worse than the parent
+                       median by no more than the metric's bound (metric
+                       name to bound, see bounds); None without a bound
     """
     better = dict(better, repetitions="higher")
+    bound = bound or {}
     groups: dict = {}
     for run in runs:
         groups.setdefault((run["workload"], run["trace"]), []).append(run)
@@ -146,14 +169,23 @@ def summarize(runs: list, better: dict) -> dict:
             sign = 1 if better[name] == "higher" else -1
             parent = statistics.median(x for x, _ in vals)
             change = statistics.median(y for _, y in vals)
+            parent_iqr = _iqr([x for x, _ in vals])
+            wins = sum(sign * (y - x) > 0 for x, y in vals)
+            # the relative change for the worse, negative for a gain
+            worse = -sign * (change / parent - 1.0) if parent else None
             table[name] = {
                 "parent_median": parent,
                 "change_median": change,
                 "rel_change": change / parent - 1.0 if parent else None,
-                "parent_iqr": _iqr([x for x, _ in vals]),
+                "parent_iqr": parent_iqr,
                 "change_iqr": _iqr([y for _, y in vals]),
                 "pairs_change_lower": sum(y < x for x, y in vals),
-                "pairs_change_better": sum(sign * (y - x) > 0 for x, y in vals),
+                "pairs_change_better": wins,
+                "wins_nine_tenths": 10 * wins >= 9 * len(vals),
+                "beyond_parent_iqr": (None if parent_iqr is None
+                                      else sign * (change - parent) > parent_iqr),
+                "within_bound": (None if name not in bound or worse is None
+                                 else worse <= bound[name]),
             }
         summary["%s --trace %d (%d pairs)" % (workload, trace, len(pairs))] = table
     return summary
@@ -196,16 +228,16 @@ def main(argv=None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            machine, result, reps = run_once(sides[side], args.workload, seed, seconds,
-                                             args.trace, required)
+            machine, result, reps, speed = run_once(sides[side], args.workload, seed, seconds,
+                                                    args.trace, required)
             if machine is not None:
                 doc["machine"] = _machine_without_seed(machine)
             doc["runs"].append({"workload": args.workload, "trace": args.trace, "seed": seed,
                                 "side": side, "pair_runs_first": order[0],
-                                "repetitions": reps, "result": result})
+                                "repetitions": reps, "host_speed": speed, "result": result})
             print("%s %s seed %d: %s" % (args.workload, side, seed,
                                          json.dumps(result["metrics"].get("wall_s"))), flush=True)
-        doc["summary"] = summarize(doc["runs"], directions(benchmark))
+        doc["summary"] = summarize(doc["runs"], directions(benchmark), bounds(benchmark))
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

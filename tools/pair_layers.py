@@ -17,8 +17,9 @@ side is the minimum over the R rounds; the analysis line also gives the
 median over the rounds of the ratio of the two sides' times within a
 round, which a drift of the host speed moves less.  A second, traced call per side
 and round wraps each layer function of LAYERS that the tree has and
-records its inclusive time within the analysis (minimum over rounds);
-the wrappers add their own cost to those figures, alike on both sides.
+records its inclusive time within the analysis (minimum over rounds),
+counting only the outermost call of a layer that calls itself; the
+wrappers add their own cost to those figures, alike on both sides.
 
 Prints one table per point, in microseconds, with the relative change of
 each line, then whether each point's analyses are bit for bit identical:
@@ -84,25 +85,34 @@ def _timed(fn, calls: int) -> float:
 
 
 class _Layers:
-    """Inclusive time per layer over one traced call, by wrapping module attributes."""
+    """Inclusive time per layer over one traced call, by wrapping module
+    attributes.  Only the outermost call of a layer is timed: a layer
+    that calls itself through its module, as deformation_data of one
+    parameter calls it on the list of that one, counts its time once."""
 
     def __init__(self, pkg):
         self.pkg = pkg
         self.names = [(mod, attr) for mod, attr in LAYERS if hasattr(pkg[mod], attr)]
         self.spent: dict = {}
+        self.open: set = set()
 
     def _wrap(self, key, fn):
         def layer(*args, **kwargs):
+            if key in self.open:
+                return fn(*args, **kwargs)
+            self.open.add(key)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.spent[key] = self.spent.get(key, 0.0) + time.perf_counter() - t0
+                self.open.discard(key)
         return layer
 
     def run(self, call) -> dict:
         saved = [(mod, attr, getattr(self.pkg[mod], attr)) for mod, attr in self.names]
         self.spent = {}
+        self.open = set()
         try:
             for mod, attr, fn in saved:
                 setattr(self.pkg[mod], attr, self._wrap("%s.%s" % (mod, attr), fn))
