@@ -9,18 +9,21 @@ period_frame feeds them into that family's 6x6 matrix of periods,
 whose top half determines the lattice and the period ratio tau.  All
 integrands are written so that each endpoint singularity sits at
 offset zero of the quadrature engine's distance coordinate, with
-cancellation-prone factors expanded by hand.  Each family defines its
-integrands once, as quadrature tables with named rows (H: ``near0``
-and ``cap``; rPD: ``unit`` and ``tail``; tP and tCLP: ``periods``)
-that share their radicands; all the tables of an integral set, with
+cancellation-prone factors expanded by hand.  Each family builds its
+integrands once, at import, as quadrature tables with named rows (H:
+``near0`` and ``cap``; rPD: ``unit`` and ``tail``, the tail folded
+onto (0, 1) there; tP and tCLP: ``periods``) that share their
+radicands, and with no params: templates that each call binds to its
+parameter columns (``Integrand.bind``), so an analysis builds no
+Integrand and folds no tail.  All the tables of an integral set, with
 the identities' integrands beside them, go to one integrate call.
 What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
 radicand factors without a) comes from a feature function at module
 level, which the quadrature computes once per node set and keeps, so a
 form call does only the arithmetic that depends on a, in the order the
 form written inline would.  H's identity integrands compute everything
-inline: the interval of ``mid`` starts at a, so its nodes differ with
-every parameter.  A
+inline, and ``mid`` is built at each call: its interval starts at a,
+so its nodes differ with every parameter.  A
 table takes one float or an (N,) array, a stack of N surfaces; the
 constants that depend on a alone are formed point by point in Python
 floats, so every point of a stack is bit for bit the surface alone,
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergence, RiemannMatrixViolation, SingularMatrix
-from .quadrature import Integrand, QuadConfig, integrate
+from .quadrature import Integrand, QuadConfig, fold, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
 
@@ -204,18 +207,18 @@ def _cap_hi(nodes, a, a3, ia3, c):
     return _cap_rows(x, c + rise, span, root_span)
 
 
+_NEAR0 = Integrand(_near0, 0.0, 1.0, singular_lo=True, names=("A", "B1", "D", "E", "F1", "I"),
+                   features=_near0_features)
+_CAP = Integrand(_cap, 0.5, 1.0, singular_hi=True, from_hi=_cap_hi, names=("B2", "C", "F2", "H"),
+                 features=_cap_features, features_hi=_cap_hi_features)
+
+
 def _integrands_H(a: Values) -> dict[str, Integrand]:
     a3 = _each(lambda x: x ** 3, a)
+    ia3 = 1.0 / a3
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-    return {
-        "near0": Integrand(_near0, 0.0, 1.0, singular_lo=True,
-                           names=("A", "B1", "D", "E", "F1", "I"), params=(a, a3, 1.0 / a3),
-                           features=_near0_features),
-        "cap": Integrand(_cap, 0.5, 1.0, singular_hi=True, from_hi=_cap_hi,
-                         names=("B2", "C", "F2", "H"), params=(a, a3, 1.0 / a3, c),
-                         features=_cap_features, features_hi=_cap_hi_features),
-    }
+    return {"near0": _NEAR0.bind((a, a3, ia3)), "cap": _CAP.bind((a, a3, ia3, c))}
 
 
 def _integrals_H(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -270,8 +273,9 @@ def _rpd_unit_hi_features(s):
     return s, t, t3, t * s * (3.0 - s * (3.0 - s))
 
 
-def _rpd_unit(params, names, alt, nums, nums_hi=None) -> Integrand:
-    """The table of num_i(t) / sqrt(R_i(t)) on (0, 1), singular at both ends.
+def _rpd_unit(names, alt, nums, nums_hi=None) -> Integrand:
+    """The template of the table of num_i(t) / sqrt(R_i(t)) on (0, 1),
+    singular at both ends.
 
     nums(c, t, t3) returns the numerators at the nodes t on the curve c,
     with t3 = t**3.  The offset form near t = 1 expands 1 - t^3 in
@@ -297,7 +301,7 @@ def _rpd_unit(params, names, alt, nums, nums_hi=None) -> Integrand:
         c = _RPDCurve(*cols)
         return rows(c, nums_hi(c, s, t, t3), base, t3)
 
-    return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names, params=params,
+    return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names,
                      features=_rpd_unit_features, features_hi=_rpd_unit_hi_features)
 
 
@@ -313,9 +317,10 @@ def _rpd_tail_lo_features(s):
     return s, t, t3, t * s * (s * (s + 3.0) + 3.0)
 
 
-def _rpd_tail(params, names, nums, nums_lo=None) -> Integrand:
-    """The table of num_i(t) / sqrt(R(t)) on (1, inf), offset s = t - 1,
-    with nums_lo(c, s, t, t3) in place of nums at t = 1 + s."""
+def _rpd_tail(names, nums, nums_lo=None) -> Integrand:
+    """The template of the table of num_i(t) / sqrt(R(t)) on (1, inf),
+    offset s = t - 1, with nums_lo(c, s, t, t3) in place of nums at
+    t = 1 + s, folded onto (0, 1)."""
     if nums_lo is None:
         def nums_lo(c, s, t, t3):
             return nums(c, t, t3)
@@ -332,25 +337,25 @@ def _rpd_tail(params, names, nums, nums_lo=None) -> Integrand:
         root = np.sqrt(base * (c.a3 * t3 + c.ia3))
         return tuple(n / root for n in nums_lo(c, s, t, t3))
 
-    return Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names,
-                     params=params, features=_rpd_tail_features,
-                     features_lo=_rpd_tail_lo_features)
+    return fold(Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names,
+                          features=_rpd_tail_features, features_lo=_rpd_tail_lo_features))
+
+
+def _unit_nums(c, t, t3):
+    at2 = (c.a * t) ** 2
+    cubic = c.cubic(t3)
+    return (1.0 + at2, t, cubic * (5.0 * at2 + 1.0), cubic * (5.0 * at2 - 1.0),
+            t * c.alt_cubic(t3), t * cubic)
+
+
+_UNIT = _rpd_unit(("A", "D", "Ep", "Em", "H", "I"), (False, False, False, False, True, False),
+                  _unit_nums)
+_TAIL = _rpd_tail(("TA", "TC"), lambda c, t, t3: (1.0 + (c.a * t) ** 2, t))
 
 
 def _integrands_rPD(a: Values) -> dict[str, Integrand]:
     cols = _RPDCurve.columns(a)
-
-    def unit(c, t, t3):
-        at2 = (c.a * t) ** 2
-        cubic = c.cubic(t3)
-        return (1.0 + at2, t, cubic * (5.0 * at2 + 1.0), cubic * (5.0 * at2 - 1.0),
-                t * c.alt_cubic(t3), t * cubic)
-
-    return {
-        "unit": _rpd_unit(cols, ("A", "D", "Ep", "Em", "H", "I"),
-                          (False, False, False, False, True, False), unit),
-        "tail": _rpd_tail(cols, ("TA", "TC"), lambda c, t, t3: (1.0 + (c.a * t) ** 2, t)),
-    }
+    return {"unit": _UNIT.bind(cols), "tail": _TAIL.bind(cols)}
 
 
 def _integrals_rPD(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -394,9 +399,12 @@ def _tp(nodes, a):
             1.0 / np.sqrt(ridge), 1.0 / np.sqrt(flat), 1.0 / ridge ** 1.5, plus_sq / flat ** 1.5)
 
 
+_TP = Integrand(_tp, 0.0, 1.0, features=_tp_features,
+                names=("A1", "B", "C", "E1", "F", "H", "A2", "D", "E2", "I"))
+
+
 def _integrands_tP(a: Values) -> dict[str, Integrand]:
-    return {"periods": Integrand(_tp, 0.0, 1.0, params=(a,), features=_tp_features,
-                                 names=("A1", "B", "C", "E1", "F", "H", "A2", "D", "E2", "I"))}
+    return {"periods": _TP.bind((a,))}
 
 
 def _integrals_tP(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -430,9 +438,12 @@ def _tclp(nodes, a, b):
             even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
 
 
+_TCLP = Integrand(_tclp, 0.0, 1.0, features=_tclp_features,
+                  names=("A", "B", "C", "D", "E", "F", "H", "I"))
+
+
 def _integrands_tCLP(a: Values) -> dict[str, Integrand]:
-    return {"periods": Integrand(_tclp, 0.0, 1.0, params=(a, abs(a)), features=_tclp_features,
-                                 names=("A", "B", "C", "D", "E", "F", "H", "I"))}
+    return {"periods": _TCLP.bind((a, abs(a)))}
 
 
 def _integrals_tCLP(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -770,37 +781,43 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
 # integral identities
 
 
+def _bare(t, a, a3, d0):
+    return (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (1.0 / a3 - a3 * t ** 3))
+
+
+def _bare_hi(s, a, a3, d0):
+    return (1.0 - a + a * s) * (1.0 + a - a * s) / np.sqrt(
+        (1.0 - s) * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * s * (3.0 - s * (3.0 - s))))
+
+
+def _mid(t, a, a3, d2):
+    rest = d2 + (1.0 - t) * (1.0 + t * (1.0 + t))
+    return (1.0 - t) * (1.0 + t) / np.sqrt(t * (t ** 3 - a3) * rest)
+
+
+def _mid_lo(s, a, a3, d2):
+    t = a + s
+    rest = d2 + (1.0 - a - s) * (1.0 + t * (1.0 + t))
+    return (1.0 - a - s) * (1.0 + a + s) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
+
+
+_BARE = Integrand(_bare, 0.0, 1.0, True, True, from_hi=_bare_hi)
+_UPPER_CAP = Integrand(lambda t, a, c: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2),
+                       0.5, 1.0)
+
+
 def _identity_integrands_H(a: float) -> dict[str, Integrand]:
     """The integrands that only the H identities use, at one surface:
-    the interval of "mid" starts at a."""
+    the interval of "mid" starts at a, so it is built at each call."""
     a3 = _each(lambda x: x ** 3, a)
     # 1/a^3 - a^3 = (1 - a^6)/a^3 and 1/a^3 - 1, both factored
     d0 = _each(lambda x: (1.0 - x) * (1.0 + x) * (1.0 + x * x + x ** 4) / x ** 3, a)
     d2 = _each(lambda x: (1.0 - x) * (1.0 + x + x * x) / x ** 3, a)
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-
-    def bare(t, a, a3, d0):
-        return (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (1.0 / a3 - a3 * t ** 3))
-
-    def bare_hi(s, a, a3, d0):
-        return (1.0 - a + a * s) * (1.0 + a - a * s) / np.sqrt(
-            (1.0 - s) * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * s * (3.0 - s * (3.0 - s))))
-
-    def mid_plain(t, a, a3, d2):
-        rest = d2 + (1.0 - t) * (1.0 + t * (1.0 + t))
-        return (1.0 - t) * (1.0 + t) / np.sqrt(t * (t ** 3 - a3) * rest)
-
-    def mid_lo(s, a, a3, d2):
-        t = a + s
-        rest = d2 + (1.0 - a - s) * (1.0 + t * (1.0 + t))
-        return (1.0 - a - s) * (1.0 + a + s) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
-
     return {
-        "bare": Integrand(bare, 0.0, 1.0, True, True, from_hi=bare_hi, params=(a, a3, d0)),
-        "mid": Integrand(mid_plain, a, 1.0, singular_lo=True, from_lo=mid_lo,
-                         params=(a, a3, d2)),
-        "cap": Integrand(lambda t, a, c: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2),
-                         0.5, 1.0, params=(a, c)),
+        "bare": _BARE.bind((a, a3, d0)),
+        "mid": Integrand(_mid, a, 1.0, singular_lo=True, from_lo=_mid_lo, params=(a, a3, d2)),
+        "cap": _UPPER_CAP.bind((a, c)),
     }
 
 
@@ -814,27 +831,30 @@ def _identities_H(a: float, config: QuadConfig):
     return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
+def _minus(c, t, t3):
+    return ((1.0 - c.a * t) * (1.0 + c.a * t),)
+
+
+def _powers(c, t, t3):
+    tt = t * t
+    cubic, alt_cubic = c.cubic(t3), c.alt_cubic(t3)
+    return tt * cubic, cubic, alt_cubic, tt * alt_cubic
+
+
+_UNIT_MINUS = _rpd_unit(
+    ("bare_minus", "j5", "j3", "k3", "k5"), (False, False, False, True, True),
+    lambda c, t, t3: _minus(c, t, t3) + _powers(c, t, t3),
+    nums_hi=lambda c, s, t, t3: (((1.0 - c.a) + c.a * s) * (1.0 + c.a * (1.0 - s)),)
+    + _powers(c, t, t3))
+_TAIL_MINUS = _rpd_tail(
+    ("tail_minus",), _minus,
+    nums_lo=lambda c, s, t, t3: (((1.0 - c.a) - c.a * s) * (1.0 + c.a * (1.0 + s)),))
+
+
 def _identity_integrands_rPD(a: float) -> dict[str, Integrand]:
     """The integrands that only the rPD identities use."""
-    def minus(c, t, t3):
-        return ((1.0 - c.a * t) * (1.0 + c.a * t),)
-
-    def powers(c, t, t3):
-        tt = t * t
-        cubic, alt_cubic = c.cubic(t3), c.alt_cubic(t3)
-        return tt * cubic, cubic, alt_cubic, tt * alt_cubic
-
     cols = _RPDCurve.columns(a)
-    return {
-        "unit_minus": _rpd_unit(
-            cols, ("bare_minus", "j5", "j3", "k3", "k5"), (False, False, False, True, True),
-            lambda c, t, t3: minus(c, t, t3) + powers(c, t, t3),
-            nums_hi=lambda c, s, t, t3: (((1.0 - c.a) + c.a * s) * (1.0 + c.a * (1.0 - s)),)
-            + powers(c, t, t3)),
-        "tail_minus": _rpd_tail(
-            cols, ("tail_minus",), minus,
-            nums_lo=lambda c, s, t, t3: (((1.0 - c.a) - c.a * s) * (1.0 + c.a * (1.0 + s)),)),
-    }
+    return {"unit_minus": _UNIT_MINUS.bind(cols), "tail_minus": _TAIL_MINUS.bind(cols)}
 
 
 def _identities_rPD(a: float, config: QuadConfig):

@@ -19,8 +19,9 @@ the distance as its argument (the ``from_lo`` / ``from_hi`` forms of
 only where the endpoint is 0; so a singular endpoint anywhere else must
 come with its offset form, and ``Integrand`` refuses it otherwise.
 
-An integrand on (1, inf) is folded onto (0, 1) by t = 1/u inside
-``integrate``; every other infinite interval is refused.
+An integrand on (1, inf) is folded onto (0, 1) by t = 1/u (``fold``),
+which ``integrate`` does to a tail it is given; every other infinite
+interval is refused.
 
 Integrands are vectorized: each form is called on a 1-D array of n
 nodes and returns an array of shape (n,), or ``integrate`` raises
@@ -45,7 +46,13 @@ gets its values as floats, which numpy takes by its scalar path, and
 returns rows of shape (k, n).  The N points by k rows are k * N rows to
 ``integrate``, each with its own trapezoid sum and stopping level, and
 each (row, point) pair is bit for bit what integrating the table at
-that one parameter gives.
+that one parameter gives.  A table integrated at many parameters is
+defined once, at module level and without params, as a template, and
+``Integrand.bind`` gives it the params of each call without running
+the checks of construction again, which read no params; a template
+tail is folded once, where it is defined.  Its forms and feature
+functions so stay the same objects from call to call, and the caches
+they key do not grow.
 
 ``integrate`` also takes a sequence of integrands, such as all the
 tables of one surface, and integrates them in one pass; it returns
@@ -63,9 +70,12 @@ sum and its own stopping level.  The values of every row of every
 integrand in the pass on the block sit in one (rows, 2, nodes) array,
 and its two sides are summed per level in one ``np.vecdot`` call, which
 runs each row's side through the same BLAS dot as ``np.dot``; the sums
-of levels 0-5 go into one array, and each row's trapezoid sums,
-values, changes and stopping level there come from a few whole-array
-operations, with no loop over the levels.  Past the
+of levels 0-5 go into one array, and four whole-array steps give each
+row's value at every level there.  For one surface, whose tables all
+take float params, the stopping test at levels 3-5 and the results
+then run on Python floats, row by row: for its eight to ten rows that
+measured faster, inside an analysis, than the dozen numpy calls of the
+whole-array test, which a stack keeps.  Both give the same bits.  Past the
 block, the rows still active are refined integrand by integrand, level
 by level, and a form is called only at the parameter points that still
 have an active row.  So every row's (value, err) is bit for bit what
@@ -82,7 +92,6 @@ forms at t = 1/u, beside 1/u and u^2 (sigma / (1 - sigma) and
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -181,6 +190,9 @@ class Integrand:
     features_lo / features_hi
                 the same for from_lo and from_hi, on their distances
 
+    bind(params) gives the integrand at other params.  A family's table
+    is built once, with no params, as a template; each call binds it.
+
     The offset forms take and return arrays as the evaluator does.  A
     singular endpoint other than 0 requires its offset form: the plain
     path cannot resolve the distance to it, and construction raises
@@ -215,6 +227,17 @@ class Integrand:
             raise ValueError("features_hi needs the from_hi form it feeds")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"row names must be distinct, got {self.names!r}")
+
+    def bind(self, params: tuple) -> Integrand:
+        """This integrand with params in place of its own.
+
+        No check of construction reads the params, so none is run
+        again: a table defined once, as a template with no params, is
+        bound at each parameter for a fraction of a construction's cost.
+        """
+        bound = object.__new__(Integrand)
+        bound.__dict__.update(self.__dict__, params=params)
+        return bound
 
 
 @dataclass(frozen=True)
@@ -403,8 +426,10 @@ def _unfolded(form: Callable) -> Callable:
     return folded
 
 
-def _fold(f: Integrand) -> Integrand:
-    """f on (1, inf) as an integrand on (0, 1), by t = 1/u.
+def fold(f: Integrand) -> Integrand:
+    """f on (1, inf) as an integrand on (0, 1), by t = 1/u; integrate
+    folds a tail it is given, and a template tail is folded once, where
+    it is defined.
 
     The integrand must decay at least like t**-3/2; a singularity at
     t = 1 is supported through the usual flag and offset form, and the
@@ -424,7 +449,7 @@ def _prepare(f: Integrand) -> tuple:
     """f, folded if it is a tail and checked, with its stack size and
     the parameter columns of all its points: (f, stack, cols)."""
     if f.lo == 1.0 and f.hi == math.inf:
-        f = _fold(f)
+        f = fold(f)
     lo, hi = f.lo, f.hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"integrate requires a finite interval or (1, inf), got ({lo}, {hi})")
@@ -534,6 +559,48 @@ def integrate(f: Union[Integrand, Sequence[Integrand]],
     return _integrate_joint(tuple(f), config)
 
 
+def _stop_arrays(value: np.ndarray, tol: float) -> tuple:
+    """The stopping test of the fused block for every row at once.
+
+    value holds each row's values at levels 0 .. the top of the block,
+    as (levels, rows).  Returns each row's value and change at its first
+    passing level, or at the top level for a row that passes at none,
+    and the index of that level among the tested ones, their number for
+    a row still active: (value, change, first), each an array.
+    """
+    tested = value[_FIRST_TEST_LEVEL:]
+    change = np.abs(tested - value[_FIRST_TEST_LEVEL - 1:-1])
+    # the stopping test at each tested level, then a row every row passes
+    passed = np.empty((len(tested) + 1, value.shape[1]), dtype=bool)
+    passed[-1] = True
+    np.less_equal(change, np.maximum(tol * np.abs(tested), _ABS_FLOOR), out=passed[:-1])
+    first = passed.argmax(axis=0)
+    last = np.minimum(first, len(tested) - 1)
+    cols = np.arange(value.shape[1])
+    return tested[last, cols], change[last, cols], first
+
+
+def _stop_floats(value: np.ndarray, tol: float) -> tuple:
+    """_stop_arrays on Python floats, row by row, each list entry bit
+    for bit its array entry: the test's subtraction, abs, product and
+    comparison round as numpy's do, and max(x, floor) is x when x is a
+    nan, as np.maximum gives.  For the few rows of one surface it
+    measured faster inside an analysis, though not when timed alone.
+    """
+    values, changes, first = [], [], []
+    for row in value[_FIRST_TEST_LEVEL - 1:].T.tolist():
+        prev, at = row[0], 0
+        for v in row[1:]:
+            change = abs(v - prev)
+            if change <= max(tol * abs(v), _ABS_FLOOR):
+                break
+            prev, at = v, at + 1
+        values.append(v)
+        changes.append(change)
+        first.append(at)
+    return values, changes, first
+
+
 def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Result]:
     """The results of integrate for each integrand of fs, in order.
 
@@ -542,14 +609,17 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     the pass (a lone integrand's own output is that array already).
     The rows then take levels 0 .. _FUSED_LEVEL together: one
     _side_sums call per level sums every row's two sides into one
-    (levels, rows) array, and every row's value, change and first
-    passing level at those levels come from whole-array operations on
-    it.  The trapezoid sum of level k,
+    (levels, rows) array, and four whole-array steps (the two sides'
+    sum, the midpoint, np.add.accumulate and the scale) give every
+    row's value at each of those levels.  The trapezoid sum of level k,
     t_k = t_(k-1) / 2 + s_k / 2**k, is 2**-k times the running sum
     t_0 + s_1 + ... + s_k, added left to right; scaling by a power of
     two commutes with rounding, so the two, and the values half * t_k,
     agree bit for bit for every sum above the subnormal range and below
-    2**-5 of the largest float.
+    2**-5 of the largest float.  The stopping test at the tested levels
+    and the results run on Python floats when every integrand has float
+    params or none (one surface), and as whole-array operations on a
+    stack; both give the same bits.
     The rows still active after the block are refined integrand by
     integrand.  An integrand whose block failed, on a bad interval, a
     form of the wrong shape or a non-finite value read, raises its error
@@ -560,31 +630,33 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     tol = config.target_rel_tol
     top = min(_FUSED_LEVEL, _MAX_LEVEL)
     d_fused, fused = _fused_nodes()
+    # each integrand's error, or (f prepared, stack, cols, r0, r1) with its
+    # rows r0:r1 of the pass, then (f, stack, r0, r1, block, centre)
     tables: list = []
+    n_rows = 0
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
     # being read is still rejected.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for g in fs:
             try:
-                tables.append(_prepare(g))
+                g, stack, cols = _prepare(g)
             except (MsindexError, TypeError) as exc:  # raised once those before g are done
                 tables.append(exc)
+            else:
+                r0, n_rows = n_rows, n_rows + math.prod(_lead(g, cols))
+                tables.append((g, stack, cols, r0, n_rows))
         live = [i for i, t in enumerate(tables) if not isinstance(t, Exception)]
         if not live:
             if tables:
                 raise tables[0]
             return []
-        bounds = list(itertools.accumulate(
-            (math.prod(_lead(tables[i][0], tables[i][2])) for i in live), initial=0))
-        spans = dict(zip(live, zip(bounds, bounds[1:])))
-        n_rows = bounds[-1]
+        one = not any(tables[i][1] for i in live)
         joint = None if len(live) == 1 else np.empty((n_rows, 2, len(d_fused)))
         mid = np.empty(n_rows)
         half = np.empty(n_rows)
         for i in live:
-            g, stack, cols = tables[i]
-            r0, r1 = spans[i]
+            g, stack, cols, r0, r1 = tables[i]
             out = None if joint is None else joint[r0:r1]
             try:
                 block, centre = _sides(g, None, cols, out)
@@ -595,7 +667,7 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
                 out[...] = 0.0
                 block, centre = out, np.zeros((r1 - r0, 1))
             else:
-                tables[i] = (g, stack, block, centre)
+                tables[i] = (g, stack, r0, r1, block, centre)
             joint = block if joint is None else joint
             np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
             half[r0:r1] = 0.5 * (g.hi - g.lo)
@@ -612,40 +684,36 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
         # 2**level times each row's trapezoid sum at each level
         running = np.add.accumulate(sums)
         value = running * (_HALVINGS[:top + 1] * half)
-        tested = value[_FIRST_TEST_LEVEL:]
-        change = np.abs(tested - value[_FIRST_TEST_LEVEL - 1:-1])
-        # the stopping test at each tested level, then a row every row passes
-        passed = np.empty((len(tested) + 1, n_rows), dtype=bool)
-        passed[-1] = True
-        np.less_equal(change, np.maximum(tol * np.abs(tested), _ABS_FLOOR), out=passed[:-1])
-        # each row's first passing test, len(tested) for a row still active
-        first = passed.argmax(axis=0)
-        last = np.minimum(first, len(tested) - 1)
-        cols = np.arange(n_rows)
-        value, err = tested[last, cols], change[last, cols]
-        still = first == len(tested)
-        refine = still.any()
-        nonfinite = not np.isfinite(sums).all()
+        value, err, first = (_stop_floats if one else _stop_arrays)(value, tol)
+        # the first of a row still active
+        still = top + 1 - _FIRST_TEST_LEVEL
+        # A row that reads a non-finite sum ends on a non-finite value: the
+        # sums and np.add.accumulate carry inf and nan on.  Where finite
+        # values overflow their sum, _block_domain_error finds no bad sum.
+        nonfinite = not (math.isfinite(sum(value)) if one else np.isfinite(sums).all())
 
-        for i, t in enumerate(tables):
+        for t in tables:
             if isinstance(t, Exception):
                 raise t
-            g, stack, block, centre = t
-            r0, r1 = spans[i]
+            g, stack, r0, r1, block, centre = t
             if nonfinite:
                 exc = _block_domain_error(g, block, centre, sums[:, r0:r1],
-                                          first[r0:r1] + _FIRST_TEST_LEVEL)
+                                          np.add(first[r0:r1], _FIRST_TEST_LEVEL))
                 if exc is not None:
                     raise exc
-            if refine and still[r0:r1].any():
-                _refine(g, stack, running[top, r0:r1] * 0.5 ** top, value[r0:r1], err[r0:r1],
-                        np.flatnonzero(still[r0:r1]), tol, top + 1)
+            if still in first[r0:r1]:
+                v, e = np.array(value[r0:r1]), np.array(err[r0:r1])
+                _refine(g, stack, running[top, r0:r1] * 0.5 ** top, v, e,
+                        np.flatnonzero(np.equal(first[r0:r1], still)), tol, top + 1)
+                value[r0:r1], err[r0:r1] = (v.tolist(), e.tolist()) if one else (v, e)
 
     results = []
-    for i, (g, stack, _, _) in enumerate(tables):
-        r0, r1 = spans[i]
+    for g, stack, r0, r1, _, _ in tables:
         v, e = value[r0:r1], err[r0:r1]
-        v, e = (v.reshape(-1, stack), e.reshape(-1, stack)) if stack else (v.tolist(), e.tolist())
+        if stack:
+            v, e = v.reshape(-1, stack), e.reshape(-1, stack)
+        elif not one:
+            v, e = v.tolist(), e.tolist()
         rows = list(zip(v, e))
         results.append(dict(zip(g.names, rows)) if g.names else rows[0])
     return results

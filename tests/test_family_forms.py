@@ -116,7 +116,9 @@ def _rpd_tail(nums, nums_lo=None):
         root = np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (c.a3 * t3 + c.ia3))
         return tuple(n / root for n in nums_lo(c, s, t, t3))
 
-    return {"evaluator": f, "from_lo": f_lo}
+    # the table comes folded onto (0, 1); these forms are on the tail's own interval
+    return {"evaluator": f, "from_lo": f_lo, "lo": 1.0, "hi": math.inf, "singular_hi": False,
+            "from_hi": None}
 
 
 def _unit_nums(c, t, t3):
@@ -189,9 +191,9 @@ def _tables(fam, a):
 
 def _inline(f, forms):
     """f with its inline forms in place of its feature forms, folded
-    inline if it is a tail."""
+    inline if they are a tail's."""
     plain = dataclasses.replace(f, features=None, features_lo=None, features_hi=None, **forms)
-    return _fold(plain) if math.isinf(f.hi) else plain
+    return _fold(plain) if math.isinf(plain.hi) else plain
 
 
 def _bits(result):
@@ -261,24 +263,46 @@ def test_node_features_are_read_only(fam, a):
 
 
 def test_the_fold_keys_the_cache_by_the_tail_features():
+    # the rPD tail is folded once, at import, and every analysis binds that fold
+    f, g = families._integrands_rPD(0.4)["tail"], families._integrands_rPD(0.7)["tail"]
+    assert (f.lo, f.hi, g.params[0]) == (0.0, 1.0, 0.7)
+    assert f.evaluator is g.evaluator and f.features is g.features
     # two folds of one tail, built apart, take the same cached features
-    f = families._integrands_rPD(0.4)["tail"]
-    g, h = quadrature._fold(f), quadrature._fold(families._integrands_rPD(0.7)["tail"])
-    assert g.features is h.features and g.features_hi is h.features_hi
+    inline = _INLINE["rPD"]["tail"]
+    tail = quadrature.Integrand(inline["evaluator"], 1.0, math.inf, singular_lo=True,
+                                from_lo=inline["from_lo"], features=families._rpd_tail_features,
+                                features_lo=families._rpd_tail_lo_features)
+    g, h = quadrature.fold(tail), quadrature.fold(tail)
+    assert g.features is h.features is f.features and g.features_hi is h.features_hi
     assert g.evaluator is not h.evaluator
 
 
-def test_a_second_analyze_pass_adds_no_node_cache_miss():
+def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):
+    # every table is bound from a template made at import, the rPD tails
+    # folded there, so an analysis builds no Integrand and folds no tail
+    built, folded = [], []
+    check, fold = quadrature.Integrand.__post_init__, quadrature.fold
+    monkeypatch.setattr(quadrature.Integrand, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    monkeypatch.setattr(quadrature, "fold", lambda f: folded.append(f) or fold(f))
     points = [SurfaceParam(fam, a) for fam, a in (
-        ("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0))]
-    misses = []
+        ("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0),
+        ("rPD", 0.1))]
+    stacks = [[SurfaceParam(fam, a) for a in grid] for fam, grid in (
+        ("H", (0.04, 0.5, 0.9)), ("rPD", (0.12, 0.6, 1.0)), ("tP", (2.5, 3.5, 40.0)),
+        ("tCLP", (-1.5, 0.2, 1.9)))]
+    caches = (quadrature._arguments, quadrature._folded)
+    seen = []
     for _ in range(2):
         moduli._analyze_cached.cache_clear()
         for p in points:
             moduli.analyze(p)
-        misses.append(quadrature._arguments.cache_info().misses)
-    assert moduli._analyze_cached.cache_info().misses == len(points)
-    assert misses[1] == misses[0]
+        for stack in stacks:
+            moduli.analyze_many(stack)
+        assert moduli._analyze_cached.cache_info().misses == len(points) + 3 * len(stacks)
+        seen.append([(c.cache_info().misses, c.cache_info().currsize) for c in caches])
+    assert built == [] and folded == []
+    assert seen[1] == seen[0]
 
 
 def test_a_feature_function_needs_its_form():

@@ -245,7 +245,7 @@ def _per_level_reference(f, row=0, point=None):
 
 def _one_row(f, row, point=None):
     """The per-level reference for one row of f, through the tail fold where f needs it."""
-    return _per_level_reference(quadrature._fold(f) if math.isinf(f.hi) else f, row, point)
+    return _per_level_reference(quadrature.fold(f) if math.isinf(f.hi) else f, row, point)
 
 
 @pytest.mark.parametrize("table, a", [
@@ -575,3 +575,119 @@ def test_non_convergence_in_a_set_names_the_row_and_the_parameter(monkeypatch):
         integrate([first, second])
     assert str(joint.value) == str(alone.value)
     assert re.search(r"by level 6 in row 'rough' at parameter 0\.5:", str(joint.value))
+
+
+# ---------------------------------------------------------------------------
+# the stopping test of one surface on Python floats against the whole-array
+# test of a stack
+
+
+def _on_a_stack(f):
+    """f on a one-point stack: each of its params an array of that one value."""
+    return f.bind(tuple(np.array([c]) for c in f.params))
+
+
+def _point_bits(result):
+    """Each row's (value, err) by its bytes, a float or a one-point stack's array alike."""
+    rows = result.items() if isinstance(result, dict) else [(None, result)]
+    return {name: tuple(np.asarray(x, dtype=float).reshape(-1).tobytes() for x in pair)
+            for name, pair in rows}
+
+
+def _surface_tables(fam, a):
+    if fam == "H":
+        return {**families._integrands_H(a), **families._identity_integrands_H(a)}
+    if fam == "rPD":
+        return {**families._integrands_rPD(a), **families._identity_integrands_rPD(a)}
+    return {"tP": families._integrands_tP, "tCLP": families._integrands_tCLP}[fam](a)
+
+
+_RNG = np.random.default_rng(2307)
+# random admissible points of each family, then points where a table
+# refines past the block
+_ONE_SURFACE = (
+    [("H", a) for a in _RNG.uniform(0.01, 0.99, 3)]
+    + [("rPD", a) for a in _RNG.uniform(0.01, 1.0, 3)]
+    + [("tP", a) for a in _RNG.uniform(2.05, 60.0, 3)]
+    + [("tCLP", a) for a in _RNG.uniform(-1.99, 1.99, 3)]
+    + [("rPD", 0.1), ("H", 0.05), ("tP", 3.0)]
+)
+
+
+@pytest.mark.parametrize("fam, a", _ONE_SURFACE)
+def test_one_surface_equals_its_one_point_stack_bit_for_bit(fam, a, monkeypatch):
+    refined = []
+    refine = quadrature._refine
+    monkeypatch.setattr(quadrature, "_refine", lambda *args: refined.append(1) or refine(*args))
+    tables = _surface_tables(fam, float(a))
+    for f in tables.values():
+        assert _point_bits(integrate(f)) == _point_bits(integrate(_on_a_stack(f)))
+    # and the whole set in one pass, as integral_set and verify_identities take it
+    alone = integrate(list(tables.values()))
+    stacked = integrate([_on_a_stack(f) for f in tables.values()])
+    assert [_point_bits(r) for r in alone] == [_point_bits(r) for r in stacked]
+    if (fam, a) in _ONE_SURFACE[-3:]:
+        assert refined, (fam, a)
+
+
+def test_the_float_stopping_test_equals_the_array_test():
+    tol = 2.0 ** -40
+    step = 2.0 ** -40
+    nan = math.nan
+    # (levels 0-5) of each row, and the index of the level it stops at
+    rows = [
+        # a change of exactly tol * |value| at level 3 passes by <=
+        ([0.0, 0.5, 1.0 - step, 1.0, 1.0, 1.0], 0),
+        # and one of exactly the floor, where that exceeds it
+        ([0.0, 0.0, 0.0, 1e-15, 1e-15, 1e-15], 0),
+        # one ulp over the threshold waits for level 4
+        ([0.0, 0.5, 1.0 - step - 2.0 ** -53, 1.0, 1.0, 1.0], 1),
+        # never passes inside the block
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 3),
+        # stops at level 4; the nan at level 5 is never read
+        ([0.0, 1.0, 2.0, 3.0, 3.0, nan], 1),
+        # a nan it reads never passes
+        ([0.0, 1.0, nan, nan, nan, nan], 3),
+        # inf at level 3 after a finite level 2 passes, as inf <= inf
+        ([0.0, 1.0, 2.0, math.inf, math.inf, math.inf], 0),
+    ]
+    value = np.array([r for r, _ in rows]).T
+    got = quadrature._stop_floats(value, tol)
+    with np.errstate(invalid="ignore"):
+        want = quadrature._stop_arrays(value, tol)
+    assert got[2] == want[2].tolist() == [stop for _, stop in rows]
+    for x, y in zip(got[:2], want[:2]):
+        assert all(type(v) is float for v in x)
+        assert np.array(x).tobytes() == y.tobytes()
+
+
+def _with_param(rows):
+    """_table of rows, each times a parameter that is 1: float, or a one-point stack."""
+    names = tuple(rows)
+    return [Integrand(lambda x, c: tuple(rows[n](x) * c for n in names), 0.0, 1.0,
+                      names=names, params=(c,)) for c in (1.0, np.array([1.0]))]
+
+
+def test_both_paths_refine_a_row_past_the_block_alike():
+    one, stack = _with_param({"sqrt": np.sqrt, "bump": _STOPS["bump"][1]})
+    got, want = integrate(one), integrate(stack)
+    assert _point_bits(got) == _point_bits(want)
+    assert got == integrate(_table({"sqrt": np.sqrt, "bump": _STOPS["bump"][1]}))
+
+
+def test_both_paths_ignore_a_nonfinite_value_a_stopped_row_does_not_read():
+    # the sqrt row stops at level 3, the cos row reads level 5
+    _, sqrt_bad = _bad_at(5, np.sqrt)
+    cos = _STOPS["cos"][1]
+    want = integrate(_table({"sqrt": np.sqrt, "cos": cos}))
+    one, stack = _with_param({"sqrt": sqrt_bad, "cos": cos})
+    assert integrate(one) == want
+    assert _point_bits(integrate(stack)) == _point_bits(want)
+
+
+@pytest.mark.parametrize("level, upper", [(4, False), (5, True), (6, False)])
+def test_both_paths_name_the_node_of_a_nonfinite_value_a_row_reads(level, upper):
+    bad_x, bump_bad = _bad_at(level, _STOPS["bump"][1], upper)
+    for f in _with_param({"sqrt": np.sqrt, "bump": bump_bad}):
+        with pytest.raises(DomainError, match=re.escape(f"near x = {bad_x!r}")):
+            integrate(f)

@@ -267,6 +267,28 @@ def test_bench_summary_bound_follows_the_metrics_direction():
     assert one["beyond_parent_iqr"] is None
 
 
+def test_bench_summary_names_the_pairs_whose_host_speeds_differ_beyond_the_bound():
+    line = ("# host speed over the reference: median %.3f, range 0.500-1.200 "
+            "over repetitions")
+    assert bench_pairs.host_speed_median(line % 0.668) == 0.668
+    assert bench_pairs.host_speed_median(None) is None
+    assert bench_pairs.host_speed_median("# machine {}") is None
+    # pairs 2 and 4 are 20 % apart, the change side faster in one and slower
+    # in the other; pairs 1 and 3 are within the bound, pair 5 lacks a line
+    speeds = {1: (1.00, 1.05), 2: (0.80, 0.96), 3: (1.00, 0.90), 4: (1.00, 0.80), 5: (1.0, None)}
+    runs = []
+    for seed, pair in speeds.items():
+        for side, speed in zip(("parent", "change"), pair):
+            run = _run("w", seed, side, 1.0)
+            run["host_speed"] = None if speed is None else line % speed
+            runs.append(run)
+    table = bench_pairs.summarize(runs, _BETTER, {"wall_s": 0.15})["w --trace 0 (5 pairs)"]
+    assert table["host_speed_apart"] == {"bound": 0.15, "seeds": [2, 4]}
+    # the metrics are summarized as before; without a wall_s bound there is no such entry
+    assert table["wall_s"]["pairs_change_better"] == 0
+    assert "host_speed_apart" not in bench_pairs.summarize(runs, _BETTER)["w --trace 0 (5 pairs)"]
+
+
 def _fake_perfbench(root, last_line):
     """A stand-in for perfbench/run.py in root that ends with last_line."""
     fake = root / "perfbench" / "run.py"

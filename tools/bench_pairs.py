@@ -32,7 +32,11 @@ the median by more than the parent's IQR, and no worse in the median
 than the metric's ``bound``.  perfbench keeps every repetition's
 outputs, so ``peak_rss_mb`` grows with the count; the summary gives the
 median count per side beside the metrics, which tells a change in what
-perfbench retains from one in the program's own memory.  If FILE
+perfbench retains from one in the program's own memory.  perfbench
+scales each run's times by its host speed, so the summary also names
+the pairs whose two runs' host speed medians differ by more than the
+``wall_s`` bound: one such run can move its pair's ``wall_s`` by more
+than the bound.  If FILE
 exists, its runs are kept and the new ones added, so one file can
 collect several workloads and trace settings; the script stops if FILE
 records another parent or already holds a run of this workload and
@@ -88,6 +92,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
     return machine, result, reps, speed
 
 
+def host_speed_median(line) -> float | None:
+    """The median of a ``# host speed over the reference`` line, None
+    for a run without one."""
+    match = re.match(re.escape(HOST_SPEED) + r" median ([0-9.]+)", line or "")
+    return float(match.group(1)) if match else None
+
+
 def _machine_without_seed(line: str) -> str:
     info = json.loads(line[len("# machine "):])
     info.pop("seed", None)
@@ -136,6 +147,10 @@ def summarize(runs: list, better: dict, bound: dict = None) -> dict:
     within_bound       the change median is worse than the parent
                        median by no more than the metric's bound (metric
                        name to bound, see bounds); None without a bound
+
+    With a bound on wall_s, a group also gets ``host_speed_apart``: that
+    bound and the seeds of the pairs whose runs' host speed medians (see
+    host_speed_median) differ by more than it, relative to the parent's.
     """
     better = dict(better, repetitions="higher")
     bound = bound or {}
@@ -151,6 +166,7 @@ def summarize(runs: list, better: dict, bound: dict = None) -> dict:
                 raise ValueError("the %s run of %s --trace %d with seed %d lacks %s"
                                  % (run["side"], workload, trace, run["seed"], ", ".join(missing)))
         by_seed: dict = {}
+        speeds: dict = {}
         for run in group:
             pair = by_seed.setdefault(run["seed"], {})
             if run["side"] in pair:
@@ -158,6 +174,8 @@ def summarize(runs: list, better: dict, bound: dict = None) -> dict:
                                  % (run["side"], workload, trace, run["seed"]))
             pair[run["side"]] = dict(run["result"]["metrics"],
                                      repetitions={"value": run.get("repetitions")})
+            speeds.setdefault(run["seed"], {})[run["side"]] = host_speed_median(
+                run.get("host_speed"))
         pairs = [p for p in by_seed.values() if len(p) == 2]
         names = [n for n in pairs[0]["parent"] if n in pairs[0]["change"]] if pairs else []
         table = {}
@@ -187,6 +205,11 @@ def summarize(runs: list, better: dict, bound: dict = None) -> dict:
                 "within_bound": (None if name not in bound or worse is None
                                  else worse <= bound[name]),
             }
+        if "wall_s" in bound:
+            apart = [seed for seed, pair in speeds.items() if len(pair) == 2
+                     and pair["parent"] and pair["change"] is not None
+                     and abs(pair["change"] / pair["parent"] - 1.0) > bound["wall_s"]]
+            table["host_speed_apart"] = {"bound": bound["wall_s"], "seeds": apart}
         summary["%s --trace %d (%d pairs)" % (workload, trace, len(pairs))] = table
     return summary
 

@@ -41,8 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-# one or two points of every family; tD folds onto tP, so tP stands for it
-POINTS = (("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0))
+# one or two points of every family; tD folds onto tP, so tP stands for it.
+# The last three refine past the fused block: H 0.05 and tP 3 in one
+# table, rPD 0.1 in both of its tables
+POINTS = (("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0),
+          ("rPD", 0.1))
 
 # (module, attribute) of each layer timed inside one analysis; an
 # attribute that a tree lacks is shown as "-"
