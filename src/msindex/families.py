@@ -11,11 +11,13 @@ integrands are written so that each endpoint singularity sits at
 offset zero of the quadrature engine's distance coordinate, with
 cancellation-prone factors expanded by hand.  Each family builds its
 integrands once, at import, as quadrature tables with named rows (H:
-``near0`` and ``cap``; rPD: ``unit`` and ``tail``, the tail folded
-onto (0, 1) there; tP and tCLP: ``periods``) that share their
+``near0`` and ``cap``; rPD, tP and tCLP: ``periods``) that share their
 radicands, and with no params: templates that each call binds to its
 parameter columns (``Integrand.bind``), so an analysis builds no
-Integrand and folds no tail.  All the tables of an integral set, with
+Integrand and folds no tail.  rPD's ``periods`` holds its rows on
+(0, 1) and, folded onto (0, 1) in its features, those on (1, inf); its
+evaluator is also its offset form near t = 1, so one call per level
+covers both halves.  All the tables of an integral set, with
 the identities' integrands beside them, go to one integrate call.
 What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
 radicand factors without a) comes from a feature function at module
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergence, RiemannMatrixViolation, SingularMatrix
-from .quadrature import Integrand, QuadConfig, fold, integrate
+from .quadrature import Integrand, QuadConfig, _folded, fold, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
 
@@ -266,40 +268,43 @@ def _rpd_unit_features(t):
     return t, t3, t * (1.0 - t3)
 
 
-def _rpd_unit_hi_features(s):
+def _rpd_unit_near_one(s):
     # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
     t = 1.0 - s
     t3 = t ** 3
-    return s, t, t3, t * s * (3.0 - s * (3.0 - s))
+    return t, t3, t * s * (3.0 - s * (3.0 - s))
 
 
-def _rpd_unit(names, alt, nums, nums_hi=None) -> Integrand:
+def _rpd_unit_hi_features(s):
+    return (s,) + _rpd_unit_near_one(s)
+
+
+def _rpd_rows(c, numerators, base, t3, alt):
+    """num_i / sqrt(R_i) on the curve c, R = base (a^3 t^3 + a^-3), or
+    base (a^-3 t^3 + a^3) for the rows marked in alt."""
+    root = None if all(alt) else np.sqrt(base * (c.a3 * t3 + c.ia3))
+    alt_root = np.sqrt(base * (c.ia3 * t3 + c.a3)) if any(alt) else None
+    return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
+
+
+def _rpd_unit(names, alt, nums, nums_hi) -> Integrand:
     """The template of the table of num_i(t) / sqrt(R_i(t)) on (0, 1),
     singular at both ends.
 
     nums(c, t, t3) returns the numerators at the nodes t on the curve c,
     with t3 = t**3.  The offset form near t = 1 expands 1 - t^3 in
-    s = 1 - t; nums_hi(c, s, t, t3) replaces the numerators there where
+    s = 1 - t; nums_hi(c, s, t, t3) gives the numerators there, where
     nums(c, 1 - s, ...) would cancel.
     """
-    if nums_hi is None:
-        def nums_hi(c, s, t, t3):
-            return nums(c, t, t3)
-
-    def rows(c, numerators, base, t3):
-        root = None if all(alt) else np.sqrt(base * (c.a3 * t3 + c.ia3))
-        alt_root = np.sqrt(base * (c.ia3 * t3 + c.a3)) if any(alt) else None
-        return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
-
     def f(nodes, *cols):
         t, t3, base = nodes
         c = _RPDCurve(*cols)
-        return rows(c, nums(c, t, t3), base, t3)
+        return _rpd_rows(c, nums(c, t, t3), base, t3, alt)
 
     def f_hi(nodes, *cols):
         s, t, t3, base = nodes
         c = _RPDCurve(*cols)
-        return rows(c, nums_hi(c, s, t, t3), base, t3)
+        return _rpd_rows(c, nums_hi(c, s, t, t3), base, t3, alt)
 
     return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names,
                      features=_rpd_unit_features, features_hi=_rpd_unit_hi_features)
@@ -310,32 +315,32 @@ def _rpd_tail_features(t):
     return t, t3, t * (t3 - 1.0)
 
 
-def _rpd_tail_lo_features(s):
+def _rpd_tail_near_one(s):
     # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
     t = 1.0 + s
     t3 = t ** 3
-    return s, t, t3, t * s * (s * (s + 3.0) + 3.0)
+    return t, t3, t * s * (s * (s + 3.0) + 3.0)
 
 
-def _rpd_tail(names, nums, nums_lo=None) -> Integrand:
+def _rpd_tail_lo_features(s):
+    return (s,) + _rpd_tail_near_one(s)
+
+
+def _rpd_tail(names, nums, nums_lo) -> Integrand:
     """The template of the table of num_i(t) / sqrt(R(t)) on (1, inf),
     offset s = t - 1, with nums_lo(c, s, t, t3) in place of nums at
     t = 1 + s, folded onto (0, 1)."""
-    if nums_lo is None:
-        def nums_lo(c, s, t, t3):
-            return nums(c, t, t3)
+    alt = (False,) * len(names)
 
     def f(nodes, *cols):
         t, t3, base = nodes
         c = _RPDCurve(*cols)
-        root = np.sqrt(base * (c.a3 * t3 + c.ia3))
-        return tuple(n / root for n in nums(c, t, t3))
+        return _rpd_rows(c, nums(c, t, t3), base, t3, alt)
 
     def f_lo(nodes, *cols):
         s, t, t3, base = nodes
         c = _RPDCurve(*cols)
-        root = np.sqrt(base * (c.a3 * t3 + c.ia3))
-        return tuple(n / root for n in nums_lo(c, s, t, t3))
+        return _rpd_rows(c, nums_lo(c, s, t, t3), base, t3, alt)
 
     return fold(Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names,
                           features=_rpd_tail_features, features_lo=_rpd_tail_lo_features))
@@ -348,14 +353,39 @@ def _unit_nums(c, t, t3):
             t * c.alt_cubic(t3), t * cubic)
 
 
-_UNIT = _rpd_unit(("A", "D", "Ep", "Em", "H", "I"), (False, False, False, False, True, False),
-                  _unit_nums)
-_TAIL = _rpd_tail(("TA", "TC"), lambda c, t, t3: (1.0 + (c.a * t) ** 2, t))
+# the tail's features at t = 1/u and u^2, and at t = 1 + sigma / (1 - sigma)
+# and (1 - sigma)^2, as quadrature.fold takes them to (0, 1)
+_TAIL_AT = _folded(_rpd_tail_features, False)
+_TAIL_NEAR_ONE = _folded(_rpd_tail_near_one, True)
+
+
+def _periods_features(x):
+    return _rpd_unit_features(x) + (_TAIL_AT(x),)
+
+
+def _periods_hi_features(s):
+    return _rpd_unit_near_one(s) + (_TAIL_NEAR_ONE(s),)
+
+
+def _periods(nodes, *cols):
+    # the rows on (0, 1), H's on the swapped curve, then the tail rows
+    # folded from (1, inf)
+    t, t3, base, ((u, u3, u_base), square) = nodes
+    c = _RPDCurve(*cols)
+    tail = _rpd_rows(c, (1.0 + (c.a * u) ** 2, u), u_base, u3, (False, False))
+    return (_rpd_rows(c, _unit_nums(c, t, t3), base, t3, (False, False, False, False, True, False))
+            + tuple(n / square for n in tail))
+
+
+# one form on both halves: near t = 1 it takes the features at the exact
+# distances, which give it the same arguments as the nodes do elsewhere
+_PERIODS = Integrand(_periods, 0.0, 1.0, True, True, from_hi=_periods,
+                     names=("A", "D", "Ep", "Em", "H", "I", "TA", "TC"),
+                     features=_periods_features, features_hi=_periods_hi_features)
 
 
 def _integrands_rPD(a: Values) -> dict[str, Integrand]:
-    cols = _RPDCurve.columns(a)
-    return {"unit": _UNIT.bind(cols), "tail": _TAIL.bind(cols)}
+    return {"periods": _PERIODS.bind(_RPDCurve.columns(a))}
 
 
 def _integrals_rPD(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -759,17 +789,18 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
     terms = _power_row(fam, np.array([q.a for q in params]))[:, idx] * coef
     vals = terms[..., 0] + terms[..., 1] + terms[..., 2]
     # |curve| at each point, |point| and |difference|; a residual is |curve|
-    # over the size of its terms where that exceeds 1, so at most |curve|
+    # over the size of its terms where that exceeds 1, so at most |curve|.
+    # Each test is written so that a nan fails it.
     mags = np.abs(vals[:, 90:])
-    if (mags[:, :5] > _ROOT_RESIDUAL_TOL).any() or (mags[:, 10:] <= _POINT_SEPARATION).any():
+    if not ((mags[:, :5] <= _ROOT_RESIDUAL_TOL).all() and (mags[:, 10:] > _POINT_SEPARATION).all()):
         res = mags[:, :5] / np.maximum(1.0, np.abs(terms[:, 90:95]).sum(axis=-1))
         for q, pts, r, g in zip(params, vals[:, 95:100].tolist(), res.tolist(),
                                 mags[:, 10:].tolist()):
             for z, rz in zip(pts, r):
-                if rz > _ROOT_RESIDUAL_TOL:
+                if not rz <= _ROOT_RESIDUAL_TOL:
                     raise NonConvergence(f"branch point {z!r} has residual {rz:.3e} at a = {q.a!r}")
             for (i, j), gap in zip(_PAIRS, g):
-                if gap <= _POINT_SEPARATION:
+                if not gap > _POINT_SEPARATION:
                     raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide "
                                       f"at a = {q.a!r}")
     p_ai = vals[:, :90].reshape(-1, 5, 3, 6)

@@ -65,7 +65,9 @@ package stop at level 4 or 5, so the nodes of levels 0-5 form one
 cached block.  Each distinct form is called once on the nodes of every
 side that uses it for that block, and once more for each later level:
 a table without offset forms is evaluated on both halves of levels 0-5
-and the midpoint in a single call.  Each row keeps its own trapezoid
+and the midpoint in a single call, and so is one whose from_hi form is
+its evaluator, which takes the features of the hi side's distances
+joined with those of its other nodes.  Each row keeps its own trapezoid
 sum and its own stopping level.  The values of every row of every
 integrand in the pass on the block sit in one (rows, 2, nodes) array,
 and its two sides are summed per level in one ``np.vecdot`` call, which
@@ -174,7 +176,10 @@ class Integrand:
                 inverse square root)
     from_lo     f expressed in the distance s = x - lo, exact for all
                 s in (0, hi - lo); used for nodes in the lower half
-    from_hi     f expressed in s = hi - x; used for the upper half
+    from_hi     f expressed in s = hi - x; used for the upper half.  It
+                may be the evaluator itself: one form that takes
+                features_hi of the distances as it takes features of the
+                nodes, called once on both halves
     names       row names of a table; empty for a single integrand
     params      the parameter of a table and the constants derived from
                 it, handed to every form after the nodes: floats, or
@@ -225,6 +230,9 @@ class Integrand:
             raise ValueError("features_lo needs the from_lo form it feeds")
         if self.features_hi is not None and self.from_hi is None:
             raise ValueError("features_hi needs the from_hi form it feeds")
+        if self.from_hi is self.evaluator and (self.features is None or self.features_hi is None):
+            raise ValueError("an evaluator that is its own from_hi form needs features "
+                             "and features_hi, which bring both halves to its arguments")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"row names must be distinct, got {self.names!r}")
 
@@ -304,7 +312,7 @@ def _read_only(x):
 
 @functools.lru_cache(maxsize=64)
 def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool, offset_lo: bool,
-               features: tuple = (None, None, None)) -> tuple:
+               features: tuple = (None, None, None), joined: bool = False) -> tuple:
     """What the forms of an integrand on (lo, hi) are called on at one
     level, or at the fused block and the midpoint for level None.
 
@@ -314,8 +322,11 @@ def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool, offs
     nodes hi - s, lo + s of each side without one, then the midpoint,
     concatenated into one array for the evaluator (None if it has none
     to take), and what each of the three forms takes, its features at
-    its nodes or the nodes themselves.  Cached per interval, level and
-    feature functions, read-only, so a fixed interval forms them once.
+    its nodes or the nodes themselves.  joined, for an evaluator that is
+    also the from_hi form, gives it the hi side's features at s followed
+    by its own at plain, joined componentwise through nested tuples.
+    Cached per interval, level and feature functions, read-only, so a
+    fixed interval forms them once.
     """
     half = 0.5 * (hi - lo)
     s = half * (_fused_nodes()[0] if level is None else _nodes(level)[1])
@@ -324,7 +335,19 @@ def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool, offs
     plain = np.concatenate(xs) if xs else None
     taken = tuple(x if fn is None or x is None else fn(x)
                   for fn, x in zip(features, (plain, s, s)))
+    if joined:
+        taken = (_joined(taken[1], taken[0]),) + taken[1:]
     return _read_only((s, plain, taken))
+
+
+def _joined(first, then):
+    """Two features of one structure, arrays or nested tuples of them,
+    as one: each array of first followed by its match in then (if any)."""
+    if then is None:
+        return first
+    if isinstance(first, tuple):
+        return tuple(map(_joined, first, then))
+    return np.concatenate([first, then])
 
 
 def _sides(f: Integrand, level: Optional[int], cols: list,
@@ -336,23 +359,27 @@ def _sides(f: Integrand, level: Optional[int], cols: list,
     (rows, 2, nodes) array, written into out if given, and the midpoint
     column (None past the block).  An offset form is called on its own
     side; the evaluator is called once, on the nodes of every other
-    part, and when it takes both sides and no out is given, vals is a
-    view of its output.  The values are not checked here: integrate
-    reads each level of a row only while the row is active, and checks
-    what it reads.
+    part and, if it is also the from_hi form, on the hi side's
+    distances first.  When it takes both sides and no out is given,
+    vals is a view of its output.  The values are not checked here:
+    integrate reads each level of a row only while the row is active,
+    and checks what it reads.
     """
+    joined = f.from_hi is f.evaluator
     s, plain, (at_plain, at_hi, at_lo) = _arguments(
         f.lo, f.hi, level, f.from_hi is not None, f.from_lo is not None,
-        (f.features, f.features_hi, f.features_lo))
+        (f.features, f.features_hi, f.features_lo), joined)
     n = len(s)
-    got = None if plain is None else _apply(f, f.evaluator, at_plain, len(plain), cols)
+    m = (0 if plain is None else len(plain)) + (n if joined else 0)
+    got = _apply(f, f.evaluator, at_plain, m, cols) if m else None
     centre = got[:, -1:] if level is None else None
-    if out is None and f.from_hi is None and f.from_lo is None:
+    from_hi = None if joined else f.from_hi
+    if out is None and from_hi is None and f.from_lo is None:
         return got[:, :2 * n].reshape(len(got), 2, n), centre
     if out is None:
         out = np.empty((math.prod(_lead(f, cols)), 2, n))
     at = 0
-    for side, form, arg in ((0, f.from_hi, at_hi), (1, f.from_lo, at_lo)):
+    for side, form, arg in ((0, from_hi, at_hi), (1, f.from_lo, at_lo)):
         if form is None:
             out[:, side] = got[:, at:at + n]
             at += n

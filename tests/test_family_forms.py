@@ -138,12 +138,44 @@ def _powers(c, t, t3):
     return tt * cubic, cubic, alt_cubic, tt * alt_cubic
 
 
+def _folded_forms(evaluator, from_lo):
+    """A tail's evaluator and from_lo folded onto (0, 1) inline: the
+    evaluator at t = 1/u over u^2, and from_lo, the folded from_hi, at
+    s = sigma / (1 - sigma) over (1 - sigma)^2 (None without from_lo)."""
+    def folded(u, *cols):
+        t = 1.0 / u
+        return quadrature._as_rows(evaluator(t, *cols)) / (u * u)
+
+    folded_from_hi = None
+    if from_lo is not None:
+        def folded_from_hi(sigma, *cols):
+            r = 1.0 - sigma
+            return quadrature._as_rows(from_lo(sigma / r, *cols)) / (r * r)
+
+    return folded, folded_from_hi
+
+
+def _rpd_periods():
+    """The unit forms and the inline-folded tail forms, their rows concatenated."""
+    unit = _rpd_unit((False, False, False, False, True, False), _unit_nums)
+    tail = _rpd_tail(lambda c, t, t3: (1.0 + (c.a * t) ** 2, t))
+    tail_at, tail_near_one = _folded_forms(tail["evaluator"], tail["from_lo"])
+
+    def joined(unit_form, tail_form):
+        def f(x, *cols):
+            return np.concatenate([quadrature._as_rows(unit_form(x, *cols)),
+                                   tail_form(x, *cols)])
+        return f
+
+    return {"evaluator": joined(unit["evaluator"], tail_at),
+            "from_hi": joined(unit["from_hi"], tail_near_one)}
+
+
 # the inline forms of each table, by family and table key
 _INLINE = {
     "H": {"near0": {"evaluator": _near0}, "cap": {"evaluator": _cap, "from_hi": _cap_hi}},
     "rPD": {
-        "unit": _rpd_unit((False, False, False, False, True, False), _unit_nums),
-        "tail": _rpd_tail(lambda c, t, t3: (1.0 + (c.a * t) ** 2, t)),
+        "periods": _rpd_periods(),
         "unit_minus": _rpd_unit(
             (False, False, False, True, True),
             lambda c, t, t3: _minus(c, t, t3) + _powers(c, t, t3),
@@ -160,20 +192,7 @@ _INLINE = {
 
 def _fold(f):
     """The tail fold written inline."""
-    ev = f.evaluator
-
-    def folded(u, *cols):
-        t = 1.0 / u
-        return quadrature._as_rows(ev(t, *cols)) / (u * u)
-
-    folded_from_hi = None
-    if f.from_lo is not None:
-        base = f.from_lo
-
-        def folded_from_hi(sigma, *cols):
-            r = 1.0 - sigma
-            return quadrature._as_rows(base(sigma / r, *cols)) / (r * r)
-
+    folded, folded_from_hi = _folded_forms(f.evaluator, f.from_lo)
     return quadrature.Integrand(evaluator=folded, lo=0.0, hi=1.0, singular_lo=True,
                                 singular_hi=f.singular_lo, from_hi=folded_from_hi,
                                 names=f.names, params=f.params)
@@ -252,7 +271,7 @@ def test_node_features_are_read_only(fam, a):
             for level in (None, 6):
                 taken = quadrature._arguments(
                     g.lo, g.hi, level, g.from_hi is not None, g.from_lo is not None,
-                    (g.features, g.features_hi, g.features_lo))
+                    (g.features, g.features_hi, g.features_lo), g.from_hi is g.evaluator)
                 arrays = list(_arrays(taken))
                 # s and the plain nodes, and at least one feature per form
                 assert len(arrays) > 3
@@ -263,12 +282,13 @@ def test_node_features_are_read_only(fam, a):
 
 
 def test_the_fold_keys_the_cache_by_the_tail_features():
-    # the rPD tail is folded once, at import, and every analysis binds that fold
-    f, g = families._integrands_rPD(0.4)["tail"], families._integrands_rPD(0.7)["tail"]
+    # the rPD tail is folded once, at import, and every call binds that fold
+    tails = families._identity_integrands_rPD
+    f, g = tails(0.4)["tail_minus"], tails(0.7)["tail_minus"]
     assert (f.lo, f.hi, g.params[0]) == (0.0, 1.0, 0.7)
     assert f.evaluator is g.evaluator and f.features is g.features
     # two folds of one tail, built apart, take the same cached features
-    inline = _INLINE["rPD"]["tail"]
+    inline = _INLINE["rPD"]["tail_minus"]
     tail = quadrature.Integrand(inline["evaluator"], 1.0, math.inf, singular_lo=True,
                                 from_lo=inline["from_lo"], features=families._rpd_tail_features,
                                 features_lo=families._rpd_tail_lo_features)

@@ -1,5 +1,6 @@
 """Unit tests for the double-exponential quadrature core."""
 
+import dataclasses
 import math
 import re
 
@@ -397,6 +398,90 @@ def test_table_with_offset_forms_calls_each_form_once_per_level():
     assert abs(got["bump"][0] - math.atan(5.0) / 10.0) < 1e-13
     later = [len(_nodes(k)[1]) for k in (6, 7)]
     assert plain == [n + 1] + later and offset == [n] + later
+
+
+# one form on both halves of (0, 1): it takes x and (1 - x, its root), the
+# hi half's from the exact distances; a blowup at 1, a wave that stops at
+# level 5 and a bump that stops at level 7
+def _joined_features(x):
+    d = 1.0 - x
+    return x, (d, np.sqrt(d))
+
+
+def _joined_hi_features(s):
+    return 1.0 - s, (s, np.sqrt(s))
+
+
+def _joined_form(nodes, c):
+    x, (_, root) = nodes
+    return c / root, c * np.cos(20.0 * x), c / (1.0 + 400.0 * (x - 0.75) ** 2)
+
+
+def _joined_table(c, form=_joined_form):
+    return Integrand(form, 0.0, 1.0, singular_hi=True, from_hi=form,
+                     names=("blowup", "wave", "bump"), params=(c,),
+                     features=_joined_features, features_hi=_joined_hi_features)
+
+
+@pytest.mark.parametrize("c", [1.5, np.array([0.5, 1.0, 2.0])])
+def test_an_evaluator_that_is_its_own_from_hi_equals_a_distinct_one(c):
+    one = _joined_table(c)
+    two = dataclasses.replace(one, from_hi=lambda nodes, c: _joined_form(nodes, c))
+    _, _, cols = quadrature._prepare(one)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for level in (None, 6, 7, 8):
+            (got, got_mid), (want, want_mid) = (quadrature._sides(f, level, cols) for f in (one, two))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), level
+            assert (got_mid is None and want_mid is None) or got_mid.tobytes() == want_mid.tobytes()
+    got, want = integrate(one), integrate(two)
+    assert _point_bits(got) == _point_bits(want)
+    points = [None] if isinstance(c, float) else range(len(c))
+    for row, name in enumerate(one.names):
+        for point in points:
+            value, err = got[name] if point is None else (x[point] for x in got[name])
+            assert (value, err) == _per_level_reference(one, row, point), (name, point)
+    assert abs(got["blowup"][0] - 2.0 * np.asarray(c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("c", [1.5, np.array([0.5, 1.0, 2.0])])
+def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
+    calls = []
+
+    def form(nodes, c):
+        calls.append(len(nodes[0]))
+        return _joined_form(nodes, c)
+
+    integrate(_joined_table(c, form))
+    # both halves and the midpoint of the block in one call, then both
+    # halves of each level until the bump stops at level 7
+    n = len(_fused_nodes()[0])
+    assert calls == [2 * n + 1] + [2 * len(_nodes(k)[1]) for k in (6, 7)]
+
+
+@pytest.mark.parametrize("level", [None, 6])
+def test_joined_features_are_read_only_and_the_hi_half_first(level):
+    features = (_joined_features, _joined_hi_features, None)
+    s, plain, (taken, at_hi, _) = quadrature._arguments(0.0, 1.0, level, True, False, features, True)
+    n = len(s)
+    assert len(plain) == n + (level is None)
+    x, (d, root) = taken
+    hi_x, (hi_d, hi_root) = _joined_hi_features(s)
+    lo_x, (lo_d, lo_root) = _joined_features(plain)
+    for got, hi, lo in ((x, hi_x, lo_x), (d, hi_d, lo_d), (root, hi_root, lo_root)):
+        assert not got.flags.writeable
+        assert got.tobytes() == np.concatenate([hi, lo]).tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    assert at_hi[0].tobytes() == hi_x.tobytes() and not at_hi[0].flags.writeable
+
+
+def test_an_evaluator_that_is_its_own_from_hi_needs_both_feature_functions():
+    with pytest.raises(ValueError, match="its own from_hi"):
+        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, from_hi=_joined_form,
+                  features=_joined_features)
+    with pytest.raises(ValueError, match="its own from_hi"):
+        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, from_hi=_joined_form,
+                  features_hi=_joined_hi_features)
 
 
 def _bad_at(level, fn, upper=False):

@@ -227,6 +227,25 @@ def test_colliding_branch_points_fail_the_stack_as_one_by_one(monkeypatch):
     assert info == (0, 3, 2)
 
 
+@pytest.mark.parametrize("column, error, text", [
+    (8, NonConvergence, "has residual nan"),  # x^0: each point's curve
+    (9, DomainError, "collide"),  # x^1: the points themselves
+])
+def test_a_nan_in_the_powers_fails_naming_the_parameter(monkeypatch, column, error, text):
+    # a nan fails every comparison, so each check is written to fail on it
+    real = families._power_row
+
+    def with_nan(fam, a):
+        row = real(fam, a).copy()
+        row[-1, column] = np.nan
+        return row
+
+    monkeypatch.setattr(families, "_power_row", with_nan)
+    for values in ([10.0], [3.0, 10.0]):
+        with pytest.raises(error, match=text + r".* at a = 10\.0$"):
+            families.deformation_data([SurfaceParam("tP", a) for a in values])
+
+
 def _largest_residual(monkeypatch, p):
     # raise the tolerance past each residual that deformation_data reports
     # until it reports none: the last one reported is p's largest

@@ -42,10 +42,11 @@ from pathlib import Path
 import numpy as np
 
 # one or two points of every family; tD folds onto tP, so tP stands for it.
-# The last three refine past the fused block: H 0.05 and tP 3 in one
-# table, rPD 0.1 in both of its tables
+# The last four refine past the fused block: H 0.05 and tP 3 in one
+# table, rPD 0.1 in its unit and tail rows, and rPD 0.02, whose tail rows
+# go on to level 7
 POINTS = (("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0),
-          ("rPD", 0.1))
+          ("rPD", 0.1), ("rPD", 0.02))
 
 # (module, attribute) of each layer timed inside one analysis; an
 # attribute that a tree lacks is shown as "-"
