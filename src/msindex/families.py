@@ -9,24 +9,22 @@ period_frame feeds them into that family's 6x6 matrix of periods,
 whose top half determines the lattice and the period ratio tau.  All
 integrands are written so that each endpoint singularity sits at
 offset zero of the quadrature engine's distance coordinate, with
-cancellation-prone factors expanded by hand.  Each family builds its
-integrands once, at import, as quadrature tables with named rows (H:
-``near0`` and ``cap``; rPD, tP and tCLP: ``periods``) that share their
-radicands, and with no params: templates that each call binds to its
-parameter columns (``Integrand.bind``), so an analysis builds no
-Integrand and folds no tail.  rPD's ``periods`` holds its rows on
-(0, 1) and, folded onto (0, 1) in its features, those on (1, inf); its
-evaluator is also its offset form near t = 1, so one call per level
-covers both halves.  All the tables of an integral set, with
-the identities' integrands beside them, go to one integrate call.
-What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
-radicand factors without a) comes from a feature function at module
-level, which the quadrature computes once per node set and keeps, so a
-form call does only the arithmetic that depends on a, in the order the
-form written inline would.  H's identity integrands compute everything
-inline, and ``mid`` is built at each call: its interval starts at a,
-so its nodes differ with every parameter.  A
-table takes one float or an (N,) array, a stack of N surfaces; the
+cancellation-prone factors expanded by hand.  Every table, the
+identities' among them, is built once, at import, as a quadrature table
+with named rows that share their radicands, and with no params: a
+template that each call binds to its parameter columns
+(``Integrand.bind``), so no call builds an Integrand or folds a tail.
+rPD's tables hold their rows on (0, 1) and, folded onto (0, 1) in
+their features, those on (1, inf); their evaluator, like that of H's
+``bare``, is also their offset form near t = 1, so one call per level
+covers both halves.  Only H's ``cap`` has a separate offset form.  All
+the tables of an integral set, with the identities' beside them, go to
+one integrate call.  What a form needs of the nodes alone (powers of
+t, 1 -+ t^2, the radicand factors without a, the distance to t = 1)
+comes from a feature function at module level, which the quadrature
+computes once per node set and keeps, so a form call does only the
+arithmetic that depends on a, in the order the form written inline
+would.  A table takes one float or an (N,) array, a stack of N surfaces; the
 constants that depend on a alone are formed point by point in Python
 floats, so every point of a stack is bit for bit the surface alone,
 and so are its integral set, held in Python floats like every
@@ -47,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergence, RiemannMatrixViolation, SingularMatrix
-from .quadrature import Integrand, QuadConfig, _folded, fold, integrate
+from .quadrature import Integrand, QuadConfig, _folded, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
 
@@ -265,18 +263,14 @@ class _RPDCurve:
 
 def _rpd_unit_features(t):
     t3 = t ** 3
-    return t, t3, t * (1.0 - t3)
+    return t, t3, t * (1.0 - t3), 1.0 - t
 
 
 def _rpd_unit_near_one(s):
-    # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s
+    # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s, and the distance s itself
     t = 1.0 - s
     t3 = t ** 3
-    return t, t3, t * s * (3.0 - s * (3.0 - s))
-
-
-def _rpd_unit_hi_features(s):
-    return (s,) + _rpd_unit_near_one(s)
+    return t, t3, t * s * (3.0 - s * (3.0 - s)), s
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -287,101 +281,61 @@ def _rpd_rows(c, numerators, base, t3, alt):
     return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
 
 
-def _rpd_unit(names, alt, nums, nums_hi) -> Integrand:
-    """The template of the table of num_i(t) / sqrt(R_i(t)) on (0, 1),
-    singular at both ends.
-
-    nums(c, t, t3) returns the numerators at the nodes t on the curve c,
-    with t3 = t**3.  The offset form near t = 1 expands 1 - t^3 in
-    s = 1 - t; nums_hi(c, s, t, t3) gives the numerators there, where
-    nums(c, 1 - s, ...) would cancel.
-    """
-    def f(nodes, *cols):
-        t, t3, base = nodes
-        c = _RPDCurve(*cols)
-        return _rpd_rows(c, nums(c, t, t3), base, t3, alt)
-
-    def f_hi(nodes, *cols):
-        s, t, t3, base = nodes
-        c = _RPDCurve(*cols)
-        return _rpd_rows(c, nums_hi(c, s, t, t3), base, t3, alt)
-
-    return Integrand(f, 0.0, 1.0, True, True, from_hi=f_hi, names=names,
-                     features=_rpd_unit_features, features_hi=_rpd_unit_hi_features)
-
-
 def _rpd_tail_features(t):
     t3 = t ** 3
-    return t, t3, t * (t3 - 1.0)
+    return t, t3, t * (t3 - 1.0), t - 1.0
 
 
 def _rpd_tail_near_one(s):
-    # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s
+    # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s, and the distance s itself
     t = 1.0 + s
     t3 = t ** 3
-    return t, t3, t * s * (s * (s + 3.0) + 3.0)
+    return t, t3, t * s * (s * (s + 3.0) + 3.0), s
 
 
-def _rpd_tail_lo_features(s):
-    return (s,) + _rpd_tail_near_one(s)
+def _rpd_features(x):
+    # the unit features at x, then the tail's at t = 1/x beside x^2, as
+    # quadrature.fold takes them to (0, 1)
+    return _rpd_unit_features(x) + (_folded(_rpd_tail_features, False)(x),)
 
 
-def _rpd_tail(names, nums, nums_lo) -> Integrand:
-    """The template of the table of num_i(t) / sqrt(R(t)) on (1, inf),
-    offset s = t - 1, with nums_lo(c, s, t, t3) in place of nums at
-    t = 1 + s, folded onto (0, 1)."""
-    alt = (False,) * len(names)
+def _rpd_hi_features(s):
+    # at t = 1 - s, then the tail's at t = 1 + s / (1 - s) beside (1 - s)^2
+    return _rpd_unit_near_one(s) + (_folded(_rpd_tail_near_one, True)(s),)
+
+
+def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
+    """The template of a table of num_i(t) / sqrt(R_i(t)): the rows of
+    unit_nums on (0, 1), on the swapped curve where alt marks them, then
+    those of tail_nums on (1, inf), folded onto (0, 1) in its features.
+    Each nums(c, t, t3, d) gives the numerators on the curve c at t, with
+    t3 = t**3 and d = |1 - t|, exact near t = 1, where the evaluator is
+    also the offset form: one call per level covers both halves.
+    """
+    tail_alt = (False,) * (len(names) - len(alt))
 
     def f(nodes, *cols):
-        t, t3, base = nodes
+        t, t3, base, d, ((u, u3, u_base, u_d), square) = nodes
         c = _RPDCurve(*cols)
-        return _rpd_rows(c, nums(c, t, t3), base, t3, alt)
+        tail = _rpd_rows(c, tail_nums(c, u, u3, u_d), u_base, u3, tail_alt)
+        return (_rpd_rows(c, unit_nums(c, t, t3, d), base, t3, alt)
+                + tuple(n / square for n in tail))
 
-    def f_lo(nodes, *cols):
-        s, t, t3, base = nodes
-        c = _RPDCurve(*cols)
-        return _rpd_rows(c, nums_lo(c, s, t, t3), base, t3, alt)
-
-    return fold(Integrand(f, 1.0, math.inf, singular_lo=True, from_lo=f_lo, names=names,
-                          features=_rpd_tail_features, features_lo=_rpd_tail_lo_features))
+    return Integrand(f, 0.0, 1.0, True, True, from_hi=f, names=names,
+                     features=_rpd_features, features_hi=_rpd_hi_features)
 
 
-def _unit_nums(c, t, t3):
+def _unit_nums(c, t, t3, d):
     at2 = (c.a * t) ** 2
     cubic = c.cubic(t3)
     return (1.0 + at2, t, cubic * (5.0 * at2 + 1.0), cubic * (5.0 * at2 - 1.0),
             t * c.alt_cubic(t3), t * cubic)
 
 
-# the tail's features at t = 1/u and u^2, and at t = 1 + sigma / (1 - sigma)
-# and (1 - sigma)^2, as quadrature.fold takes them to (0, 1)
-_TAIL_AT = _folded(_rpd_tail_features, False)
-_TAIL_NEAR_ONE = _folded(_rpd_tail_near_one, True)
-
-
-def _periods_features(x):
-    return _rpd_unit_features(x) + (_TAIL_AT(x),)
-
-
-def _periods_hi_features(s):
-    return _rpd_unit_near_one(s) + (_TAIL_NEAR_ONE(s),)
-
-
-def _periods(nodes, *cols):
-    # the rows on (0, 1), H's on the swapped curve, then the tail rows
-    # folded from (1, inf)
-    t, t3, base, ((u, u3, u_base), square) = nodes
-    c = _RPDCurve(*cols)
-    tail = _rpd_rows(c, (1.0 + (c.a * u) ** 2, u), u_base, u3, (False, False))
-    return (_rpd_rows(c, _unit_nums(c, t, t3), base, t3, (False, False, False, False, True, False))
-            + tuple(n / square for n in tail))
-
-
-# one form on both halves: near t = 1 it takes the features at the exact
-# distances, which give it the same arguments as the nodes do elsewhere
-_PERIODS = Integrand(_periods, 0.0, 1.0, True, True, from_hi=_periods,
-                     names=("A", "D", "Ep", "Em", "H", "I", "TA", "TC"),
-                     features=_periods_features, features_hi=_periods_hi_features)
+# the rows on (0, 1), H's on the swapped curve, then the tail rows
+_PERIODS = _rpd_table(("A", "D", "Ep", "Em", "H", "I", "TA", "TC"),
+                      (False, False, False, False, True, False), _unit_nums,
+                      lambda c, t, t3, d: (1.0 + (c.a * t) ** 2, t))
 
 
 def _integrands_rPD(a: Values) -> dict[str, Integrand]:
@@ -631,8 +585,9 @@ def period_frame(integrals: Union[IntegralSet, Sequence[IntegralSet]]) -> Period
     the list of integral sets of a stack, of one family, gives a stacked
     frame, (N, 6, 6) and (N, 3, 3).
 
-    Raises RiemannMatrixViolation, naming the parameter, if tau comes
-    out non-symmetric or its imaginary part is not positive definite.
+    Raises SingularMatrix, naming the parameter, if linalg.solve refuses
+    C1, and RiemannMatrixViolation, naming it too, if tau comes out
+    non-symmetric or its imaginary part is not positive definite.
     sym(Im tau) = V diag(lambda) V^t, decomposed once, also gives X =
     (Im tau)^-1 = V diag(1/lambda) V^t; SingularMatrix, naming the
     parameter, refuses X if lambda_min < _IM_TAU_FLOOR * (sum lambda^2 +
@@ -650,7 +605,16 @@ def period_frame(integrals: Union[IntegralSet, Sequence[IntegralSet]]) -> Period
     omega = np.array(points[0] if one else points, dtype=complex)
     if times_i:
         omega = 1j * omega
-    tau = linalg.solve(omega[..., :3, :3], omega[..., :3, 3:])
+    try:
+        tau = linalg.solve(omega[..., :3, :3], omega[..., :3, 3:])
+    except SingularMatrix:
+        # the first point that solve refuses alone, named
+        for s, m in zip(sets, omega.reshape(-1, 6, 6)):
+            try:
+                linalg.solve(m[:3, :3], m[:3, 3:])
+            except SingularMatrix as exc:
+                raise SingularMatrix(f"{exc} at a = {s.a!r}") from exc
+        raise
     im = tau.imag
     lam, vec = linalg.eig_selfadjoint(0.5 * (im + im.swapaxes(-1, -2)), vectors=True)
     im_inv = (vec / lam[..., None, :]) @ vec.swapaxes(-1, -2)
@@ -812,92 +776,87 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
 # integral identities
 
 
-def _bare(t, a, a3, d0):
-    return (1.0 - (a * t) ** 2) / np.sqrt(t * (1.0 - t ** 3) * (1.0 / a3 - a3 * t ** 3))
+def _bare(nodes, a, a3, d0):
+    # (1 - a^2 t^2) / sqrt(t (1 - t^3) (a^-3 - a^3 t^3)) on rPD's unit
+    # features, d = 1 - t: a^-3 - a^3 t^3 = d0 + a^3 d (1 + t + t^2)
+    t, t3, base, d = nodes
+    return (((1.0 - a) + a * d) * (1.0 + a * t)
+            / np.sqrt(base * (d0 + a3 * (d * (1.0 + t * (1.0 + t))))))
 
 
-def _bare_hi(s, a, a3, d0):
-    return (1.0 - a + a * s) * (1.0 + a - a * s) / np.sqrt(
-        (1.0 - s) * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * s * (3.0 - s * (3.0 - s))))
+def _mid_features(v):
+    return v, 1.0 - v
 
 
-def _mid(t, a, a3, d2):
-    rest = d2 + (1.0 - t) * (1.0 + t * (1.0 + t))
-    return (1.0 - t) * (1.0 + t) / np.sqrt(t * (t ** 3 - a3) * rest)
-
-
-def _mid_lo(s, a, a3, d2):
+def _mid(nodes, a, d2, w):
+    # (1 - t^2) / sqrt(t (t^3 - a^3) (a^-3 - t^3)) at t = a + w v, w = 1 - a,
+    # t - a = w v, 1 - t = w (1 - v): w times its integral is that over (a, 1)
+    v, rest_v = nodes
+    s = w * v
     t = a + s
-    rest = d2 + (1.0 - a - s) * (1.0 + t * (1.0 + t))
-    return (1.0 - a - s) * (1.0 + a + s) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
+    down = w * rest_v
+    rest = d2 + down * (1.0 + t * (1.0 + t))
+    return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
 
 
-_BARE = Integrand(_bare, 0.0, 1.0, True, True, from_hi=_bare_hi)
-_UPPER_CAP = Integrand(lambda t, a, c: 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2),
-                       0.5, 1.0)
+def _upper_cap_features(t):
+    return 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2
 
 
-def _identity_integrands_H(a: float) -> dict[str, Integrand]:
-    """The integrands that only the H identities use, at one surface:
-    the interval of "mid" starts at a, so it is built at each call."""
+_BARE = Integrand(_bare, 0.0, 1.0, True, True, from_hi=_bare,
+                  features=_rpd_unit_features, features_hi=_rpd_unit_near_one)
+_MID = Integrand(_mid, 0.0, 1.0, singular_lo=True, features=_mid_features)
+_UPPER_CAP = Integrand(lambda rise, a, c: 1.0 / np.sqrt(c + rise), 0.5, 1.0,
+                       features=_upper_cap_features)
+
+
+def _identity_integrands_H(a: Values) -> dict[str, Integrand]:
+    """The integrands that only the H identities use."""
     a3 = _each(lambda x: x ** 3, a)
     # 1/a^3 - a^3 = (1 - a^6)/a^3 and 1/a^3 - 1, both factored
     d0 = _each(lambda x: (1.0 - x) * (1.0 + x) * (1.0 + x * x + x ** 4) / x ** 3, a)
     d2 = _each(lambda x: (1.0 - x) * (1.0 + x + x * x) / x ** 3, a)
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-    return {
-        "bare": _BARE.bind((a, a3, d0)),
-        "mid": Integrand(_mid, a, 1.0, singular_lo=True, from_lo=_mid_lo, params=(a, a3, d2)),
-        "cap": _UPPER_CAP.bind((a, c)),
-    }
+    return {"bare": _BARE.bind((a, a3, d0)), "mid": _MID.bind((a, d2, 1.0 - a)),
+            "upper_cap": _UPPER_CAP.bind((a, c))}
 
 
 def _identities_H(a: float, config: QuadConfig):
     v, _ = _integrate_all({"near0": _integrands_H(a)["near0"], **_identity_integrands_H(a)},
                           config)
-    rows = [
+    return [
         ("H-identity-1", v["bare"] / a, 0.5 * _SQ3 * v["A"]),
-        ("H-identity-2", v["B1"], 2.0 * v["mid"] + 4.0 * v["cap"]),
+        ("H-identity-2", v["B1"], 2.0 * (1.0 - a) * v["mid"] + 4.0 * v["upper_cap"]),
     ]
-    return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
-def _minus(c, t, t3):
-    return ((1.0 - c.a * t) * (1.0 + c.a * t),)
-
-
-def _powers(c, t, t3):
+def _identity_unit_nums(c, t, t3, d):
     tt = t * t
     cubic, alt_cubic = c.cubic(t3), c.alt_cubic(t3)
-    return tt * cubic, cubic, alt_cubic, tt * alt_cubic
+    return (((1.0 - c.a) + c.a * d) * (1.0 + c.a * t), tt * cubic, cubic, alt_cubic,
+            tt * alt_cubic)
 
 
-_UNIT_MINUS = _rpd_unit(
-    ("bare_minus", "j5", "j3", "k3", "k5"), (False, False, False, True, True),
-    lambda c, t, t3: _minus(c, t, t3) + _powers(c, t, t3),
-    nums_hi=lambda c, s, t, t3: (((1.0 - c.a) + c.a * s) * (1.0 + c.a * (1.0 - s)),)
-    + _powers(c, t, t3))
-_TAIL_MINUS = _rpd_tail(
-    ("tail_minus",), _minus,
-    nums_lo=lambda c, s, t, t3: (((1.0 - c.a) - c.a * s) * (1.0 + c.a * (1.0 + s)),))
+# 1 - a^2 t^2 on (0, 1) and on the tail, and the powers on both curves
+_IDENTITIES = _rpd_table(("bare_minus", "j5", "j3", "k3", "k5", "tail_minus"),
+                         (False, False, False, True, True), _identity_unit_nums,
+                         lambda c, t, t3, d: (((1.0 - c.a) - c.a * d) * (1.0 + c.a * t),))
 
 
-def _identity_integrands_rPD(a: float) -> dict[str, Integrand]:
+def _identity_integrands_rPD(a: Values) -> dict[str, Integrand]:
     """The integrands that only the rPD identities use."""
-    cols = _RPDCurve.columns(a)
-    return {"unit_minus": _UNIT_MINUS.bind(cols), "tail_minus": _TAIL_MINUS.bind(cols)}
+    return {"identities": _IDENTITIES.bind(_RPDCurve.columns(a))}
 
 
 def _identities_rPD(a: float, config: QuadConfig):
     v, _ = _integrate_all({**_integrands_rPD(a), **_identity_integrands_rPD(a)}, config)
     a2 = a * a
-    rows = [
+    return [
         ("rPD-identity-1", _SQ3 * v["bare_minus"], v["TA"]),
         ("rPD-identity-2", _SQ3 * v["tail_minus"], -v["A"]),
         ("rPD-identity-3", -2.5 / _SQ3 * a2 * v["j5"] + v["j3"] / _SQ3, 0.5 * a2 * v["k3"]),
         ("rPD-identity-4", -10.0 / _SQ3 * a2 * v["j5"] + v["j3"] / _SQ3, 5.0 * v["k5"]),
     ]
-    return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]
 
 
 def verify_identities(p: SurfaceParam, config: QuadConfig = QuadConfig()):
@@ -907,8 +866,7 @@ def verify_identities(p: SurfaceParam, config: QuadConfig = QuadConfig()):
     have such relations; other families raise DomainError.
     """
     validate_param(p)
-    if p.family == "H":
-        return _identities_H(p.a, config)
-    if p.family == "rPD":
-        return _identities_rPD(p.a, config)
-    raise DomainError(f"no integral identities for family {p.family}")
+    if p.family not in ("H", "rPD"):
+        raise DomainError(f"no integral identities for family {p.family}")
+    rows = (_identities_H if p.family == "H" else _identities_rPD)(p.a, config)
+    return [(name, lhs, rhs, abs(lhs - rhs)) for name, lhs, rhs in rows]

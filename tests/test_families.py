@@ -280,6 +280,16 @@ def test_period_frame_names_the_parameter_of_each_refusal(monkeypatch):
         period_frame(integrals)
 
 
+def test_a_refused_tau_solve_names_the_parameter():
+    # at tP a = 1e60 solve refuses C1 as near-singular
+    with pytest.raises(SingularMatrix, match=r"^smallest singular value .* at a = 1e\+60$"):
+        period_frame(integral_set(SurfaceParam("tP", 1e60)))
+    # a stack names its first point that solve refuses alone
+    params = [SurfaceParam("tP", a) for a in (10.0, 1e60, 1e70)]
+    with pytest.raises(SingularMatrix, match=r"\) at a = 1e\+60$"):
+        period_frame(integral_set(params))
+
+
 def test_identities_h_count_and_residuals():
     rows = verify_identities(SurfaceParam("H", 0.5))
     assert len(rows) == 2
@@ -293,6 +303,16 @@ def test_identities_rpd_count_and_residuals():
     rows = verify_identities(SurfaceParam("rPD", 0.7))
     assert len(rows) == 4
     assert all(r[3] <= 1e-8 for r in rows)
+
+
+@pytest.mark.parametrize("fam, a", [
+    ("H", 1e-4), ("H", 1e-3), ("H", 0.999), ("H", 0.9999),
+    ("rPD", 1e-3), ("rPD", 0.01), ("rPD", 0.999), ("rPD", 1.0)])
+def test_identities_hold_to_relative_precision_at_the_range_ends(fam, a):
+    # the absolute tolerance of verify cannot see a relative loss where
+    # both sides are small; each side here is held to the other's size
+    for name, lhs, rhs, resid in verify_identities(SurfaceParam(fam, a)):
+        assert resid <= 1e-12 * max(abs(lhs), abs(rhs)), (name, lhs, rhs)
 
 
 def test_identities_unsupported_family():

@@ -74,151 +74,127 @@ def _tclp(t, a, b):
             even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
 
 
-def _rpd_unit(alt, nums, nums_hi=None):
-    if nums_hi is None:
-        def nums_hi(c, s, t, t3):
-            return nums(c, t, t3)
+def _bare(t, a, a3, d0):
+    return (((1.0 - a) + a * (1.0 - t)) * (1.0 + a * t)
+            / np.sqrt(t * (1.0 - t ** 3) * (d0 + a3 * ((1.0 - t) * (1.0 + t * (1.0 + t))))))
 
-    def rows(c, numerators, base, t3):
-        root = None if all(alt) else np.sqrt(base * (c.a3 * t3 + c.ia3))
-        alt_root = np.sqrt(base * (c.ia3 * t3 + c.a3)) if any(alt) else None
-        return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
 
-    def f(t, *cols):
+def _bare_hi(s, a, a3, d0):
+    t = 1.0 - s
+    return (((1.0 - a) + a * s) * (1.0 + a * t)
+            / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * (s * (1.0 + t * (1.0 + t))))))
+
+
+def _mid(v, a, d2, w):
+    s = w * v
+    t = a + s
+    down = w * (1.0 - v)
+    rest = d2 + down * (1.0 + t * (1.0 + t))
+    return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
+
+
+def _upper_cap(t, a, c):
+    return 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2)
+
+
+def _rpd_rows(c, numerators, base, t3, alt):
+    root = None if all(alt) else np.sqrt(base * (c.a3 * t3 + c.ia3))
+    alt_root = np.sqrt(base * (c.ia3 * t3 + c.a3)) if any(alt) else None
+    return quadrature._as_rows(
+        [n / (alt_root if swap else root) for n, swap in zip(numerators, alt)])
+
+
+def _rpd_table(alt, unit_nums, tail_nums):
+    """An rPD table's two halves inline: the unit rows at t, then the tail
+    rows folded by t = 1/u, over u^2; near t = 1 the unit rows at
+    t = 1 - s and the tail rows at t = 1 + s / (1 - s), over (1 - s)^2."""
+    def f(x, *cols):
         c = families._RPDCurve(*cols)
-        t3 = t ** 3
-        return rows(c, nums(c, t, t3), t * (1.0 - t3), t3)
+        t3 = x ** 3
+        u = 1.0 / x
+        u3 = u ** 3
+        nums = tail_nums(c, u, u3, u - 1.0)
+        tail_rows = _rpd_rows(c, nums, u * (u3 - 1.0), u3, (False,) * len(nums))
+        return np.concatenate([_rpd_rows(c, unit_nums(c, x, t3, 1.0 - x), x * (1.0 - t3), t3, alt),
+                               tail_rows / (x * x)])
 
     def f_hi(s, *cols):
         c = families._RPDCurve(*cols)
         t = 1.0 - s
         t3 = t ** 3
-        return rows(c, nums_hi(c, s, t, t3), t * s * (3.0 - s * (3.0 - s)), t3)
+        sigma = s / t
+        u = 1.0 + sigma
+        u3 = u ** 3
+        nums = tail_nums(c, u, u3, sigma)
+        tail_rows = _rpd_rows(c, nums, u * sigma * (sigma * (sigma + 3.0) + 3.0), u3,
+                              (False,) * len(nums))
+        unit_rows = _rpd_rows(c, unit_nums(c, t, t3, s), t * s * (3.0 - s * (3.0 - s)), t3, alt)
+        return np.concatenate([unit_rows, tail_rows / (t * t)])
 
     return {"evaluator": f, "from_hi": f_hi}
 
 
-def _rpd_tail(nums, nums_lo=None):
-    if nums_lo is None:
-        def nums_lo(c, s, t, t3):
-            return nums(c, t, t3)
-
-    def f(t, *cols):
-        c = families._RPDCurve(*cols)
-        t3 = t ** 3
-        root = np.sqrt(t * (t3 - 1.0) * (c.a3 * t3 + c.ia3))
-        return tuple(n / root for n in nums(c, t, t3))
-
-    def f_lo(s, *cols):
-        c = families._RPDCurve(*cols)
-        t = 1.0 + s
-        t3 = t ** 3
-        root = np.sqrt(t * s * (s * (s + 3.0) + 3.0) * (c.a3 * t3 + c.ia3))
-        return tuple(n / root for n in nums_lo(c, s, t, t3))
-
-    # the table comes folded onto (0, 1); these forms are on the tail's own interval
-    return {"evaluator": f, "from_lo": f_lo, "lo": 1.0, "hi": math.inf, "singular_hi": False,
-            "from_hi": None}
-
-
-def _unit_nums(c, t, t3):
+def _unit_nums(c, t, t3, d):
     at2 = (c.a * t) ** 2
     cubic = c.cubic(t3)
     return (1.0 + at2, t, cubic * (5.0 * at2 + 1.0), cubic * (5.0 * at2 - 1.0),
             t * c.alt_cubic(t3), t * cubic)
 
 
-def _minus(c, t, t3):
-    return ((1.0 - c.a * t) * (1.0 + c.a * t),)
-
-
-def _powers(c, t, t3):
+def _identity_nums(c, t, t3, d):
     tt = t * t
     cubic, alt_cubic = c.cubic(t3), c.alt_cubic(t3)
-    return tt * cubic, cubic, alt_cubic, tt * alt_cubic
+    return (((1.0 - c.a) + c.a * d) * (1.0 + c.a * t), tt * cubic, cubic, alt_cubic,
+            tt * alt_cubic)
 
 
-def _folded_forms(evaluator, from_lo):
-    """A tail's evaluator and from_lo folded onto (0, 1) inline: the
-    evaluator at t = 1/u over u^2, and from_lo, the folded from_hi, at
-    s = sigma / (1 - sigma) over (1 - sigma)^2 (None without from_lo)."""
-    def folded(u, *cols):
-        t = 1.0 / u
-        return quadrature._as_rows(evaluator(t, *cols)) / (u * u)
-
-    folded_from_hi = None
-    if from_lo is not None:
-        def folded_from_hi(sigma, *cols):
-            r = 1.0 - sigma
-            return quadrature._as_rows(from_lo(sigma / r, *cols)) / (r * r)
-
-    return folded, folded_from_hi
-
-
-def _rpd_periods():
-    """The unit forms and the inline-folded tail forms, their rows concatenated."""
-    unit = _rpd_unit((False, False, False, False, True, False), _unit_nums)
-    tail = _rpd_tail(lambda c, t, t3: (1.0 + (c.a * t) ** 2, t))
-    tail_at, tail_near_one = _folded_forms(tail["evaluator"], tail["from_lo"])
-
-    def joined(unit_form, tail_form):
-        def f(x, *cols):
-            return np.concatenate([quadrature._as_rows(unit_form(x, *cols)),
-                                   tail_form(x, *cols)])
-        return f
-
-    return {"evaluator": joined(unit["evaluator"], tail_at),
-            "from_hi": joined(unit["from_hi"], tail_near_one)}
+def _tail_minus(c, t, t3, d):
+    return (((1.0 - c.a) - c.a * d) * (1.0 + c.a * t),)
 
 
 # the inline forms of each table, by family and table key
 _INLINE = {
-    "H": {"near0": {"evaluator": _near0}, "cap": {"evaluator": _cap, "from_hi": _cap_hi}},
+    "H": {"near0": {"evaluator": _near0}, "cap": {"evaluator": _cap, "from_hi": _cap_hi},
+          "bare": {"evaluator": _bare, "from_hi": _bare_hi}, "mid": {"evaluator": _mid},
+          "upper_cap": {"evaluator": _upper_cap}},
     "rPD": {
-        "periods": _rpd_periods(),
-        "unit_minus": _rpd_unit(
-            (False, False, False, True, True),
-            lambda c, t, t3: _minus(c, t, t3) + _powers(c, t, t3),
-            nums_hi=lambda c, s, t, t3: (((1.0 - c.a) + c.a * s) * (1.0 + c.a * (1.0 - s)),)
-            + _powers(c, t, t3)),
-        "tail_minus": _rpd_tail(
-            _minus,
-            nums_lo=lambda c, s, t, t3: (((1.0 - c.a) - c.a * s) * (1.0 + c.a * (1.0 + s)),)),
+        "periods": _rpd_table((False, False, False, False, True, False), _unit_nums,
+                              lambda c, t, t3, d: (1.0 + (c.a * t) ** 2, t)),
+        "identities": _rpd_table((False, False, False, True, True), _identity_nums, _tail_minus),
     },
     "tP": {"periods": {"evaluator": _tp}},
     "tCLP": {"periods": {"evaluator": _tclp}},
 }
 
 
-def _fold(f):
-    """The tail fold written inline."""
-    folded, folded_from_hi = _folded_forms(f.evaluator, f.from_lo)
-    return quadrature.Integrand(evaluator=folded, lo=0.0, hi=1.0, singular_lo=True,
-                                singular_hi=f.singular_lo, from_hi=folded_from_hi,
-                                names=f.names, params=f.params)
-
-
 # ---------------------------------------------------------------------------
 
 
-def _tables(fam, a):
+def _identity_tables(fam, a):
+    """The tables that only verify_identities reads, at a where it takes
+    a (H: a < 1), else none."""
     if fam == "rPD":
-        return {**families._integrands_rPD(a), **families._identity_integrands_rPD(a)}
-    return {"H": families._integrands_H, "tP": families._integrands_tP,
-            "tCLP": families._integrands_tCLP}[fam](a)
+        return families._identity_integrands_rPD(a)
+    if fam == "H" and np.all(np.asarray(a) < 1.0):
+        return families._identity_integrands_H(a)
+    return {}
+
+
+def _tables(fam, a):
+    return {**{"H": families._integrands_H, "rPD": families._integrands_rPD,
+               "tP": families._integrands_tP, "tCLP": families._integrands_tCLP}[fam](a),
+            **_identity_tables(fam, a)}
 
 
 def _inline(f, forms):
-    """f with its inline forms in place of its feature forms, folded
-    inline if they are a tail's."""
-    plain = dataclasses.replace(f, features=None, features_lo=None, features_hi=None, **forms)
-    return _fold(plain) if math.isinf(plain.hi) else plain
+    """f with its inline forms in place of its feature forms."""
+    return dataclasses.replace(f, features=None, features_lo=None, features_hi=None, **forms)
 
 
 def _bits(result):
-    """A table's result, each value and error estimate by its bytes."""
-    return {name: tuple(np.asarray(x, dtype=float).tobytes() for x in pair)
-            for name, pair in result.items()}
+    """A result, each row's value and error estimate by its bytes."""
+    rows = result.items() if isinstance(result, dict) else [(None, result)]
+    return {name: tuple(np.asarray(x, dtype=float).tobytes() for x in pair) for name, pair in rows}
 
 
 def _same(x, y):
@@ -240,7 +216,9 @@ _POINTS = [
 def test_feature_forms_equal_the_inline_forms_bit_for_bit(fam, a):
     a = np.array(a) if isinstance(a, list) else a
     tables = _tables(fam, a)
-    assert set(tables) == set(_INLINE[fam])
+    # every table has its inline forms; H at a > 1 has no identity tables
+    unverified = {"bare", "mid", "upper_cap"} if (fam, np.all(a < 1.0)) == ("H", False) else set()
+    assert set(tables) == set(_INLINE[fam]) - unverified
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for key, f in tables.items():
             g, stack, cols = quadrature._prepare(f)
@@ -281,20 +259,51 @@ def test_node_features_are_read_only(fam, a):
                         arr[0] = 0.0
 
 
+def _tail_minus_form(nodes, *cols):
+    # the rPD identity tail row, on the tail's own features
+    t, t3, base, d = nodes
+    c = families._RPDCurve(*cols)
+    return (quadrature._as_rows(_tail_minus(c, t, t3, d))
+            / np.sqrt(base * (c.a3 * t3 + c.ia3)))
+
+
 def test_the_fold_keys_the_cache_by_the_tail_features():
-    # the rPD tail is folded once, at import, and every call binds that fold
-    tails = families._identity_integrands_rPD
-    f, g = tails(0.4)["tail_minus"], tails(0.7)["tail_minus"]
+    # the rPD identity table is built once, at import, on the features of
+    # the periods table, and every call binds it
+    tables = families._identity_integrands_rPD
+    f, g = tables(0.4)["identities"], tables(0.7)["identities"]
     assert (f.lo, f.hi, g.params[0]) == (0.0, 1.0, 0.7)
     assert f.evaluator is g.evaluator and f.features is g.features
-    # two folds of one tail, built apart, take the same cached features
-    inline = _INLINE["rPD"]["tail_minus"]
-    tail = quadrature.Integrand(inline["evaluator"], 1.0, math.inf, singular_lo=True,
-                                from_lo=inline["from_lo"], features=families._rpd_tail_features,
-                                features_lo=families._rpd_tail_lo_features)
+    periods = families._PERIODS
+    assert f.features is periods.features and f.features_hi is periods.features_hi
+    # two folds of one tail, built apart, take the same cached features,
+    # those the rPD tables fold their tail rows with
+    tail = quadrature.Integrand(_tail_minus_form, 1.0, math.inf, singular_lo=True,
+                                from_lo=_tail_minus_form, names=("tail_minus",),
+                                params=f.params, features=families._rpd_tail_features,
+                                features_lo=families._rpd_tail_near_one)
     g, h = quadrature.fold(tail), quadrature.fold(tail)
-    assert g.features is h.features is f.features and g.features_hi is h.features_hi
+    assert g.features is h.features is quadrature._folded(families._rpd_tail_features, False)
+    assert g.features_hi is h.features_hi is quadrature._folded(families._rpd_tail_near_one, True)
     assert g.evaluator is not h.evaluator
+    # and the fold integrates to the table's tail row bit for bit
+    assert _bits(quadrature.integrate(g)) == {
+        "tail_minus": _bits(quadrature.integrate(f))["tail_minus"]}
+
+
+def test_a_second_verify_adds_no_integrand_and_no_node_cache_miss(monkeypatch):
+    # the identity tables are templates made at import, so once the node
+    # sets are cached a verify at a new parameter builds nothing
+    built = []
+    check = quadrature.Integrand.__post_init__
+    monkeypatch.setattr(quadrature.Integrand, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    for a_h, a_rpd in ((0.3, 0.4), (0.6, 0.7)):
+        before = quadrature._arguments.cache_info().misses
+        families.verify_identities(SurfaceParam("H", a_h))
+        families.verify_identities(SurfaceParam("rPD", a_rpd))
+    assert quadrature._arguments.cache_info().misses == before
+    assert built == []
 
 
 def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):

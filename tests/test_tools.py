@@ -123,6 +123,33 @@ def test_closing_lines_bound_eigenvalues_apart_and_name_each_block():
         "relative 3.660e-01 in msindex reproduce --all"]
 
 
+def test_identity_lines_report_lhs_rhs_apart_from_their_residual():
+    a = ("## msindex verify --family H --a 0.5\n"
+         "H-identity-1: lhs 1.5880237557756423  rhs 1.5880237557756418  residual 4.441e-16\n"
+         "H-identity-2: lhs 1.4193089593188954  rhs 1.4193089593188954  residual 0.000e+00\n"
+         "2 identities, largest residual 4.441e-16, tolerance 1.0e-08: pass\n## exit 0\n")
+    b = ("## msindex verify --family H --a 0.5\n"
+         "H-identity-1: lhs 1.5880237557756418  rhs 1.5880237557756418  residual 0.000e+00\n"
+         "H-identity-2: lhs 1.4193089593188954  rhs 1.4193089593188957  residual 2.220e-16\n"
+         "2 identities, largest residual 2.220e-16, tolerance 1.0e-08: pass\n## exit 0\n")
+    code, out = _diff(a, b)
+    assert code == 0
+    lines = out.splitlines()
+    # a residual from 0 to 2.2e-16 reads as that change, not as relative 1
+    assert lines[3] == "  lhs/rhs relative 2.796e-16, residual change 4.441e-16"
+    assert lines[6] == "  lhs/rhs relative 1.564e-16, residual change 2.220e-16"
+    assert lines[9] == "  lhs/rhs relative 0.000e+00, residual change 2.221e-16"
+    assert lines[-4:] == [
+        "3 differing lines",
+        "eigenvalue lines: 0, largest |x - y| / max|eig| 0.000e+00",
+        "other lines: 0, largest deviation 0.000e+00, relative 0.000e+00",
+        "identity lines: 3, largest lhs/rhs change 2.796e-16 relative in msindex verify "
+        "--family H --a 0.5, largest residual change 4.441e-16 in msindex verify --family H "
+        "--a 0.5"]
+    # the identity class keeps the exact rule for text
+    assert _diff(a, a.replace(": pass", ": FAIL"))[0] == 1
+
+
 # each metric's direction, as the repository's BENCHMARK.json gives it
 _BETTER = bench_pairs.directions(json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()))

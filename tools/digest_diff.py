@@ -9,11 +9,19 @@ max(|x|, |y|).  An eigenvalue line, one number of an ``"eig_..."``
 array of an ``analyze --json`` record, is divided by that spectrum's
 largest |value| in either file instead, so that a structural zero of
 Wdiff that moves by its own size reads as the small change it is
-against its matrix.  The closing lines give the number of differing
-lines, then for the eigenvalue lines and for the other lines apart
-their count and largest deviations, each naming the block that holds
-it: for eigenvalue lines |x - y| over their spectrum's max|value|, a
-bound on how far the spectra moved; for the other lines the largest
+against its matrix.  An identity line of ``verify``
+(``H-identity-1: lhs ... rhs ... residual ...``), or its closing
+``N identities, largest residual ...`` line, gives the largest
+relative change of its lhs and rhs and the absolute change of its
+residual, which is a difference of nearly equal numbers: one that
+moves from 0 to 2.2e-16 has moved by rounding, not by all its size.
+The closing lines give the number of differing lines, then for the
+eigenvalue lines and for the other lines apart, and for the identity
+lines where any differ, their count and largest deviations, each
+naming the block that holds it: for eigenvalue lines |x - y| over
+their spectrum's max|value|, a bound on how far the spectra moved; for
+identity lines the largest relative change of a lhs or rhs and the
+largest change of a residual; for the other lines the largest
 absolute deviation and the largest relative one, which for a
 difference of nearly equal numbers (a ``deviation`` text of
 ``reproduce``) can be large though the inputs moved in their last bits.
@@ -59,6 +67,25 @@ def _eigen_scales(lines: list) -> dict:
     return scales
 
 
+# an identity line of verify, and the line that closes its block
+_IDENTITY = re.compile(r"^\S+-identity-\d+: lhs (\S+)\s+rhs (\S+)\s+residual (\S+)$")
+_IDENTITIES = re.compile(r"^\d+ identities, largest residual (\S+), ")
+
+
+def _identity_deviation(a: str, b: str):
+    """(largest relative change of lhs and rhs, absolute change of the
+    residual) of a pair of identity lines, or None for other lines."""
+    for pattern in (_IDENTITY, _IDENTITIES):
+        ma, mb = pattern.match(a), pattern.match(b)
+        if ma and mb:
+            x = [float(v) for v in ma.groups()]
+            y = [float(v) for v in mb.groups()]
+            rel = max((abs(p - q) / max(abs(p), abs(q))
+                       for p, q in zip(x[:-1], y[:-1]) if p != q), default=0.0)
+            return rel, abs(x[-1] - y[-1])
+    return None
+
+
 def _deviation(a: str, b: str, scale: float = 0.0):
     """Largest absolute and relative float deviations, or None if other
     text differs.  A positive scale replaces max(|x|, |y|) as the
@@ -90,8 +117,9 @@ def diff(lines_a: list, lines_b: list, out) -> int:
     header = None
     shown = None
     count = 0
-    # per class: [lines, (largest deviation, its block), (largest relative, its block)]
-    classes = {"eigenvalue": [0, (0.0, None), (0.0, None)], "other": [0, (0.0, None), (0.0, None)]}
+    # per class: [lines, (largest deviation, its block), (largest relative, its block)];
+    # for identity lines the largest relative lhs/rhs change, then residual change
+    classes = {name: [0, (0.0, None), (0.0, None)] for name in ("eigenvalue", "other", "identity")}
     for i, (a, b) in enumerate(zip(lines_a, lines_b)):
         if a.startswith("## ") and a == b:
             header = a
@@ -106,24 +134,33 @@ def diff(lines_a: list, lines_b: list, out) -> int:
         if i in scales_a and i in scales_b:
             scale = max(scales_a[i], scales_b[i])
         dev = _deviation(a, b, scale)
+        identity = None if dev is None else _identity_deviation(a, b)
         if dev is None:
             out.write("  non-numeric difference\n")
             status = 1
         else:
-            if scale:
+            if identity:
+                dev = identity
+                out.write("  lhs/rhs relative %.3e, residual change %.3e\n" % dev)
+            elif scale:
                 out.write("  max deviation %.3e, relative %.3e of max|eig| %.3e\n" % (dev + (scale,)))
             else:
                 out.write("  max deviation %.3e, relative %.3e\n" % dev)
-            entry = classes["eigenvalue" if scale else "other"]
+            entry = classes["identity" if identity else "eigenvalue" if scale else "other"]
             entry[0] += 1
             for k in (1, 2):
                 if dev[k - 1] > entry[k][0]:
                     entry[k] = (dev[k - 1], header)
     out.write("%d differing lines\n" % count)
     for name, (lines, (worst, at), (worst_rel, at_rel)) in classes.items():
+        if name == "identity" and not lines:
+            continue
         out.write("%s lines: %d" % (name, lines))
         if name == "eigenvalue":
             out.write(", largest |x - y| / max|eig| %.3e%s\n" % (worst_rel, _block(at_rel)))
+        elif name == "identity":
+            out.write(", largest lhs/rhs change %.3e relative%s, largest residual change %.3e%s\n"
+                      % (worst, _block(at), worst_rel, _block(at_rel)))
         else:
             out.write(", largest deviation %.3e%s, relative %.3e%s\n"
                       % (worst, _block(at), worst_rel, _block(at_rel)))
