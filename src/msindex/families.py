@@ -13,18 +13,20 @@ cancellation-prone factors expanded by hand.  Every table, the
 identities' among them, is built once, at import, as a quadrature table
 with named rows that share their radicands, and with no params: a
 template that each call binds to its parameter columns
-(``Integrand.bind``), so no call builds an Integrand or folds a tail.
-rPD's tables hold their rows on (0, 1) and, folded onto (0, 1) in
-their features, those on (1, inf); their evaluator, like that of H's
-``bare``, is also their offset form near t = 1, so one call per level
-covers both halves.  Only H's ``cap`` has a separate offset form.  All
-the tables of an integral set, with the identities' beside them, go to
-one integrate call.  What a form needs of the nodes alone (powers of
-t, 1 -+ t^2, the radicand factors without a, the distance to t = 1)
-comes from a feature function at module level, which the quadrature
-computes once per node set and keeps, so a form call does only the
-arithmetic that depends on a, in the order the form written inline
-would.  A table takes one float or an (N,) array, a stack of N surfaces; the
+(``Integrand.bind``), so no call builds an Integrand.  rPD's tables
+hold their rows on (0, 1) and those on (1, inf), folded onto (0, 1) by
+t = 1/x in their own feature functions.  Every table is one form on
+both halves of its interval; one with a singular end at 1 (rPD's, H's
+``cap`` and ``bare``) takes there the features of the exact distance
+to it (``features_hi``), so one call per level covers both halves, and
+no table has a separate offset form.  All the tables of an integral
+set, with the identities' beside them, go to one integrate call.
+What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
+radicand factors without a, the distance to t = 1) comes from a
+feature function at module level, which the quadrature computes once
+per node set and keeps, so a form call does only the arithmetic that
+depends on a, in the order the form written inline would.  A table
+takes one float or an (N,) array, a stack of N surfaces; the
 constants that depend on a alone are formed point by point in Python
 floats, so every point of a stack is bit for bit the surface alone,
 and so are its integral set, held in Python floats like every
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergence, RiemannMatrixViolation, SingularMatrix
-from .quadrature import Integrand, QuadConfig, _folded, integrate
+from .quadrature import Integrand, QuadConfig, integrate
 
 FAMILIES = ("H", "rPD", "tP", "tD", "tCLP")
 
@@ -186,31 +188,26 @@ def _cap_rows(x, pol, span, root_span):
     return x / root, 1.0 / root, x / den, 1.0 / den
 
 
-def _cap_features(x):
-    span = 1.0 - x * x
-    return x, 6.0 * x, 8.0 * x ** 3, span, np.sqrt(span)
-
-
-def _cap(nodes, a, a3, ia3, c):
-    x, x6, x8_3, span, root_span = nodes
-    return _cap_rows(x, a3 + ia3 + x6 - x8_3, span, root_span)
-
-
-def _cap_hi_features(s):
-    # a^3 + 1/a^3 + 6x - 8x^3 less c, and 1 - x^2, at x = 1 - s
+def _cap_near_one(s):
+    # x, then a^3 + 1/a^3 + 6x - 8x^3 less c, and 1 - x^2, at x = 1 - s
     span = s * (2.0 - s)
     return 1.0 - s, s * (18.0 - s * (24.0 - 8.0 * s)), span, np.sqrt(span)
 
 
-def _cap_hi(nodes, a, a3, ia3, c):
+def _cap_features(x):
+    # 1 - x is exact on [0.5, 1] (Sterbenz)
+    return _cap_near_one(1.0 - x)
+
+
+def _cap(nodes, a, c):
     x, rise, span, root_span = nodes
     return _cap_rows(x, c + rise, span, root_span)
 
 
 _NEAR0 = Integrand(_near0, 0.0, 1.0, singular_lo=True, names=("A", "B1", "D", "E", "F1", "I"),
                    features=_near0_features)
-_CAP = Integrand(_cap, 0.5, 1.0, singular_hi=True, from_hi=_cap_hi, names=("B2", "C", "F2", "H"),
-                 features=_cap_features, features_hi=_cap_hi_features)
+_CAP = Integrand(_cap, 0.5, 1.0, singular_hi=True, names=("B2", "C", "F2", "H"),
+                 features=_cap_features, features_hi=_cap_near_one)
 
 
 def _integrands_H(a: Values) -> dict[str, Integrand]:
@@ -218,7 +215,7 @@ def _integrands_H(a: Values) -> dict[str, Integrand]:
     ia3 = 1.0 / a3
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-    return {"near0": _NEAR0.bind((a, a3, ia3)), "cap": _CAP.bind((a, a3, ia3, c))}
+    return {"near0": _NEAR0.bind((a, a3, ia3)), "cap": _CAP.bind((a, c))}
 
 
 def _integrals_H(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -294,14 +291,16 @@ def _rpd_tail_near_one(s):
 
 
 def _rpd_features(x):
-    # the unit features at x, then the tail's at t = 1/x beside x^2, as
-    # quadrature.fold takes them to (0, 1)
-    return _rpd_unit_features(x) + (_folded(_rpd_tail_features, False)(x),)
+    # the unit features at x, then the tail's at t = 1/x beside x^2, by
+    # which the form divides its tail rows: dt = -dx / x^2
+    return _rpd_unit_features(x) + ((_rpd_tail_features(1.0 / x), x * x),)
 
 
 def _rpd_hi_features(s):
-    # at t = 1 - s, then the tail's at t = 1 + s / (1 - s) beside (1 - s)^2
-    return _rpd_unit_near_one(s) + (_folded(_rpd_tail_near_one, True)(s),)
+    # at t = 1 - s, then the tail's at t = 1 / (1 - s) = 1 + s / (1 - s)
+    # beside (1 - s)^2
+    r = 1.0 - s
+    return _rpd_unit_near_one(s) + ((_rpd_tail_near_one(s / r), r * r),)
 
 
 def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
@@ -309,8 +308,9 @@ def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
     unit_nums on (0, 1), on the swapped curve where alt marks them, then
     those of tail_nums on (1, inf), folded onto (0, 1) in its features.
     Each nums(c, t, t3, d) gives the numerators on the curve c at t, with
-    t3 = t**3 and d = |1 - t|, exact near t = 1, where the evaluator is
-    also the offset form: one call per level covers both halves.
+    t3 = t**3 and d = |1 - t|, exact near t = 1, where the evaluator
+    takes the features of the exact distance: one call per level covers
+    both halves.
     """
     tail_alt = (False,) * (len(names) - len(alt))
 
@@ -321,7 +321,7 @@ def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
         return (_rpd_rows(c, unit_nums(c, t, t3, d), base, t3, alt)
                 + tuple(n / square for n in tail))
 
-    return Integrand(f, 0.0, 1.0, True, True, from_hi=f, names=names,
+    return Integrand(f, 0.0, 1.0, True, True, names=names,
                      features=_rpd_features, features_hi=_rpd_hi_features)
 
 
@@ -799,15 +799,12 @@ def _mid(nodes, a, d2, w):
     return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
 
 
-def _upper_cap_features(t):
-    return 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2
-
-
-_BARE = Integrand(_bare, 0.0, 1.0, True, True, from_hi=_bare,
-                  features=_rpd_unit_features, features_hi=_rpd_unit_near_one)
+_BARE = Integrand(_bare, 0.0, 1.0, True, True, features=_rpd_unit_features,
+                  features_hi=_rpd_unit_near_one)
 _MID = Integrand(_mid, 0.0, 1.0, singular_lo=True, features=_mid_features)
-_UPPER_CAP = Integrand(lambda rise, a, c: 1.0 / np.sqrt(c + rise), 0.5, 1.0,
-                       features=_upper_cap_features)
+# cap's rise, 2 (1 - t) (2t + 1)^2, is its second feature
+_UPPER_CAP = Integrand(lambda nodes, a, c: 1.0 / np.sqrt(c + nodes[1]), 0.5, 1.0,
+                       features=_cap_features)
 
 
 def _identity_integrands_H(a: Values) -> dict[str, Integrand]:

@@ -12,47 +12,44 @@ distance to that endpoint is known.  The node distance
     1 - u = 2 / (1 + exp(2g)),   g = (pi/2) sinh t
 
 is computed directly, never as a subtraction, and each half of the
-interval is measured from its own endpoint.  An integrand that accepts
-the distance as its argument (the ``from_lo`` / ``from_hi`` forms of
-``Integrand``) therefore sees it to full relative precision.  The plain
-``evaluator(x)`` path sees x = lo + s or x = hi - s, which is exact
-only where the endpoint is 0; so a singular endpoint anywhere else must
-come with its offset form, and ``Integrand`` refuses it otherwise.
+interval is measured from its own endpoint.  The evaluator sees the
+nodes x = lo + s and x = hi - s, which carry that distance exactly only
+where the endpoint is 0.  So a singular lo must be 0, and a singular hi
+other than 0 needs ``features_hi``: the evaluator takes its value at
+the exact distances s on the hi side, as it takes ``features`` at the
+nodes elsewhere, and sees the distance to full relative precision.
+Every interval is finite, and ``integrate`` refuses any other: a table
+with rows on an infinite range maps them onto a finite one in its own
+feature functions, as the rPD tables in ``families`` do.
 
-An integrand on (1, inf) is folded onto (0, 1) by t = 1/u (``fold``),
-which ``integrate`` does to a tail it is given; every other infinite
-interval is refused.
-
-Integrands are vectorized: each form is called on a 1-D array of n
+Integrands are vectorized: the evaluator is called on a 1-D array of n
 nodes and returns an array of shape (n,), or ``integrate`` raises
 TypeError.  An ``Integrand`` with ``names`` is a table of k integrands
-that share the interval and the forms; its forms return k rows, shape
-(k, n), and compute the subexpressions the rows share once per call.
+that share the interval and the evaluator; it returns k rows, shape
+(k, n), and computes the subexpressions the rows share once per call.
 A single integrand is the table of one unnamed row.  The subexpressions
-in the nodes alone are computed once per node set: a form with a
-feature function (``features``, ``features_lo``, ``features_hi``) is
-called on that function's value at its nodes instead of the nodes, and
-the value is formed on first use and kept read-only beside the nodes,
-per interval, level and side.
+in the nodes alone are computed once per node set: an evaluator with
+feature functions (``features``, ``features_hi``) is called on their
+value at the nodes instead of the nodes, and the value is formed on
+first use and kept read-only beside the nodes, per interval and level.
 
 A table can also depend on a parameter: an ``Integrand`` with
 ``params``, the parameter itself and any constants derived from it, has
-forms called as ``fn(x, *cols)``, x being the nodes or their features.
-For one surface each is a float.
-For a stack of N surfaces each is a 1-D array of N values, and the
-forms get them as (M, 1) columns over the M points being evaluated and
-return each row with that leading axis, shape (k, M, n); a single point
-gets its values as floats, which numpy takes by its scalar path, and
-returns rows of shape (k, n).  The N points by k rows are k * N rows to
+its evaluator called as ``fn(x, *cols)``, x being the nodes or their
+features.  For one surface each is a float.  For a stack of N surfaces
+each is a 1-D array of N values, and the evaluator gets them as (M, 1)
+columns over the M points being evaluated and returns each row with
+that leading axis, shape (k, M, n); a single point gets its values as
+floats, which numpy takes by its scalar path, and returns rows of
+shape (k, n).  The N points by k rows are k * N rows to
 ``integrate``, each with its own trapezoid sum and stopping level, and
 each (row, point) pair is bit for bit what integrating the table at
 that one parameter gives.  A table integrated at many parameters is
 defined once, at module level and without params, as a template, and
 ``Integrand.bind`` gives it the params of each call without running
-the checks of construction again, which read no params; a template
-tail is folded once, where it is defined.  Its forms and feature
-functions so stay the same objects from call to call, and the caches
-they key do not grow.
+the checks of construction again, which read no params.  Its evaluator
+and feature functions so stay the same objects from call to call, and
+the caches they key do not grow.
 
 ``integrate`` also takes a sequence of integrands, such as all the
 tables of one surface, and integrates them in one pass; it returns
@@ -62,11 +59,9 @@ fails, as one call after another would.
 
 The stopping test first runs at level 3, and most integrals in this
 package stop at level 4 or 5, so the nodes of levels 0-5 form one
-cached block.  Each distinct form is called once on the nodes of every
-side that uses it for that block, and once more for each later level:
-a table without offset forms is evaluated on both halves of levels 0-5
-and the midpoint in a single call, and so is one whose from_hi form is
-its evaluator, which takes the features of the hi side's distances
+cached block.  Every table is evaluated on both halves of levels 0-5
+and the midpoint in a single call, and once more for each later level;
+one with ``features_hi`` takes the features of the hi side's distances
 joined with those of its other nodes.  Each row keeps its own trapezoid
 sum and its own stopping level.  The values of every row of every
 integrand in the pass on the block sit in one (rows, 2, nodes) array,
@@ -79,16 +74,13 @@ then run on Python floats, row by row: for its eight to ten rows that
 measured faster, inside an analysis, than the dozen numpy calls of the
 whole-array test, which a stack keeps.  Both give the same bits.  Past the
 block, the rows still active are refined integrand by integrand, level
-by level, and a form is called only at the parameter points that still
-have an active row.  So every row's (value, err) is bit for bit what
+by level, and the evaluator is called only at the parameter points that
+still have an active row.  So every row's (value, err) is bit for bit what
 integrating it alone level by level gives.  A row that has stopped is
 no longer read: a non-finite value it produces at a later level,
 inside the block or after it, is ignored, while one in a row still
 being refined raises DomainError.  The node arrays of each level, and
-the features of each form there, are formed once per interval and
-kept.  An integrand on (1, inf) is folded with the features of its
-forms at t = 1/u, beside 1/u and u^2 (sigma / (1 - sigma) and
-(1 - sigma)^2 for its offset form), all formed once the same way.
+their features there, are formed once per interval and kept.
 """
 
 from __future__ import annotations
@@ -162,29 +154,27 @@ def _fused_nodes() -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice], ...]]:
     return d_near, tuple(levels)
 
 
+def _distances(level: Optional[int]) -> np.ndarray:
+    """d_near of one level, or of the fused block for level None."""
+    return _fused_nodes()[0] if level is None else _nodes(level)[1]
+
+
 @dataclass(frozen=True)
 class Integrand:
-    """An integrand, or a table of integrands, on (lo, hi) with optional endpoint-offset forms.
+    """An integrand, or a table of integrands, on a finite interval (lo, hi).
 
     evaluator   plain f(x); called on a 1-D array of nodes, returns an
                 array of the same shape, or for a table one row per name
                 (shape (len(names), nodes), e.g. a tuple of row arrays)
-    lo, hi      interval endpoints; (1, math.inf) is a tail, which
-                integrate folds onto (0, 1)
+    lo, hi      finite interval endpoints
     singular_lo / singular_hi
                 whether f blows up at the endpoint (at worst like an
-                inverse square root)
-    from_lo     f expressed in the distance s = x - lo, exact for all
-                s in (0, hi - lo); used for nodes in the lower half
-    from_hi     f expressed in s = hi - x; used for the upper half.  It
-                may be the evaluator itself: one form that takes
-                features_hi of the distances as it takes features of the
-                nodes, called once on both halves
+                inverse square root); a singular lo must be 0
     names       row names of a table; empty for a single integrand
     params      the parameter of a table and the constants derived from
-                it, handed to every form after the nodes: floats, or
+                it, handed to the evaluator after the nodes: floats, or
                 1-D arrays of N values for a stack of N surfaces, which
-                the forms see as (M, 1) columns over the M points
+                the evaluator sees as (M, 1) columns over the M points
                 evaluated (as floats when M = 1) and which give each
                 row a leading axis of M
     features    a function of the nodes alone that the evaluator takes
@@ -192,20 +182,23 @@ class Integrand:
                 the work that does not depend on the params is done once
                 and not at every call; its value, read-only, is the
                 evaluator's first argument
-    features_lo / features_hi
-                the same for from_lo and from_hi, on their distances
+    features_hi the same on the hi half, as a function of the exact
+                distances s = hi - x, so that the evaluator is one form
+                on both halves; its value must have the structure of
+                features' (an array, or nested tuples of arrays), and it
+                needs features
 
     bind(params) gives the integrand at other params.  A family's table
     is built once, with no params, as a template; each call binds it.
 
-    The offset forms take and return arrays as the evaluator does.  A
-    singular endpoint other than 0 requires its offset form: the plain
-    path cannot resolve the distance to it, and construction raises
-    ValueError without one.  The rows of a table share the interval,
-    the flags and the forms, so their common subexpressions can be
-    computed once per call, and those in the nodes alone once per node
-    set.  A feature function keys that cache, so it must be defined
-    once, at module level, not rebuilt with each table.
+    A singular hi other than 0 requires features_hi: the plain nodes
+    hi - s cannot resolve the distance to it, and construction raises
+    ValueError without one, as it does for a singular lo other than 0.
+    The rows of a table share the interval, the flags and the
+    evaluator, so their common subexpressions can be computed once per
+    call, and those in the nodes alone once per node set.  A feature
+    function keys that cache, so it must be defined once, at module
+    level, not rebuilt with each table.
     """
 
     evaluator: Callable
@@ -213,26 +206,19 @@ class Integrand:
     hi: float
     singular_lo: bool = False
     singular_hi: bool = False
-    from_lo: Optional[Callable] = None
-    from_hi: Optional[Callable] = None
     names: tuple[str, ...] = ()
     params: tuple = ()
     features: Optional[Callable] = None
-    features_lo: Optional[Callable] = None
     features_hi: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        if self.singular_lo and self.lo != 0.0 and self.from_lo is None:
-            raise ValueError(f"singular endpoint lo = {self.lo!r} needs its from_lo form")
-        if self.singular_hi and self.hi != 0.0 and self.from_hi is None:
-            raise ValueError(f"singular endpoint hi = {self.hi!r} needs its from_hi form")
-        if self.features_lo is not None and self.from_lo is None:
-            raise ValueError("features_lo needs the from_lo form it feeds")
-        if self.features_hi is not None and self.from_hi is None:
-            raise ValueError("features_hi needs the from_hi form it feeds")
-        if self.from_hi is self.evaluator and (self.features is None or self.features_hi is None):
-            raise ValueError("an evaluator that is its own from_hi form needs features "
-                             "and features_hi, which bring both halves to its arguments")
+        if self.singular_lo and self.lo != 0.0:
+            raise ValueError(f"a singular endpoint lo must be 0, got {self.lo!r}")
+        if self.singular_hi and self.hi != 0.0 and self.features_hi is None:
+            raise ValueError(f"singular endpoint hi = {self.hi!r} needs features_hi")
+        if self.features_hi is not None and self.features is None:
+            raise ValueError("features_hi needs features, the evaluator's argument on the "
+                             "other nodes")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"row names must be distinct, got {self.names!r}")
 
@@ -286,20 +272,6 @@ def _lead(f: Integrand, cols: list) -> tuple:
     return ((len(f.names),) if f.names else ()) + points
 
 
-def _apply(f: Integrand, fn: Callable, arg, n: int, cols: list) -> np.ndarray:
-    """fn (a form of f) at arg, n nodes or their features, and the
-    parameter columns cols, as a (rows, nodes) array; row i * M + j is
-    row i of the table at point j."""
-    out = _as_rows(fn(arg, *cols))
-    want = _lead(f, cols) + (n,)
-    if out.shape != want:
-        raise TypeError(
-            f"integrand must map an array of shape {(n,)} to one of shape {want}, "
-            f"got shape {out.shape}"
-        )
-    return out.reshape(-1, n)
-
-
 def _read_only(x):
     """x with every array in it, through nested tuples, made read-only."""
     if isinstance(x, np.ndarray):
@@ -311,40 +283,30 @@ def _read_only(x):
 
 
 @functools.lru_cache(maxsize=64)
-def _arguments(lo: float, hi: float, level: Optional[int], offset_hi: bool, offset_lo: bool,
-               features: tuple = (None, None, None), joined: bool = False) -> tuple:
-    """What the forms of an integrand on (lo, hi) are called on at one
+def _arguments(lo: float, hi: float, level: Optional[int], features: Optional[Callable],
+               features_hi: Optional[Callable]) -> tuple:
+    """What the evaluator of an integrand on (lo, hi) is called on at one
     level, or at the fused block and the midpoint for level None.
 
-    features holds the feature functions of the evaluator, from_hi and
-    from_lo (None for a form without one).  Returns (s, plain, taken):
-    the distances s = half * d_near that an offset form takes, the
-    nodes hi - s, lo + s of each side without one, then the midpoint,
-    concatenated into one array for the evaluator (None if it has none
-    to take), and what each of the three forms takes, its features at
-    its nodes or the nodes themselves.  joined, for an evaluator that is
-    also the from_hi form, gives it the hi side's features at s followed
-    by its own at plain, joined componentwise through nested tuples.
-    Cached per interval, level and feature functions, read-only, so a
-    fixed interval forms them once.
+    That is the nodes hi - s, lo + s and then the midpoint, s = half *
+    d_near being each node's distance to its side's endpoint, or
+    features of those nodes.  With features_hi, it is features_hi(s)
+    for the hi side followed by features of the other nodes, joined
+    componentwise through nested tuples.  Cached per interval, level and
+    feature functions, read-only, so a fixed interval forms them once.
     """
     half = 0.5 * (hi - lo)
-    s = half * (_fused_nodes()[0] if level is None else _nodes(level)[1])
-    xs = [x for x, offset in ((hi - s, offset_hi), (lo + s, offset_lo)) if not offset]
-    xs += [np.array([lo + half])] if level is None else []
-    plain = np.concatenate(xs) if xs else None
-    taken = tuple(x if fn is None or x is None else fn(x)
-                  for fn, x in zip(features, (plain, s, s)))
-    if joined:
-        taken = (_joined(taken[1], taken[0]),) + taken[1:]
-    return _read_only((s, plain, taken))
+    s = half * _distances(level)
+    mid = [np.array([lo + half])] if level is None else []
+    if features_hi is None:
+        x = np.concatenate([hi - s, lo + s] + mid)
+        return _read_only(x if features is None else features(x))
+    return _read_only(_joined(features_hi(s), features(np.concatenate([lo + s] + mid))))
 
 
 def _joined(first, then):
     """Two features of one structure, arrays or nested tuples of them,
-    as one: each array of first followed by its match in then (if any)."""
-    if then is None:
-        return first
+    as one: each array of first followed by its match in then."""
     if isinstance(first, tuple):
         return tuple(map(_joined, first, then))
     return np.concatenate([first, then])
@@ -353,39 +315,28 @@ def _joined(first, then):
 def _sides(f: Integrand, level: Optional[int], cols: list,
            out: Optional[np.ndarray] = None) -> tuple:
     """Evaluate f at the nodes of one level from each endpoint, or at the
-    fused block and the midpoint for level None.
+    fused block and the midpoint for level None, in one evaluator call.
 
     Returns (vals, centre): the values at the hi and lo sides as one
-    (rows, 2, nodes) array, written into out if given, and the midpoint
-    column (None past the block).  An offset form is called on its own
-    side; the evaluator is called once, on the nodes of every other
-    part and, if it is also the from_hi form, on the hi side's
-    distances first.  When it takes both sides and no out is given,
-    vals is a view of its output.  The values are not checked here:
-    integrate reads each level of a row only while the row is active,
-    and checks what it reads.
+    (rows, 2, nodes) array, a view of the evaluator's output or, if out
+    is given, written into it, and the midpoint column (None past the
+    block).  Row i * M + j is row i of the table at point j.  The values
+    are not checked here: integrate reads each level of a row only while
+    the row is active, and checks what it reads.
     """
-    joined = f.from_hi is f.evaluator
-    s, plain, (at_plain, at_hi, at_lo) = _arguments(
-        f.lo, f.hi, level, f.from_hi is not None, f.from_lo is not None,
-        (f.features, f.features_hi, f.features_lo), joined)
-    n = len(s)
-    m = (0 if plain is None else len(plain)) + (n if joined else 0)
-    got = _apply(f, f.evaluator, at_plain, m, cols) if m else None
-    centre = got[:, -1:] if level is None else None
-    from_hi = None if joined else f.from_hi
-    if out is None and from_hi is None and f.from_lo is None:
-        return got[:, :2 * n].reshape(len(got), 2, n), centre
-    if out is None:
-        out = np.empty((math.prod(_lead(f, cols)), 2, n))
-    at = 0
-    for side, form, arg in ((0, from_hi, at_hi), (1, f.from_lo, at_lo)):
-        if form is None:
-            out[:, side] = got[:, at:at + n]
-            at += n
-        else:
-            out[:, side] = _apply(f, form, arg, n, cols)
-    return out, centre
+    n = len(_distances(level))
+    m = 2 * n + (level is None)
+    got = _as_rows(f.evaluator(_arguments(f.lo, f.hi, level, f.features, f.features_hi), *cols))
+    want = _lead(f, cols) + (m,)
+    if got.shape != want:
+        raise TypeError(f"integrand must map an array of shape {(m,)} to one of shape {want}, "
+                        f"got shape {got.shape}")
+    got = got.reshape(-1, m)
+    vals = got[:, :2 * n].reshape(len(got), 2, n)
+    if out is not None:
+        out[...] = vals
+        vals = out
+    return vals, (got[:, -1:] if level is None else None)
 
 
 def _side_sums(w: np.ndarray, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -423,68 +374,17 @@ def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.nda
                 f"integrand returned a non-finite value near x = {float(np.asarray(x)[bad][0])!r}")
 
 
-@functools.cache
-def _folded(features: Optional[Callable], near_one: bool) -> Callable:
-    """The feature function of a tail's form folded onto (0, 1), made
-    once per (features, near_one), so that it keys the cache of
-    _arguments like any other.
-
-    At u in (0, 1) it gives (the tail form's features at t = 1/u, or t
-    itself, and u^2); with near_one, at sigma = 1 - u, the from_lo
-    form's features at s = t - 1 = sigma / (1 - sigma), or s, and
-    (1 - sigma)^2.
-    """
-    def fold(x: np.ndarray) -> tuple:
-        if near_one:
-            r = 1.0 - x
-            at, square = x / r, r * r
-        else:
-            at, square = 1.0 / x, x * x
-        return (at if features is None else features(at)), square
-    return fold
-
-
-def _unfolded(form: Callable) -> Callable:
-    """A tail form as a form of the fold: its value at the features that
-    _folded gives, over the square they carry."""
-    def folded(taken, *cols):
-        at, square = taken
-        return _as_rows(form(at, *cols)) / square
-    return folded
-
-
-def fold(f: Integrand) -> Integrand:
-    """f on (1, inf) as an integrand on (0, 1), by t = 1/u; integrate
-    folds a tail it is given, and a template tail is folded once, where
-    it is defined.
-
-    The integrand must decay at least like t**-3/2; a singularity at
-    t = 1 is supported through the usual flag and offset form, and the
-    fold maps from_lo, expressed in s = t - 1, onto the upper endpoint
-    exactly.  1/u and u^2, s and (1 - sigma)^2, and the tail's features
-    there are the fold's features, formed once per node set.
-    """
-    near_one = f.from_lo is not None
-    return Integrand(evaluator=_unfolded(f.evaluator), lo=0.0, hi=1.0, singular_lo=True,
-                     singular_hi=f.singular_lo,
-                     from_hi=_unfolded(f.from_lo) if near_one else None,
-                     names=f.names, params=f.params, features=_folded(f.features, False),
-                     features_hi=_folded(f.features_lo, True) if near_one else None)
-
-
 def _prepare(f: Integrand) -> tuple:
-    """f, folded if it is a tail and checked, with its stack size and
-    the parameter columns of all its points: (f, stack, cols)."""
-    if f.lo == 1.0 and f.hi == math.inf:
-        f = fold(f)
+    """f's stack size and the parameter columns of all its points,
+    (stack, cols), once its interval is checked."""
     lo, hi = f.lo, f.hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"integrate requires a finite interval or (1, inf), got ({lo}, {hi})")
+        raise DomainError(f"integrate requires a finite interval, got ({lo}, {hi})")
     if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi})")
     # a stack has k * stack rows, row i * stack + j being row i at point j
     stack = len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
-    return f, stack, _columns(f, stack)
+    return stack, _columns(f, stack)
 
 
 def _block_domain_error(f: Integrand, block: np.ndarray, centre: np.ndarray,
@@ -565,8 +465,8 @@ _HALVINGS.flags.writeable = False
 
 def integrate(f: Union[Integrand, Sequence[Integrand]],
               config: QuadConfig = QuadConfig()) -> Union[Result, list[Result]]:
-    """Integrate f over its interval, finite or (1, inf), or each
-    integrand of a sequence f in one pass.
+    """Integrate f over its interval, or each integrand of a sequence f in
+    one pass.
 
     Returns (value, err_estimate) for a plain integrand and a dict
     {name: (value, err_estimate)} for a table; the estimate is the
@@ -576,8 +476,8 @@ def integrate(f: Union[Integrand, Sequence[Integrand]],
     bit for bit what integrating that integrand alone gives.  Raises
     NonConvergence, naming the row and the parameter, if any row
     exhausts the budget, DomainError on a bad interval or a non-finite
-    value in a row still being refined, and TypeError if a form does
-    not map a node array to the expected shape; for a sequence, the
+    value in a row still being refined, and TypeError if an evaluator
+    does not map the nodes to the expected shape; for a sequence, the
     error of the first integrand that fails, as one call after another
     raises it.
     """
@@ -631,7 +531,7 @@ def _stop_floats(value: np.ndarray, tol: float) -> tuple:
 def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Result]:
     """The results of integrate for each integrand of fs, in order.
 
-    Every integrand's forms are called on the fused block first, each
+    Every integrand's evaluator is called on the fused block first, each
     writing its rows into one (rows, 2, nodes) array of all the rows in
     the pass (a lone integrand's own output is that array already).
     The rows then take levels 0 .. _FUSED_LEVEL together: one
@@ -648,10 +548,10 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     params or none (one surface), and as whole-array operations on a
     stack; both give the same bits.
     The rows still active after the block are refined integrand by
-    integrand.  An integrand whose block failed, on a bad interval, a
-    form of the wrong shape or a non-finite value read, raises its error
-    in turn, after the integrands before it are done; the rows of one
-    whose forms failed hold zeros, which stop at the first test and are
+    integrand.  An integrand whose block failed, on a bad interval, an
+    evaluator of the wrong shape or a non-finite value read, raises its
+    error in turn, after the integrands before it are done; the rows of
+    one whose evaluator failed hold zeros, which stop at the first test and are
     never read.
     """
     tol = config.target_rel_tol
@@ -667,7 +567,7 @@ def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Resu
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for g in fs:
             try:
-                g, stack, cols = _prepare(g)
+                stack, cols = _prepare(g)
             except (MsindexError, TypeError) as exc:  # raised once those before g are done
                 tables.append(exc)
             else:

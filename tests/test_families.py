@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from msindex import linalg
+from msindex import families, linalg
 from msindex.errors import DomainError, RiemannMatrixViolation, SingularMatrix
 from msindex.families import (
     FAMILIES,
@@ -332,28 +332,45 @@ def test_identity_fixture_value_at_closed_end(oracle):
 
 
 def test_rpd_tail_piece_matches_oracle(oracle):
-    # slowest-decaying bare tail integral, recomputed through our
-    # folded quadrature and compared against the frozen value
-    from msindex.quadrature import Integrand, integrate
+    # the slowest-decaying bare tail integral, the TA row of the program's
+    # own rPD table (its tail folded onto (0, 1) in its features), against
+    # the frozen value of the independent adaptive oracle
+    from msindex.quadrature import integrate
 
-    a = 0.5
-    a3, ia3 = a ** 3, 1.0 / a ** 3
-
-    def rad(t):
-        return t * (t ** 3 - 1.0) * (a3 * t ** 3 + ia3)
-
-    def off(s):
-        t = 1.0 + s
-        return (1.0 + a * a * t * t) / np.sqrt(
-            t * s * (s * (s + 3.0) + 3.0) * (a3 * t ** 3 + ia3))
-
-    f = Integrand(
-        lambda t: (1.0 + a * a * t * t) / np.sqrt(rad(t)), 1.0, math.inf,
-        singular_lo=True, from_lo=off,
-    )
-    value, _ = integrate(f)
+    value, _ = integrate(families._integrands_rPD(0.5)["periods"])["TA"]
     want = oracle["rpd_tail_bare"]["0.5"]
-    assert abs(value - want) <= 1e-10 * want
+    assert abs(value - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.01, 0.05, 0.3, 0.7, 0.9, 0.99, 0.999, 0.9999, 0.99999])
+def test_h_cap_rows_match_high_precision(a):
+    # H's cap rows on (0.5, 1) against 40-digit mpmath.quad in s = 1 - x:
+    # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span), with
+    # pol = c + s (18 - s (24 - 8s)) and span = s (2 - s).  As a -> 1,
+    # c = (a^3 - 1)^2 / a^3 -> 0 and pol rises from c over a width of
+    # about c / 18 at s = 0, where the quadrature is cut.
+    mpmath = pytest.importorskip("mpmath")
+    from msindex.quadrature import integrate
+
+    got = integrate(families._integrands_H(a)["cap"])
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        c = (am ** 3 - 1) ** 2 / am ** 3
+        memo = {}
+
+        def parts(s):
+            # x, sqrt(pol span) and pol^1.5 sqrt(span) at x = 1 - s
+            if s not in memo:
+                pol = c + s * (18 - s * (24 - 8 * s))
+                root = mpmath.sqrt(pol * s * (2 - s))
+                memo[s] = (1 - s, root, pol * root)
+            return memo[s]
+
+        cuts = [0] + ([c / 18] if c / 18 < 0.5 else []) + [0.5]
+        for name, over_x, den in (("B2", True, 1), ("C", False, 1), ("F2", True, 2),
+                                  ("H", False, 2)):
+            want = mpmath.quad(lambda s: (parts(s)[0] if over_x else 1) / parts(s)[den], cuts)
+            assert abs(got[name][0] - want) <= 1e-15 * abs(want), name
 
 
 def test_families_tuple_is_stable():

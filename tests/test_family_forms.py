@@ -5,10 +5,11 @@ The reference forms below compute every subexpression in the nodes at
 each call, in the operation order the feature forms keep, so the two
 must agree bit for bit on every node set: the fused block with its
 midpoint and the refine levels past it, at one point and on a stack.
+A table whose one form takes the hi side's distances has two inline
+forms, one in the nodes and one in those distances.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -38,12 +39,18 @@ def _cap_rows(x, pol, span):
     return x / root, 1.0 / root, x / den, 1.0 / den
 
 
-def _cap(x, a, a3, ia3, c):
-    return _cap_rows(x, a3 + ia3 + 6.0 * x - 8.0 * x ** 3, 1.0 - x * x)
+def _cap_rise(s):
+    # a^3 + 1/a^3 + 6x - 8x^3 less c at x = 1 - s
+    return s * (18.0 - s * (24.0 - 8.0 * s))
 
 
-def _cap_hi(s, a, a3, ia3, c):
-    return _cap_rows(1.0 - s, c + s * (18.0 - s * (24.0 - 8.0 * s)), s * (2.0 - s))
+def _cap_hi(s, a, c):
+    return _cap_rows(1.0 - s, c + _cap_rise(s), s * (2.0 - s))
+
+
+def _cap(x, a, c):
+    # 1 - x is exact on [0.5, 1]
+    return _cap_hi(1.0 - x, a, c)
 
 
 def _quartic(t4, a):
@@ -94,7 +101,7 @@ def _mid(v, a, d2, w):
 
 
 def _upper_cap(t, a, c):
-    return 1.0 / np.sqrt(c + 2.0 * (1.0 - t) * (2.0 * t + 1.0) ** 2)
+    return 1.0 / np.sqrt(c + _cap_rise(1.0 - t))
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -131,7 +138,7 @@ def _rpd_table(alt, unit_nums, tail_nums):
         unit_rows = _rpd_rows(c, unit_nums(c, t, t3, s), t * s * (3.0 - s * (3.0 - s)), t3, alt)
         return np.concatenate([unit_rows, tail_rows / (t * t)])
 
-    return {"evaluator": f, "from_hi": f_hi}
+    return f, f_hi
 
 
 def _unit_nums(c, t, t3, d):
@@ -154,16 +161,15 @@ def _tail_minus(c, t, t3, d):
 
 # the inline forms of each table, by family and table key
 _INLINE = {
-    "H": {"near0": {"evaluator": _near0}, "cap": {"evaluator": _cap, "from_hi": _cap_hi},
-          "bare": {"evaluator": _bare, "from_hi": _bare_hi}, "mid": {"evaluator": _mid},
-          "upper_cap": {"evaluator": _upper_cap}},
+    "H": {"near0": (_near0,), "cap": (_cap, _cap_hi), "bare": (_bare, _bare_hi),
+          "mid": (_mid,), "upper_cap": (_upper_cap,)},
     "rPD": {
         "periods": _rpd_table((False, False, False, False, True, False), _unit_nums,
                               lambda c, t, t3, d: (1.0 + (c.a * t) ** 2, t)),
         "identities": _rpd_table((False, False, False, True, True), _identity_nums, _tail_minus),
     },
-    "tP": {"periods": {"evaluator": _tp}},
-    "tCLP": {"periods": {"evaluator": _tclp}},
+    "tP": {"periods": (_tp,)},
+    "tCLP": {"periods": (_tclp,)},
 }
 
 
@@ -186,9 +192,32 @@ def _tables(fam, a):
             **_identity_tables(fam, a)}
 
 
+def _nodes_marked(x):
+    return x, np.zeros(x.shape, dtype=bool)
+
+
+def _distances_marked(s):
+    return s, np.ones(s.shape, dtype=bool)
+
+
+def _one_form(at_x, at_s):
+    """The inline form at_x at the nodes joined with at_s at the hi
+    side's distances, each element taken from the form its mark names."""
+    def form(nodes, *cols):
+        arg, hi = nodes
+        return np.where(hi, quadrature._as_rows(at_s(arg, *cols)),
+                        quadrature._as_rows(at_x(arg, *cols)))
+    return form
+
+
 def _inline(f, forms):
-    """f with its inline forms in place of its feature forms."""
-    return dataclasses.replace(f, features=None, features_lo=None, features_hi=None, **forms)
+    """f with its inline forms in place of its feature forms: the form in
+    the nodes alone, or for a table with features_hi both forms, called
+    as one on the nodes and the distances, each marked."""
+    if f.features_hi is None:
+        return dataclasses.replace(f, evaluator=forms[0], features=None)
+    return dataclasses.replace(f, evaluator=_one_form(*forms), features=_nodes_marked,
+                               features_hi=_distances_marked)
 
 
 def _bits(result):
@@ -221,12 +250,12 @@ def test_feature_forms_equal_the_inline_forms_bit_for_bit(fam, a):
     assert set(tables) == set(_INLINE[fam]) - unverified
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for key, f in tables.items():
-            g, stack, cols = quadrature._prepare(f)
+            _, cols = quadrature._prepare(f)
             ref = _inline(f, _INLINE[fam][key])
-            assert g.features is not None, key
+            assert f.features is not None, key
             # the fused block with its midpoint, then three refine levels
             for level in (None, 6, 7, 8):
-                got = quadrature._sides(g, level, cols)
+                got = quadrature._sides(f, level, cols)
                 want = quadrature._sides(ref, level, cols)
                 assert all(_same(x, y) for x, y in zip(got, want)), (key, level)
             # and the results, rows and stack points alike
@@ -245,50 +274,35 @@ def _arrays(x):
 def test_node_features_are_read_only(fam, a):
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for f in _tables(fam, a).values():
-            g = quadrature._prepare(f)[0]
             for level in (None, 6):
-                taken = quadrature._arguments(
-                    g.lo, g.hi, level, g.from_hi is not None, g.from_lo is not None,
-                    (g.features, g.features_hi, g.features_lo), g.from_hi is g.evaluator)
+                taken = quadrature._arguments(f.lo, f.hi, level, f.features, f.features_hi)
                 arrays = list(_arrays(taken))
-                # s and the plain nodes, and at least one feature per form
-                assert len(arrays) > 3
+                assert arrays
                 for arr in arrays:
                     assert not arr.flags.writeable
                     with pytest.raises(ValueError):
                         arr[0] = 0.0
 
 
-def _tail_minus_form(nodes, *cols):
-    # the rPD identity tail row, on the tail's own features
-    t, t3, base, d = nodes
-    c = families._RPDCurve(*cols)
-    return (quadrature._as_rows(_tail_minus(c, t, t3, d))
-            / np.sqrt(base * (c.a3 * t3 + c.ia3)))
-
-
 def test_the_fold_keys_the_cache_by_the_tail_features():
-    # the rPD identity table is built once, at import, on the features of
-    # the periods table, and every call binds it
+    # the rPD identity table is built once, at import, on the feature
+    # functions of the periods table, which fold the tail rows onto (0, 1),
+    # and every call binds it
     tables = families._identity_integrands_rPD
     f, g = tables(0.4)["identities"], tables(0.7)["identities"]
     assert (f.lo, f.hi, g.params[0]) == (0.0, 1.0, 0.7)
     assert f.evaluator is g.evaluator and f.features is g.features
     periods = families._PERIODS
     assert f.features is periods.features and f.features_hi is periods.features_hi
-    # two folds of one tail, built apart, take the same cached features,
-    # those the rPD tables fold their tail rows with
-    tail = quadrature.Integrand(_tail_minus_form, 1.0, math.inf, singular_lo=True,
-                                from_lo=_tail_minus_form, names=("tail_minus",),
-                                params=f.params, features=families._rpd_tail_features,
-                                features_lo=families._rpd_tail_near_one)
-    g, h = quadrature.fold(tail), quadrature.fold(tail)
-    assert g.features is h.features is quadrature._folded(families._rpd_tail_features, False)
-    assert g.features_hi is h.features_hi is quadrature._folded(families._rpd_tail_near_one, True)
-    assert g.evaluator is not h.evaluator
-    # and the fold integrates to the table's tail row bit for bit
-    assert _bits(quadrature.integrate(g)) == {
-        "tail_minus": _bits(quadrature.integrate(f))["tail_minus"]}
+    # whose last component folds the tail: its features at t = 1/x beside
+    # x^2 at the nodes x, and at t = 1 + s / (1 - s) beside (1 - s)^2 at
+    # the hi side's distances s, first
+    s = 0.5 * quadrature._distances(None)
+    x = np.concatenate([s, [0.5]])
+    with np.errstate(over="ignore"):  # t^3 at the smallest x
+        (t, *_), square = quadrature._arguments(0.0, 1.0, None, f.features, f.features_hi)[-1]
+    assert t.tobytes() == np.concatenate([1.0 + s / (1.0 - s), 1.0 / x]).tobytes()
+    assert square.tobytes() == np.concatenate([(1.0 - s) ** 2, x * x]).tobytes()
 
 
 def test_a_second_verify_adds_no_integrand_and_no_node_cache_miss(monkeypatch):
@@ -307,20 +321,19 @@ def test_a_second_verify_adds_no_integrand_and_no_node_cache_miss(monkeypatch):
 
 
 def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):
-    # every table is bound from a template made at import, the rPD tails
-    # folded there, so an analysis builds no Integrand and folds no tail
-    built, folded = [], []
-    check, fold = quadrature.Integrand.__post_init__, quadrature.fold
+    # every table is bound from a template made at import, so an analysis
+    # builds no Integrand
+    built = []
+    check = quadrature.Integrand.__post_init__
     monkeypatch.setattr(quadrature.Integrand, "__post_init__",
                         lambda self: built.append(self) or check(self))
-    monkeypatch.setattr(quadrature, "fold", lambda f: folded.append(f) or fold(f))
     points = [SurfaceParam(fam, a) for fam, a in (
         ("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0),
         ("rPD", 0.1))]
     stacks = [[SurfaceParam(fam, a) for a in grid] for fam, grid in (
         ("H", (0.04, 0.5, 0.9)), ("rPD", (0.12, 0.6, 1.0)), ("tP", (2.5, 3.5, 40.0)),
         ("tCLP", (-1.5, 0.2, 1.9)))]
-    caches = (quadrature._arguments, quadrature._folded)
+    caches = (quadrature._arguments,)
     seen = []
     for _ in range(2):
         moduli._analyze_cached.cache_clear()
@@ -330,12 +343,11 @@ def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):
             moduli.analyze_many(stack)
         assert moduli._analyze_cached.cache_info().misses == len(points) + 3 * len(stacks)
         seen.append([(c.cache_info().misses, c.cache_info().currsize) for c in caches])
-    assert built == [] and folded == []
+    assert built == []
     assert seen[1] == seen[0]
 
 
 def test_a_feature_function_needs_its_form():
-    with pytest.raises(ValueError, match="features_hi"):
+    # features_hi feeds the evaluator beside features, never alone
+    with pytest.raises(ValueError, match="features_hi needs features"):
         quadrature.Integrand(np.sqrt, 0.0, 1.0, features_hi=np.sqrt)
-    with pytest.raises(ValueError, match="features_lo"):
-        quadrature.Integrand(np.sqrt, 0.0, 1.0, features_lo=np.sqrt)

@@ -1,6 +1,5 @@
 """Unit tests for the double-exponential quadrature core."""
 
-import dataclasses
 import math
 import re
 
@@ -28,40 +27,40 @@ def test_gaussian_bump():
 
 
 def test_inverse_sqrt_endpoint():
-    f = Integrand(
-        lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-        singular_lo=True, from_lo=lambda s: 1.0 / np.sqrt(s),
-    )
+    # at lo = 0 the plain nodes lo + s are the exact distances
+    f = Integrand(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular_lo=True)
     value, _ = integrate(f)
     assert abs(value - 2.0) < 1e-12
 
 
+def _arcsine(nodes):
+    x, rest = nodes
+    return 1.0 / np.sqrt(x * rest)
+
+
 def test_double_endpoint_singularity():
-    # arcsine weight, integral is pi
+    # arcsine weight, integral is pi; the form takes (x, 1 - x), on the hi
+    # side from the exact distances s = 1 - x
     f = Integrand(
-        lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0,
-        singular_lo=True, singular_hi=True,
-        from_lo=lambda s: 1.0 / np.sqrt(s * (1.0 - s)),
-        from_hi=lambda s: 1.0 / np.sqrt(s * (1.0 - s)),
+        _arcsine, 0.0, 1.0, singular_lo=True, singular_hi=True,
+        features=lambda x: (x, 1.0 - x), features_hi=lambda s: (1.0 - s, s),
     )
     value, _ = integrate(f)
     assert abs(value - math.pi) < 1e-12
 
 
 def test_log_endpoint():
-    f = Integrand(
-        lambda x: -np.log(x), 0.0, 1.0,
-        singular_lo=True, from_lo=lambda s: -np.log(s),
-    )
+    f = Integrand(lambda x: -np.log(x), 0.0, 1.0, singular_lo=True)
     value, _ = integrate(f)
     assert abs(value - 1.0) < 1e-12
 
 
 def test_offset_form_beats_cancellation():
-    # near x = 1 the naive 1 - x*x cancels; the offset form does not
+    # near x = 1 the naive 1 - x*x cancels; 1 - x^2 formed from the
+    # distance s = 1 - x does not
     f = Integrand(
-        lambda x: 1.0 / np.sqrt(1.0 - x * x), 0.0, 1.0,
-        singular_hi=True, from_hi=lambda s: 1.0 / np.sqrt(s * (2.0 - s)),
+        lambda span: 1.0 / np.sqrt(span), 0.0, 1.0, singular_hi=True,
+        features=lambda x: 1.0 - x * x, features_hi=lambda s: s * (2.0 - s),
     )
     value, _ = integrate(f)
     assert abs(value - math.pi / 2.0) < 1e-13
@@ -81,39 +80,32 @@ def test_constant_scalar_integrand_raises_type_error():
 
 
 def test_singular_endpoint_away_from_zero_needs_its_offset_form():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs features_hi"):
         Integrand(lambda x: 1.0 / np.sqrt(1.0 - x), 0.5, 1.0, singular_hi=True)
-    with pytest.raises(ValueError):
-        Integrand(lambda t: 1.0 / (t * np.sqrt(t - 1.0)), 1.0, math.inf, singular_lo=True)
-    with pytest.raises(ValueError):
+    # a singular lo must be 0, with feature functions or without
+    with pytest.raises(ValueError, match="lo must be 0"):
         Integrand(lambda x: 1.0 / np.sqrt(x + 1.0), -1.0, 0.0, singular_lo=True)
+    with pytest.raises(ValueError, match="lo must be 0"):
+        Integrand(np.sqrt, 0.5, 1.0, singular_lo=True, features=np.negative,
+                  features_hi=np.negative)
 
 
 def test_singular_endpoint_at_zero_or_with_offset_form_is_accepted():
     Integrand(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular_lo=True)
     Integrand(lambda x: 1.0 / np.sqrt(-x), -1.0, 0.0, singular_hi=True)
     Integrand(
-        lambda x: 1.0 / np.sqrt(1.0 - x), 0.5, 1.0,
-        singular_hi=True, from_hi=lambda s: 1.0 / np.sqrt(s),
+        lambda d: 1.0 / np.sqrt(d), 0.5, 1.0, singular_hi=True,
+        features=lambda x: 1.0 - x, features_hi=lambda s: s,
     )
-    Integrand(
-        lambda t: 1.0 / (t * np.sqrt(t - 1.0)), 1.0, math.inf,
-        singular_lo=True, from_lo=lambda s: 1.0 / ((1.0 + s) * np.sqrt(s)),
-    )
-
-
-def test_tail_inverse_square():
-    f = Integrand(lambda t: 1.0 / t ** 2, 1.0, math.inf)
-    value, _ = integrate(f)
-    assert abs(value - 1.0) < 1e-12
 
 
 def test_tail_with_finite_end_singularity():
-    # int_1^inf dt / (t^2 sqrt(t-1)) = pi/2
+    # int_1^inf dt / (t^2 sqrt(t-1)) = pi/2; t = 1/u folds it onto (0, 1)
+    # as sqrt(u / (1 - u)), the fold done in the features as the rPD
+    # tables do theirs, with 1 - u from the exact distance on the hi side
     f = Integrand(
-        lambda t: 1.0 / (t * t * np.sqrt(t - 1.0)), 1.0, math.inf,
-        singular_lo=True,
-        from_lo=lambda s: 1.0 / ((1.0 + s) ** 2 * np.sqrt(s)),
+        lambda nodes: np.sqrt(nodes[0] / nodes[1]), 0.0, 1.0, singular_hi=True,
+        features=lambda u: (u, 1.0 - u), features_hi=lambda s: (1.0 - s, s),
     )
     value, _ = integrate(f)
     assert abs(value - math.pi / 2.0) < 1e-12
@@ -137,8 +129,10 @@ def test_level_budget_does_not_change_converged_result(monkeypatch):
 def test_interval_validation():
     with pytest.raises(DomainError):
         integrate(Integrand(lambda x: x, 1.0, 1.0))
-    # (1, inf) is the only infinite interval, folded onto (0, 1)
-    for lo, hi in ((0.0, math.inf), (2.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+    # every infinite interval is refused: a tail is folded onto (0, 1) by
+    # its own features
+    for lo, hi in ((1.0, math.inf), (0.0, math.inf), (2.0, math.inf), (-math.inf, 0.0),
+                   (-math.inf, math.inf)):
         with pytest.raises(DomainError):
             integrate(Integrand(lambda x: 1.0 / (1.0 + x * x), lo, hi))
 
@@ -207,8 +201,10 @@ def test_linearity(c0, c1, c2, alpha, beta):
 
 
 def _per_level_reference(f, row=0, point=None):
-    """One row of f, level by level: its own calls per side, each form on its
-    own features of that side's nodes where it has them, one np.dot per side per level.
+    """One row of f, level by level: its own evaluator call per side, on the
+    features of that side's nodes where it has them (features_hi of the
+    exact distances on the hi side of a one-form table), one np.dot per side
+    per level.
 
     For a stack, the row at one point, the forms called with that point's params alone.
     """
@@ -221,9 +217,8 @@ def _per_level_reference(f, row=0, point=None):
 
     def side(d_near, upper):
         s = half * d_near
-        form = f.from_hi if upper else f.from_lo
-        if form is not None:
-            return call(form, f.features_hi if upper else f.features_lo, s)
+        if upper and f.features_hi is not None:
+            return call(f.evaluator, f.features_hi, s)
         return call(f.evaluator, f.features, f.hi - s if upper else f.lo + s)
 
     def level_sum(level):
@@ -242,11 +237,6 @@ def _per_level_reference(f, row=0, point=None):
             if level >= 3 and err <= max(QuadConfig().target_rel_tol * abs(value), quadrature._ABS_FLOOR):
                 return value, err
     raise AssertionError("reference did not converge")
-
-
-def _one_row(f, row, point=None):
-    """The per-level reference for one row of f, through the tail fold where f needs it."""
-    return _per_level_reference(quadrature.fold(f) if math.isinf(f.hi) else f, row, point)
 
 
 @pytest.mark.parametrize("table, a", [
@@ -274,7 +264,7 @@ def test_sums_equal_the_per_level_reference_exactly(table, a):
     for key, f in table(a).items():
         got = integrate(f)
         for row, name in enumerate(f.names or (key,)):
-            want = _one_row(f, row)
+            want = _per_level_reference(f, row)
             have = got[name] if f.names else got
             assert have[0] == want[0], name
             assert have[1] == want[1], name
@@ -305,7 +295,7 @@ def test_stacked_rows_equal_the_one_point_references_exactly(table, points):
                 alone = integrate(table(a)[key])
                 alone = alone[name] if f.names else alone
                 assert (values[j], errs[j]) == alone, (name, a)
-                assert alone == _one_row(f, row, j), (name, a)
+                assert alone == _per_level_reference(f, row, j), (name, a)
 
 
 def test_stacked_table_evaluates_only_the_points_still_active():
@@ -370,34 +360,53 @@ def test_table_rows_equal_their_one_row_integrations():
     assert len(calls) == 3 * 2
 
 
+def _upper_features(x):
+    return x, 1.0 - x
+
+
+def _counted_on_features(fn, calls):
+    # _counted for a form that takes (x, 1 - x)
+    def g(nodes):
+        calls.append(len(nodes[0]))
+        return fn(nodes)
+    return g
+
+
+def _upper_hi_features(s):
+    return 1.0 - s, s
+
+
 def test_table_with_offset_forms_calls_each_form_once_per_level():
-    plain, offset = [], []
+    # one form on both halves of (0.5, 1), the hi side's from the exact
+    # distances: a blowup at 1 and a wave that stops inside the block
+    calls = []
     f = Integrand(
-        _counted(lambda x: (1.0 / np.sqrt(1.0 - x), np.cos(20.0 * x)), plain), 0.5, 1.0,
-        singular_hi=True, names=("blowup", "wave"),
-        from_hi=_counted(lambda s: (1.0 / np.sqrt(s), np.cos(20.0 * (1.0 - s))), offset),
+        _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), np.cos(20.0 * nodes[0])),
+                             calls),
+        0.5, 1.0, singular_hi=True, names=("blowup", "wave"),
+        features=_upper_features, features_hi=_upper_hi_features,
     )
     got = integrate(f)
     assert abs(got["blowup"][0] - 2.0 * math.sqrt(0.5)) < 1e-12
     assert abs(got["wave"][0] - (math.sin(20.0) - math.sin(10.0)) / 20.0) < 1e-13
-    # the midpoint rides with the plain form in the call for levels 0-5,
-    # and both rows stop inside the block
+    # both sides and the midpoint of levels 0-5 in one call, and both
+    # rows stop inside the block
     n = len(_fused_nodes()[0])
-    assert plain == [n + 1] and offset == [n]
+    assert calls == [2 * n + 1]
 
-    # a narrow bump stops at level 7: one more call per form per level
-    plain.clear()
-    offset.clear()
+    # a narrow bump stops at level 7: one more call per level
+    calls.clear()
     bump = lambda x: 1.0 / (1.0 + 400.0 * (x - 0.75) ** 2)  # noqa: E731
     f = Integrand(
-        _counted(lambda x: (1.0 / np.sqrt(1.0 - x), bump(x)), plain), 0.5, 1.0,
-        singular_hi=True, names=("blowup", "bump"),
-        from_hi=_counted(lambda s: (1.0 / np.sqrt(s), bump(1.0 - s)), offset),
+        _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), bump(nodes[0])), calls),
+        0.5, 1.0, singular_hi=True, names=("blowup", "bump"),
+        features=_upper_features, features_hi=_upper_hi_features,
     )
     got = integrate(f)
     assert abs(got["bump"][0] - math.atan(5.0) / 10.0) < 1e-13
-    later = [len(_nodes(k)[1]) for k in (6, 7)]
-    assert plain == [n + 1] + later and offset == [n] + later
+    assert calls == [2 * n + 1] + [2 * len(_nodes(k)[1]) for k in (6, 7)]
+    for row, name in enumerate(f.names):
+        assert got[name] == _per_level_reference(f, row), name
 
 
 # one form on both halves of (0, 1): it takes x and (1 - x, its root), the
@@ -418,29 +427,9 @@ def _joined_form(nodes, c):
 
 
 def _joined_table(c, form=_joined_form):
-    return Integrand(form, 0.0, 1.0, singular_hi=True, from_hi=form,
-                     names=("blowup", "wave", "bump"), params=(c,),
+    return Integrand(form, 0.0, 1.0, singular_hi=True, names=("blowup", "wave", "bump"),
+                     params=(c,),
                      features=_joined_features, features_hi=_joined_hi_features)
-
-
-@pytest.mark.parametrize("c", [1.5, np.array([0.5, 1.0, 2.0])])
-def test_an_evaluator_that_is_its_own_from_hi_equals_a_distinct_one(c):
-    one = _joined_table(c)
-    two = dataclasses.replace(one, from_hi=lambda nodes, c: _joined_form(nodes, c))
-    _, _, cols = quadrature._prepare(one)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for level in (None, 6, 7, 8):
-            (got, got_mid), (want, want_mid) = (quadrature._sides(f, level, cols) for f in (one, two))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), level
-            assert (got_mid is None and want_mid is None) or got_mid.tobytes() == want_mid.tobytes()
-    got, want = integrate(one), integrate(two)
-    assert _point_bits(got) == _point_bits(want)
-    points = [None] if isinstance(c, float) else range(len(c))
-    for row, name in enumerate(one.names):
-        for point in points:
-            value, err = got[name] if point is None else (x[point] for x in got[name])
-            assert (value, err) == _per_level_reference(one, row, point), (name, point)
-    assert abs(got["blowup"][0] - 2.0 * np.asarray(c)).max() < 1e-12
 
 
 @pytest.mark.parametrize("c", [1.5, np.array([0.5, 1.0, 2.0])])
@@ -451,7 +440,8 @@ def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
         calls.append(len(nodes[0]))
         return _joined_form(nodes, c)
 
-    integrate(_joined_table(c, form))
+    got = integrate(_joined_table(c, form))
+    assert abs(got["blowup"][0] - 2.0 * np.asarray(c)).max() < 1e-12
     # both halves and the midpoint of the block in one call, then both
     # halves of each level until the bump stops at level 7
     n = len(_fused_nodes()[0])
@@ -460,10 +450,9 @@ def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
 
 @pytest.mark.parametrize("level", [None, 6])
 def test_joined_features_are_read_only_and_the_hi_half_first(level):
-    features = (_joined_features, _joined_hi_features, None)
-    s, plain, (taken, at_hi, _) = quadrature._arguments(0.0, 1.0, level, True, False, features, True)
-    n = len(s)
-    assert len(plain) == n + (level is None)
+    taken = quadrature._arguments(0.0, 1.0, level, _joined_features, _joined_hi_features)
+    s = 0.5 * quadrature._distances(level)
+    plain = np.concatenate([s] + ([np.array([0.5])] if level is None else []))
     x, (d, root) = taken
     hi_x, (hi_d, hi_root) = _joined_hi_features(s)
     lo_x, (lo_d, lo_root) = _joined_features(plain)
@@ -472,16 +461,15 @@ def test_joined_features_are_read_only_and_the_hi_half_first(level):
         assert got.tobytes() == np.concatenate([hi, lo]).tobytes()
         with pytest.raises(ValueError):
             got[0] = 0.0
-    assert at_hi[0].tobytes() == hi_x.tobytes() and not at_hi[0].flags.writeable
 
 
 def test_an_evaluator_that_is_its_own_from_hi_needs_both_feature_functions():
-    with pytest.raises(ValueError, match="its own from_hi"):
-        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, from_hi=_joined_form,
-                  features=_joined_features)
-    with pytest.raises(ValueError, match="its own from_hi"):
-        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, from_hi=_joined_form,
-                  features_hi=_joined_hi_features)
+    # the one form of a singular hi other than 0 takes features_hi of the
+    # hi side's distances, and features of the other nodes
+    with pytest.raises(ValueError, match="needs features_hi"):
+        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, features=_joined_features)
+    with pytest.raises(ValueError, match="features_hi needs features"):
+        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, features_hi=_joined_hi_features)
 
 
 def _bad_at(level, fn, upper=False):
@@ -541,9 +529,6 @@ def test_one_unconverged_row_raises_non_convergence(monkeypatch):
     rows = {"sqrt": np.sqrt, "rough": _rough, "cos": _STOPS["cos"][1]}
     with pytest.raises(NonConvergence, match="rough"):
         integrate(_table(rows))
-    with pytest.raises(NonConvergence, match="rough"):
-        integrate(Integrand(lambda t: (1.0 / t ** 2, _rough(1.0 / t) / t ** 2), 1.0, math.inf,
-                            names=("square", "rough")))
 
 
 def test_wrong_row_count_raises_type_error():
@@ -555,10 +540,6 @@ def test_wrong_row_count_raises_type_error():
         integrate(Integrand(lambda x: (x, x), 0.0, 1.0))
     with pytest.raises(TypeError):
         integrate(Integrand(lambda x: (x, 1.0), 0.0, 1.0, names=("a", "b")))
-    with pytest.raises(TypeError):
-        integrate(Integrand(lambda t: (t ** -2, 1.0), 1.0, math.inf, names=("a", "b")))
-    with pytest.raises(TypeError):
-        integrate(Integrand(lambda t: (t ** -2,) * 3, 1.0, math.inf, names=("a", "b")))
 
 
 def test_table_row_names_are_distinct():

@@ -49,9 +49,10 @@ def test_float_changes_are_reported_with_their_deviation():
     lines = out.splitlines()
     assert lines[0] == "## msindex sweep"
     assert "- 0.4947,1,5,4,2" in lines
-    assert lines[-3] == "2 differing lines"
-    assert lines[-1] == ("other lines: 2, largest deviation 2.500e-01 in msindex sweep, "
+    assert lines[-4] == "2 differing lines"
+    assert lines[-2] == ("other lines: 2, largest deviation 2.500e-01 in msindex sweep, "
                          "relative 5.000e-01 in msindex sweep")
+    assert lines[-1] == "by block: msindex sweep (2)"
 
 
 def test_relative_deviation_is_scaled_by_the_larger_magnitude():
@@ -66,7 +67,8 @@ def test_relative_deviation_is_scaled_by_the_larger_magnitude():
     # 0.0 and -0.0 differ as text only
     assert lines[5] == "  max deviation 0.000e+00, relative 0.000e+00"
     # outside any block, no block is named
-    assert lines[-1] == "other lines: 2, largest deviation 2.621e+05, relative 1.667e-01"
+    assert lines[-2] == "other lines: 2, largest deviation 2.621e+05, relative 1.667e-01"
+    assert lines[-1] == "by block: outside any block (2)"
 
 
 def test_integer_or_text_changes_fail():
@@ -96,12 +98,13 @@ def test_eigenvalue_lines_are_scaled_by_their_spectrum():
     # other lines keep their own size as the scale
     assert lines[6] == "  max deviation 1.250e-16, relative 5.000e-01"
     # each class closes with its own largest deviation
-    assert lines[-3:] == [
+    assert lines[-4:-1] == [
         "2 differing lines",
         "eigenvalue lines: 1, largest |x - y| / max|eig| 8.571e-16 in msindex analyze "
         "--family H --a 0.3 --json",
         "other lines: 1, largest deviation 1.250e-16 in msindex analyze --family H --a 0.3 "
         "--json, relative 5.000e-01 in msindex analyze --family H --a 0.3 --json"]
+    assert lines[-1] == "by block: msindex analyze --family H --a 0.3 --json (2)"
     # the exact-integer rule is unchanged inside a record
     assert _diff(a, a.replace("false", "true"))[0] == 1
 
@@ -115,12 +118,14 @@ def test_closing_lines_bound_eigenvalues_apart_and_name_each_block():
         "0.3", "0.7") + "## msindex reproduce --all\n  deviation 1.94e-10\n## exit 0\n")
     code, out = _diff(a, b)
     assert code == 0
-    assert out.splitlines()[-3:] == [
+    assert out.splitlines()[-4:-1] == [
         "2 differing lines",
         "eigenvalue lines: 1, largest |x - y| / max|eig| 2.220e-16 in msindex analyze "
         "--family H --a 0.7 --json",
         "other lines: 1, largest deviation 1.120e-10 in msindex reproduce --all, "
         "relative 3.660e-01 in msindex reproduce --all"]
+    assert out.splitlines()[-1] == ("by block: msindex analyze --family H --a 0.7 --json (1), "
+                                    "msindex reproduce --all (1)")
 
 
 def test_identity_lines_report_lhs_rhs_apart_from_their_residual():
@@ -139,15 +144,32 @@ def test_identity_lines_report_lhs_rhs_apart_from_their_residual():
     assert lines[3] == "  lhs/rhs relative 2.796e-16, residual change 4.441e-16"
     assert lines[6] == "  lhs/rhs relative 1.564e-16, residual change 2.220e-16"
     assert lines[9] == "  lhs/rhs relative 0.000e+00, residual change 2.221e-16"
-    assert lines[-4:] == [
+    assert lines[-5:-1] == [
         "3 differing lines",
         "eigenvalue lines: 0, largest |x - y| / max|eig| 0.000e+00",
         "other lines: 0, largest deviation 0.000e+00, relative 0.000e+00",
         "identity lines: 3, largest lhs/rhs change 2.796e-16 relative in msindex verify "
         "--family H --a 0.5, largest residual change 4.441e-16 in msindex verify --family H "
         "--a 0.5"]
+    assert lines[-1] == "by block: msindex verify --family H --a 0.5 (3)"
     # the identity class keeps the exact rule for text
     assert _diff(a, a.replace(": pass", ": FAIL"))[0] == 1
+
+
+def test_the_last_line_counts_the_differing_lines_of_each_block():
+    # two blocks move, one of them twice, and the block between them not at all
+    a = ("## msindex analyze --family H --a 0.3 --json\n  1.5,\n  2.5\n## exit 0\n"
+         "## msindex analyze --family rPD --a 0.5 --json\n  3.5\n## exit 0\n"
+         "## msindex reproduce --all\n  root 0.25\n## exit 0\n")
+    b = a.replace("1.5", "1.75").replace("2.5", "2.75").replace("0.25", "0.5")
+    code, out = _diff(a, b)
+    assert code == 0
+    assert out.splitlines()[-1] == ("by block: msindex analyze --family H --a 0.3 --json (2), "
+                                    "msindex reproduce --all (1)")
+    # a line that fails the exact rule counts in its block too
+    code, out = _diff(a, a.replace("3.5", "three"))
+    assert code == 1
+    assert out.splitlines()[-1] == "by block: msindex analyze --family rPD --a 0.5 --json (1)"
 
 
 # each metric's direction, as the repository's BENCHMARK.json gives it

@@ -25,6 +25,8 @@ largest change of a residual; for the other lines the largest
 absolute deviation and the largest relative one, which for a
 difference of nearly equal numbers (a ``deviation`` text of
 ``reproduce``) can be large though the inputs moved in their last bits.
+Where any line differs, the last line names every block that holds
+one, in file order, each with its count of differing lines.
 
 A floating-point number is a literal with a decimal point or an
 exponent, or inf/nan.  Everything else, including integers such as
@@ -117,6 +119,8 @@ def diff(lines_a: list, lines_b: list, out) -> int:
     header = None
     shown = None
     count = 0
+    # differing lines per block, in file order
+    blocks: dict = {}
     # per class: [lines, (largest deviation, its block), (largest relative, its block)];
     # for identity lines the largest relative lhs/rhs change, then residual change
     classes = {name: [0, (0.0, None), (0.0, None)] for name in ("eigenvalue", "other", "identity")}
@@ -126,6 +130,7 @@ def diff(lines_a: list, lines_b: list, out) -> int:
         if a == b:
             continue
         count += 1
+        blocks[header] = blocks.get(header, 0) + 1
         if header is not None and header != shown:
             out.write("%s\n" % header)
             shown = header
@@ -164,6 +169,10 @@ def diff(lines_a: list, lines_b: list, out) -> int:
         else:
             out.write(", largest deviation %.3e%s, relative %.3e%s\n"
                       % (worst, _block(at), worst_rel, _block(at_rel)))
+    if blocks:
+        out.write("by block: %s\n" % ", ".join(
+            "%s (%d)" % (header[3:] if header else "outside any block", lines)
+            for header, lines in blocks.items()))
     return status
 
 
