@@ -13,14 +13,16 @@ cancellation-prone factors expanded by hand.  Every table, the
 identities' among them, is built once, at import, as a quadrature table
 with named rows that share their radicands, and with no params: a
 template that each call binds to its parameter columns
-(``Integrand.bind``), so no call builds an Integrand.  rPD's tables
-hold their rows on (0, 1) and those on (1, inf), folded onto (0, 1) by
-t = 1/x in their own feature functions.  Every table is one form on
-both halves of its interval; one with a singular end at 1 (rPD's, H's
-``cap`` and ``bare``) takes there the features of the exact distance
-to it (``features_hi``), so one call per level covers both halves, and
-no table has a separate offset form.  All the tables of an integral
-set, with the identities' beside them, go to one integrate call.
+(``Integrand.bind``), so no call builds an Integrand.  Each family's
+eight integrals are one table and one integrate call: rPD's holds its
+rows on (0, 1) and those on (1, inf), folded onto (0, 1) by t = 1/x in
+its feature functions, and H's its rows near t = 0 and those of the
+cap on (0.5, 1), read at x = (1 + t) / 2.  Every table is one form on
+both halves of its interval; one with a singular end at 1 (rPD's,
+H's, and the identities' ``bare`` and ``upper_cap``) takes there the
+features of the exact distance to it (``features_hi``), so one call
+per level covers both halves.  The identities take a family's table
+and integrate their own beside it, one call per table.
 What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
 radicand factors without a, the distance to t = 1) comes from a
 feature function at module level, which the quadrature computes once
@@ -151,8 +153,8 @@ def _each(fn: Callable[[float], float], a: Values) -> Values:
 
 def _integrate_all(tables: dict[str, Integrand],
                    config: QuadConfig) -> tuple[dict[str, Values], Values]:
-    """Integrate every entry of a dict of integrand tables, all in one
-    integrate call.
+    """Integrate every entry of a dict of integrand tables, one integrate
+    call each.
 
     Returns the values by row name and the largest error estimate, as
     floats for one surface and arrays for a stack.  A table contributes
@@ -160,7 +162,8 @@ def _integrate_all(tables: dict[str, Integrand],
     """
     values: dict[str, np.ndarray] = {}
     errs = []
-    for (key, f), result in zip(tables.items(), integrate(tables.values(), config)):
+    for key, f in tables.items():
+        result = integrate(f, config)
         for name, (value, err) in (result.items() if f.names else [(key, result)]):
             values[name] = value
             errs.append(err)
@@ -173,24 +176,10 @@ def _near0_features(t):
     return t, t ** 3, 1.0 + tt, 1.0 - tt, t25 * (1.0 + tt), t25 * (1.0 - tt), t ** 3.5
 
 
-def _near0(nodes, a, a3, ia3):
-    t, t3, plus, minus, plus25, minus25, t35 = nodes
-    rad = (t3 + a3) * (t3 + ia3)
-    root = np.sqrt(t * rad)
-    rad15 = rad ** 1.5
-    return plus / root, minus / root, t / root, plus25 / rad15, minus25 / rad15, t35 / rad15
-
-
-def _cap_rows(x, pol, span, root_span):
-    # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span); span = 1 - x^2
-    root = np.sqrt(pol * span)
-    den = pol ** 1.5 * root_span
-    return x / root, 1.0 / root, x / den, 1.0 / den
-
-
 def _cap_near_one(s):
-    # x, then a^3 + 1/a^3 + 6x - 8x^3 less c, and 1 - x^2, at x = 1 - s
-    span = s * (2.0 - s)
+    # x, then a^3 + 1/a^3 + 6x - 8x^3 less c, and 4 (1 - x^2) and its
+    # root, at x = 1 - s
+    span = 4.0 * (s * (2.0 - s))
     return 1.0 - s, s * (18.0 - s * (24.0 - 8.0 * s)), span, np.sqrt(span)
 
 
@@ -199,23 +188,41 @@ def _cap_features(x):
     return _cap_near_one(1.0 - x)
 
 
-def _cap(nodes, a, c):
-    x, rise, span, root_span = nodes
-    return _cap_rows(x, c + rise, span, root_span)
+def _h_features(t):
+    # near t = 0 at t, the cap at x = (1 + t) / 2
+    return _near0_features(t), _cap_features(0.5 + 0.5 * t)
 
 
-_NEAR0 = Integrand(_near0, 0.0, 1.0, singular_lo=True, names=("A", "B1", "D", "E", "F1", "I"),
-                   features=_near0_features)
-_CAP = Integrand(_cap, 0.5, 1.0, singular_hi=True, names=("B2", "C", "F2", "H"),
-                 features=_cap_features, features_hi=_cap_near_one)
+def _h_near_one(s):
+    # the same at t = 1 - s, where the cap's distance to x = 1 is s / 2
+    return _near0_features(1.0 - s), _cap_near_one(0.5 * s)
+
+
+def _h(nodes, a, a3, ia3, c):
+    (t, t3, plus, minus, plus25, minus25, t35), (x, rise, span, root_span) = nodes
+    rad = (t3 + a3) * (t3 + ia3)
+    root = np.sqrt(t * rad)
+    rad15 = rad ** 1.5
+    # the cap's x and 1 over sqrt(pol (1 - x^2)), then over pol^1.5
+    # sqrt(1 - x^2), each halved exactly, as dx = dt / 2, by span = 4 (1 - x^2)
+    pol = c + rise
+    cap_root = np.sqrt(pol * span)
+    den = pol ** 1.5 * root_span
+    return (plus / root, minus / root, t / root, plus25 / rad15, minus25 / rad15, t35 / rad15,
+            x / cap_root, 1.0 / cap_root, x / den, 1.0 / den)
+
+
+# the rows singular at t = 0, then the cap's, singular at t = 1 (x = 1)
+_H = Integrand(_h, 0.0, 1.0, True, True,
+               names=("A", "B1", "D", "E", "F1", "I", "B2", "C", "F2", "H"),
+               features=_h_features, features_hi=_h_near_one)
 
 
 def _integrands_H(a: Values) -> dict[str, Integrand]:
     a3 = _each(lambda x: x ** 3, a)
-    ia3 = 1.0 / a3
     # (a^3 - 1)^2 / a^3 in a form that survives a -> 1
     c = _each(lambda x: ((x - 1.0) * (x * x + x + 1.0)) ** 2 / x ** 3, a)
-    return {"near0": _NEAR0.bind((a, a3, ia3)), "cap": _CAP.bind((a, c))}
+    return {"periods": _H.bind((a, a3, 1.0 / a3, c))}
 
 
 def _integrals_H(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Values]:
@@ -734,13 +741,14 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
     """Derivatives of the period integrands in the five branch points.
 
     p is a sequence of canonical parameters of one family, or one of
-    them.  Checks that each branch point lies on its curve and that no
-    two collide, naming the parameter where one fails, then returns the
-    3x6 matrix P_ai of every point as one read-only (N, 5, 3, 6) array,
-    or (5, 3, 6) for one parameter, the row of its stack of one;
-    tangent_frame maps it through P1 and P2.  One gather from the powers
-    of x, one product and two sums compute a whole stack elementwise
-    (_gather_table), so each row is bit for bit its point alone.
+    them.  Checks that each branch point lies on its curve, that no two
+    collide and that P_ai is finite, naming the parameter where one
+    fails, then returns the 3x6 matrix P_ai of every point as one
+    read-only (N, 5, 3, 6) array, or (5, 3, 6) for one parameter, the
+    row of its stack of one; tangent_frame maps it through P1 and P2.
+    One gather from the powers of x, one product and two sums compute a
+    whole stack elementwise (_gather_table), so each row is bit for bit
+    its point alone.
     """
     if isinstance(p, SurfaceParam):
         return deformation_data([p])[0]
@@ -767,6 +775,10 @@ def deformation_data(p: Union[SurfaceParam, Sequence[SurfaceParam]]) -> np.ndarr
                 if not gap > _POINT_SEPARATION:
                     raise DomainError(f"branch points {pts[i]!r} and {pts[j]!r} collide "
                                       f"at a = {q.a!r}")
+    # P_ai reads powers that no check above reads
+    bad = ~np.isfinite(vals[:, :90]).all(axis=1)
+    if bad.any():
+        raise NonConvergence(f"P_ai is not finite at a = {params[int(bad.argmax())].a!r}")
     p_ai = vals[:, :90].reshape(-1, 5, 3, 6)
     p_ai.flags.writeable = False
     return p_ai
@@ -804,7 +816,7 @@ _BARE = Integrand(_bare, 0.0, 1.0, True, True, features=_rpd_unit_features,
 _MID = Integrand(_mid, 0.0, 1.0, singular_lo=True, features=_mid_features)
 # cap's rise, 2 (1 - t) (2t + 1)^2, is its second feature
 _UPPER_CAP = Integrand(lambda nodes, a, c: 1.0 / np.sqrt(c + nodes[1]), 0.5, 1.0,
-                       features=_cap_features)
+                       singular_hi=True, features=_cap_features, features_hi=_cap_near_one)
 
 
 def _identity_integrands_H(a: Values) -> dict[str, Integrand]:
@@ -819,8 +831,7 @@ def _identity_integrands_H(a: Values) -> dict[str, Integrand]:
 
 
 def _identities_H(a: float, config: QuadConfig):
-    v, _ = _integrate_all({"near0": _integrands_H(a)["near0"], **_identity_integrands_H(a)},
-                          config)
+    v, _ = _integrate_all({**_integrands_H(a), **_identity_integrands_H(a)}, config)
     return [
         ("H-identity-1", v["bare"] / a, 0.5 * _SQ3 * v["A"]),
         ("H-identity-2", v["B1"], 2.0 * (1.0 - a) * v["mid"] + 4.0 * v["upper_cap"]),

@@ -51,31 +51,25 @@ the checks of construction again, which read no params.  Its evaluator
 and feature functions so stay the same objects from call to call, and
 the caches they key do not grow.
 
-``integrate`` also takes a sequence of integrands, such as all the
-tables of one surface, and integrates them in one pass; it returns
-their results in order, each bit for bit what integrating that
-integrand alone gives, and raises the error of the first one that
-fails, as one call after another would.
-
 The stopping test first runs at level 3, and most integrals in this
 package stop at level 4 or 5, so the nodes of levels 0-5 form one
-cached block.  Every table is evaluated on both halves of levels 0-5
-and the midpoint in a single call, and once more for each later level;
-one with ``features_hi`` takes the features of the hi side's distances
+cached block.  A table is evaluated on both halves of levels 0-5 and
+the midpoint in a single call, and once more for each later level; one
+with ``features_hi`` takes the features of the hi side's distances
 joined with those of its other nodes.  Each row keeps its own trapezoid
-sum and its own stopping level.  The values of every row of every
-integrand in the pass on the block sit in one (rows, 2, nodes) array,
-and its two sides are summed per level in one ``np.vecdot`` call, which
-runs each row's side through the same BLAS dot as ``np.dot``; the sums
-of levels 0-5 go into one array, and four whole-array steps give each
-row's value at every level there.  For one surface, whose tables all
-take float params, the stopping test at levels 3-5 and the results
-then run on Python floats, row by row: for its eight to ten rows that
-measured faster, inside an analysis, than the dozen numpy calls of the
-whole-array test, which a stack keeps.  Both give the same bits.  Past the
-block, the rows still active are refined integrand by integrand, level
-by level, and the evaluator is called only at the parameter points that
-still have an active row.  So every row's (value, err) is bit for bit what
+sum and its own stopping level.  The values of every row on the block
+sit in one (rows, 2, nodes) array, the evaluator's own output, and its
+two sides are summed per level in one ``np.vecdot`` call, which runs
+each row's side through the same BLAS dot as ``np.dot``; the sums of
+levels 0-5 go into one array, and four whole-array steps give each
+row's value at every level there.  For one surface, whose table takes
+float params, the stopping test at levels 3-5 and the results then run
+on Python floats, row by row: for its eight to ten rows that measured
+faster, inside an analysis, than the dozen numpy calls of the
+whole-array test, which a stack keeps.  Both give the same bits.  Past
+the block, the rows still active are refined level by level, and the
+evaluator is called only at the parameter points that still have an
+active row.  So every row's (value, err) is bit for bit what
 integrating it alone level by level gives.  A row that has stopped is
 no longer read: a non-finite value it produces at a later level,
 inside the block or after it, is ignored, while one in a row still
@@ -88,11 +82,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, MsindexError, NonConvergence
+from .errors import DomainError, NonConvergence
 
 # Node abscissas beyond this |t| contribute below 1e-38 even against an
 # inverse-square-root blowup, and every intermediate stays finite.
@@ -312,17 +306,16 @@ def _joined(first, then):
     return np.concatenate([first, then])
 
 
-def _sides(f: Integrand, level: Optional[int], cols: list,
-           out: Optional[np.ndarray] = None) -> tuple:
+def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
     """Evaluate f at the nodes of one level from each endpoint, or at the
     fused block and the midpoint for level None, in one evaluator call.
 
     Returns (vals, centre): the values at the hi and lo sides as one
-    (rows, 2, nodes) array, a view of the evaluator's output or, if out
-    is given, written into it, and the midpoint column (None past the
-    block).  Row i * M + j is row i of the table at point j.  The values
-    are not checked here: integrate reads each level of a row only while
-    the row is active, and checks what it reads.
+    (rows, 2, nodes) view of the evaluator's output, and the midpoint
+    column (None past the block).  Row i * M + j is row i of the table
+    at point j.  The values are not checked here: integrate reads each
+    level of a row only while the row is active, and checks what it
+    reads.
     """
     n = len(_distances(level))
     m = 2 * n + (level is None)
@@ -332,11 +325,7 @@ def _sides(f: Integrand, level: Optional[int], cols: list,
         raise TypeError(f"integrand must map an array of shape {(m,)} to one of shape {want}, "
                         f"got shape {got.shape}")
     got = got.reshape(-1, m)
-    vals = got[:, :2 * n].reshape(len(got), 2, n)
-    if out is not None:
-        out[...] = vals
-        vals = out
-    return vals, (got[:, -1:] if level is None else None)
+    return got[:, :2 * n].reshape(len(got), 2, n), (got[:, -1:] if level is None else None)
 
 
 def _side_sums(w: np.ndarray, vals: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -387,9 +376,9 @@ def _prepare(f: Integrand) -> tuple:
     return stack, _columns(f, stack)
 
 
-def _block_domain_error(f: Integrand, block: np.ndarray, centre: np.ndarray,
-                        sums: np.ndarray, stop: np.ndarray) -> Optional[DomainError]:
-    """The DomainError that reading the block level by level raises, or None.
+def _check_block(f: Integrand, block: np.ndarray, centre: np.ndarray, sums: np.ndarray,
+                 stop: np.ndarray) -> None:
+    """Raise the DomainError that reading the block level by level raises.
 
     sums are the rows' (levels, rows) terms of the block, level 0 with
     its midpoint, and stop each row's last level read.  A level is read
@@ -404,14 +393,10 @@ def _block_domain_error(f: Integrand, block: np.ndarray, centre: np.ndarray,
         if not (bad[level] & read).any():
             continue
         sl = fused[level][1]
-        try:
-            if level == 0:
-                _raise_nonfinite(f, half, d_fused[sl], block[:, :, sl], centre)
-            else:
-                _raise_nonfinite(f, half, d_fused[sl], block[read][:, :, sl])
-        except DomainError as exc:
-            return exc
-    return None
+        if level == 0:
+            _raise_nonfinite(f, half, d_fused[sl], block[:, :, sl], centre)
+        else:
+            _raise_nonfinite(f, half, d_fused[sl], block[read][:, :, sl])
 
 
 def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
@@ -463,29 +448,6 @@ _HALVINGS = (0.5 ** np.arange(_FUSED_LEVEL + 1.0))[:, None]
 _HALVINGS.flags.writeable = False
 
 
-def integrate(f: Union[Integrand, Sequence[Integrand]],
-              config: QuadConfig = QuadConfig()) -> Union[Result, list[Result]]:
-    """Integrate f over its interval, or each integrand of a sequence f in
-    one pass.
-
-    Returns (value, err_estimate) for a plain integrand and a dict
-    {name: (value, err_estimate)} for a table; the estimate is the
-    change at the last level refinement of that row.  For a stack each
-    value and estimate is an array with one entry per surface.  A
-    sequence gives the list of its integrands' results, in order, each
-    bit for bit what integrating that integrand alone gives.  Raises
-    NonConvergence, naming the row and the parameter, if any row
-    exhausts the budget, DomainError on a bad interval or a non-finite
-    value in a row still being refined, and TypeError if an evaluator
-    does not map the nodes to the expected shape; for a sequence, the
-    error of the first integrand that fails, as one call after another
-    raises it.
-    """
-    if isinstance(f, Integrand):
-        return _integrate_joint((f,), config)[0]
-    return _integrate_joint(tuple(f), config)
-
-
 def _stop_arrays(value: np.ndarray, tol: float) -> tuple:
     """The stopping test of the fused block for every row at once.
 
@@ -528,119 +490,68 @@ def _stop_floats(value: np.ndarray, tol: float) -> tuple:
     return values, changes, first
 
 
-def _integrate_joint(fs: tuple[Integrand, ...], config: QuadConfig) -> list[Result]:
-    """The results of integrate for each integrand of fs, in order.
+def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
+    """Integrate f over its interval.
 
-    Every integrand's evaluator is called on the fused block first, each
-    writing its rows into one (rows, 2, nodes) array of all the rows in
-    the pass (a lone integrand's own output is that array already).
-    The rows then take levels 0 .. _FUSED_LEVEL together: one
-    _side_sums call per level sums every row's two sides into one
-    (levels, rows) array, and four whole-array steps (the two sides'
-    sum, the midpoint, np.add.accumulate and the scale) give every
-    row's value at each of those levels.  The trapezoid sum of level k,
-    t_k = t_(k-1) / 2 + s_k / 2**k, is 2**-k times the running sum
-    t_0 + s_1 + ... + s_k, added left to right; scaling by a power of
-    two commutes with rounding, so the two, and the values half * t_k,
-    agree bit for bit for every sum above the subnormal range and below
-    2**-5 of the largest float.  The stopping test at the tested levels
-    and the results run on Python floats when every integrand has float
-    params or none (one surface), and as whole-array operations on a
-    stack; both give the same bits.
-    The rows still active after the block are refined integrand by
-    integrand.  An integrand whose block failed, on a bad interval, an
-    evaluator of the wrong shape or a non-finite value read, raises its
-    error in turn, after the integrands before it are done; the rows of
-    one whose evaluator failed hold zeros, which stop at the first test and are
-    never read.
+    Returns (value, err_estimate) for a plain integrand and a dict
+    {name: (value, err_estimate)} for a table; the estimate is the
+    change at the last level refinement of that row.  For a stack each
+    value and estimate is an array with one entry per surface.  Raises
+    NonConvergence, naming the row and the parameter, if any row
+    exhausts the budget, DomainError on a bad interval or a non-finite
+    value in a row still being refined, and TypeError if the evaluator
+    does not map the nodes to the expected shape.
+
+    The evaluator is called on the fused block first, and the rows take
+    levels 0 .. _FUSED_LEVEL together: one _side_sums call per level
+    sums every row's two sides into one (levels, rows) array, and four
+    whole-array steps (the two sides' sum, the midpoint,
+    np.add.accumulate and the scale) give every row's value at each of
+    those levels.  The trapezoid sum of level k, t_k = t_(k-1) / 2 +
+    s_k / 2**k, is 2**-k times the running sum t_0 + s_1 + ... + s_k,
+    added left to right; scaling by a power of two commutes with
+    rounding, so the two, and the values half * t_k, agree bit for bit
+    for every sum above the subnormal range and below 2**-5 of the
+    largest float.  The stopping test at the tested levels and the
+    results run on Python floats for float params or none (one
+    surface), and as whole-array operations on a stack; both give the
+    same bits.  The rows still active after the block are refined.
     """
     tol = config.target_rel_tol
     top = min(_FUSED_LEVEL, _MAX_LEVEL)
-    d_fused, fused = _fused_nodes()
-    # each integrand's error, or (f prepared, stack, cols, r0, r1) with its
-    # rows r0:r1 of the pass, then (f, stack, r0, r1, block, centre)
-    tables: list = []
-    n_rows = 0
+    fused = _fused_nodes()[1]
+    stack, cols = _prepare(f)
     # Overflow in intermediates is tolerated (a blown-up radicand under
     # a square root yields a clean zero); a non-finite value in a row
     # being read is still rejected.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for g in fs:
-            try:
-                stack, cols = _prepare(g)
-            except (MsindexError, TypeError) as exc:  # raised once those before g are done
-                tables.append(exc)
-            else:
-                r0, n_rows = n_rows, n_rows + math.prod(_lead(g, cols))
-                tables.append((g, stack, cols, r0, n_rows))
-        live = [i for i, t in enumerate(tables) if not isinstance(t, Exception)]
-        if not live:
-            if tables:
-                raise tables[0]
-            return []
-        one = not any(tables[i][1] for i in live)
-        joint = None if len(live) == 1 else np.empty((n_rows, 2, len(d_fused)))
-        mid = np.empty(n_rows)
-        half = np.empty(n_rows)
-        for i in live:
-            g, stack, cols, r0, r1 = tables[i]
-            out = None if joint is None else joint[r0:r1]
-            try:
-                block, centre = _sides(g, None, cols, out)
-            except (MsindexError, TypeError) as exc:
-                tables[i] = exc
-                if out is None:  # the one integrand with rows: every one failed
-                    break
-                out[...] = 0.0
-                block, centre = out, np.zeros((r1 - r0, 1))
-            else:
-                tables[i] = (g, stack, r0, r1, block, centre)
-            joint = block if joint is None else joint
-            np.multiply(centre[:, 0], 0.5 * math.pi, out=mid[r0:r1])
-            half[r0:r1] = 0.5 * (g.hi - g.lo)
-        if joint is None:
-            raise tables[0]
+        block, centre = _sides(f, None, cols)
         # the hi and lo side sums of every row at every level of the block,
         # as _level_sums forms them
-        sides = np.empty((top + 1, n_rows, 2))
+        sides = np.empty((top + 1, len(block), 2))
         for level in range(top + 1):
             w, sl = fused[level]
-            _side_sums(w, joint[:, :, sl], out=sides[level])
+            _side_sums(w, block[:, :, sl], out=sides[level])
         sums = sides[..., 0] + sides[..., 1]
-        sums[0] += mid
+        sums[0] += centre[:, 0] * (0.5 * math.pi)
         # 2**level times each row's trapezoid sum at each level
         running = np.add.accumulate(sums)
-        value = running * (_HALVINGS[:top + 1] * half)
-        value, err, first = (_stop_floats if one else _stop_arrays)(value, tol)
-        # the first of a row still active
-        still = top + 1 - _FIRST_TEST_LEVEL
+        value = running * (_HALVINGS[:top + 1] * (0.5 * (f.hi - f.lo)))
+        value, err, first = (_stop_arrays if stack else _stop_floats)(value, tol)
         # A row that reads a non-finite sum ends on a non-finite value: the
         # sums and np.add.accumulate carry inf and nan on.  Where finite
-        # values overflow their sum, _block_domain_error finds no bad sum.
-        nonfinite = not (math.isfinite(sum(value)) if one else np.isfinite(sums).all())
+        # values overflow their sum, _check_block finds no bad sum.
+        if not (np.isfinite(sums).all() if stack else math.isfinite(sum(value))):
+            _check_block(f, block, centre, sums, np.add(first, _FIRST_TEST_LEVEL))
+        # the first of a row still active
+        still = top + 1 - _FIRST_TEST_LEVEL
+        if still in first:
+            v, e = np.array(value), np.array(err)
+            _refine(f, stack, running[top] * 0.5 ** top, v, e,
+                    np.flatnonzero(np.equal(first, still)), tol, top + 1)
+            value, err = (v, e) if stack else (v.tolist(), e.tolist())
 
-        for t in tables:
-            if isinstance(t, Exception):
-                raise t
-            g, stack, r0, r1, block, centre = t
-            if nonfinite:
-                exc = _block_domain_error(g, block, centre, sums[:, r0:r1],
-                                          np.add(first[r0:r1], _FIRST_TEST_LEVEL))
-                if exc is not None:
-                    raise exc
-            if still in first[r0:r1]:
-                v, e = np.array(value[r0:r1]), np.array(err[r0:r1])
-                _refine(g, stack, running[top, r0:r1] * 0.5 ** top, v, e,
-                        np.flatnonzero(np.equal(first[r0:r1], still)), tol, top + 1)
-                value[r0:r1], err[r0:r1] = (v.tolist(), e.tolist()) if one else (v, e)
-
-    results = []
-    for g, stack, r0, r1, _, _ in tables:
-        v, e = value[r0:r1], err[r0:r1]
-        if stack:
-            v, e = v.reshape(-1, stack), e.reshape(-1, stack)
-        elif not one:
-            v, e = v.tolist(), e.tolist()
-        rows = list(zip(v, e))
-        results.append(dict(zip(g.names, rows)) if g.names else rows[0])
-    return results
+    if stack:
+        value, err = value.reshape(-1, stack), err.reshape(-1, stack)
+    rows = list(zip(value, err))
+    return dict(zip(f.names, rows)) if f.names else rows[0]

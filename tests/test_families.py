@@ -344,7 +344,8 @@ def test_rpd_tail_piece_matches_oracle(oracle):
 
 @pytest.mark.parametrize("a", [1e-3, 0.01, 0.05, 0.3, 0.7, 0.9, 0.99, 0.999, 0.9999, 0.99999])
 def test_h_cap_rows_match_high_precision(a):
-    # H's cap rows on (0.5, 1) against 40-digit mpmath.quad in s = 1 - x:
+    # the cap rows of H's table, on x in (0.5, 1), against 40-digit
+    # mpmath.quad in s = 1 - x:
     # x and 1 over sqrt(pol span), then over pol^1.5 sqrt(span), with
     # pol = c + s (18 - s (24 - 8s)) and span = s (2 - s).  As a -> 1,
     # c = (a^3 - 1)^2 / a^3 -> 0 and pol rises from c over a width of
@@ -352,7 +353,7 @@ def test_h_cap_rows_match_high_precision(a):
     mpmath = pytest.importorskip("mpmath")
     from msindex.quadrature import integrate
 
-    got = integrate(families._integrands_H(a)["cap"])
+    got = integrate(families._integrands_H(a)["periods"])
     with mpmath.workdps(40):
         am = mpmath.mpf(a)
         c = (am ** 3 - 1) ** 2 / am ** 3
@@ -371,6 +372,23 @@ def test_h_cap_rows_match_high_precision(a):
                                   ("H", False, 2)):
             want = mpmath.quad(lambda s: (parts(s)[0] if over_x else 1) / parts(s)[den], cuts)
             assert abs(got[name][0] - want) <= 1e-15 * abs(want), name
+
+
+@pytest.mark.parametrize("a", [0.9999, 0.999999])
+def test_h_upper_cap_matches_high_precision_near_one(a):
+    # the upper_cap table of H's second identity, 1 / sqrt(c + rise) on
+    # (0.5, 1), against 40-digit mpmath.quad in s = 1 - x; it peaks over a
+    # width of about c / 18 at s = 0, which its features resolve there
+    mpmath = pytest.importorskip("mpmath")
+    from msindex.quadrature import integrate
+
+    got, _ = integrate(families._identity_integrands_H(a)["upper_cap"])
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        c = (am ** 3 - 1) ** 2 / am ** 3
+        want = mpmath.quad(lambda s: 1 / mpmath.sqrt(c + s * (18 - s * (24 - 8 * s))),
+                           [0, c / 18, 0.5])
+    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_families_tuple_is_stable():

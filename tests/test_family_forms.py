@@ -44,13 +44,23 @@ def _cap_rise(s):
     return s * (18.0 - s * (24.0 - 8.0 * s))
 
 
-def _cap_hi(s, a, c):
-    return _cap_rows(1.0 - s, c + _cap_rise(s), s * (2.0 - s))
+def _cap_hi(s, a, c, scale=1.0):
+    # scale multiplies 1 - x^2
+    return _cap_rows(1.0 - s, c + _cap_rise(s), scale * (s * (2.0 - s)))
 
 
-def _cap(x, a, c):
+def _cap(x, a, c, scale=1.0):
     # 1 - x is exact on [0.5, 1]
-    return _cap_hi(1.0 - x, a, c)
+    return _cap_hi(1.0 - x, a, c, scale)
+
+
+def _h(t, a, a3, ia3, c):
+    # the cap rows at x = (1 + t) / 2, each halved through 4 (1 - x^2)
+    return _near0(t, a, a3, ia3) + _cap(0.5 + 0.5 * t, a, c, 4.0)
+
+
+def _h_hi(s, a, a3, ia3, c):
+    return _near0(1.0 - s, a, a3, ia3) + _cap_hi(0.5 * s, a, c, 4.0)
 
 
 def _quartic(t4, a):
@@ -100,8 +110,12 @@ def _mid(v, a, d2, w):
     return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
 
 
-def _upper_cap(t, a, c):
-    return 1.0 / np.sqrt(c + _cap_rise(1.0 - t))
+def _upper_cap_hi(s, a, c):
+    return 1.0 / np.sqrt(c + _cap_rise(s))
+
+
+def _upper_cap(x, a, c):
+    return _upper_cap_hi(1.0 - x, a, c)
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -161,8 +175,8 @@ def _tail_minus(c, t, t3, d):
 
 # the inline forms of each table, by family and table key
 _INLINE = {
-    "H": {"near0": (_near0,), "cap": (_cap, _cap_hi), "bare": (_bare, _bare_hi),
-          "mid": (_mid,), "upper_cap": (_upper_cap,)},
+    "H": {"periods": (_h, _h_hi), "bare": (_bare, _bare_hi), "mid": (_mid,),
+          "upper_cap": (_upper_cap, _upper_cap_hi)},
     "rPD": {
         "periods": _rpd_table((False, False, False, False, True, False), _unit_nums,
                               lambda c, t, t3, d: (1.0 + (c.a * t) ** 2, t)),
@@ -260,6 +274,30 @@ def test_feature_forms_equal_the_inline_forms_bit_for_bit(fam, a):
                 assert all(_same(x, y) for x, y in zip(got, want)), (key, level)
             # and the results, rows and stack points alike
             assert _bits(quadrature.integrate(f)) == _bits(quadrature.integrate(ref)), key
+
+
+def _h_references(a):
+    """H's rows as two tables, their forms inline: those near t = 0 on
+    (0, 1), and the cap's on x in (0.5, 1), one form in the nodes and one
+    in the distances to 1."""
+    a, a3, ia3, c = families._integrands_H(a)["periods"].params
+    near0 = quadrature.Integrand(_near0, 0.0, 1.0, singular_lo=True,
+                                 names=("A", "B1", "D", "E", "F1", "I"), params=(a, a3, ia3))
+    cap = quadrature.Integrand(_one_form(_cap, _cap_hi), 0.5, 1.0, singular_hi=True,
+                               names=("B2", "C", "F2", "H"), params=(a, c),
+                               features=_nodes_marked, features_hi=_distances_marked)
+    return near0, cap
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 0.3, 0.99999, 1.7, [1e-3, 0.05, 0.3, 0.99999, 1.7]])
+def test_h_table_equals_its_two_reference_tables_bit_for_bit(a):
+    # the cap rows on (0, 1) at x = (1 + t) / 2 take the nodes of (0.5, 1)
+    # and come out exactly halved, so each row's value, error estimate and
+    # stopping level are those of the cap on (0.5, 1)
+    a = np.array(a) if isinstance(a, list) else a
+    near0, cap = _h_references(a)
+    want = {**_bits(quadrature.integrate(near0)), **_bits(quadrature.integrate(cap))}
+    assert _bits(quadrature.integrate(families._integrands_H(a)["periods"])) == want
 
 
 def _arrays(x):

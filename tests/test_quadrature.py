@@ -548,9 +548,9 @@ def test_table_row_names_are_distinct():
 
 
 # every integral set that integral_set and verify_identities hand to one
-# integrate call
+# families._integrate_all call
 def _identity_set_H(a):
-    return {"near0": families._integrands_H(a)["near0"], **families._identity_integrands_H(a)}
+    return {**families._integrands_H(a), **families._identity_integrands_H(a)}
 
 
 def _identity_set_rPD(a):
@@ -567,80 +567,38 @@ _SETS = [
 ]
 
 
+def _set_rows(tables):
+    """Each row of a set's tables integrated alone, by its name, and the
+    largest error estimate among them."""
+    rows = {}
+    for key, f in tables.items():
+        got = integrate(f)
+        rows.update(got if f.names else {key: got})
+    return rows, np.maximum.reduce([err for _, err in rows.values()])
+
+
 @pytest.mark.parametrize("tables, points", _SETS)
 def test_one_call_on_a_set_equals_each_table_alone(tables, points):
+    # no two tables of a set share a row name, and the set's values and
+    # largest error are each table's own
     for a in points:
-        fs = list(tables(a).values())
-        joint = integrate(fs)
-        assert isinstance(joint, list) and len(joint) == len(fs)
-        for f, got in zip(fs, joint):
-            assert got == integrate(f), a
+        fs = tables(a)
+        values, err = families._integrate_all(fs, QuadConfig())
+        rows, err_max = _set_rows(fs)
+        assert sum(len(f.names) or 1 for f in fs.values()) == len(rows)
+        assert values == {name: v for name, (v, _) in rows.items()}, a
+        assert err == err_max, a
 
 
 @pytest.mark.parametrize("tables, points", _SETS[:4])
 def test_one_call_on_a_stacked_set_equals_each_table_alone(tables, points):
-    fs = list(tables(np.array(points)).values())
-    for f, got in zip(fs, integrate(fs)):
-        alone = integrate(f)
-        for name in f.names:
-            assert np.array_equal(got[name][0], alone[name][0]), name
-            assert np.array_equal(got[name][1], alone[name][1]), name
-            assert got[name][0].tobytes() == alone[name][0].tobytes(), name
-
-
-def test_a_sequence_of_one_or_none():
-    f = Integrand(np.sqrt, 0.0, 1.0)
-    assert integrate([f]) == [integrate(f)]
-    assert integrate(()) == []
-
-
-def test_nonfinite_value_in_a_stopped_row_of_a_later_table_is_ignored():
-    _, sqrt_bad = _bad_at(4, np.sqrt)
-    cos = _STOPS["cos"][1]
-    first = _table({"bump": _STOPS["bump"][1]})
-    second = _table({"sqrt": sqrt_bad, "cos": cos})
-    got = integrate([first, second])
-    assert got == [integrate(first), integrate(_table({"sqrt": np.sqrt, "cos": cos}))]
-    # the same node in the row that reads level 4 fails the second table alone
-    _, cos_bad = _bad_at(4, cos)
-    with pytest.raises(DomainError):
-        integrate([first, _table({"sqrt": np.sqrt, "cos": cos_bad})])
-
-
-def test_a_set_raises_the_error_of_its_first_failing_table(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 6)
-    unconverged = _table({"sqrt": np.sqrt, "rough": _rough})
-    bad_x, bump_bad = _bad_at(4, _STOPS["bump"][1])
-    nonfinite = _table({"bump": bump_bad})
-    empty = Integrand(np.sqrt, 1.0, 1.0)
-    wrong_shape = Integrand(lambda x: (x, x), 0.0, 1.0)
-    # the first table fails past the block, the second inside it or before
-    for later in (nonfinite, empty, wrong_shape):
-        with pytest.raises(NonConvergence, match="row 'rough'"):
-            integrate([unconverged, later])
-    with pytest.raises(DomainError, match=re.escape(f"near x = {bad_x!r}")):
-        integrate([nonfinite, unconverged])
-    with pytest.raises(DomainError, match="empty interval"):
-        integrate([empty, nonfinite])
-    with pytest.raises(TypeError):
-        integrate([wrong_shape, unconverged])
-    # a table that converges does not hide a later one's error
-    with pytest.raises(DomainError, match=re.escape(f"near x = {bad_x!r}")):
-        integrate([_table({"sqrt": np.sqrt}), nonfinite])
-
-
-def test_non_convergence_in_a_set_names_the_row_and_the_parameter(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 6)
-    first = Integrand(lambda x, c: np.sqrt(x) * (1.0 + 0.0 * c), 0.0, 1.0,
-                      params=(np.array([0.25, 0.75]),))
-    second = Integrand(lambda x, c: (np.sqrt(x) + 0.0 * c, _rough(x) * (1.0 + 0.0 * c)), 0.0, 1.0,
-                       names=("sqrt", "rough"), params=(np.array([0.5, 0.125]),))
-    with pytest.raises(NonConvergence) as alone:
-        integrate(second)
-    with pytest.raises(NonConvergence) as joint:
-        integrate([first, second])
-    assert str(joint.value) == str(alone.value)
-    assert re.search(r"by level 6 in row 'rough' at parameter 0\.5:", str(joint.value))
+    fs = tables(np.array(points))
+    values, err = families._integrate_all(fs, QuadConfig())
+    rows, err_max = _set_rows(fs)
+    assert set(values) == set(rows)
+    for name, (v, _) in rows.items():
+        assert values[name].tobytes() == v.tobytes(), name
+    assert err.tobytes() == err_max.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +643,8 @@ def test_one_surface_equals_its_one_point_stack_bit_for_bit(fam, a, monkeypatch)
     refined = []
     refine = quadrature._refine
     monkeypatch.setattr(quadrature, "_refine", lambda *args: refined.append(1) or refine(*args))
-    tables = _surface_tables(fam, float(a))
-    for f in tables.values():
+    for f in _surface_tables(fam, float(a)).values():
         assert _point_bits(integrate(f)) == _point_bits(integrate(_on_a_stack(f)))
-    # and the whole set in one pass, as integral_set and verify_identities take it
-    alone = integrate(list(tables.values()))
-    stacked = integrate([_on_a_stack(f) for f in tables.values()])
-    assert [_point_bits(r) for r in alone] == [_point_bits(r) for r in stacked]
     if (fam, a) in _ONE_SURFACE[-3:]:
         assert refined, (fam, a)
 

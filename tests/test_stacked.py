@@ -246,6 +246,34 @@ def test_a_nan_in_the_powers_fails_naming_the_parameter(monkeypatch, column, err
             families.deformation_data([SurfaceParam("tP", a) for a in values])
 
 
+@pytest.mark.parametrize("family, a, other", [
+    ("tP", 10.0, 3.0), ("tCLP", 0.5, 0.2), ("H", 0.3, 0.6), ("rPD", 0.4, 0.7)])
+def test_a_nan_in_any_power_fails_naming_the_parameter(monkeypatch, family, a, other):
+    # every column of _power_row, at one point and at the second point of
+    # a stack: one that an entry reads, if only a P_ai entry, fails naming
+    # a, and one that none reads leaves P_ai as it is
+    read = set(families._TABLES[family][0].ravel().tolist())
+    real = families._power_row
+    column = [0]
+
+    def with_nan(fam, values):
+        row = real(fam, values).copy()
+        row[-1, column[0]] = np.nan
+        return row
+
+    for values in ([a], [other, a]):
+        params = [SurfaceParam(family, x) for x in values]
+        clean = families.deformation_data(params).tobytes()
+        monkeypatch.setattr(families, "_power_row", with_nan)
+        for column[0] in range(real(family, np.array(values)).shape[1]):
+            if column[0] in read:
+                with pytest.raises((NonConvergence, DomainError), match=f" at a = {a!r}$"):
+                    families.deformation_data(params)
+            else:
+                assert families.deformation_data(params).tobytes() == clean, column[0]
+        monkeypatch.setattr(families, "_power_row", real)
+
+
 def _largest_residual(monkeypatch, p):
     # raise the tolerance past each residual that deformation_data reports
     # until it reports none: the last one reported is p's largest

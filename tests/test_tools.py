@@ -428,17 +428,20 @@ def test_bench_pairs_checks_each_mode_against_its_declared_metrics(tmp_path):
 
 
 def test_pair_layers_times_a_tree_against_itself():
-    # one round of one call: every point is timed on both sides, the
-    # layers are found, and a tree's analyses equal its own bit for bit
+    # one round of one call: every point and the stack are timed on both
+    # sides, the layers are found, and a tree's analyses equal its own bit
+    # for bit, the stack's record by record
     src = _TOOLS.parent / "src"
     out = io.StringIO()
     assert pair_layers.pair(src, src, rounds=1, calls=1, out=out)
     text = out.getvalue()
     for family, a in pair_layers.POINTS:
         assert "%s %r (us; min of 1 rounds x 1 calls)" % (family, a) in text
-    assert text.count("outputs: bit-identical") == len(pair_layers.POINTS)
+    assert "H, 24 points over (0.01, 0.99) (us; min of 1 rounds x 1 calls)" in text
+    cases = len(pair_layers.POINTS) + 1
+    assert text.count("outputs: bit-identical") == cases
     for line in ("  analyze ", "  families.integral_set ", "  moduli.spectral_report "):
-        assert text.count(line) == len(pair_layers.POINTS), line
+        assert text.count(line) == cases, line
 
 
 def test_pair_layers_names_each_differing_field():

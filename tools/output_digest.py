@@ -31,7 +31,7 @@ from msindex import DEFAULT_WINDOWS  # noqa: E402
 from msindex.cli import main  # noqa: E402
 
 VERIFY_GRID = {
-    "H": (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95),
+    "H": (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.9999, 0.999999),
     "rPD": (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0),
 }
 SWEEP_STEPS = 64

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one-point analyses of two source trees in one process, layer by layer.
+"""Time analyses of two source trees in one process, layer by layer.
 
     python3 tools/pair_layers.py PARENT_SRC CHANGE_SRC [--rounds R] [--calls C]
 
@@ -10,7 +10,10 @@ into a temporary directory and imported from there; the package imports
 its own modules relatively, so both load side by side.
 
 For each point of POINTS, every round times ``moduli._analyze_stack``
-on that one canonical parameter on both sides, the side that goes first
+on that one canonical parameter on both sides, and then on one stack of
+STACK_POINTS points spread evenly over the default sweep window of
+STACK_FAMILY, both ends included, as sweeps and ``reproduce`` run them;
+the side that goes first
 alternating from round to round, so that a drift of the host speed falls
 on both alike.  A timed call is the mean of C calls, and the result per
 side is the minimum over the R rounds; the analysis line also gives the
@@ -21,10 +24,11 @@ records its inclusive time within the analysis (minimum over rounds),
 counting only the outermost call of a layer that calls itself; the
 wrappers add their own cost to those figures, alike on both sides.
 
-Prints one table per point, in microseconds, with the relative change of
-each line, then whether each point's analyses are bit for bit identical:
-every field of the two SurfaceAnalysis records, arrays by dtype, shape
-and bytes, floats by their hex form.  Exits 1 if one is not.
+Prints one table per point and one for the stack, in microseconds, with
+the relative change of each line, then whether each case's analyses are
+bit for bit identical, record by record: every field of the two
+SurfaceAnalysis records, arrays by dtype, shape and bytes, floats by
+their hex form.  Exits 1 if one is not.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ import numpy as np
 # go on to level 7
 POINTS = (("H", 0.3), ("rPD", 0.4), ("tP", 10.0), ("tCLP", 0.5), ("H", 0.05), ("tP", 3.0),
           ("rPD", 0.1), ("rPD", 0.02))
+
+# the stacked case: this many points of this family's default sweep window
+STACK_FAMILY, STACK_POINTS = "H", 24
 
 # (module, attribute) of each layer timed inside one analysis; an
 # attribute that a tree lacks is shown as "-"
@@ -73,12 +80,20 @@ def load(src: Path, name: str, into: Path):
     shutil.copytree(src / "msindex", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module("%s.%s" % (name, mod))
-            for mod in ("families", "linalg", "moduli")}
+            for mod in ("families", "linalg", "moduli", "sweep")}
 
 
-def _params(pkg):
+def _cases(pkg) -> list:
+    """(label, canonical parameters) of each timed case: every point of
+    POINTS alone, then the stack."""
     fam = pkg["families"]
-    return [fam.canonical_param(fam.SurfaceParam(f, a)) for f, a in POINTS]
+    cases = [("%s %r" % (f, a), [fam.canonical_param(fam.SurfaceParam(f, a))]) for f, a in POINTS]
+    lo, hi = pkg["sweep"].DEFAULT_WINDOWS[STACK_FAMILY]
+    n = STACK_POINTS - 1
+    grid = [lo + (hi - lo) * k / n for k in range(n)] + [hi]
+    cases.append(("%s, %d points over (%r, %r)" % (STACK_FAMILY, STACK_POINTS, lo, hi),
+                  [fam.SurfaceParam(STACK_FAMILY, a) for a in grid]))
+    return cases
 
 
 def _timed(fn, calls: int) -> float:
@@ -156,7 +171,7 @@ def differing(x, y) -> list:
 
 
 def pair(parent_src: Path, change_src: Path, rounds: int, calls: int, out=sys.stdout) -> bool:
-    """Run the comparison and print it to out; True if every point's analyses are identical."""
+    """Run the comparison and print it to out; True if every case's analyses are identical."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
@@ -165,28 +180,29 @@ def pair(parent_src: Path, change_src: Path, rounds: int, calls: int, out=sys.st
         finally:
             sys.path.remove(tmp)
     config = {side: pkg["families"].QuadConfig() for side, pkg in sides.items()}
-    params = {side: _params(pkg) for side, pkg in sides.items()}
+    cases = {side: _cases(pkg) for side, pkg in sides.items()}
+    labels = [label for label, _ in cases["parent"]]
     layers = {side: _Layers(pkg) for side, pkg in sides.items()}
-    best = {side: [dict(analyze=math.inf) for _ in POINTS] for side in sides}
-    ratios: list = [[] for _ in POINTS]
+    best = {side: [dict(analyze=math.inf) for _ in labels] for side in sides}
+    ratios: list = [[] for _ in labels]
     order = list(sides)
     for _ in range(rounds):
         order.reverse()
-        for i in range(len(POINTS)):
+        for i in range(len(labels)):
             spent = {}
             for side in order:
                 stack = sides[side]["moduli"]._analyze_stack
-                p, cfg = params[side][i], config[side]
+                ps, cfg = cases[side][i][1], config[side]
                 mins = best[side][i]
-                spent[side] = _timed(lambda: stack([p], cfg), calls)
+                spent[side] = _timed(lambda: stack(ps, cfg), calls)
                 mins["analyze"] = min(mins["analyze"], spent[side])
-                for key, dt in layers[side].run(lambda: stack([p], cfg)).items():
+                for key, dt in layers[side].run(lambda: stack(ps, cfg)).items():
                     mins[key] = min(mins.get(key, math.inf), dt)
             ratios[i].append(spent["change"] / spent["parent"])
     same = True
     keys = ["analyze"] + ["%s.%s" % name for name in LAYERS]
-    for i, (family, a) in enumerate(POINTS):
-        print("%s %r (us; min of %d rounds x %d calls)" % (family, a, rounds, calls), file=out)
+    for i, label in enumerate(labels):
+        print("%s (us; min of %d rounds x %d calls)" % (label, rounds, calls), file=out)
         print("  %-26s %10s %10s %8s" % ("", "parent", "change", "change"), file=out)
         for key in keys:
             x, y = best["parent"][i].get(key), best["change"][i].get(key)
@@ -196,9 +212,12 @@ def pair(parent_src: Path, change_src: Path, rounds: int, calls: int, out=sys.st
             if key == "analyze":
                 print("  %-26s %30s" % ("analyze, median ratio", "%+7.1f%%" % (
                     100.0 * (statistics.median(ratios[i]) - 1.0))), file=out)
-        (px,) = sides["parent"]["moduli"]._analyze_stack([params["parent"][i]], config["parent"])
-        (cx,) = sides["change"]["moduli"]._analyze_stack([params["change"][i]], config["change"])
-        diff = differing(px, cx)
+        px, cx = (sides[side]["moduli"]._analyze_stack(cases[side][i][1], config[side])
+                  for side in ("parent", "change"))
+        diff = [("[%d] " % j if len(px) > 1 else "") + key
+                for j, (x, y) in enumerate(zip(px, cx)) for key in differing(x, y)]
+        if len(px) != len(cx):
+            diff.append("record count")
         same &= not diff
         print("  outputs: %s" % ("bit-identical" if not diff else "differ in " + ", ".join(diff)),
               file=out)
