@@ -30,7 +30,7 @@ class NonFiniteInput(MsindexError):
 
 
 class NotSelfAdjoint(MsindexError):
-    """A matrix handed to the symmetric eigensolver is not self-adjoint."""
+    """A matrix handed to the symmetric eigensolver differs from its conjugate transpose."""
 
 
 class RiemannMatrixViolation(MsindexError):

@@ -693,7 +693,7 @@ def _gather_table(fam: str) -> tuple[np.ndarray, np.ndarray]:
     def term(c, j, k, times_m=0):
         deg, e = _BRANCH_POINTS[fam][j]
         cis = complex(*(_COS[min(d % 360, -d % 360)] for d in (deg * k, deg * k - 90)))
-        return 8 + e * k + 17 * times_m, c * cis
+        return 8 + e * k + 13 * times_m, c * cis
 
     entries = []
     for j in range(5):
@@ -718,7 +718,9 @@ _TABLES = {fam: _gather_table(fam) for fam in _BRANCH_POINTS}
 
 def _power_row(fam: str, a: np.ndarray) -> np.ndarray:
     """x^-8 .. x^8 at each parameter of a (column 8 + k holds x^k), then m
-    times them, as (N, 34): m is a, or a^3 + a^-3 for H, a^3 - a^-3 for rPD."""
+    x^-4 .. m x^4, the only multiples of m that a gather entry reads
+    (column 21 + k holds m x^k), as (N, 26): m is a, or a^3 + a^-3 for H,
+    a^3 - a^-3 for rPD."""
     m = a
     if fam == "tCLP":
         # theta, the angle of -a + i sqrt(4 - a^2), gives x^k = e^(i theta k/4)
@@ -730,7 +732,7 @@ def _power_row(fam: str, a: np.ndarray) -> np.ndarray:
     else:
         powers = a[:, None] ** _EXPONENTS
         m = powers[:, 11] + powers[:, 5] if fam == "H" else powers[:, 11] - powers[:, 5]
-    return np.concatenate([powers, m[:, None] * powers], axis=1)
+    return np.concatenate([powers, m[:, None] * powers[:, 4:13]], axis=1)
 
 
 _ROOT_RESIDUAL_TOL = 1e-10

@@ -3,21 +3,22 @@
 Everything here is sized for the 3x3 / 6x6 / 9x9 / 18x18 matrices the
 pipeline produces and raises typed errors instead of returning garbage:
 input holding inf or nan is refused up front, and every tolerance test
-is written so that a nan fails it.  Eigenvalues of Hermitian matrices
-come from LAPACK ``eigvalsh`` (``eigh`` with eigenvectors) through
-numpy.linalg, which takes complex Hermitian input directly, in one
-read-only descending array; input exactly equal to its conjugate
-transpose, as the pipeline's key matrices are by construction, is not
-symmetrized.  Linear systems are solved by LAPACK ``gesv`` (LU with
-partial pivoting, through ``numpy.linalg.solve``), guarded by a
-singularity test and a residual check of its own.  A matrix a with a
-positive definite symmetric part may be inverted from that part's
-eigenvectors instead; refusing it when lambda_min < sqrt(n)
-pivot_bound(n) |a|_F refuses wherever solve would, as sigma_min(a) >=
-lambda_min and 1 / |a^-1|_F >= sigma_min / sqrt(n).  solve and
-eig_selfadjoint also take a stack of matrices along leading axes: each
-matrix goes to LAPACK as it would alone, each check runs once over the
-stack, and an error names the first matrix that fails it.
+is written so that a nan fails it.  Eigenvalues come from LAPACK
+``eigvalsh`` (``eigh`` with eigenvectors) through numpy.linalg, in one
+read-only descending array, for input exactly equal to its conjugate
+transpose, as the pipeline's key matrices and sym(Im tau) are by
+construction; any other input is refused.  A system a X = b, with b of
+shape (..., n, k), is solved by LAPACK ``gesv`` (LU with partial
+pivoting, through ``numpy.linalg.solve``), guarded by a singularity
+test and a residual check of its own.  A matrix a with a positive
+definite symmetric part may be inverted from that part's eigenvectors
+instead; refusing it when lambda_min < sqrt(n) pivot_bound(n) |a|_F
+refuses wherever solve would, as sigma_min(a) >= lambda_min and
+1 / |a^-1|_F >= sigma_min / sqrt(n).  solve and eig_selfadjoint also
+take a stack of matrices along leading axes: each matrix goes to LAPACK
+as it would alone, each check runs once over the stack, and an error
+names the first matrix that fails it.  Every tolerance is relative to
+one norm, the Frobenius norm of norms.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
 )
 
 # relative thresholds, all against the Frobenius norm of the input
-_HERMITIAN_DEFECT_TOL = 1e-9
 _PIVOT_TOL = 1e-14
 RESIDUAL_TOL = 1e-10
 
@@ -51,6 +51,12 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _first_failing(ok: np.ndarray) -> int:
+    """The flat stack position of the first matrix of a stack of boolean
+    matrices ok that is not true throughout."""
+    return int(np.argmin(ok.reshape(-1, ok.shape[-2] * ok.shape[-1]).all(-1)))
+
+
 def _where(a: np.ndarray, j: int) -> str:
     """' (matrix i of the stack)' for the matrix at flat position j of a
     stack a, '' for a single matrix."""
@@ -62,58 +68,39 @@ def _where(a: np.ndarray, j: int) -> str:
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.isfinite(a).all():
-        j = int(np.argmin(np.isfinite(a).reshape(-1, a.shape[-2] * a.shape[-1]).all(-1)))
-        raise NonFiniteInput(f"{name} has inf or nan entries{_where(a, j)}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise NonFiniteInput(f"{name} has inf or nan entries{_where(a, _first_failing(finite))}")
 
 
 def norms(m) -> list[float]:
     """The Frobenius norm of each matrix of a stack (..., rows, cols), or
-    of one matrix, as a flat list, for tolerance tests: one BLAS dot per
-    matrix, which sums in another order than frobenius and is rescaled as
-    frobenius where the sum overflows or underflows.  One matrix takes
-    np.vdot, which never warns; more take one np.vecdot, with the same
-    bits, which is faster from two matrices on."""
+    of one matrix, as a flat list: the one norm of every tolerance test.
+    One BLAS dot per matrix forms the sum of squares, rescaled by max|x|
+    where that sum overflows or underflows (Blue 1978), so that a finite
+    matrix gets a finite, and a nonzero one a nonzero, norm.  One matrix
+    takes np.vdot, which never warns; more take one np.vecdot, with the
+    same bits, which is faster from two matrices on."""
     x = np.asarray(m)
-    shape = x.shape[-2:]
-    if x.size == shape[0] * shape[1]:
-        return [_norm(x.reshape(shape))]
-    flat = x.reshape(-1, shape[0] * shape[1])
+    if x.ndim == 2:
+        return [_norm(x)]
+    flat = x.reshape(-1, x.shape[-2] * x.shape[-1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sums = np.vecdot(flat, flat).real.tolist()
-    return [v if 0.0 < v < math.inf else frobenius(x.reshape((-1,) + shape)[j])
+    return [v if 0.0 < v < math.inf else _norm(flat[j])
             for j, v in enumerate(map(math.sqrt, sums))]
 
 
 def _norm(x: np.ndarray) -> float:
-    """The Frobenius norm of one matrix x as norms takes it: one np.vdot,
-    rescaled as frobenius where the sum overflows or underflows."""
+    """The Frobenius norm of one matrix x as norms takes it."""
     v = math.sqrt(np.vdot(x, x).real)
-    return v if 0.0 < v < math.inf else frobenius(x)
-
-
-def frobenius(m):
-    """Frobenius norm with np.linalg.norm's bits, rescaled by max|m| where
-    the plain sum of squares overflows or underflows (Blue 1978), so that
-    any finite matrix gets a finite, and a nonzero one a nonzero, norm.
-    np.vdot forms the sums: unlike ndarray.dot it never warns.  A stack
-    (..., rows, cols) gives the norm of each matrix, as an array."""
-    x = np.asarray(m)
-    if x.ndim > 2:
-        mats = x.reshape((-1,) + x.shape[-2:])
-        return np.array([frobenius(mat) for mat in mats]).reshape(x.shape[:-2])
-    x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
-    else:
-        x = x if x.dtype.kind == "f" else x.astype(float)
-        norm = math.sqrt(float(np.vdot(x, x)))
-    if norm == 0.0 or math.isinf(norm):
+    # a complex sum that overflows may come out nan
+    if not 0.0 < v < math.inf:
         big = float(np.max(np.abs(x), initial=0.0))
         if 0.0 < big < math.inf:
-            norm = big * frobenius(x / big)
-    return norm
+            y = x / big
+            v = big * math.sqrt(np.vdot(y, y).real)
+    return v
 
 
 def pivot_bound(n: int) -> float:
@@ -124,33 +111,25 @@ def pivot_bound(n: int) -> float:
 def solve(a, b) -> np.ndarray:
     """Solve a X = b by LAPACK ``gesv``, LU with partial pivoting.
 
-    a may be a stack (..., n, n), with b either one matrix (n, k) for
-    every system or a stack (..., n, k) of its own; a single a also
-    takes one vector b.  Each system is solved by its own gesv call,
-    bit for bit as alone, and each check runs once over the stack, an
-    error naming the first matrix that fails it.  Refuses non-finite
-    input and near-singular systems and verifies the residual of the
-    computed solution.  The singularity test is at least as strict as
-    refusing an elimination pivot below _PIVOT_TOL * |a|: with the unit
-    lower factor's |l_ij| <= 1, sigma_min(a) <= sqrt(n (n + 1) / 2) *
-    min |u_kk|, and the same gesv call yields a^-1, whose Frobenius
-    norm bounds sigma_min from below by 1 / |a^-1|.
+    a is one matrix (n, n) or a stack (..., n, n), and b holds the
+    right-hand sides of each system as columns, of shape (..., n, k)
+    with the leading axes of a; DimensionMismatch refuses any other b.
+    Each system is solved by its own gesv call, bit for bit as alone,
+    and each check runs once over the stack, an error naming the first
+    matrix that fails it.  Refuses non-finite input and near-singular
+    systems and verifies the residual of the computed solution.  The
+    singularity test is at least as strict as refusing an elimination
+    pivot below _PIVOT_TOL * |a|: with the unit lower factor's |l_ij| <=
+    1, sigma_min(a) <= sqrt(n (n + 1) / 2) * min |u_kk|, and the same
+    gesv call yields a^-1, whose Frobenius norm bounds sigma_min from
+    below by 1 / |a^-1|.
     """
     aa = _as_square(a, "coefficient matrix")
     bb = np.asarray(b)
-    rhs_was_vector = bb.ndim == 1
-    if rhs_was_vector:
-        bb = bb[:, None]
-    n = aa.shape[-1]
-    if bb.ndim < 2 or bb.shape[-2] != n or bb.shape[:-2] not in ((), aa.shape[:-2]) or (
-            rhs_was_vector and aa.ndim > 2):
-        raise DimensionMismatch(f"rhs shape {np.asarray(b).shape} does not match {aa.shape}")
-    k = bb.shape[-1]
-    # a single system takes each norm by one _norm, a stack by norms
-    measure = norms if aa.ndim > 2 else (lambda x: [_norm(x)])
-    scale, rhs_norm = measure(aa), measure(bb)
-    if len(rhs_norm) < len(scale):
-        rhs_norm *= len(scale)
+    if bb.shape[:-1] != aa.shape[:-1]:
+        raise DimensionMismatch(f"rhs shape {bb.shape} does not match {aa.shape}")
+    n, k = aa.shape[-1], bb.shape[-1]
+    scale, rhs_norm = norms(aa), norms(bb)
     if not math.isfinite(sum(scale) + sum(rhs_norm)):  # an inf or nan entry makes a norm so
         _require_finite(aa, "coefficient matrix")
         _require_finite(bb, "rhs")
@@ -158,80 +137,55 @@ def solve(a, b) -> np.ndarray:
         raise SingularMatrix(f"zero coefficient matrix{_where(aa, scale.index(0.0))}")
 
     try:
-        sol = np.linalg.solve(aa, np.concatenate([bb, _eye(bb.shape[:-1] + (n,))], axis=-1))
+        sol = np.linalg.solve(aa, np.concatenate([bb, _eye(aa.shape)], axis=-1))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"gesv: {exc}") from exc
     x = sol[..., :k]
     bound = pivot_bound(n)
-    for j, (s, inv) in enumerate(zip(scale, measure(sol[..., k:]))):
+    for j, (s, inv) in enumerate(zip(scale, norms(sol[..., k:]))):
         if not (1.0 / inv >= bound * s):
             raise SingularMatrix(
                 f"smallest singular value may be below {bound:.1e} * norm "
                 f"(1/|a^-1| = {1.0 / inv:.3e}){_where(aa, j)}")
 
-    for j, (resid, r) in enumerate(zip(measure(aa @ x - bb), rhs_norm)):
+    for j, (resid, r) in enumerate(zip(norms(aa @ x - bb), rhs_norm)):
         if r > 0.0 and not (resid <= RESIDUAL_TOL * r):
             raise SingularMatrix(
                 f"solution residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e} * |b|{_where(aa, j)}")
     # a copy, so that a kept solution does not hold all of [x | a^-1]
-    return (x[..., 0] if rhs_was_vector else x).copy()
+    return x.copy()
 
 
 def eig_selfadjoint(m, vectors: bool = False):
     """All eigenvalues of a self-adjoint matrix, by LAPACK ``eigvalsh``,
     sorted descending in one contiguous read-only array (float64, or
-    float32 for float32 input, as LAPACK gives them); for a
-    stack (..., n, n), shape (..., n), each spectrum bit for bit that of
-    its matrix alone.  vectors=True gives (values, vectors) by ``eigh``,
-    the eigenvectors as the columns of a read-only (..., n, n) array.
+    float32 for float32 input, as LAPACK gives them); for a stack
+    (..., n, n), shape (..., n), each spectrum bit for bit that of its
+    matrix alone.  vectors=True gives (values, vectors) by ``eigh``, the
+    eigenvectors as the columns of a read-only (..., n, n) array.
 
-    Input equal to its conjugate transpose goes to LAPACK as it is,
-    other input is symmetrized first; input whose imaginary part is
-    exactly zero goes in as a real matrix.  Raises NonFiniteInput for inf
-    or nan entries, NotSelfAdjoint when the input is too far from its own
-    conjugate transpose, and NonConvergence if LAPACK reports failure;
-    on a stack each check runs once and names the first matrix failing it.
+    The input must equal its conjugate transpose exactly, and goes to
+    LAPACK as it is.  Raises NonFiniteInput for inf or nan entries,
+    NotSelfAdjoint, with the defect |m - m^H|_F, for any other input,
+    and NonConvergence if LAPACK reports failure; on a stack each check
+    runs once and names the first matrix failing it.
     """
     a = _as_square(m)
     # an inf or nan entry makes the sum of squares inf or nan; so may a finite overflow
     if not math.isfinite(np.vdot(a, a).real):
         _require_finite(a, "matrix")
-    is_complex = a.dtype.kind == "c"
-    adjoint = (a.conj() if is_complex else a).swapaxes(-1, -2)
-    exact = a == adjoint
+    exact = a == (a.conj() if a.dtype.kind == "c" else a).swapaxes(-1, -2)
     if not exact.all():
-        for j, (scale, defect) in enumerate(zip(norms(a), norms(a - adjoint))):
-            if not (defect <= _HERMITIAN_DEFECT_TOL * max(scale, 1e-300)):
-                raise NotSelfAdjoint(f"defect {defect:.3e} vs norm {scale:.3e}{_where(a, j)}")
-        a = np.where(exact.all(axis=(-2, -1))[..., None, None], a, 0.5 * (a + adjoint))
-    # a matrix with a zero imaginary part goes in as a real one, also within a stack
-    mixed = None
-    if is_complex and a.ndim == 2:
-        if not a.imag.any():
-            a = a.real
-    elif is_complex:
-        has_imag = a.imag.any(axis=(-2, -1))
-        count = np.count_nonzero(has_imag)
-        if count == 0:
-            a = a.real
-        elif count < has_imag.size:
-            mixed = has_imag
+        j = _first_failing(exact)
+        mat = a.reshape((-1,) + a.shape[-2:])[j]
+        raise NotSelfAdjoint(f"defect {_norm(mat - mat.conj().T):.3e} vs norm "
+                             f"{_norm(mat):.3e}{_where(a, j)}")
     name = "eigh" if vectors else "eigvalsh"
-    lapack = getattr(np.linalg, name)
     try:
-        if mixed is None:
-            found = lapack(a) if vectors else (lapack(a),)
-        else:
-            found = [np.empty(a.shape[:-1]), np.empty(a.shape, dtype=complex)][:1 + vectors]
-            for rows, part in ((~mixed, a[~mixed].real), (mixed, a[mixed])):
-                for out, res in zip(found, lapack(part) if vectors else (lapack(part),)):
-                    out[rows] = res
+        found = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a),)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"{name} failed: {exc}") from exc
-    values = found[0][..., ::-1].copy()
-    values.flags.writeable = False
-    if not vectors:
-        return values
-    vecs = found[1][..., ::-1].copy()
-    vecs.flags.writeable = False
-    return values, vecs
+    out = tuple(f[..., ::-1].copy() for f in found)
+    for f in out:
+        f.flags.writeable = False
+    return out if vectors else out[0]

@@ -133,9 +133,9 @@ def test_criterion_4_structural_invariants(family_sweeps):
             res = analyze(SurfaceParam(fam, a))
             tau = res.frame.tau
             r = res.report
-            if linalg.frobenius(tau - tau.T) > 1e-9 * linalg.frobenius(tau):
+            if np.linalg.norm(tau - tau.T) > 1e-9 * np.linalg.norm(tau):
                 bad.append(f"{fam} a={a:.4g} tau asymmetry")
-            if min(linalg.eig_selfadjoint(tau.imag)) <= 0.0:
+            if min(linalg.eig_selfadjoint(0.5 * (tau.imag + tau.imag.T))) <= 0.0:
                 bad.append(f"{fam} a={a:.4g} Im tau not positive")
             if not np.array_equal(res.key.w, res.key.w.conj().T):
                 bad.append(f"{fam} a={a:.4g} pairing defect")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from sign_counts import count_signs
 
-from msindex import cli, families, moduli
+from msindex import cli, families, linalg, moduli
 from msindex.errors import DomainError, NonConvergence
 from msindex.families import SurfaceParam, admissible_range, canonical_param
 from msindex.sweep import (_FLANK_OFFSET, DEFAULT_WINDOWS, SweepConfig, _grid, _raw_negatives,
@@ -58,6 +58,30 @@ def test_stacked_grid_equals_fresh_one_point_analyses(family, cfg):
         for field in ("p", "q", "nullity_E", "kernel_dim_wdiff", "index_E", "degenerate",
                       "zero_tol_w", "zero_tol_wdiff"):
             assert getattr(res.report, field) == getattr(alone.report, field), field
+
+
+@pytest.mark.parametrize("family", list(DEFAULT_WINDOWS))
+def test_the_eigensolvers_input_is_exactly_self_adjoint(monkeypatch, family):
+    # sym(Im tau), W and Wdiff, of one point and of a stack of 24 over the
+    # default window, equal their conjugate transposes bit for bit: the
+    # only input that eig_selfadjoint takes
+    lo, hi = DEFAULT_WINDOWS[family]
+    grid = [canonical_param(SurfaceParam(family, a)) for a in np.linspace(lo, hi, 24)]
+    seen = []
+    real = linalg.eig_selfadjoint
+
+    def recording(m, vectors=False):
+        seen.append(np.array(m))
+        return real(m, vectors)
+
+    monkeypatch.setattr(linalg, "eig_selfadjoint", recording)
+    for params in (grid[11:12], grid):
+        seen.clear()
+        moduli._analyze_stack(params, SweepConfig(lo, hi).quad)
+        lead = (len(params),) if len(params) > 1 else ()
+        assert [m.shape for m in seen] == [lead + (n, n) for n in (3, 9, 18)]
+        for m in seen:
+            assert np.array_equal(m, m.conj().swapaxes(-1, -2))
 
 
 # the shape and dtype of one surface's row of each array a cached analysis holds
