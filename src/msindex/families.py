@@ -13,16 +13,18 @@ cancellation-prone factors expanded by hand.  Every table, the
 identities' among them, is built once, at import, as a quadrature table
 with named rows that share their radicands, and with no params: a
 template that each call binds to its parameter columns
-(``Integrand.bind``), so no call builds an Integrand.  Each family's
-eight integrals are one table and one integrate call: rPD's holds its
-rows on (0, 1) and those on (1, inf), folded onto (0, 1) by t = 1/x in
-its feature functions, and H's its rows near t = 0 and those of the
-cap on (0.5, 1), read at x = (1 + t) / 2.  Every table is one form on
-both halves of its interval; one with a singular end at 1 (rPD's,
-H's, and the identities' ``bare`` and ``upper_cap``) takes there the
-features of the exact distance to it (``features_hi``), so one call
-per level covers both halves.  The identities take a family's table
-and integrate their own beside it, one call per table.
+(``Integrand.bind``), so no call builds an Integrand.  Every table
+holds named rows on (0, 1), as the quadrature takes them, and each
+family's eight integrals are one table and one integrate call:
+rPD's holds its rows on (0, 1) and those on (1, inf), folded onto
+(0, 1) by t = 1/x in its feature functions, and H's its rows near
+t = 0 and those of the cap on x in (0.5, 1), read at x = (1 + t) / 2
+and halved exactly, as the identities' ``upper_cap`` is.  Every table
+is one form on both halves of (0, 1); one with a singular end at 1
+(rPD's, H's, and the identities' ``bare`` and ``upper_cap``) takes
+there the features of the exact distance to it (``features_hi``), so
+one call per level covers both halves.  The identities take a
+family's table and integrate their own beside it, one call per table.
 What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
 radicand factors without a, the distance to t = 1) comes from a
 feature function at module level, which the quadrature computes once
@@ -157,14 +159,12 @@ def _integrate_all(tables: dict[str, Integrand],
     call each.
 
     Returns the values by row name and the largest error estimate, as
-    floats for one surface and arrays for a stack.  A table contributes
-    one value per named row, a single integrand one value under its key.
+    floats for one surface and arrays for a stack.
     """
     values: dict[str, np.ndarray] = {}
     errs = []
-    for key, f in tables.items():
-        result = integrate(f, config)
-        for name, (value, err) in (result.items() if f.names else [(key, result)]):
+    for f in tables.values():
+        for name, (value, err) in integrate(f, config).items():
             values[name] = value
             errs.append(err)
     return values, (np.maximum.reduce(errs) if isinstance(errs[0], np.ndarray) else max(errs))
@@ -183,14 +183,10 @@ def _cap_near_one(s):
     return 1.0 - s, s * (18.0 - s * (24.0 - 8.0 * s)), span, np.sqrt(span)
 
 
-def _cap_features(x):
-    # 1 - x is exact on [0.5, 1] (Sterbenz)
-    return _cap_near_one(1.0 - x)
-
-
 def _h_features(t):
-    # near t = 0 at t, the cap at x = (1 + t) / 2
-    return _near0_features(t), _cap_features(0.5 + 0.5 * t)
+    # near t = 0 at t, the cap at x = (1 + t) / 2, where 1 - x is exact
+    # (Sterbenz, as x is in [0.5, 1])
+    return _near0_features(t), _cap_near_one(1.0 - (0.5 + 0.5 * t))
 
 
 def _h_near_one(s):
@@ -213,7 +209,7 @@ def _h(nodes, a, a3, ia3, c):
 
 
 # the rows singular at t = 0, then the cap's, singular at t = 1 (x = 1)
-_H = Integrand(_h, 0.0, 1.0, True, True,
+_H = Integrand(_h, singular_hi=True,
                names=("A", "B1", "D", "E", "F1", "I", "B2", "C", "F2", "H"),
                features=_h_features, features_hi=_h_near_one)
 
@@ -328,7 +324,7 @@ def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
         return (_rpd_rows(c, unit_nums(c, t, t3, d), base, t3, alt)
                 + tuple(n / square for n in tail))
 
-    return Integrand(f, 0.0, 1.0, True, True, names=names,
+    return Integrand(f, singular_hi=True, names=names,
                      features=_rpd_features, features_hi=_rpd_hi_features)
 
 
@@ -390,7 +386,7 @@ def _tp(nodes, a):
             1.0 / np.sqrt(ridge), 1.0 / np.sqrt(flat), 1.0 / ridge ** 1.5, plus_sq / flat ** 1.5)
 
 
-_TP = Integrand(_tp, 0.0, 1.0, features=_tp_features,
+_TP = Integrand(_tp, features=_tp_features,
                 names=("A1", "B", "C", "E1", "F", "H", "A2", "D", "E2", "I"))
 
 
@@ -429,7 +425,7 @@ def _tclp(nodes, a, b):
             even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
 
 
-_TCLP = Integrand(_tclp, 0.0, 1.0, features=_tclp_features,
+_TCLP = Integrand(_tclp, features=_tclp_features,
                   names=("A", "B", "C", "D", "E", "F", "H", "I"))
 
 
@@ -479,22 +475,14 @@ def integral_set(p: Union[SurfaceParam, Sequence[SurfaceParam]],
     parameters of one family, which gives the list of their sets,
     integrated as one stack, every point bit for bit the set of that
     parameter alone.  tD must be folded onto tP by canonical_param
-    first.  For H the parameter may sit on either side of 1 (the two
-    sides describe the same surface and give the same integrals); the
-    other families are validated against their strict domains.
+    first; every parameter is checked by validate_param.
     """
     single = isinstance(p, SurfaceParam)
     params, fam = _stack([p] if single else p, "integral_set")
+    if fam == "tD":
+        raise DomainError("tD shares its integrals with tP; apply canonical_param first")
     for q in params:
-        if fam == "tD":
-            raise DomainError("tD shares its integrals with tP; apply canonical_param first")
-        if fam == "H":
-            a = q.a
-            if not (math.isfinite(a) and a >= MARGIN and abs(a - 1.0) >= MARGIN):
-                raise DomainError(
-                    f"H integrals need a > 0 with a != 1, margin {MARGIN:g}; got {a!r}")
-        else:
-            validate_param(q)
+        validate_param(q)
     a = p.a if single else np.array([q.a for q in params])
     vals, err = _INTEGRALS[fam](a, config)
     if single:
@@ -795,7 +783,7 @@ def _bare(nodes, a, a3, d0):
     # features, d = 1 - t: a^-3 - a^3 t^3 = d0 + a^3 d (1 + t + t^2)
     t, t3, base, d = nodes
     return (((1.0 - a) + a * d) * (1.0 + a * t)
-            / np.sqrt(base * (d0 + a3 * (d * (1.0 + t * (1.0 + t))))))
+            / np.sqrt(base * (d0 + a3 * (d * (1.0 + t * (1.0 + t))))),)
 
 
 def _mid_features(v):
@@ -810,15 +798,16 @@ def _mid(nodes, a, d2, w):
     t = a + s
     down = w * rest_v
     rest = d2 + down * (1.0 + t * (1.0 + t))
-    return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
+    return (down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest),)
 
 
-_BARE = Integrand(_bare, 0.0, 1.0, True, True, features=_rpd_unit_features,
+_BARE = Integrand(_bare, singular_hi=True, names=("bare",), features=_rpd_unit_features,
                   features_hi=_rpd_unit_near_one)
-_MID = Integrand(_mid, 0.0, 1.0, singular_lo=True, features=_mid_features)
-# cap's rise, 2 (1 - t) (2t + 1)^2, is its second feature
-_UPPER_CAP = Integrand(lambda nodes, a, c: 1.0 / np.sqrt(c + nodes[1]), 0.5, 1.0,
-                       singular_hi=True, features=_cap_features, features_hi=_cap_near_one)
+_MID = Integrand(_mid, names=("mid",), features=_mid_features)
+# 1 / sqrt(c + rise) on the cap, x in (0.5, 1), on H's features: read at
+# x = (1 + t) / 2 and halved exactly, as dx = dt / 2, as _h reads its cap rows
+_UPPER_CAP = Integrand(lambda nodes, a, c: (0.5 / np.sqrt(c + nodes[1][1]),), singular_hi=True,
+                       names=("upper_cap",), features=_h_features, features_hi=_h_near_one)
 
 
 def _identity_integrands_H(a: Values) -> dict[str, Integrand]:

@@ -1,4 +1,4 @@
-"""Tanh-sinh quadrature for integrands with endpoint singularities.
+"""Tanh-sinh quadrature on (0, 1) for integrands with endpoint singularities.
 
 The substitution x = tanh((pi/2) sinh t) maps (-1, 1) to the real line
 and turns inverse-square-root endpoint blowups into integrands that
@@ -6,32 +6,30 @@ decay double-exponentially in t, so the trapezoid rule converges at
 spectral rate.  Levels halve the step; abscissas of earlier levels are
 reused.
 
-Accuracy near a singular endpoint is limited by how precisely the
+Every integral is over (0, 1): a table with rows on another range maps
+them there in its own feature functions, as the tables in ``families``
+do.  Accuracy near a singular endpoint is limited by how precisely the
 distance to that endpoint is known.  The node distance
 
     1 - u = 2 / (1 + exp(2g)),   g = (pi/2) sinh t
 
-is computed directly, never as a subtraction, and each half of the
-interval is measured from its own endpoint.  The evaluator sees the
-nodes x = lo + s and x = hi - s, which carry that distance exactly only
-where the endpoint is 0.  So a singular lo must be 0, and a singular hi
-other than 0 needs ``features_hi``: the evaluator takes its value at
-the exact distances s on the hi side, as it takes ``features`` at the
-nodes elsewhere, and sees the distance to full relative precision.
-Every interval is finite, and ``integrate`` refuses any other: a table
-with rows on an infinite range maps them onto a finite one in its own
-feature functions, as the rPD tables in ``families`` do.
+is computed directly, never as a subtraction, and each half of (0, 1)
+is measured from its own endpoint: the nodes are x = s and x = 1 - s,
+s = d_near / 2 being the distance.  At 0 the nodes are that distance
+exactly, at 1 they are not, so a table singular at 1 needs
+``features_hi``: the evaluator takes its value at the exact distances s
+on the upper half, as it takes ``features`` at the nodes elsewhere, and
+sees the distance to full relative precision.
 
-Integrands are vectorized: the evaluator is called on a 1-D array of n
-nodes and returns an array of shape (n,), or ``integrate`` raises
-TypeError.  An ``Integrand`` with ``names`` is a table of k integrands
-that share the interval and the evaluator; it returns k rows, shape
-(k, n), and computes the subexpressions the rows share once per call.
-A single integrand is the table of one unnamed row.  The subexpressions
-in the nodes alone are computed once per node set: an evaluator with
-feature functions (``features``, ``features_hi``) is called on their
-value at the nodes instead of the nodes, and the value is formed on
-first use and kept read-only beside the nodes, per interval and level.
+An ``Integrand`` is a table of k named integrands that share the
+evaluator.  The evaluator is called on a 1-D array of n nodes and
+returns k rows, shape (k, n), or ``integrate`` raises TypeError; it
+computes the subexpressions the rows share once per call.  The
+subexpressions in the nodes alone are computed once per node set: an
+evaluator with feature functions (``features``, ``features_hi``) is
+called on their value at the nodes instead of the nodes, and the value
+is formed on first use and kept read-only beside the nodes, per level.
+``integrate`` returns {name: (value, err)}.
 
 A table can also depend on a parameter: an ``Integrand`` with
 ``params``, the parameter itself and any constants derived from it, has
@@ -73,8 +71,7 @@ active row.  So every row's (value, err) is bit for bit what
 integrating it alone level by level gives.  A row that has stopped is
 no longer read: a non-finite value it produces at a later level,
 inside the block or after it, is ignored, while one in a row still
-being refined raises DomainError.  The node arrays of each level, and
-their features there, are formed once per interval and kept.
+being refined raises DomainError.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,8 +100,8 @@ _FUSED_LEVEL = 5
 _MAX_LEVEL = 12
 _ABS_FLOOR = 1e-15
 
-# (value, err_estimate) of one integrand, or of each named row of a table
-Result = Union[tuple[float, float], dict[str, tuple[float, float]]]
+# (value, err_estimate) of each named row of a table
+Result = dict[str, tuple[float, float]]
 
 
 @functools.cache
@@ -155,16 +152,15 @@ def _distances(level: Optional[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Integrand:
-    """An integrand, or a table of integrands, on a finite interval (lo, hi).
+    """A table of named integrands on (0, 1).
 
-    evaluator   plain f(x); called on a 1-D array of nodes, returns an
-                array of the same shape, or for a table one row per name
-                (shape (len(names), nodes), e.g. a tuple of row arrays)
-    lo, hi      finite interval endpoints
-    singular_lo / singular_hi
-                whether f blows up at the endpoint (at worst like an
-                inverse square root); a singular lo must be 0
-    names       row names of a table; empty for a single integrand
+    evaluator   plain f(x); called on a 1-D array of nodes, returns one
+                row per name, shape (len(names), nodes), e.g. a tuple of
+                row arrays
+    singular_hi whether a row blows up at 1 (at worst like an inverse
+                square root); a blowup at 0 needs no flag, as the nodes
+                there are the exact distances to it
+    names       the row names, at least one
     params      the parameter of a table and the constants derived from
                 it, handed to the evaluator after the nodes: floats, or
                 1-D arrays of N values for a stack of N surfaces, which
@@ -176,8 +172,8 @@ class Integrand:
                 the work that does not depend on the params is done once
                 and not at every call; its value, read-only, is the
                 evaluator's first argument
-    features_hi the same on the hi half, as a function of the exact
-                distances s = hi - x, so that the evaluator is one form
+    features_hi the same on the upper half, as a function of the exact
+                distances s = 1 - x, so that the evaluator is one form
                 on both halves; its value must have the structure of
                 features' (an array, or nested tuples of arrays), and it
                 needs features
@@ -185,20 +181,16 @@ class Integrand:
     bind(params) gives the integrand at other params.  A family's table
     is built once, with no params, as a template; each call binds it.
 
-    A singular hi other than 0 requires features_hi: the plain nodes
-    hi - s cannot resolve the distance to it, and construction raises
-    ValueError without one, as it does for a singular lo other than 0.
-    The rows of a table share the interval, the flags and the
-    evaluator, so their common subexpressions can be computed once per
-    call, and those in the nodes alone once per node set.  A feature
-    function keys that cache, so it must be defined once, at module
-    level, not rebuilt with each table.
+    A table singular at 1 requires features_hi: the plain nodes 1 - s
+    cannot resolve the distance to 1, and construction raises ValueError
+    without one, as it does for a table without names.  The rows share
+    the evaluator, so their common subexpressions can be computed once
+    per call, and those in the nodes alone once per node set.  A
+    feature function keys that cache, so it must be defined once, at
+    module level, not rebuilt with each table.
     """
 
     evaluator: Callable
-    lo: float
-    hi: float
-    singular_lo: bool = False
     singular_hi: bool = False
     names: tuple[str, ...] = ()
     params: tuple = ()
@@ -206,10 +198,10 @@ class Integrand:
     features_hi: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        if self.singular_lo and self.lo != 0.0:
-            raise ValueError(f"a singular endpoint lo must be 0, got {self.lo!r}")
-        if self.singular_hi and self.hi != 0.0 and self.features_hi is None:
-            raise ValueError(f"singular endpoint hi = {self.hi!r} needs features_hi")
+        if not self.names:
+            raise ValueError("an integrand table needs at least one row name")
+        if self.singular_hi and self.features_hi is None:
+            raise ValueError("a table singular at 1 needs features_hi")
         if self.features_hi is not None and self.features is None:
             raise ValueError("features_hi needs features, the evaluator's argument on the "
                              "other nodes")
@@ -263,7 +255,7 @@ def _lead(f: Integrand, cols: list) -> tuple:
     """The shape of a form's value at the parameter columns cols before
     its node axis: (k,) for a table of k rows, then (M,) for M points."""
     points = (len(cols[0]),) if cols and isinstance(cols[0], np.ndarray) else ()
-    return ((len(f.names),) if f.names else ()) + points
+    return (len(f.names),) + points
 
 
 def _read_only(x):
@@ -277,25 +269,24 @@ def _read_only(x):
 
 
 @functools.lru_cache(maxsize=64)
-def _arguments(lo: float, hi: float, level: Optional[int], features: Optional[Callable],
+def _arguments(level: Optional[int], features: Optional[Callable],
                features_hi: Optional[Callable]) -> tuple:
-    """What the evaluator of an integrand on (lo, hi) is called on at one
-    level, or at the fused block and the midpoint for level None.
+    """What an evaluator is called on at one level, or at the fused
+    block and the midpoint for level None.
 
-    That is the nodes hi - s, lo + s and then the midpoint, s = half *
-    d_near being each node's distance to its side's endpoint, or
-    features of those nodes.  With features_hi, it is features_hi(s)
-    for the hi side followed by features of the other nodes, joined
-    componentwise through nested tuples.  Cached per interval, level and
-    feature functions, read-only, so a fixed interval forms them once.
+    That is the nodes 1 - s, s and then the midpoint 0.5, s = d_near / 2
+    being each node's distance to its side's endpoint, or features of
+    those nodes.  With features_hi, it is features_hi(s) for the hi side
+    followed by features of the other nodes, joined componentwise
+    through nested tuples.  Cached per level and feature functions,
+    read-only, so each set of feature functions forms them once.
     """
-    half = 0.5 * (hi - lo)
-    s = half * _distances(level)
-    mid = [np.array([lo + half])] if level is None else []
+    s = 0.5 * _distances(level)
+    mid = [np.array([0.5])] if level is None else []
     if features_hi is None:
-        x = np.concatenate([hi - s, lo + s] + mid)
+        x = np.concatenate([1.0 - s, s] + mid)
         return _read_only(x if features is None else features(x))
-    return _read_only(_joined(features_hi(s), features(np.concatenate([lo + s] + mid))))
+    return _read_only(_joined(features_hi(s), features(np.concatenate([s] + mid))))
 
 
 def _joined(first, then):
@@ -319,7 +310,7 @@ def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
     """
     n = len(_distances(level))
     m = 2 * n + (level is None)
-    got = _as_rows(f.evaluator(_arguments(f.lo, f.hi, level, f.features, f.features_hi), *cols))
+    got = _as_rows(f.evaluator(_arguments(level, f.features, f.features_hi), *cols))
     want = _lead(f, cols) + (m,)
     if got.shape != want:
         raise TypeError(f"integrand must map an array of shape {(m,)} to one of shape {want}, "
@@ -346,7 +337,7 @@ def _level_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return sums[:, 0] + sums[:, 1]
 
 
-def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.ndarray,
+def _raise_nonfinite(d_near: np.ndarray, vals: np.ndarray,
                      centre: Optional[np.ndarray] = None) -> None:
     """Raise DomainError at the first node where a row of vals (or of the
     midpoint column centre) is not finite.
@@ -354,9 +345,9 @@ def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.nda
     vals are the hi and lo values of the rows being read.  Returns if
     every value is finite: a sum that overflowed is not a domain error.
     """
-    s = half * d_near
-    parts = [(vals[:, 0], f.hi - s), (vals[:, 1], f.lo + s)]
-    for part, x in parts + ([(centre, [f.lo + half])] if centre is not None else []):
+    s = 0.5 * d_near
+    parts = [(vals[:, 0], 1.0 - s), (vals[:, 1], s)]
+    for part, x in parts + ([(centre, [0.5])] if centre is not None else []):
         bad = ~np.isfinite(part).all(axis=0)
         if bad.any():
             raise DomainError(
@@ -365,18 +356,13 @@ def _raise_nonfinite(f: Integrand, half: float, d_near: np.ndarray, vals: np.nda
 
 def _prepare(f: Integrand) -> tuple:
     """f's stack size and the parameter columns of all its points,
-    (stack, cols), once its interval is checked."""
-    lo, hi = f.lo, f.hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"integrate requires a finite interval, got ({lo}, {hi})")
-    if not lo < hi:
-        raise DomainError(f"empty interval ({lo}, {hi})")
+    (stack, cols)."""
     # a stack has k * stack rows, row i * stack + j being row i at point j
     stack = len(f.params[0]) if f.params and isinstance(f.params[0], np.ndarray) else 0
     return stack, _columns(f, stack)
 
 
-def _check_block(f: Integrand, block: np.ndarray, centre: np.ndarray, sums: np.ndarray,
+def _check_block(block: np.ndarray, centre: np.ndarray, sums: np.ndarray,
                  stop: np.ndarray) -> None:
     """Raise the DomainError that reading the block level by level raises.
 
@@ -386,7 +372,6 @@ def _check_block(f: Integrand, block: np.ndarray, centre: np.ndarray, sums: np.n
     where one of them is not finite is named.
     """
     d_fused, fused = _fused_nodes()
-    half = 0.5 * (f.hi - f.lo)
     bad = ~np.isfinite(sums)
     for level in np.flatnonzero(bad.any(axis=1)).tolist():
         read = stop >= level
@@ -394,9 +379,9 @@ def _check_block(f: Integrand, block: np.ndarray, centre: np.ndarray, sums: np.n
             continue
         sl = fused[level][1]
         if level == 0:
-            _raise_nonfinite(f, half, d_fused[sl], block[:, :, sl], centre)
+            _raise_nonfinite(d_fused[sl], block[:, :, sl], centre)
         else:
-            _raise_nonfinite(f, half, d_fused[sl], block[read][:, :, sl])
+            _raise_nonfinite(d_fused[sl], block[read][:, :, sl])
 
 
 def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
@@ -409,7 +394,6 @@ def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
     on a non-finite value in an active row, and NonConvergence if a row
     is still active after _MAX_LEVEL.
     """
-    half = 0.5 * (f.hi - f.lo)
     for level in range(first, _MAX_LEVEL + 1):
         w, d_near = _nodes(level)
         rows, pts = active, slice(None)
@@ -424,9 +408,9 @@ def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
             vals = vals[rows]
         term = _level_sums(w, vals)
         if not np.isfinite(term).all():
-            _raise_nonfinite(f, half, d_near, vals)
+            _raise_nonfinite(d_near, vals)
         t = 0.5 * trapezoid[active] + 0.5 ** level * term
-        new_value = half * t
+        new_value = 0.5 * t
         err[active] = np.abs(new_value - value[active])
         trapezoid[active] = t
         value[active] = new_value
@@ -435,16 +419,16 @@ def _refine(f: Integrand, stack: int, trapezoid: np.ndarray, value: np.ndarray,
         if not len(active):
             return
     r, point = divmod(int(active[0]), stack or 1)
-    row = f" in row {f.names[r]!r}" if f.names else ""
     at = f" at parameter {float(np.reshape(f.params[0], -1)[point])!r}" if f.params else ""
     raise NonConvergence(
-        f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL}{row}{at}: "
+        f"tanh-sinh did not reach tolerance by level {_MAX_LEVEL} in row {f.names[r]!r}{at}: "
         f"value {float(value[active[0]])!r}, last change {float(err[active[0]])!r}"
     )
 
 
-# 0.5 ** level for the levels of the fused block, as a column
-_HALVINGS = (0.5 ** np.arange(_FUSED_LEVEL + 1.0))[:, None]
+# the half-width 0.5 times 0.5 ** level for the levels of the fused block,
+# as a column
+_HALVINGS = (0.5 ** np.arange(1.0, _FUSED_LEVEL + 2.0))[:, None]
 _HALVINGS.flags.writeable = False
 
 
@@ -491,16 +475,15 @@ def _stop_floats(value: np.ndarray, tol: float) -> tuple:
 
 
 def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
-    """Integrate f over its interval.
+    """Integrate each row of the table f over (0, 1).
 
-    Returns (value, err_estimate) for a plain integrand and a dict
-    {name: (value, err_estimate)} for a table; the estimate is the
-    change at the last level refinement of that row.  For a stack each
-    value and estimate is an array with one entry per surface.  Raises
+    Returns {name: (value, err_estimate)}, the estimate being the change
+    at the last level refinement of that row.  For a stack each value
+    and estimate is an array with one entry per surface.  Raises
     NonConvergence, naming the row and the parameter, if any row
-    exhausts the budget, DomainError on a bad interval or a non-finite
-    value in a row still being refined, and TypeError if the evaluator
-    does not map the nodes to the expected shape.
+    exhausts the budget, DomainError on a non-finite value in a row
+    still being refined, and TypeError if the evaluator does not map the
+    nodes to the expected shape.
 
     The evaluator is called on the fused block first, and the rows take
     levels 0 .. _FUSED_LEVEL together: one _side_sums call per level
@@ -510,7 +493,7 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
     those levels.  The trapezoid sum of level k, t_k = t_(k-1) / 2 +
     s_k / 2**k, is 2**-k times the running sum t_0 + s_1 + ... + s_k,
     added left to right; scaling by a power of two commutes with
-    rounding, so the two, and the values half * t_k, agree bit for bit
+    rounding, so the two, and the values t_k / 2, agree bit for bit
     for every sum above the subnormal range and below 2**-5 of the
     largest float.  The stopping test at the tested levels and the
     results run on Python floats for float params or none (one
@@ -536,13 +519,13 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
         sums[0] += centre[:, 0] * (0.5 * math.pi)
         # 2**level times each row's trapezoid sum at each level
         running = np.add.accumulate(sums)
-        value = running * (_HALVINGS[:top + 1] * (0.5 * (f.hi - f.lo)))
+        value = running * _HALVINGS[:top + 1]
         value, err, first = (_stop_arrays if stack else _stop_floats)(value, tol)
         # A row that reads a non-finite sum ends on a non-finite value: the
         # sums and np.add.accumulate carry inf and nan on.  Where finite
         # values overflow their sum, _check_block finds no bad sum.
         if not (np.isfinite(sums).all() if stack else math.isfinite(sum(value))):
-            _check_block(f, block, centre, sums, np.add(first, _FIRST_TEST_LEVEL))
+            _check_block(block, centre, sums, np.add(first, _FIRST_TEST_LEVEL))
         # the first of a row still active
         still = top + 1 - _FIRST_TEST_LEVEL
         if still in first:
@@ -553,5 +536,4 @@ def integrate(f: Integrand, config: QuadConfig = QuadConfig()) -> Result:
 
     if stack:
         value, err = value.reshape(-1, stack), err.reshape(-1, stack)
-    rows = list(zip(value, err))
-    return dict(zip(f.names, rows)) if f.names else rows[0]
+    return dict(zip(f.names, zip(value, err)))

@@ -120,10 +120,17 @@ def test_integral_set_rejects_td():
         integral_set(SurfaceParam("tD", -14.0))
 
 
+def test_integral_set_admits_h_only_in_its_admissible_range():
+    for a in (1.5, 1.0, 0.0, MARGIN / 2):
+        with pytest.raises(DomainError):
+            integral_set(SurfaceParam("H", a))
+
+
 def test_h_reciprocal_symmetry():
+    # the 1/a side from H's integrals themselves, outside integral_set's range
     for a in (0.3, 0.5, 0.8):
         s1 = integral_set(SurfaceParam("H", a)).as_dict()
-        s2 = integral_set(SurfaceParam("H", 1.0 / a)).as_dict()
+        s2, _ = families._INTEGRALS["H"](1.0 / a, QuadConfig())
         for name in s1:
             assert abs(s1[name] - s2[name]) <= 1e-10 * max(1.0, abs(s1[name]))
 
@@ -377,12 +384,13 @@ def test_h_cap_rows_match_high_precision(a):
 @pytest.mark.parametrize("a", [0.9999, 0.999999])
 def test_h_upper_cap_matches_high_precision_near_one(a):
     # the upper_cap table of H's second identity, 1 / sqrt(c + rise) on
-    # (0.5, 1), against 40-digit mpmath.quad in s = 1 - x; it peaks over a
-    # width of about c / 18 at s = 0, which its features resolve there
+    # x in (0.5, 1) read on (0, 1), against 40-digit mpmath.quad in s = 1 - x;
+    # it peaks over a width of about c / 18 at s = 0, which its features
+    # resolve there
     mpmath = pytest.importorskip("mpmath")
     from msindex.quadrature import integrate
 
-    got, _ = integrate(families._identity_integrands_H(a)["upper_cap"])
+    got, _ = integrate(families._identity_integrands_H(a)["upper_cap"])["upper_cap"]
     with mpmath.workdps(40):
         am = mpmath.mpf(a)
         c = (am ** 3 - 1) ** 2 / am ** 3

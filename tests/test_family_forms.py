@@ -16,6 +16,7 @@ import pytest
 
 from msindex import families, moduli, quadrature
 from msindex.families import SurfaceParam
+from quad_reference import per_level_reference
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +94,13 @@ def _tclp(t, a, b):
 
 def _bare(t, a, a3, d0):
     return (((1.0 - a) + a * (1.0 - t)) * (1.0 + a * t)
-            / np.sqrt(t * (1.0 - t ** 3) * (d0 + a3 * ((1.0 - t) * (1.0 + t * (1.0 + t))))))
+            / np.sqrt(t * (1.0 - t ** 3) * (d0 + a3 * ((1.0 - t) * (1.0 + t * (1.0 + t))))),)
 
 
 def _bare_hi(s, a, a3, d0):
     t = 1.0 - s
     return (((1.0 - a) + a * s) * (1.0 + a * t)
-            / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * (s * (1.0 + t * (1.0 + t))))))
+            / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * (s * (1.0 + t * (1.0 + t))))),)
 
 
 def _mid(v, a, d2, w):
@@ -107,15 +108,26 @@ def _mid(v, a, d2, w):
     t = a + s
     down = w * (1.0 - v)
     rest = d2 + down * (1.0 + t * (1.0 + t))
-    return down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest)
+    return (down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest),)
+
+
+def _upper_cap_x_hi(s, a, c):
+    # 1 / sqrt(c + rise) on x in (0.5, 1), at x = 1 - s
+    return (1.0 / np.sqrt(c + _cap_rise(s)),)
+
+
+def _upper_cap_x(x, a, c):
+    return _upper_cap_x_hi(1.0 - x, a, c)
 
 
 def _upper_cap_hi(s, a, c):
-    return 1.0 / np.sqrt(c + _cap_rise(s))
+    # at t = 1 - s, where the distance to x = 1 is s / 2; halved, as dx = dt / 2
+    return (0.5 / np.sqrt(c + _cap_rise(0.5 * s)),)
 
 
-def _upper_cap(x, a, c):
-    return _upper_cap_hi(1.0 - x, a, c)
+def _upper_cap(t, a, c):
+    # at x = (1 + t) / 2, as _h reads the cap rows
+    return (0.5 / np.sqrt(c + _cap_rise(1.0 - (0.5 + 0.5 * t))),)
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -281,12 +293,26 @@ def _h_references(a):
     (0, 1), and the cap's on x in (0.5, 1), one form in the nodes and one
     in the distances to 1."""
     a, a3, ia3, c = families._integrands_H(a)["periods"].params
-    near0 = quadrature.Integrand(_near0, 0.0, 1.0, singular_lo=True,
-                                 names=("A", "B1", "D", "E", "F1", "I"), params=(a, a3, ia3))
-    cap = quadrature.Integrand(_one_form(_cap, _cap_hi), 0.5, 1.0, singular_hi=True,
+    near0 = quadrature.Integrand(_near0, names=("A", "B1", "D", "E", "F1", "I"),
+                                 params=(a, a3, ia3))
+    cap = quadrature.Integrand(_one_form(_cap, _cap_hi), singular_hi=True,
                                names=("B2", "C", "F2", "H"), params=(a, c),
                                features=_nodes_marked, features_hi=_distances_marked)
     return near0, cap
+
+
+def _on_the_cap(f, a):
+    """Each row of the table f integrated on x in (0.5, 1) by
+    per_level_reference, as integrate's {name: (value, err)}: at the
+    parameter a, or at each point of the stack a, as arrays."""
+    got = {}
+    for row, name in enumerate(f.names):
+        if isinstance(a, np.ndarray):
+            pairs = [per_level_reference(f, 0.5, 1.0, row, j) for j in range(len(a))]
+            got[name] = tuple(np.array(x) for x in zip(*pairs))
+        else:
+            got[name] = per_level_reference(f, 0.5, 1.0, row)
+    return got
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.05, 0.3, 0.99999, 1.7, [1e-3, 0.05, 0.3, 0.99999, 1.7]])
@@ -296,8 +322,24 @@ def test_h_table_equals_its_two_reference_tables_bit_for_bit(a):
     # stopping level are those of the cap on (0.5, 1)
     a = np.array(a) if isinstance(a, list) else a
     near0, cap = _h_references(a)
-    want = {**_bits(quadrature.integrate(near0)), **_bits(quadrature.integrate(cap))}
+    want = {**_bits(quadrature.integrate(near0)), **_bits(_on_the_cap(cap, a))}
     assert _bits(quadrature.integrate(families._integrands_H(a)["periods"])) == want
+
+
+_UPPER_CAP_POINTS = [1e-6, 1e-3, 0.05, 0.3, 0.9999, 0.999999]
+
+
+@pytest.mark.parametrize("a", _UPPER_CAP_POINTS + [_UPPER_CAP_POINTS])
+def test_upper_cap_equals_its_form_on_the_cap_bit_for_bit(a):
+    # the upper_cap table of H's second identity, read on (0, 1) at
+    # x = (1 + t) / 2 on H's features and halved, against 1 / sqrt(c + rise)
+    # on x in (0.5, 1), one form in the nodes and one in the distances to 1
+    a = np.array(a) if isinstance(a, list) else a
+    f = families._identity_integrands_H(a)["upper_cap"]
+    on_x = quadrature.Integrand(_one_form(_upper_cap_x, _upper_cap_x_hi),
+                                singular_hi=True, names=("upper_cap",), params=f.params,
+                                features=_nodes_marked, features_hi=_distances_marked)
+    assert _bits(quadrature.integrate(f)) == _bits(_on_the_cap(on_x, a))
 
 
 def _arrays(x):
@@ -313,7 +355,7 @@ def test_node_features_are_read_only(fam, a):
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for f in _tables(fam, a).values():
             for level in (None, 6):
-                taken = quadrature._arguments(f.lo, f.hi, level, f.features, f.features_hi)
+                taken = quadrature._arguments(level, f.features, f.features_hi)
                 arrays = list(_arrays(taken))
                 assert arrays
                 for arr in arrays:
@@ -328,7 +370,7 @@ def test_the_fold_keys_the_cache_by_the_tail_features():
     # and every call binds it
     tables = families._identity_integrands_rPD
     f, g = tables(0.4)["identities"], tables(0.7)["identities"]
-    assert (f.lo, f.hi, g.params[0]) == (0.0, 1.0, 0.7)
+    assert g.params[0] == 0.7
     assert f.evaluator is g.evaluator and f.features is g.features
     periods = families._PERIODS
     assert f.features is periods.features and f.features_hi is periods.features_hi
@@ -338,7 +380,7 @@ def test_the_fold_keys_the_cache_by_the_tail_features():
     s = 0.5 * quadrature._distances(None)
     x = np.concatenate([s, [0.5]])
     with np.errstate(over="ignore"):  # t^3 at the smallest x
-        (t, *_), square = quadrature._arguments(0.0, 1.0, None, f.features, f.features_hi)[-1]
+        (t, *_), square = quadrature._arguments(None, f.features, f.features_hi)[-1]
     assert t.tobytes() == np.concatenate([1.0 + s / (1.0 - s), 1.0 / x]).tobytes()
     assert square.tobytes() == np.concatenate([(1.0 - s) ** 2, x * x]).tobytes()
 
@@ -388,4 +430,4 @@ def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):
 def test_a_feature_function_needs_its_form():
     # features_hi feeds the evaluator beside features, never alone
     with pytest.raises(ValueError, match="features_hi needs features"):
-        quadrature.Integrand(np.sqrt, 0.0, 1.0, features_hi=np.sqrt)
+        quadrature.Integrand(np.sqrt, names=("f",), features_hi=np.sqrt)

@@ -11,136 +11,128 @@ from hypothesis import strategies as st
 from msindex import families, quadrature
 from msindex.errors import DomainError, NonConvergence
 from msindex.quadrature import Integrand, QuadConfig, _fused_nodes, _nodes, integrate
+from quad_reference import per_level_reference
+
+
+def _table(rows, **kw):
+    """A table of the named rows, each row fn(x, *params)."""
+    names = tuple(rows)
+    return Integrand(lambda *args: tuple(rows[n](*args) for n in names), names=names, **kw)
+
+
+def _value(fn, **kw):
+    """(value, err) of fn on (0, 1), integrated as the one row of a table."""
+    return integrate(_table({"f": fn}, **kw))["f"]
 
 
 def test_cubic_polynomial_exact():
-    f = Integrand(lambda x: 4.0 * x ** 3 - 2.0 * x + 1.0, 0.0, 2.0)
-    value, err = integrate(f)
+    # 4x^3 - 2x + 1 on (0, 2), at x = 2u
+    value, err = _value(lambda u: 2.0 * (32.0 * u ** 3 - 4.0 * u + 1.0))
     assert abs(value - 14.0) < 1e-12
     assert err < 1e-10
 
 
 def test_gaussian_bump():
-    f = Integrand(lambda x: np.exp(-x * x), -4.0, 4.0)
-    value, _ = integrate(f)
+    # exp(-x^2) on (-4, 4), at x = 8u - 4
+    value, _ = _value(lambda u: 8.0 * np.exp(-(8.0 * u - 4.0) ** 2))
     assert abs(value - math.sqrt(math.pi) * math.erf(4.0)) < 1e-12
 
 
 def test_inverse_sqrt_endpoint():
-    # at lo = 0 the plain nodes lo + s are the exact distances
-    f = Integrand(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular_lo=True)
-    value, _ = integrate(f)
+    # at 0 the plain nodes s are the exact distances
+    value, _ = _value(lambda x: 1.0 / np.sqrt(x))
     assert abs(value - 2.0) < 1e-12
 
 
 def _arcsine(nodes):
     x, rest = nodes
-    return 1.0 / np.sqrt(x * rest)
+    return (1.0 / np.sqrt(x * rest),)
 
 
 def test_double_endpoint_singularity():
     # arcsine weight, integral is pi; the form takes (x, 1 - x), on the hi
     # side from the exact distances s = 1 - x
     f = Integrand(
-        _arcsine, 0.0, 1.0, singular_lo=True, singular_hi=True,
+        _arcsine, singular_hi=True, names=("arcsine",),
         features=lambda x: (x, 1.0 - x), features_hi=lambda s: (1.0 - s, s),
     )
-    value, _ = integrate(f)
+    value, _ = integrate(f)["arcsine"]
     assert abs(value - math.pi) < 1e-12
 
 
 def test_log_endpoint():
-    f = Integrand(lambda x: -np.log(x), 0.0, 1.0, singular_lo=True)
-    value, _ = integrate(f)
+    value, _ = _value(lambda x: -np.log(x))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_offset_form_beats_cancellation():
     # near x = 1 the naive 1 - x*x cancels; 1 - x^2 formed from the
     # distance s = 1 - x does not
-    f = Integrand(
-        lambda span: 1.0 / np.sqrt(span), 0.0, 1.0, singular_hi=True,
-        features=lambda x: 1.0 - x * x, features_hi=lambda s: s * (2.0 - s),
-    )
-    value, _ = integrate(f)
+    value, _ = _value(lambda span: 1.0 / np.sqrt(span), singular_hi=True,
+                      features=lambda x: 1.0 - x * x, features_hi=lambda s: s * (2.0 - s))
     assert abs(value - math.pi / 2.0) < 1e-13
 
 
 def test_scalar_only_integrand_raises_type_error():
     # math.* rejects arrays; integrands must be vectorized
-    f = Integrand(lambda x: math.exp(-x) * math.cos(x), 0.0, 2.0)
     with pytest.raises(TypeError):
-        integrate(f)
+        _value(lambda x: math.exp(-x) * math.cos(x))
 
 
 def test_constant_scalar_integrand_raises_type_error():
     # a bare float does not have the shape of the node array
     with pytest.raises(TypeError):
-        integrate(Integrand(lambda x: 3.0, -1.0, 2.0))
+        _value(lambda x: 3.0)
 
 
 def test_singular_endpoint_away_from_zero_needs_its_offset_form():
-    with pytest.raises(ValueError, match="needs features_hi"):
-        Integrand(lambda x: 1.0 / np.sqrt(1.0 - x), 0.5, 1.0, singular_hi=True)
-    # a singular lo must be 0, with feature functions or without
-    with pytest.raises(ValueError, match="lo must be 0"):
-        Integrand(lambda x: 1.0 / np.sqrt(x + 1.0), -1.0, 0.0, singular_lo=True)
-    with pytest.raises(ValueError, match="lo must be 0"):
-        Integrand(np.sqrt, 0.5, 1.0, singular_lo=True, features=np.negative,
-                  features_hi=np.negative)
+    # a blowup at 1 needs features_hi, with feature functions or without
+    with pytest.raises(ValueError, match="singular at 1 needs features_hi"):
+        _table({"f": lambda x: 1.0 / np.sqrt(1.0 - x)}, singular_hi=True)
+    with pytest.raises(ValueError, match="singular at 1 needs features_hi"):
+        _table({"f": np.sqrt}, singular_hi=True, features=np.negative)
 
 
 def test_singular_endpoint_at_zero_or_with_offset_form_is_accepted():
-    Integrand(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, singular_lo=True)
-    Integrand(lambda x: 1.0 / np.sqrt(-x), -1.0, 0.0, singular_hi=True)
-    Integrand(
-        lambda d: 1.0 / np.sqrt(d), 0.5, 1.0, singular_hi=True,
-        features=lambda x: 1.0 - x, features_hi=lambda s: s,
-    )
+    _table({"f": lambda x: 1.0 / np.sqrt(x)})
+    _table({"f": lambda d: 1.0 / np.sqrt(d)}, singular_hi=True,
+           features=lambda x: 1.0 - x, features_hi=lambda s: s)
+
+
+def test_an_integrand_without_row_names_is_refused():
+    with pytest.raises(ValueError, match="at least one row name"):
+        Integrand(lambda x: (x,))
+    with pytest.raises(ValueError, match="at least one row name"):
+        Integrand(lambda x: (x,), names=())
 
 
 def test_tail_with_finite_end_singularity():
     # int_1^inf dt / (t^2 sqrt(t-1)) = pi/2; t = 1/u folds it onto (0, 1)
     # as sqrt(u / (1 - u)), the fold done in the features as the rPD
     # tables do theirs, with 1 - u from the exact distance on the hi side
-    f = Integrand(
-        lambda nodes: np.sqrt(nodes[0] / nodes[1]), 0.0, 1.0, singular_hi=True,
-        features=lambda u: (u, 1.0 - u), features_hi=lambda s: (1.0 - s, s),
-    )
-    value, _ = integrate(f)
+    value, _ = _value(lambda nodes: np.sqrt(nodes[0] / nodes[1]), singular_hi=True,
+                      features=lambda u: (u, 1.0 - u), features_hi=lambda s: (1.0 - s, s))
     assert abs(value - math.pi / 2.0) < 1e-12
 
 
 def test_error_estimate_bounds_true_error():
-    f = Integrand(lambda x: np.cos(3.0 * x), 0.0, 1.0)
-    value, err = integrate(f)
+    value, err = _value(lambda x: np.cos(3.0 * x))
     exact = math.sin(3.0) / 3.0
     assert abs(value - exact) <= max(10.0 * err, 1e-14)
 
 
 def test_level_budget_does_not_change_converged_result(monkeypatch):
-    f = Integrand(lambda x: np.exp(x) * np.cos(2.0 * x), 0.0, 1.5)
-    v12, _ = integrate(f)
+    # exp(x) cos(2x) on (0, 1.5), at x = 1.5u
+    f = _table({"f": lambda u: 1.5 * np.exp(1.5 * u) * np.cos(3.0 * u)})
+    v12, _ = integrate(f)["f"]
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", 8)
-    v8, _ = integrate(f)
+    v8, _ = integrate(f)["f"]
     assert v8 == v12
 
 
-def test_interval_validation():
-    with pytest.raises(DomainError):
-        integrate(Integrand(lambda x: x, 1.0, 1.0))
-    # every infinite interval is refused: a tail is folded onto (0, 1) by
-    # its own features
-    for lo, hi in ((1.0, math.inf), (0.0, math.inf), (2.0, math.inf), (-math.inf, 0.0),
-                   (-math.inf, math.inf)):
-        with pytest.raises(DomainError):
-            integrate(Integrand(lambda x: 1.0 / (1.0 + x * x), lo, hi))
-
-
 def test_nonfinite_integrand_rejected():
-    bad = Integrand(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
     with pytest.raises(DomainError):
-        integrate(bad)
+        _value(lambda x: np.where(x > 0.5, np.inf, 1.0))
 
 
 def _rough(x):
@@ -151,26 +143,24 @@ def _rough(x):
 def test_nonfinite_value_first_at_level_two_rejected():
     _, d_near = _nodes(2)
     bad_x = 1.0 - 0.5 * d_near[0]
-    f = Integrand(lambda x: np.where(x == bad_x, np.inf, _rough(x)), 0.0, 1.0)
     with pytest.raises(DomainError):
-        integrate(f)
+        _value(lambda x: np.where(x == bad_x, np.inf, _rough(x)))
 
 
 def test_nonfinite_value_only_at_level_four_rejected(monkeypatch):
     _, d_near = _nodes(4)
     bad_x = 0.0 + 0.5 * d_near[0]
-    f = Integrand(lambda x: np.where(x == bad_x, np.nan, _rough(x)), 0.0, 1.0)
     with pytest.raises(DomainError):
-        integrate(f)
+        _value(lambda x: np.where(x == bad_x, np.nan, _rough(x)))
     # level 4 is reached: without the bad node it is evaluated and still unconverged
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
     with pytest.raises(NonConvergence):
-        integrate(Integrand(_rough, 0.0, 1.0))
+        _value(_rough)
 
 
 def test_budget_exhaustion_raises(monkeypatch):
     # interior kink, far too slow for four levels at 1e-15
-    rough = Integrand(lambda x: np.abs(x - 1.0 / 3.0) ** 0.1, 0.0, 1.0)
+    rough = _table({"rough": lambda x: np.abs(x - 1.0 / 3.0) ** 0.1})
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
     with pytest.raises(NonConvergence, match="by level 4"):
         integrate(rough, QuadConfig(target_rel_tol=1e-15))
@@ -188,55 +178,17 @@ def test_config_validation():
     alpha=st.floats(-3, 3), beta=st.floats(-3, 3),
 )
 def test_linearity(c0, c1, c2, alpha, beta):
-    f = Integrand(lambda x: c0 + c1 * x + c2 * x * x, 0.0, 1.0)
-    g = Integrand(lambda x: np.sin(x) - c1 * x, 0.0, 1.0)
-    combo = Integrand(
-        lambda x: alpha * f.evaluator(x) + beta * g.evaluator(x), 0.0, 1.0,
-    )
-    vf, _ = integrate(f)
-    vg, _ = integrate(g)
-    vc, _ = integrate(combo)
+    def f(x):
+        return c0 + c1 * x + c2 * x * x
+
+    def g(x):
+        return np.sin(x) - c1 * x
+
+    vf, _ = _value(f)
+    vg, _ = _value(g)
+    vc, _ = _value(lambda x: alpha * f(x) + beta * g(x))
     scale = 1.0 + abs(alpha) * abs(vf) + abs(beta) * abs(vg)
     assert abs(vc - (alpha * vf + beta * vg)) <= 1e-10 * scale
-
-
-def _per_level_reference(f, row=0, point=None):
-    """One row of f, level by level: its own evaluator call per side, on the
-    features of that side's nodes where it has them (features_hi of the
-    exact distances on the hi side of a one-form table), one np.dot per side
-    per level.
-
-    For a stack, the row at one point, the forms called with that point's params alone.
-    """
-    half = 0.5 * (f.hi - f.lo)
-    params = list(f.params) if point is None else [float(c[point]) for c in f.params]
-
-    def call(fn, features, arg):
-        out = np.asarray(fn(arg if features is None else features(arg), *params), dtype=float)
-        return out[row] if f.names else out
-
-    def side(d_near, upper):
-        s = half * d_near
-        if upper and f.features_hi is not None:
-            return call(f.evaluator, f.features_hi, s)
-        return call(f.evaluator, f.features, f.hi - s if upper else f.lo + s)
-
-    def level_sum(level):
-        w, d_near = _nodes(level)
-        return float(np.dot(w, side(d_near, True))) + float(np.dot(w, side(d_near, False)))
-
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        centre = call(f.evaluator, f.features, np.array([f.lo + half]))
-        trapezoid = level_sum(0) + 0.5 * math.pi * float(centre[0])
-        value = half * trapezoid
-        for level in range(1, quadrature._MAX_LEVEL + 1):
-            trapezoid = 0.5 * trapezoid + 0.5 ** level * level_sum(level)
-            new_value = half * trapezoid
-            err = abs(new_value - value)
-            value = new_value
-            if level >= 3 and err <= max(QuadConfig().target_rel_tol * abs(value), quadrature._ABS_FLOOR):
-                return value, err
-    raise AssertionError("reference did not converge")
 
 
 @pytest.mark.parametrize("table, a", [
@@ -261,13 +213,10 @@ def _per_level_reference(f, row=0, point=None):
 ])
 def test_sums_equal_the_per_level_reference_exactly(table, a):
     seen = 0
-    for key, f in table(a).items():
+    for f in table(a).values():
         got = integrate(f)
-        for row, name in enumerate(f.names or (key,)):
-            want = _per_level_reference(f, row)
-            have = got[name] if f.names else got
-            assert have[0] == want[0], name
-            assert have[1] == want[1], name
+        for row, name in enumerate(f.names):
+            assert got[name] == per_level_reference(f, 0.0, 1.0, row), name
             seen += 1
     assert seen >= 3
 
@@ -288,14 +237,13 @@ def test_stacked_rows_equal_the_one_point_references_exactly(table, points):
     stack = np.array(points)
     for key, f in table(stack).items():
         got = integrate(f)
-        for row, name in enumerate(f.names or (key,)):
-            values, errs = got[name] if f.names else got
+        for row, name in enumerate(f.names):
+            values, errs = got[name]
             assert values.shape == errs.shape == (len(points),)
             for j, a in enumerate(points):
-                alone = integrate(table(a)[key])
-                alone = alone[name] if f.names else alone
+                alone = integrate(table(a)[key])[name]
                 assert (values[j], errs[j]) == alone, (name, a)
-                assert alone == _per_level_reference(f, row, j), (name, a)
+                assert alone == per_level_reference(f, 0.0, 1.0, row, j), (name, a)
 
 
 def test_stacked_table_evaluates_only_the_points_still_active():
@@ -308,16 +256,16 @@ def test_stacked_table_evaluates_only_the_points_still_active():
         return 1.0 / (1.0 + (x - 0.5) ** 2 / width)
 
     widths = np.array([1.0, 2e-3, 1.0, 1.0, 2e-3])
-    values, errs = integrate(Integrand(bump, 0.0, 1.0, params=(widths,)))
+    values, errs = _value(bump, params=(widths,))
     assert seen[0] == (5, 1) and len(seen) > 1
     assert all(shape == (2, 1) for shape in seen[1:])
     for j, width in enumerate(widths):
-        assert (values[j], errs[j]) == integrate(Integrand(bump, 0.0, 1.0, params=(width,)))
+        assert (values[j], errs[j]) == _value(bump, params=(width,))
 
 
 def test_non_convergence_in_a_stack_names_the_row_and_the_parameter(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", 6)
-    f = Integrand(lambda x, c: (np.sqrt(x) + 0.0 * c, _rough(x) * (1.0 + 0.0 * c)), 0.0, 1.0,
+    f = Integrand(lambda x, c: (np.sqrt(x) + 0.0 * c, _rough(x) * (1.0 + 0.0 * c)),
                   names=("sqrt", "rough"), params=(np.array([0.25, 0.75]),))
     with pytest.raises(NonConvergence, match=r"row 'rough' at parameter 0\.25"):
         integrate(f)
@@ -338,16 +286,11 @@ def _counted(fn, calls):
     return g
 
 
-def _table(rows, **kw):
-    names = tuple(rows)
-    return Integrand(lambda x: tuple(rows[n](x) for n in names), 0.0, 1.0, names=names, **kw)
-
-
 def test_table_rows_equal_their_one_row_integrations():
     rows = {name: fn for name, (_, fn) in _STOPS.items()}
     for name, (level, fn) in _STOPS.items():
         calls = []
-        single = integrate(Integrand(_counted(fn, calls), 0.0, 1.0))
+        single = integrate(_table({name: _counted(fn, calls)}))[name]
         # one call for levels 0-5 and the midpoint, one per later level
         assert len(calls) == 1 + max(0, level - 5), name
         assert calls[0] == 2 * len(_fused_nodes()[0]) + 1
@@ -360,30 +303,34 @@ def test_table_rows_equal_their_one_row_integrations():
     assert len(calls) == 3 * 2
 
 
-def _upper_features(x):
+def _upper_features(u):
+    # rows on x in (0.5, 1), read at x = (1 + u) / 2: x and 1 - x
+    x = 0.5 + 0.5 * u
     return x, 1.0 - x
 
 
 def _counted_on_features(fn, calls):
-    # _counted for a form that takes (x, 1 - x)
+    # _counted for a form that takes (x, 1 - x), its rows halved, as dx = du / 2
     def g(nodes):
         calls.append(len(nodes[0]))
-        return fn(nodes)
+        return tuple(0.5 * row for row in fn(nodes))
     return g
 
 
 def _upper_hi_features(s):
-    return 1.0 - s, s
+    # the same at u = 1 - s, where the distance to x = 1 is s / 2
+    return 1.0 - 0.5 * s, 0.5 * s
 
 
 def test_table_with_offset_forms_calls_each_form_once_per_level():
-    # one form on both halves of (0.5, 1), the hi side's from the exact
-    # distances: a blowup at 1 and a wave that stops inside the block
+    # one form on both halves of (0, 1), the rows of (0.5, 1) read at
+    # x = (1 + u) / 2 and the hi side's from the exact distances: a blowup
+    # at x = 1 and a wave that stops inside the block
     calls = []
     f = Integrand(
         _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), np.cos(20.0 * nodes[0])),
                              calls),
-        0.5, 1.0, singular_hi=True, names=("blowup", "wave"),
+        singular_hi=True, names=("blowup", "wave"),
         features=_upper_features, features_hi=_upper_hi_features,
     )
     got = integrate(f)
@@ -399,14 +346,14 @@ def test_table_with_offset_forms_calls_each_form_once_per_level():
     bump = lambda x: 1.0 / (1.0 + 400.0 * (x - 0.75) ** 2)  # noqa: E731
     f = Integrand(
         _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), bump(nodes[0])), calls),
-        0.5, 1.0, singular_hi=True, names=("blowup", "bump"),
+        singular_hi=True, names=("blowup", "bump"),
         features=_upper_features, features_hi=_upper_hi_features,
     )
     got = integrate(f)
     assert abs(got["bump"][0] - math.atan(5.0) / 10.0) < 1e-13
     assert calls == [2 * n + 1] + [2 * len(_nodes(k)[1]) for k in (6, 7)]
     for row, name in enumerate(f.names):
-        assert got[name] == _per_level_reference(f, row), name
+        assert got[name] == per_level_reference(f, 0.0, 1.0, row), name
 
 
 # one form on both halves of (0, 1): it takes x and (1 - x, its root), the
@@ -426,9 +373,11 @@ def _joined_form(nodes, c):
     return c / root, c * np.cos(20.0 * x), c / (1.0 + 400.0 * (x - 0.75) ** 2)
 
 
+_JOINED_NAMES = ("blowup", "wave", "bump")
+
+
 def _joined_table(c, form=_joined_form):
-    return Integrand(form, 0.0, 1.0, singular_hi=True, names=("blowup", "wave", "bump"),
-                     params=(c,),
+    return Integrand(form, singular_hi=True, names=_JOINED_NAMES, params=(c,),
                      features=_joined_features, features_hi=_joined_hi_features)
 
 
@@ -450,7 +399,7 @@ def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
 
 @pytest.mark.parametrize("level", [None, 6])
 def test_joined_features_are_read_only_and_the_hi_half_first(level):
-    taken = quadrature._arguments(0.0, 1.0, level, _joined_features, _joined_hi_features)
+    taken = quadrature._arguments(level, _joined_features, _joined_hi_features)
     s = 0.5 * quadrature._distances(level)
     plain = np.concatenate([s] + ([np.array([0.5])] if level is None else []))
     x, (d, root) = taken
@@ -464,12 +413,13 @@ def test_joined_features_are_read_only_and_the_hi_half_first(level):
 
 
 def test_an_evaluator_that_is_its_own_from_hi_needs_both_feature_functions():
-    # the one form of a singular hi other than 0 takes features_hi of the
-    # hi side's distances, and features of the other nodes
+    # the one form of a table singular at 1 takes features_hi of the hi
+    # side's distances, and features of the other nodes
     with pytest.raises(ValueError, match="needs features_hi"):
-        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, features=_joined_features)
+        Integrand(_joined_form, singular_hi=True, names=_JOINED_NAMES, features=_joined_features)
     with pytest.raises(ValueError, match="features_hi needs features"):
-        Integrand(_joined_form, 0.0, 1.0, singular_hi=True, features_hi=_joined_hi_features)
+        Integrand(_joined_form, singular_hi=True, names=_JOINED_NAMES,
+                  features_hi=_joined_hi_features)
 
 
 def _bad_at(level, fn, upper=False):
@@ -482,15 +432,15 @@ def _bad_at(level, fn, upper=False):
 def test_nonfinite_value_in_a_stopped_row_is_ignored():
     _, sqrt_bad = _bad_at(4, np.sqrt)
     # alone, the row stops at level 3 and never sees the bad node
-    alone = integrate(Integrand(sqrt_bad, 0.0, 1.0))
+    alone = _value(sqrt_bad)
     got = integrate(_table({"sqrt": sqrt_bad, "cos": _STOPS["cos"][1]}))
-    assert got["sqrt"] == alone == integrate(Integrand(np.sqrt, 0.0, 1.0))
+    assert got["sqrt"] == alone == _value(np.sqrt)
 
 
 def test_nonfinite_value_in_an_active_row_raises():
     _, cos_bad = _bad_at(4, _STOPS["cos"][1])
     with pytest.raises(DomainError):
-        integrate(Integrand(cos_bad, 0.0, 1.0))
+        _value(cos_bad)
     with pytest.raises(DomainError):
         integrate(_table({"sqrt": np.sqrt, "cos": cos_bad}))
 
@@ -501,7 +451,7 @@ def test_nonfinite_value_in_the_block_after_the_table_stopped_is_ignored(level):
     mirror = lambda x: np.sqrt(1.0 - x)  # noqa: E731
     _, sqrt_bad = _bad_at(level, np.sqrt)
     _, mirror_bad = _bad_at(level, mirror, upper=True)
-    assert integrate(Integrand(sqrt_bad, 0.0, 1.0)) == integrate(Integrand(np.sqrt, 0.0, 1.0))
+    assert _value(sqrt_bad) == _value(np.sqrt)
     got = integrate(_table({"sqrt": sqrt_bad, "mirror": mirror_bad}))
     assert got == integrate(_table({"sqrt": np.sqrt, "mirror": mirror}))
 
@@ -519,7 +469,7 @@ def test_nonfinite_value_in_an_active_row_names_its_node(level, upper):
     bad_x, bump_bad = _bad_at(level, _STOPS["bump"][1], upper)
     where = re.escape(f"near x = {bad_x!r}")
     with pytest.raises(DomainError, match=where):
-        integrate(Integrand(bump_bad, 0.0, 1.0))
+        _value(bump_bad)
     with pytest.raises(DomainError, match=where):
         integrate(_table({"sqrt": np.sqrt, "bump": bump_bad}))
 
@@ -533,18 +483,19 @@ def test_one_unconverged_row_raises_non_convergence(monkeypatch):
 
 def test_wrong_row_count_raises_type_error():
     with pytest.raises(TypeError):
-        integrate(Integrand(lambda x: (x, x, x), 0.0, 1.0, names=("a", "b")))
+        integrate(Integrand(lambda x: (x, x, x), names=("a", "b")))
     with pytest.raises(TypeError):
-        integrate(Integrand(lambda x: x, 0.0, 1.0, names=("a", "b")))
+        integrate(Integrand(lambda x: x, names=("a", "b")))
     with pytest.raises(TypeError):
-        integrate(Integrand(lambda x: (x, x), 0.0, 1.0))
+        # a one-row table returns its row in a 1-tuple, not bare
+        integrate(Integrand(lambda x: x, names=("a",)))
     with pytest.raises(TypeError):
-        integrate(Integrand(lambda x: (x, 1.0), 0.0, 1.0, names=("a", "b")))
+        integrate(Integrand(lambda x: (x, 1.0), names=("a", "b")))
 
 
 def test_table_row_names_are_distinct():
     with pytest.raises(ValueError):
-        Integrand(lambda x: (x, x), 0.0, 1.0, names=("a", "a"))
+        Integrand(lambda x: (x, x), names=("a", "a"))
 
 
 # every integral set that integral_set and verify_identities hand to one
@@ -571,9 +522,8 @@ def _set_rows(tables):
     """Each row of a set's tables integrated alone, by its name, and the
     largest error estimate among them."""
     rows = {}
-    for key, f in tables.items():
-        got = integrate(f)
-        rows.update(got if f.names else {key: got})
+    for f in tables.values():
+        rows.update(integrate(f))
     return rows, np.maximum.reduce([err for _, err in rows.values()])
 
 
@@ -585,7 +535,7 @@ def test_one_call_on_a_set_equals_each_table_alone(tables, points):
         fs = tables(a)
         values, err = families._integrate_all(fs, QuadConfig())
         rows, err_max = _set_rows(fs)
-        assert sum(len(f.names) or 1 for f in fs.values()) == len(rows)
+        assert sum(len(f.names) for f in fs.values()) == len(rows)
         assert values == {name: v for name, (v, _) in rows.items()}, a
         assert err == err_max, a
 
@@ -613,9 +563,8 @@ def _on_a_stack(f):
 
 def _point_bits(result):
     """Each row's (value, err) by its bytes, a float or a one-point stack's array alike."""
-    rows = result.items() if isinstance(result, dict) else [(None, result)]
     return {name: tuple(np.asarray(x, dtype=float).reshape(-1).tobytes() for x in pair)
-            for name, pair in rows}
+            for name, pair in result.items()}
 
 
 def _surface_tables(fam, a):
@@ -683,7 +632,7 @@ def test_the_float_stopping_test_equals_the_array_test():
 def _with_param(rows):
     """_table of rows, each times a parameter that is 1: float, or a one-point stack."""
     names = tuple(rows)
-    return [Integrand(lambda x, c: tuple(rows[n](x) * c for n in names), 0.0, 1.0,
+    return [Integrand(lambda x, c: tuple(rows[n](x) * c for n in names),
                       names=names, params=(c,)) for c in (1.0, np.array([1.0]))]
 
 
