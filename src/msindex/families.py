@@ -17,28 +17,28 @@ template that each call binds to its parameter columns
 holds named rows on (0, 1), as the quadrature takes them, and each
 family's eight integrals are one table and one integrate call:
 rPD's holds its rows on (0, 1) and those on (1, inf), folded onto
-(0, 1) by t = 1/x in its feature functions, and H's its rows near
+(0, 1) by t = 1/x in its feature function, and H's its rows near
 t = 0 and those of the cap on x in (0.5, 1), read at x = (1 + t) / 2
 and halved exactly, as the identities' ``upper_cap`` is.  Every table
-is one form on both halves of (0, 1); one with a singular end at 1
-(rPD's, H's, and the identities' ``bare`` and ``upper_cap``) takes
-there the features of the exact distance to it (``features_hi``), so
-one call per level covers both halves.  The identities take a
-family's table and integrate their own beside it, one call per table.
-What a form needs of the nodes alone (powers of t, 1 -+ t^2, the
-radicand factors without a, the distance to t = 1) comes from a
-feature function at module level, which the quadrature computes once
-per node set and keeps, so a form call does only the arithmetic that
-depends on a, in the order the form written inline would.  A table
-takes one float or an (N,) array, a stack of N surfaces; the
-constants that depend on a alone are formed point by point in Python
-floats, so every point of a stack is bit for bit the surface alone,
-and so are its integral set, held in Python floats like every
-IntegralSet, and its period frame.  deformation_data is
-one numpy path for one surface and for a stack: every P_ai entry is a
-sum of at most three terms over the powers x^-8 .. x^8 of one number
-x per surface, added elementwise, so each stack row is bit for bit
-its point alone.
+is one form on both halves of (0, 1), one call per level.  The
+identities take a family's table and integrate their own beside it,
+one call per table.  What a form needs of the nodes alone (powers of
+t, 1 -+ t^2, the radicand factors without a, the distance to t = 1)
+comes from a feature function at module level, of each node and its
+distance d to 1, which the quadrature gives exactly on the upper half;
+a table with a singular end at 1 (rPD's, H's, and the identities'
+``bare`` and ``upper_cap``) forms its factors there from d.  The
+quadrature computes the features once per node set and keeps them, so
+a form call does only the arithmetic that depends on a, in the order
+the form written inline would.  A table takes one float or an (N,)
+array, a stack of N surfaces; the constants that depend on a alone are
+formed point by point in Python floats, so every point of a stack is
+bit for bit the surface alone, and so are its integral set, held in
+Python floats like every IntegralSet, and its period frame.
+deformation_data is one numpy path for one surface and for a stack:
+every P_ai entry is a sum of at most three terms over the powers
+x^-8 .. x^8 of one number x per surface, added elementwise, so each
+stack row is bit for bit its point alone.
 """
 
 from __future__ import annotations
@@ -183,15 +183,10 @@ def _cap_near_one(s):
     return 1.0 - s, s * (18.0 - s * (24.0 - 8.0 * s)), span, np.sqrt(span)
 
 
-def _h_features(t):
-    # near t = 0 at t, the cap at x = (1 + t) / 2, where 1 - x is exact
-    # (Sterbenz, as x is in [0.5, 1])
-    return _near0_features(t), _cap_near_one(1.0 - (0.5 + 0.5 * t))
-
-
-def _h_near_one(s):
-    # the same at t = 1 - s, where the cap's distance to x = 1 is s / 2
-    return _near0_features(1.0 - s), _cap_near_one(0.5 * s)
+def _h_features(t, d):
+    # near t = 0 at t, the cap at x = (1 + t) / 2, whose distance to x = 1
+    # is d / 2
+    return _near0_features(t), _cap_near_one(0.5 * d)
 
 
 def _h(nodes, a, a3, ia3, c):
@@ -209,9 +204,8 @@ def _h(nodes, a, a3, ia3, c):
 
 
 # the rows singular at t = 0, then the cap's, singular at t = 1 (x = 1)
-_H = Integrand(_h, singular_hi=True,
-               names=("A", "B1", "D", "E", "F1", "I", "B2", "C", "F2", "H"),
-               features=_h_features, features_hi=_h_near_one)
+_H = Integrand(_h, names=("A", "B1", "D", "E", "F1", "I", "B2", "C", "F2", "H"),
+               features=_h_features)
 
 
 def _integrands_H(a: Values) -> dict[str, Integrand]:
@@ -261,16 +255,9 @@ class _RPDCurve:
         return self.q - 2.0 * t3
 
 
-def _rpd_unit_features(t):
-    t3 = t ** 3
-    return t, t3, t * (1.0 - t3), 1.0 - t
-
-
-def _rpd_unit_near_one(s):
-    # 1 - t^3 = s (3 - 3s + s^2) at t = 1 - s, and the distance s itself
-    t = 1.0 - s
-    t3 = t ** 3
-    return t, t3, t * s * (3.0 - s * (3.0 - s)), s
+def _rpd_unit_features(t, d):
+    # 1 - t^3 = d (3 - 3d + d^2) at t = 1 - d, and the distance d itself
+    return t, t ** 3, t * d * (3.0 - d * (3.0 - d)), d
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -281,29 +268,17 @@ def _rpd_rows(c, numerators, base, t3, alt):
     return tuple(n / (alt_root if swap else root) for n, swap in zip(numerators, alt))
 
 
-def _rpd_tail_features(t):
+def _rpd_tail_features(e):
+    # t^3 - 1 = e (e^2 + 3e + 3) at t = 1 + e, and the distance e itself
+    t = 1.0 + e
     t3 = t ** 3
-    return t, t3, t * (t3 - 1.0), t - 1.0
+    return t, t3, t * e * (e * (e + 3.0) + 3.0), e
 
 
-def _rpd_tail_near_one(s):
-    # t^3 - 1 = s (s^2 + 3s + 3) at t = 1 + s, and the distance s itself
-    t = 1.0 + s
-    t3 = t ** 3
-    return t, t3, t * s * (s * (s + 3.0) + 3.0), s
-
-
-def _rpd_features(x):
-    # the unit features at x, then the tail's at t = 1/x beside x^2, by
-    # which the form divides its tail rows: dt = -dx / x^2
-    return _rpd_unit_features(x) + ((_rpd_tail_features(1.0 / x), x * x),)
-
-
-def _rpd_hi_features(s):
-    # at t = 1 - s, then the tail's at t = 1 / (1 - s) = 1 + s / (1 - s)
-    # beside (1 - s)^2
-    r = 1.0 - s
-    return _rpd_unit_near_one(s) + ((_rpd_tail_near_one(s / r), r * r),)
+def _rpd_features(x, d):
+    # the unit features at x, then the tail's at t = 1/x = 1 + d/x beside
+    # x^2, by which the form divides its tail rows: dt = -dx / x^2
+    return _rpd_unit_features(x, d) + ((_rpd_tail_features(d / x), x * x),)
 
 
 def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
@@ -311,9 +286,8 @@ def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
     unit_nums on (0, 1), on the swapped curve where alt marks them, then
     those of tail_nums on (1, inf), folded onto (0, 1) in its features.
     Each nums(c, t, t3, d) gives the numerators on the curve c at t, with
-    t3 = t**3 and d = |1 - t|, exact near t = 1, where the evaluator
-    takes the features of the exact distance: one call per level covers
-    both halves.
+    t3 = t**3 and d = |1 - t|, exact near t = 1 as the quadrature's
+    distance to 1 is there.
     """
     tail_alt = (False,) * (len(names) - len(alt))
 
@@ -324,8 +298,7 @@ def _rpd_table(names, alt, unit_nums, tail_nums) -> Integrand:
         return (_rpd_rows(c, unit_nums(c, t, t3, d), base, t3, alt)
                 + tuple(n / square for n in tail))
 
-    return Integrand(f, singular_hi=True, names=names,
-                     features=_rpd_features, features_hi=_rpd_hi_features)
+    return Integrand(f, names=names, features=_rpd_features)
 
 
 def _unit_nums(c, t, t3, d):
@@ -368,7 +341,7 @@ def _quartic(t8, t4, a):
     return np.sqrt(quartic), quartic ** 1.5
 
 
-def _tp_features(t):
+def _tp_features(t, d):
     tt = t * t
     t4 = t ** 4
     plus, minus = 1.0 + tt, 1.0 - tt
@@ -408,7 +381,7 @@ def _integrals_tP(a: Values, config: QuadConfig) -> tuple[dict[str, Values], Val
     }, err
 
 
-def _tclp_features(t):
+def _tclp_features(t, d):
     tt = t * t
     t4 = t ** 4
     plus = 1.0 + tt
@@ -786,8 +759,8 @@ def _bare(nodes, a, a3, d0):
             / np.sqrt(base * (d0 + a3 * (d * (1.0 + t * (1.0 + t))))),)
 
 
-def _mid_features(v):
-    return v, 1.0 - v
+def _mid_features(v, d):
+    return v, d
 
 
 def _mid(nodes, a, d2, w):
@@ -801,13 +774,12 @@ def _mid(nodes, a, d2, w):
     return (down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest),)
 
 
-_BARE = Integrand(_bare, singular_hi=True, names=("bare",), features=_rpd_unit_features,
-                  features_hi=_rpd_unit_near_one)
+_BARE = Integrand(_bare, names=("bare",), features=_rpd_unit_features)
 _MID = Integrand(_mid, names=("mid",), features=_mid_features)
 # 1 / sqrt(c + rise) on the cap, x in (0.5, 1), on H's features: read at
 # x = (1 + t) / 2 and halved exactly, as dx = dt / 2, as _h reads its cap rows
-_UPPER_CAP = Integrand(lambda nodes, a, c: (0.5 / np.sqrt(c + nodes[1][1]),), singular_hi=True,
-                       names=("upper_cap",), features=_h_features, features_hi=_h_near_one)
+_UPPER_CAP = Integrand(lambda nodes, a, c: (0.5 / np.sqrt(c + nodes[1][1]),),
+                       names=("upper_cap",), features=_h_features)
 
 
 def _identity_integrands_H(a: Values) -> dict[str, Integrand]:

@@ -16,19 +16,21 @@ distance to that endpoint is known.  The node distance
 is computed directly, never as a subtraction, and each half of (0, 1)
 is measured from its own endpoint: the nodes are x = s and x = 1 - s,
 s = d_near / 2 being the distance.  At 0 the nodes are that distance
-exactly, at 1 they are not, so a table singular at 1 needs
-``features_hi``: the evaluator takes its value at the exact distances s
-on the upper half, as it takes ``features`` at the nodes elsewhere, and
-sees the distance to full relative precision.
+exactly, at 1 they are not, so a table's feature function takes each
+node x together with its distance d to 1: d = s on the upper half,
+exact, 1 - x on the lower half and 0.5 at the midpoint.  A table
+singular at 1 forms what it needs there from d, and sees the distance
+to full relative precision.
 
 An ``Integrand`` is a table of k named integrands that share the
 evaluator.  The evaluator is called on a 1-D array of n nodes and
 returns k rows, shape (k, n), or ``integrate`` raises TypeError; it
 computes the subexpressions the rows share once per call.  The
 subexpressions in the nodes alone are computed once per node set: an
-evaluator with feature functions (``features``, ``features_hi``) is
-called on their value at the nodes instead of the nodes, and the value
-is formed on first use and kept read-only beside the nodes, per level.
+evaluator with a feature function (``features``) is called on its value
+at the nodes and their distances to 1 instead of the nodes, and the
+value is formed on first use and kept read-only beside the nodes, per
+level.
 ``integrate`` returns {name: (value, err)}.
 
 A table can also depend on a parameter: an ``Integrand`` with
@@ -52,12 +54,11 @@ the caches they key do not grow.
 The stopping test first runs at level 3, and most integrals in this
 package stop at level 4 or 5, so the nodes of levels 0-5 form one
 cached block.  A table is evaluated on both halves of levels 0-5 and
-the midpoint in a single call, and once more for each later level; one
-with ``features_hi`` takes the features of the hi side's distances
-joined with those of its other nodes.  Each row keeps its own trapezoid
-sum and its own stopping level.  The values of every row on the block
-sit in one (rows, 2, nodes) array, the evaluator's own output, and its
-two sides are summed per level in one ``np.vecdot`` call, which runs
+the midpoint in a single call, and once more for each later level.
+Each row keeps its own trapezoid sum and its own stopping level.  The
+values of every row on the block sit in one (rows, 2, nodes) array,
+the evaluator's own output, and its two sides are summed per level in
+one ``np.vecdot`` call, which runs
 each row's side through the same BLAS dot as ``np.dot``; the sums of
 levels 0-5 go into one array, and four whole-array steps give each
 row's value at every level there.  For one surface, whose table takes
@@ -157,9 +158,6 @@ class Integrand:
     evaluator   plain f(x); called on a 1-D array of nodes, returns one
                 row per name, shape (len(names), nodes), e.g. a tuple of
                 row arrays
-    singular_hi whether a row blows up at 1 (at worst like an inverse
-                square root); a blowup at 0 needs no flag, as the nodes
-                there are the exact distances to it
     names       the row names, at least one
     params      the parameter of a table and the constants derived from
                 it, handed to the evaluator after the nodes: floats, or
@@ -167,44 +165,35 @@ class Integrand:
                 the evaluator sees as (M, 1) columns over the M points
                 evaluated (as floats when M = 1) and which give each
                 row a leading axis of M
-    features    a function of the nodes alone that the evaluator takes
-                in their place: called once per node set and cached, so
-                the work that does not depend on the params is done once
-                and not at every call; its value, read-only, is the
-                evaluator's first argument
-    features_hi the same on the upper half, as a function of the exact
-                distances s = 1 - x, so that the evaluator is one form
-                on both halves; its value must have the structure of
-                features' (an array, or nested tuples of arrays), and it
-                needs features
+    features    a function features(x, d) of the nodes x and their
+                distances d to 1, exact on the upper half, that the
+                evaluator takes in place of the nodes: called once per
+                node set and cached, so the work that does not depend on
+                the params is done once and not at every call; its
+                value, read-only, is the evaluator's first argument
 
     bind(params) gives the integrand at other params.  A family's table
     is built once, with no params, as a template; each call binds it.
 
-    A table singular at 1 requires features_hi: the plain nodes 1 - s
-    cannot resolve the distance to 1, and construction raises ValueError
-    without one, as it does for a table without names.  The rows share
-    the evaluator, so their common subexpressions can be computed once
-    per call, and those in the nodes alone once per node set.  A
-    feature function keys that cache, so it must be defined once, at
-    module level, not rebuilt with each table.
+    A row that blows up at 1 (at worst like an inverse square root)
+    must read the distance to 1 from d: the nodes 1 - s cannot resolve
+    it.  A blowup at 0 needs nothing, as the nodes there are the exact
+    distances to it.  Construction raises ValueError for a table without
+    names or with a repeated one.  The rows share the evaluator, so
+    their common subexpressions can be computed once per call, and
+    those in the nodes alone once per node set.  A feature function
+    keys that cache, so it must be defined once, at module level, not
+    rebuilt with each table.
     """
 
     evaluator: Callable
-    singular_hi: bool = False
     names: tuple[str, ...] = ()
     params: tuple = ()
     features: Optional[Callable] = None
-    features_hi: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not self.names:
             raise ValueError("an integrand table needs at least one row name")
-        if self.singular_hi and self.features_hi is None:
-            raise ValueError("a table singular at 1 needs features_hi")
-        if self.features_hi is not None and self.features is None:
-            raise ValueError("features_hi needs features, the evaluator's argument on the "
-                             "other nodes")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"row names must be distinct, got {self.names!r}")
 
@@ -269,32 +258,22 @@ def _read_only(x):
 
 
 @functools.lru_cache(maxsize=64)
-def _arguments(level: Optional[int], features: Optional[Callable],
-               features_hi: Optional[Callable]) -> tuple:
+def _arguments(level: Optional[int], features: Optional[Callable]):
     """What an evaluator is called on at one level, or at the fused
     block and the midpoint for level None.
 
-    That is the nodes 1 - s, s and then the midpoint 0.5, s = d_near / 2
-    being each node's distance to its side's endpoint, or features of
-    those nodes.  With features_hi, it is features_hi(s) for the hi side
-    followed by features of the other nodes, joined componentwise
-    through nested tuples.  Cached per level and feature functions,
-    read-only, so each set of feature functions forms them once.
+    That is the nodes x = 1 - s, s and then the midpoint 0.5, s = d_near / 2
+    being each node's distance to its side's endpoint, or features(x, d)
+    of those nodes and their distances d = s, 1 - s, 0.5 to 1, exact on
+    the upper half.  Cached per level and feature function, read-only,
+    so each feature function forms them once.
     """
     s = 0.5 * _distances(level)
     mid = [np.array([0.5])] if level is None else []
-    if features_hi is None:
-        x = np.concatenate([1.0 - s, s] + mid)
-        return _read_only(x if features is None else features(x))
-    return _read_only(_joined(features_hi(s), features(np.concatenate([s] + mid))))
-
-
-def _joined(first, then):
-    """Two features of one structure, arrays or nested tuples of them,
-    as one: each array of first followed by its match in then."""
-    if isinstance(first, tuple):
-        return tuple(map(_joined, first, then))
-    return np.concatenate([first, then])
+    x = np.concatenate([1.0 - s, s] + mid)
+    if features is not None:
+        x = features(x, np.concatenate([s, 1.0 - s] + mid))
+    return _read_only(x)
 
 
 def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
@@ -310,7 +289,7 @@ def _sides(f: Integrand, level: Optional[int], cols: list) -> tuple:
     """
     n = len(_distances(level))
     m = 2 * n + (level is None)
-    got = _as_rows(f.evaluator(_arguments(level, f.features, f.features_hi), *cols))
+    got = _as_rows(f.evaluator(_arguments(level, f.features), *cols))
     want = _lead(f, cols) + (m,)
     if got.shape != want:
         raise TypeError(f"integrand must map an array of shape {(m,)} to one of shape {want}, "

@@ -13,9 +13,10 @@ from msindex.quadrature import QuadConfig
 
 def per_level_reference(f, lo, hi, row=0, point=None):
     """One row of the table f on (lo, hi), level by level: its own
-    evaluator call per side, on the features of that side's nodes where
-    it has them (features_hi of the exact distances s on the hi side,
-    the nodes hi - s and lo + s elsewhere), one np.dot per side per level.
+    evaluator call per side, on the features of that side's nodes and
+    their distances to hi where it has them (the nodes hi - s with the
+    exact distances s on the hi side, lo + s with (hi - lo) - s on the
+    lo side), one np.dot per side per level.
 
     For a stack, the row at one point, the form called with that point's
     params alone.  Returns (value, err) as floats.
@@ -23,22 +24,20 @@ def per_level_reference(f, lo, hi, row=0, point=None):
     half = 0.5 * (hi - lo)
     params = list(f.params) if point is None else [float(c[point]) for c in f.params]
 
-    def call(features, arg):
-        out = f.evaluator(arg if features is None else features(arg), *params)
+    def call(x, d):
+        out = f.evaluator(x if f.features is None else f.features(x, d), *params)
         return np.asarray(out, dtype=float)[row]
 
     def side(d_near, upper):
         s = half * d_near
-        if upper and f.features_hi is not None:
-            return call(f.features_hi, s)
-        return call(f.features, hi - s if upper else lo + s)
+        return call(hi - s, s) if upper else call(lo + s, (hi - lo) - s)
 
     def level_sum(level):
         w, d_near = quadrature._nodes(level)
         return float(np.dot(w, side(d_near, True))) + float(np.dot(w, side(d_near, False)))
 
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        centre = call(f.features, np.array([lo + half]))
+        centre = call(np.array([lo + half]), np.array([half]))
         trapezoid = level_sum(0) + 0.5 * math.pi * float(centre[0])
         value = half * trapezoid
         for level in range(1, quadrature._MAX_LEVEL + 1):

@@ -381,6 +381,40 @@ def test_h_cap_rows_match_high_precision(a):
             assert abs(got[name][0] - want) <= 1e-15 * abs(want), name
 
 
+@pytest.mark.parametrize("a", [1e-4, 0.999999, 1.0])
+def test_rpd_rows_singular_at_one_match_high_precision(a):
+    # the rows of rPD's table that read the distance to t = 1, A and D on
+    # (0, 1) and TA and TC on (1, inf), against 40-digit mpmath.quad:
+    # (1 + a^2 t^2) and t over sqrt(t |1 - t^3| (a^3 t^3 + a^-3)), each
+    # written in the distance d to t = 1 there, 1 - t^3 = d (3 - 3d + d^2)
+    # and t^3 - 1 = d (3 + 3d + d^2)
+    mpmath = pytest.importorskip("mpmath")
+    from msindex.quadrature import integrate
+
+    got = integrate(families._integrands_rPD(a)["periods"])
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        a3 = am ** 3
+
+        def row(num, t, d, cubic):
+            return num(t) / mpmath.sqrt(t * d * cubic * (a3 * t ** 3 + 1 / a3))
+
+        def unit(num):
+            def f(t, d):
+                return row(num, t, d, 3 - d * (3 - d))
+            return (mpmath.quad(lambda t: f(t, 1 - t), [0, 0.5])
+                    + mpmath.quad(lambda d: f(1 - d, d), [0, 0.5]))
+
+        def tail(num):
+            cuts = sorted({0, 1, 1 / am ** 2}) + [mpmath.inf]
+            return mpmath.quad(lambda d: row(num, 1 + d, d, 3 + d * (3 + d)), cuts)
+
+        wants = {"A": unit(lambda t: 1 + (am * t) ** 2), "D": unit(lambda t: t),
+                 "TA": tail(lambda t: 1 + (am * t) ** 2), "TC": tail(lambda t: t)}
+    for name, want in wants.items():
+        assert abs(got[name][0] - want) <= 1e-15 * abs(want), name
+
+
 @pytest.mark.parametrize("a", [0.9999, 0.999999])
 def test_h_upper_cap_matches_high_precision_near_one(a):
     # the upper_cap table of H's second identity, 1 / sqrt(c + rise) on

@@ -1,12 +1,11 @@
 """The families' forms on cached node features against the same forms
 written inline, and the node cache those features live in.
 
-The reference forms below compute every subexpression in the nodes at
-each call, in the operation order the feature forms keep, so the two
-must agree bit for bit on every node set: the fused block with its
-midpoint and the refine levels past it, at one point and on a stack.
-A table whose one form takes the hi side's distances has two inline
-forms, one in the nodes and one in those distances.
+The reference forms below compute every subexpression in the nodes and
+their distances to 1 at each call, in the operation order the feature
+forms keep, so the two must agree bit for bit on every node set: the
+fused block with its midpoint and the refine levels past it, at one
+point and on a stack.
 """
 
 import dataclasses
@@ -45,23 +44,15 @@ def _cap_rise(s):
     return s * (18.0 - s * (24.0 - 8.0 * s))
 
 
-def _cap_hi(s, a, c, scale=1.0):
-    # scale multiplies 1 - x^2
+def _cap(s, a, c, scale=1.0):
+    # the cap rows at x = 1 - s; scale multiplies 1 - x^2
     return _cap_rows(1.0 - s, c + _cap_rise(s), scale * (s * (2.0 - s)))
 
 
-def _cap(x, a, c, scale=1.0):
-    # 1 - x is exact on [0.5, 1]
-    return _cap_hi(1.0 - x, a, c, scale)
-
-
-def _h(t, a, a3, ia3, c):
-    # the cap rows at x = (1 + t) / 2, each halved through 4 (1 - x^2)
-    return _near0(t, a, a3, ia3) + _cap(0.5 + 0.5 * t, a, c, 4.0)
-
-
-def _h_hi(s, a, a3, ia3, c):
-    return _near0(1.0 - s, a, a3, ia3) + _cap_hi(0.5 * s, a, c, 4.0)
+def _h(t, d, a, a3, ia3, c):
+    # the cap rows at x = (1 + t) / 2, 1 - x = d / 2, each halved through
+    # 4 (1 - x^2)
+    return _near0(t, a, a3, ia3) + _cap(0.5 * d, a, c, 4.0)
 
 
 def _quartic(t4, a):
@@ -69,7 +60,7 @@ def _quartic(t4, a):
     return np.sqrt(quartic), quartic ** 1.5
 
 
-def _tp(t, a):
+def _tp(t, d, a):
     tt = t * t
     t4 = t ** 4
     root, cube = _quartic(t4, a)
@@ -81,7 +72,7 @@ def _tp(t, a):
             1.0 / ridge ** 1.5, (1.0 + tt) ** 2 / flat ** 1.5)
 
 
-def _tclp(t, a, b):
+def _tclp(t, d, a, b):
     tt = t * t
     t4 = t ** 4
     t5 = t ** 5
@@ -92,42 +83,29 @@ def _tclp(t, a, b):
             even / cube_m, even / cube_p, t5 / cube_p, t5 / cube_m)
 
 
-def _bare(t, a, a3, d0):
-    return (((1.0 - a) + a * (1.0 - t)) * (1.0 + a * t)
-            / np.sqrt(t * (1.0 - t ** 3) * (d0 + a3 * ((1.0 - t) * (1.0 + t * (1.0 + t))))),)
+def _bare(t, d, a, a3, d0):
+    # 1 - t^3 = d (3 - 3d + d^2)
+    return (((1.0 - a) + a * d) * (1.0 + a * t)
+            / np.sqrt(t * d * (3.0 - d * (3.0 - d)) * (d0 + a3 * (d * (1.0 + t * (1.0 + t))))),)
 
 
-def _bare_hi(s, a, a3, d0):
-    t = 1.0 - s
-    return (((1.0 - a) + a * s) * (1.0 + a * t)
-            / np.sqrt(t * s * (3.0 - s * (3.0 - s)) * (d0 + a3 * (s * (1.0 + t * (1.0 + t))))),)
-
-
-def _mid(v, a, d2, w):
+def _mid(v, d, a, d2, w):
     s = w * v
     t = a + s
-    down = w * (1.0 - v)
+    down = w * d
     rest = d2 + down * (1.0 + t * (1.0 + t))
     return (down * (1.0 + t) / np.sqrt(t * s * (t * t + a * t + a * a) * rest),)
 
 
-def _upper_cap_x_hi(s, a, c):
+def _upper_cap_x(s, a, c):
     # 1 / sqrt(c + rise) on x in (0.5, 1), at x = 1 - s
     return (1.0 / np.sqrt(c + _cap_rise(s)),)
 
 
-def _upper_cap_x(x, a, c):
-    return _upper_cap_x_hi(1.0 - x, a, c)
-
-
-def _upper_cap_hi(s, a, c):
-    # at t = 1 - s, where the distance to x = 1 is s / 2; halved, as dx = dt / 2
-    return (0.5 / np.sqrt(c + _cap_rise(0.5 * s)),)
-
-
-def _upper_cap(t, a, c):
-    # at x = (1 + t) / 2, as _h reads the cap rows
-    return (0.5 / np.sqrt(c + _cap_rise(1.0 - (0.5 + 0.5 * t))),)
+def _upper_cap(t, d, a, c):
+    # at x = (1 + t) / 2, 1 - x = d / 2, as _h reads the cap rows; halved,
+    # as dx = dt / 2
+    return (0.5 / np.sqrt(c + _cap_rise(0.5 * d)),)
 
 
 def _rpd_rows(c, numerators, base, t3, alt):
@@ -138,33 +116,20 @@ def _rpd_rows(c, numerators, base, t3, alt):
 
 
 def _rpd_table(alt, unit_nums, tail_nums):
-    """An rPD table's two halves inline: the unit rows at t, then the tail
-    rows folded by t = 1/u, over u^2; near t = 1 the unit rows at
-    t = 1 - s and the tail rows at t = 1 + s / (1 - s), over (1 - s)^2."""
-    def f(x, *cols):
+    """An rPD table inline: the unit rows at t = x, d = 1 - t, then the
+    tail rows folded by t = 1/x = 1 + e, e = d / x, over x^2."""
+    def f(x, d, *cols):
         c = families._RPDCurve(*cols)
         t3 = x ** 3
-        u = 1.0 / x
+        e = d / x
+        u = 1.0 + e
         u3 = u ** 3
-        nums = tail_nums(c, u, u3, u - 1.0)
-        tail_rows = _rpd_rows(c, nums, u * (u3 - 1.0), u3, (False,) * len(nums))
-        return np.concatenate([_rpd_rows(c, unit_nums(c, x, t3, 1.0 - x), x * (1.0 - t3), t3, alt),
-                               tail_rows / (x * x)])
+        nums = tail_nums(c, u, u3, e)
+        tail_rows = _rpd_rows(c, nums, u * e * (e * (e + 3.0) + 3.0), u3, (False,) * len(nums))
+        unit_rows = _rpd_rows(c, unit_nums(c, x, t3, d), x * d * (3.0 - d * (3.0 - d)), t3, alt)
+        return np.concatenate([unit_rows, tail_rows / (x * x)])
 
-    def f_hi(s, *cols):
-        c = families._RPDCurve(*cols)
-        t = 1.0 - s
-        t3 = t ** 3
-        sigma = s / t
-        u = 1.0 + sigma
-        u3 = u ** 3
-        nums = tail_nums(c, u, u3, sigma)
-        tail_rows = _rpd_rows(c, nums, u * sigma * (sigma * (sigma + 3.0) + 3.0), u3,
-                              (False,) * len(nums))
-        unit_rows = _rpd_rows(c, unit_nums(c, t, t3, s), t * s * (3.0 - s * (3.0 - s)), t3, alt)
-        return np.concatenate([unit_rows, tail_rows / (t * t)])
-
-    return f, f_hi
+    return f
 
 
 def _unit_nums(c, t, t3, d):
@@ -187,15 +152,14 @@ def _tail_minus(c, t, t3, d):
 
 # the inline forms of each table, by family and table key
 _INLINE = {
-    "H": {"periods": (_h, _h_hi), "bare": (_bare, _bare_hi), "mid": (_mid,),
-          "upper_cap": (_upper_cap, _upper_cap_hi)},
+    "H": {"periods": _h, "bare": _bare, "mid": _mid, "upper_cap": _upper_cap},
     "rPD": {
         "periods": _rpd_table((False, False, False, False, True, False), _unit_nums,
                               lambda c, t, t3, d: (1.0 + (c.a * t) ** 2, t)),
         "identities": _rpd_table((False, False, False, True, True), _identity_nums, _tail_minus),
     },
-    "tP": {"periods": (_tp,)},
-    "tCLP": {"periods": (_tclp,)},
+    "tP": {"periods": _tp},
+    "tCLP": {"periods": _tclp},
 }
 
 
@@ -218,32 +182,19 @@ def _tables(fam, a):
             **_identity_tables(fam, a)}
 
 
-def _nodes_marked(x):
-    return x, np.zeros(x.shape, dtype=bool)
+def _node_and_distance(x, d):
+    return x, d
 
 
-def _distances_marked(s):
-    return s, np.ones(s.shape, dtype=bool)
+def _distance(x, d):
+    return d
 
 
-def _one_form(at_x, at_s):
-    """The inline form at_x at the nodes joined with at_s at the hi
-    side's distances, each element taken from the form its mark names."""
-    def form(nodes, *cols):
-        arg, hi = nodes
-        return np.where(hi, quadrature._as_rows(at_s(arg, *cols)),
-                        quadrature._as_rows(at_x(arg, *cols)))
-    return form
-
-
-def _inline(f, forms):
-    """f with its inline forms in place of its feature forms: the form in
-    the nodes alone, or for a table with features_hi both forms, called
-    as one on the nodes and the distances, each marked."""
-    if f.features_hi is None:
-        return dataclasses.replace(f, evaluator=forms[0], features=None)
-    return dataclasses.replace(f, evaluator=_one_form(*forms), features=_nodes_marked,
-                               features_hi=_distances_marked)
+def _inline(f, form):
+    """f with its inline form, form(x, d, *params), in place of its
+    feature form."""
+    return dataclasses.replace(f, evaluator=lambda nodes, *cols: form(*nodes, *cols),
+                               features=_node_and_distance)
 
 
 def _bits(result):
@@ -290,14 +241,12 @@ def test_feature_forms_equal_the_inline_forms_bit_for_bit(fam, a):
 
 def _h_references(a):
     """H's rows as two tables, their forms inline: those near t = 0 on
-    (0, 1), and the cap's on x in (0.5, 1), one form in the nodes and one
-    in the distances to 1."""
+    (0, 1), and the cap's on x in (0.5, 1), in the distances to 1."""
     a, a3, ia3, c = families._integrands_H(a)["periods"].params
     near0 = quadrature.Integrand(_near0, names=("A", "B1", "D", "E", "F1", "I"),
                                  params=(a, a3, ia3))
-    cap = quadrature.Integrand(_one_form(_cap, _cap_hi), singular_hi=True,
-                               names=("B2", "C", "F2", "H"), params=(a, c),
-                               features=_nodes_marked, features_hi=_distances_marked)
+    cap = quadrature.Integrand(_cap, names=("B2", "C", "F2", "H"), params=(a, c),
+                               features=_distance)
     return near0, cap
 
 
@@ -333,12 +282,11 @@ _UPPER_CAP_POINTS = [1e-6, 1e-3, 0.05, 0.3, 0.9999, 0.999999]
 def test_upper_cap_equals_its_form_on_the_cap_bit_for_bit(a):
     # the upper_cap table of H's second identity, read on (0, 1) at
     # x = (1 + t) / 2 on H's features and halved, against 1 / sqrt(c + rise)
-    # on x in (0.5, 1), one form in the nodes and one in the distances to 1
+    # on x in (0.5, 1), in the distances to 1
     a = np.array(a) if isinstance(a, list) else a
     f = families._identity_integrands_H(a)["upper_cap"]
-    on_x = quadrature.Integrand(_one_form(_upper_cap_x, _upper_cap_x_hi),
-                                singular_hi=True, names=("upper_cap",), params=f.params,
-                                features=_nodes_marked, features_hi=_distances_marked)
+    on_x = quadrature.Integrand(_upper_cap_x, names=("upper_cap",), params=f.params,
+                                features=_distance)
     assert _bits(quadrature.integrate(f)) == _bits(_on_the_cap(on_x, a))
 
 
@@ -355,7 +303,7 @@ def test_node_features_are_read_only(fam, a):
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for f in _tables(fam, a).values():
             for level in (None, 6):
-                taken = quadrature._arguments(level, f.features, f.features_hi)
+                taken = quadrature._arguments(level, f.features)
                 arrays = list(_arrays(taken))
                 assert arrays
                 for arr in arrays:
@@ -373,16 +321,16 @@ def test_the_fold_keys_the_cache_by_the_tail_features():
     assert g.params[0] == 0.7
     assert f.evaluator is g.evaluator and f.features is g.features
     periods = families._PERIODS
-    assert f.features is periods.features and f.features_hi is periods.features_hi
-    # whose last component folds the tail: its features at t = 1/x beside
-    # x^2 at the nodes x, and at t = 1 + s / (1 - s) beside (1 - s)^2 at
-    # the hi side's distances s, first
+    assert f.features is periods.features
+    # whose last component folds the tail: its features at t = 1/x = 1 + d/x
+    # beside x^2, at the nodes x and their distances d to 1
     s = 0.5 * quadrature._distances(None)
-    x = np.concatenate([s, [0.5]])
+    x = np.concatenate([1.0 - s, s, [0.5]])
+    d = np.concatenate([s, 1.0 - s, [0.5]])
     with np.errstate(over="ignore"):  # t^3 at the smallest x
-        (t, *_), square = quadrature._arguments(None, f.features, f.features_hi)[-1]
-    assert t.tobytes() == np.concatenate([1.0 + s / (1.0 - s), 1.0 / x]).tobytes()
-    assert square.tobytes() == np.concatenate([(1.0 - s) ** 2, x * x]).tobytes()
+        (t, *_), square = quadrature._arguments(None, f.features)[-1]
+    assert t.tobytes() == (1.0 + d / x).tobytes()
+    assert square.tobytes() == (x * x).tobytes()
 
 
 def test_a_second_verify_adds_no_integrand_and_no_node_cache_miss(monkeypatch):
@@ -425,9 +373,3 @@ def test_a_second_analyze_pass_adds_no_node_cache_miss(monkeypatch):
         seen.append([(c.cache_info().misses, c.cache_info().currsize) for c in caches])
     assert built == []
     assert seen[1] == seen[0]
-
-
-def test_a_feature_function_needs_its_form():
-    # features_hi feeds the evaluator beside features, never alone
-    with pytest.raises(ValueError, match="features_hi needs features"):
-        quadrature.Integrand(np.sqrt, names=("f",), features_hi=np.sqrt)

@@ -50,12 +50,9 @@ def _arcsine(nodes):
 
 
 def test_double_endpoint_singularity():
-    # arcsine weight, integral is pi; the form takes (x, 1 - x), on the hi
-    # side from the exact distances s = 1 - x
-    f = Integrand(
-        _arcsine, singular_hi=True, names=("arcsine",),
-        features=lambda x: (x, 1.0 - x), features_hi=lambda s: (1.0 - s, s),
-    )
+    # arcsine weight, integral is pi; the form takes (x, 1 - x), 1 - x
+    # being the distance d to 1, exact on the hi side
+    f = Integrand(_arcsine, names=("arcsine",), features=lambda x, d: (x, d))
     value, _ = integrate(f)["arcsine"]
     assert abs(value - math.pi) < 1e-12
 
@@ -67,9 +64,8 @@ def test_log_endpoint():
 
 def test_offset_form_beats_cancellation():
     # near x = 1 the naive 1 - x*x cancels; 1 - x^2 formed from the
-    # distance s = 1 - x does not
-    value, _ = _value(lambda span: 1.0 / np.sqrt(span), singular_hi=True,
-                      features=lambda x: 1.0 - x * x, features_hi=lambda s: s * (2.0 - s))
+    # distance d = 1 - x does not
+    value, _ = _value(lambda span: 1.0 / np.sqrt(span), features=lambda x, d: d * (2.0 - d))
     assert abs(value - math.pi / 2.0) < 1e-13
 
 
@@ -85,18 +81,11 @@ def test_constant_scalar_integrand_raises_type_error():
         _value(lambda x: 3.0)
 
 
-def test_singular_endpoint_away_from_zero_needs_its_offset_form():
-    # a blowup at 1 needs features_hi, with feature functions or without
-    with pytest.raises(ValueError, match="singular at 1 needs features_hi"):
-        _table({"f": lambda x: 1.0 / np.sqrt(1.0 - x)}, singular_hi=True)
-    with pytest.raises(ValueError, match="singular at 1 needs features_hi"):
-        _table({"f": np.sqrt}, singular_hi=True, features=np.negative)
-
-
 def test_singular_endpoint_at_zero_or_with_offset_form_is_accepted():
-    _table({"f": lambda x: 1.0 / np.sqrt(x)})
-    _table({"f": lambda d: 1.0 / np.sqrt(d)}, singular_hi=True,
-           features=lambda x: 1.0 - x, features_hi=lambda s: s)
+    # a blowup at 0 on the nodes, one at 1 on their distances to it
+    for f in (_table({"f": lambda x: 1.0 / np.sqrt(x)}),
+              _table({"f": lambda d: 1.0 / np.sqrt(d)}, features=lambda x, d: d)):
+        assert abs(integrate(f)["f"][0] - 2.0) < 1e-12
 
 
 def test_an_integrand_without_row_names_is_refused():
@@ -109,9 +98,8 @@ def test_an_integrand_without_row_names_is_refused():
 def test_tail_with_finite_end_singularity():
     # int_1^inf dt / (t^2 sqrt(t-1)) = pi/2; t = 1/u folds it onto (0, 1)
     # as sqrt(u / (1 - u)), the fold done in the features as the rPD
-    # tables do theirs, with 1 - u from the exact distance on the hi side
-    value, _ = _value(lambda nodes: np.sqrt(nodes[0] / nodes[1]), singular_hi=True,
-                      features=lambda u: (u, 1.0 - u), features_hi=lambda s: (1.0 - s, s))
+    # tables do theirs, 1 - u being the distance d to 1
+    value, _ = _value(lambda nodes: np.sqrt(nodes[0] / nodes[1]), features=lambda u, d: (u, d))
     assert abs(value - math.pi / 2.0) < 1e-12
 
 
@@ -303,10 +291,9 @@ def test_table_rows_equal_their_one_row_integrations():
     assert len(calls) == 3 * 2
 
 
-def _upper_features(u):
-    # rows on x in (0.5, 1), read at x = (1 + u) / 2: x and 1 - x
-    x = 0.5 + 0.5 * u
-    return x, 1.0 - x
+def _upper_features(u, d):
+    # rows on x in (0.5, 1), read at x = (1 + u) / 2: x and 1 - x = d / 2
+    return 1.0 - 0.5 * d, 0.5 * d
 
 
 def _counted_on_features(fn, calls):
@@ -317,21 +304,15 @@ def _counted_on_features(fn, calls):
     return g
 
 
-def _upper_hi_features(s):
-    # the same at u = 1 - s, where the distance to x = 1 is s / 2
-    return 1.0 - 0.5 * s, 0.5 * s
-
-
 def test_table_with_offset_forms_calls_each_form_once_per_level():
     # one form on both halves of (0, 1), the rows of (0.5, 1) read at
-    # x = (1 + u) / 2 and the hi side's from the exact distances: a blowup
-    # at x = 1 and a wave that stops inside the block
+    # x = (1 + u) / 2 from the distances to 1: a blowup at x = 1 and a
+    # wave that stops inside the block
     calls = []
     f = Integrand(
         _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), np.cos(20.0 * nodes[0])),
                              calls),
-        singular_hi=True, names=("blowup", "wave"),
-        features=_upper_features, features_hi=_upper_hi_features,
+        names=("blowup", "wave"), features=_upper_features,
     )
     got = integrate(f)
     assert abs(got["blowup"][0] - 2.0 * math.sqrt(0.5)) < 1e-12
@@ -346,8 +327,7 @@ def test_table_with_offset_forms_calls_each_form_once_per_level():
     bump = lambda x: 1.0 / (1.0 + 400.0 * (x - 0.75) ** 2)  # noqa: E731
     f = Integrand(
         _counted_on_features(lambda nodes: (1.0 / np.sqrt(nodes[1]), bump(nodes[0])), calls),
-        singular_hi=True, names=("blowup", "bump"),
-        features=_upper_features, features_hi=_upper_hi_features,
+        names=("blowup", "bump"), features=_upper_features,
     )
     got = integrate(f)
     assert abs(got["bump"][0] - math.atan(5.0) / 10.0) < 1e-13
@@ -356,29 +336,16 @@ def test_table_with_offset_forms_calls_each_form_once_per_level():
         assert got[name] == per_level_reference(f, 0.0, 1.0, row), name
 
 
-# one form on both halves of (0, 1): it takes x and (1 - x, its root), the
-# hi half's from the exact distances; a blowup at 1, a wave that stops at
-# level 5 and a bump that stops at level 7
-def _joined_features(x):
-    d = 1.0 - x
+# one form on both halves of (0, 1): it takes x and (1 - x, its root), 1 - x
+# being the distance d to 1; a blowup at 1, a wave that stops at level 5 and
+# a bump that stops at level 7
+def _root_features(x, d):
     return x, (d, np.sqrt(d))
 
 
-def _joined_hi_features(s):
-    return 1.0 - s, (s, np.sqrt(s))
-
-
-def _joined_form(nodes, c):
+def _three_rows(nodes, c):
     x, (_, root) = nodes
     return c / root, c * np.cos(20.0 * x), c / (1.0 + 400.0 * (x - 0.75) ** 2)
-
-
-_JOINED_NAMES = ("blowup", "wave", "bump")
-
-
-def _joined_table(c, form=_joined_form):
-    return Integrand(form, singular_hi=True, names=_JOINED_NAMES, params=(c,),
-                     features=_joined_features, features_hi=_joined_hi_features)
 
 
 @pytest.mark.parametrize("c", [1.5, np.array([0.5, 1.0, 2.0])])
@@ -387,9 +354,10 @@ def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
 
     def form(nodes, c):
         calls.append(len(nodes[0]))
-        return _joined_form(nodes, c)
+        return _three_rows(nodes, c)
 
-    got = integrate(_joined_table(c, form))
+    got = integrate(Integrand(form, names=("blowup", "wave", "bump"), params=(c,),
+                              features=_root_features))
     assert abs(got["blowup"][0] - 2.0 * np.asarray(c)).max() < 1e-12
     # both halves and the midpoint of the block in one call, then both
     # halves of each level until the bump stops at level 7
@@ -398,28 +366,32 @@ def test_an_evaluator_that_is_its_own_from_hi_is_called_once_per_level(c):
 
 
 @pytest.mark.parametrize("level", [None, 6])
-def test_joined_features_are_read_only_and_the_hi_half_first(level):
-    taken = quadrature._arguments(level, _joined_features, _joined_hi_features)
+def test_a_feature_function_takes_each_node_and_its_exact_distance_to_1(level):
+    # the nodes 1 - s, s and the midpoint 0.5, and their distances to 1:
+    # s bit for bit on the upper half, 1 - x on the lower one
+    seen = []
+
+    def features(x, d):
+        seen.append((x, d))
+        return x, (d, np.sqrt(d))
+
+    taken = quadrature._arguments(level, features)
     s = 0.5 * quadrature._distances(level)
-    plain = np.concatenate([s] + ([np.array([0.5])] if level is None else []))
-    x, (d, root) = taken
-    hi_x, (hi_d, hi_root) = _joined_hi_features(s)
-    lo_x, (lo_d, lo_root) = _joined_features(plain)
-    for got, hi, lo in ((x, hi_x, lo_x), (d, hi_d, lo_d), (root, hi_root, lo_root)):
+    n = len(s)
+    ((x, d),) = seen
+    mid = [0.5] if level is None else []
+    assert x.tobytes() == np.concatenate([1.0 - s, s, mid]).tobytes()
+    assert d[:n].tobytes() == s.tobytes()
+    assert d[n:].tobytes() == (1.0 - x[n:]).tobytes()
+    assert d[2 * n:].tolist() == mid
+    # a table without features gets the nodes themselves
+    plain = quadrature._arguments(level, None)
+    assert plain.tobytes() == x.tobytes()
+    taken_x, (taken_d, root) = taken
+    for got in (plain, taken_x, taken_d, root):
         assert not got.flags.writeable
-        assert got.tobytes() == np.concatenate([hi, lo]).tobytes()
         with pytest.raises(ValueError):
             got[0] = 0.0
-
-
-def test_an_evaluator_that_is_its_own_from_hi_needs_both_feature_functions():
-    # the one form of a table singular at 1 takes features_hi of the hi
-    # side's distances, and features of the other nodes
-    with pytest.raises(ValueError, match="needs features_hi"):
-        Integrand(_joined_form, singular_hi=True, names=_JOINED_NAMES, features=_joined_features)
-    with pytest.raises(ValueError, match="features_hi needs features"):
-        Integrand(_joined_form, singular_hi=True, names=_JOINED_NAMES,
-                  features_hi=_joined_hi_features)
 
 
 def _bad_at(level, fn, upper=False):

@@ -4,7 +4,9 @@
 The file holds, in order:
 
   1. ``analyze --json`` for every reference sample and every reference
-     root, including the tD mirror of each tP sample and root;
+     root, including the tD mirror of each tP sample and root, then at
+     the points of ANALYZE_EXTRA, near the ends of the H and rPD ranges,
+     where a table's rows are singular at 1;
   2. ``verify`` for H and rPD on a fixed parameter grid;
   3. the ``sweep`` CSV for the five default windows at 64 steps;
   4. the stdout of ``reproduce --all --steps 64``.
@@ -36,6 +38,8 @@ VERIFY_GRID = {
     "rPD": (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
             1.0),
 }
+# H and rPD points near the ends of their ranges, beyond the reference ones
+ANALYZE_EXTRA = (("H", 1e-3), ("H", 0.999999), ("rPD", 1e-4), ("rPD", 0.999999), ("rPD", 1.0))
 SWEEP_STEPS = 64
 
 
@@ -64,7 +68,7 @@ def digest(out) -> None:
     text = resources.files("msindex.data").joinpath(
         "reference_tables.json").read_text()
     reference = json.loads(text)
-    for family, a in _analyze_points(reference):
+    for family, a in _analyze_points(reference) + list(ANALYZE_EXTRA):
         _run(["analyze", "--family", family, "--a", repr(a), "--json"], out)
     for family, grid in VERIFY_GRID.items():
         for a in grid:
